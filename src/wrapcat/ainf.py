@@ -587,9 +587,7 @@ class HCategory:
         return pres.normalize_coords(pres.project(vec)) if pres.class_count else ()
 
     def basis_coords(self, x, y, d, i):
-        n = self.class_count(x, y, d)
-        return tuple(self.ring.one() if k == i else self.ring.zero()
-                     for k in range(n))
+        return self.ring.unit_vector(self.class_count(x, y, d), i)
 
     def compose(self, x, y, z, d1, u_coords, d2, v_coords):
         """Coordinates of the composite (u then v) in H^{d1+d2}(x, z)."""

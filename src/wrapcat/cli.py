@@ -2,7 +2,7 @@
 
 Exit codes: 0 pass, 1 strict failure or mismatch, 2 input error.  Reports
 are emitted as canonical JSON (default) or a text table; bytes are stable
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations
@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ainf import check_ainf_relations, classify_unitality, cohomology_category
+from .ainf import cohomology_category
 from .errors import (NotStabilized, OracleIncomplete, ParseError, SchemaError,
                      WrapcatError)
 from .floer import (canonical_envelope, choose_compatible_collection,
                     validate_setup)
 from .localization import check_right_multiplicative_system
-from .posets import DecoratedPoset, build_O_P, poset_continuation_cset
+from .posets import DecoratedPoset
 from .quotient import localize_by_cones
-from .report import Report, parallel_map
+from .report import Report
 from .setupfile import load_setup
 from .sss import (SimplexOracle, canonical_sss, check_bridge, entangle,
                   tau_compare)
@@ -74,7 +74,7 @@ def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
     return DecoratedPoset(setup, elements, less, lag)
 
 
-def cmd_validate(path, mode="finite", profile="auto"):
+def cmd_validate(path, mode="finite"):
     setup = load_setup(path)
     rep = Report("validate", setup.name)
     res = validate_setup(setup, mode=mode)
@@ -126,15 +126,18 @@ def cmd_compute(path, what="hw", depth=4, mode="finite"):
                         and functor["passed"])
         return rep
     if what == "localize":
+        rms = check_right_multiplicative_system(hcat, cset)
+        if not rms["passed"]:
+            rep.add("continuation_conditions", rms)
+            rep.set_verdict(False)
+            return rep
         gens = generating_subset(hcat, cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
         pairs = [(a, b) for a in env.objects for b in env.objects]
         quo, _ = localize_by_cones(env, hcat, w_classes, depth=depth,
                                    pairs=pairs, check_relations=False)
-        rows = parallel_map(
-            lambda p: {"pair": [p[0], p[1]],
-                       "h0_rank": quo.h0_rank(*p),
-                       "stabilized": quo.stabilized(*p)}, pairs)
+        rows = [{"pair": [a, b], "h0_rank": quo.h0_rank(a, b),
+                 "stabilized": quo.stabilized(a, b)} for (a, b) in pairs]
         rep.add("quotient_h0", rows)
         rep.add("cone_classes", [repr(c) for c in gens])
         unstab = [r["pair"] for r in rows if not r["stabilized"]]
@@ -210,7 +213,6 @@ def main(argv=None):
     p_val = sub.add_parser("validate", help="validate a setup file")
     p_val.add_argument("file")
     p_val.add_argument("--mode", choices=["strict", "finite"], default="finite")
-    p_val.add_argument("--profile", default="auto")
     p_cmp = sub.add_parser("compute", help="run a computation")
     p_cmp.add_argument("file")
     p_cmp.add_argument("--what", choices=["hw", "dfcat", "localize", "agree"],
@@ -228,7 +230,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            rep = cmd_validate(args.file, mode=args.mode, profile=args.profile)
+            rep = cmd_validate(args.file, mode=args.mode)
         elif args.command == "compute":
             rep = cmd_compute(args.file, what=args.what, depth=args.depth,
                               mode=args.mode)

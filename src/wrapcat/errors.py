@@ -81,10 +81,6 @@ class OracleIncomplete(WrapcatError):
     pass
 
 
-class OracleRefused(WrapcatError):
-    pass
-
-
 class NotTotallyOrdered(WrapcatError):
     pass
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .ainf import AInfCategory, HCategory, check_ainf_relations, _merge
+from .ainf import AInfCategory, check_ainf_relations, _merge
 from .errors import (AlphaMissing, CertificateMissing, NoSection,
                      ValidationRequired)
 from .linalg import (Complex, GradedMap, GradedModule, cohomology,
@@ -251,12 +251,12 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
         for pair in s.tuples(1):
             mod = s.cf_module(*pair)
             for (dp_id, (d1, d2)) in ds.Dprime.get(pair, ()):
-                a_map = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
+                a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
                 err = _chain_map_defect(s, pair, d1, d2, a_map)
                 if err:
                     fails.append({"pair": list(pair), "alpha": dp_id, "defect": err})
             for (ds_id, (ac, ab, bc)) in ds.Dsecond.get(pair, ()):
-                b_map = _entries_map(s, mod, mod, -1, ds.beta.get((pair, ds_id), ()))
+                b_map = _entries_map(mod, mod, -1, ds.beta.get((pair, ds_id), ()))
                 err = _beta_defect(s, pair, ac, ab, bc, b_map)
                 if err:
                     fails.append({"pair": list(pair), "beta": ds_id, "defect": err})
@@ -283,7 +283,7 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
                 if pr != (datum, datum):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "f does not hit the diagonal"})
-                a_map = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
+                a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
                 if a_map != GradedMap.identity(mod):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "alpha over f(datum) is not the identity"})
@@ -319,13 +319,10 @@ def _compatible_families(s: WeakFloerSetup, t):
     return out
 
 
-def _entries_map(s, src: GradedModule, tgt: GradedModule, degree, entries):
+def _entries_map(src: GradedModule, tgt: GradedModule, degree, entries):
     if degree == 0 and not entries and src == tgt:
         return GradedMap.zero(src, tgt, 0)
-    return GradedMap.from_entries(src, tgt, degree,
-                                  [(i, o, s.ring.parse_scalar(v)
-                                    if isinstance(v, str) else v)
-                                   for (i, o, v) in entries])
+    return GradedMap.from_entries(src, tgt, degree, entries)
 
 
 def _pair_differential(s: WeakFloerSetup, pair, datum) -> GradedMap:
@@ -357,9 +354,9 @@ def _beta_defect(s, pair, ac, ab, bc, b_map: GradedMap):
     _, c3 = ds.dprime_pair(pair, bc)
     d_src = _pair_differential(s, pair, a1)
     d_tgt = _pair_differential(s, pair, c1)
-    alpha_ab = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, ab), ()))
-    alpha_bc = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, bc), ()))
-    alpha_ac = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, ac), ()))
+    alpha_ab = _entries_map(mod, mod, 0, ds.alpha.get((pair, ab), ()))
+    alpha_bc = _entries_map(mod, mod, 0, ds.alpha.get((pair, bc), ()))
+    alpha_ac = _entries_map(mod, mod, 0, ds.alpha.get((pair, ac), ()))
     comp = compose_graded_maps(alpha_ab, alpha_bc)
     target = comp.add(alpha_ac.scale(s.ring.normalize(-1)))
     lhs = compose_graded_maps(b_map, d_tgt).add(compose_graded_maps(d_src, b_map))
@@ -377,28 +374,18 @@ def _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id):
     m01, m12, m02 = (s.cf_module(l0, l1), s.cf_module(l1, l2), s.cf_module(l0, l2))
     gamma_entries = ds.gamma.get((triple, i, g_id), ())
 
-    def mu2(dat):
-        table = {}
-        for (inputs, out, scalar) in s.mu_entries(triple, dat):
-            table.setdefault(tuple(inputs), {})
-            _merge(table[tuple(inputs)], out,
-                   ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar,
-                   ring)
-        return table
-
     def gamma_apply(x_lab, y_lab):
         out = {}
         for ((i1, i2), o, v) in gamma_entries:
             if (i1, i2) == (x_lab, y_lab):
-                _merge(out, o, ring.parse_scalar(v) if isinstance(v, str) else v,
-                       ring)
+                _merge(out, o, v, ring)
         return out
 
     pair_of = {0: (l0, l1), 1: (l1, l2), 2: (l0, l2)}[i]
-    alpha = _entries_map(s, s.cf_module(*pair_of), s.cf_module(*pair_of), 0,
+    alpha = _entries_map(s.cf_module(*pair_of), s.cf_module(*pair_of), 0,
                          ds.alpha.get((pair_of, dp_id), ()))
-    mu_a = mu2(datum)
-    mu_b = mu2(datum_i)
+    mu_a = _mu2_table(s, triple, datum)
+    mu_b = _mu2_table(s, triple, datum_i)
     d01 = _pair_differential(s, (l0, l1), ds.restrict(triple, (l0, l1), datum))
     d12 = _pair_differential(s, (l1, l2), ds.restrict(triple, (l1, l2), datum))
     d02 = _pair_differential(s, (l0, l2), ds.restrict(triple, (l0, l2), datum))
@@ -466,26 +453,46 @@ def _family_relation_failures(s: WeakFloerSetup, top):
     return rep["violations"]
 
 
-def _envelope_for(s: WeakFloerSetup, datum_of) -> AInfCategory:
+def _mu2_table(s: WeakFloerSetup, triple, datum):
+    """The datum's mu^2 on a composable triple as {inputs: {output: scalar}}."""
+    table = {}
+    for (inputs, out, scalar) in s.mu_entries(triple, datum):
+        _merge(table.setdefault(tuple(inputs), {}), out, scalar, s.ring)
+    return table
+
+
+def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,
+                    name) -> AInfCategory:
+    """The strictly unital category on ``objects``: an adjoined rank-1 unit
+    on the diagonal, CF(lag[a], lag[b]) on each allowed pair (a, b), the
+    operations of each decorated simplex (chain, datum) of ``simplices``,
+    then the strict-unit entries.  ``lag`` maps objects to Lagrangians."""
     ring = s.ring
     homs = {}
     units = {}
-    for l in s.lagrangians:
-        homs[(l, l)] = GradedModule.from_generators(ring, [(f"1@{l}", 0)])
-        units[l] = {f"1@{l}": ring.one()}
-    for (l, k) in s.tuples(1):
-        mod = s.cf_module(l, k)
+    for x in objects:
+        homs[(x, x)] = GradedModule.from_generators(ring, [(f"1@{x}", 0)])
+        units[x] = {f"1@{x}": ring.one()}
+    for (a, b) in pairs:
+        mod = s.cf_module(lag[a], lag[b])
         if not mod.is_zero():
-            homs[(l, k)] = mod
-    cat = AInfCategory(ring, s.lagrangians, homs, units, name=s.name)
-    for kk in sorted(s.composable):
-        for t in s.tuples(kk):
-            datum = datum_of(t) if datum_of else None
-            for (inputs, out, scalar) in s.mu_entries(t, datum):
-                val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-                cat.add_op_entry(t, tuple(inputs), out, val)
+            homs[(a, b)] = mod
+    cat = AInfCategory(ring, objects, homs, units, name=name)
+    for chain, datum in simplices:
+        lags = tuple(lag[x] for x in chain)
+        for (inputs, out, scalar) in s.mu_entries(lags, datum):
+            cat.add_op_entry(chain, tuple(inputs), out, scalar)
     cat.add_unit_entries()
     return cat
+
+
+def _envelope_for(s: WeakFloerSetup, datum_of) -> AInfCategory:
+    tuples = s.all_tuples()
+    # explicit composable tuples may name labels outside ``s.lagrangians``
+    lag = {l: l for t in [s.lagrangians, *tuples] for l in t}
+    return unital_category(
+        s, s.lagrangians, lag, s.tuples(1),
+        [(t, datum_of(t) if datum_of else None) for t in tuples], name=s.name)
 
 
 # -- constructions --------------------------------------------------------------------
@@ -546,8 +553,8 @@ def canonical_envelope(s: WeakFloerSetup, col: CompatibleCollection = None,
 
 
 class DFPreCategory:
-    """Homotopy classes of the CF complexes with composition tables and the
-    alpha-isomorphism certificates between the data choices."""
+    """Homotopy classes of the CF complexes with the alpha-isomorphism
+    certificates between the data choices."""
 
     def __init__(self, s: WeakFloerSetup):
         if s.profile != "full" or s.data_system is None:
@@ -578,7 +585,7 @@ class DFPreCategory:
                         raise CertificateMissing(
                             f"no Dprime element over ({d1},{d2}) on "
                             f"{tuple_key(pair)}")
-                    a_map = _entries_map(s, mod, mod, 0,
+                    a_map = _entries_map(mod, mod, 0,
                                          ds.alpha.get((pair, dp), ()))
                     hmap = induced_cohomology_map(
                         a_map, Complex(mod, _pair_differential(s, pair, d1)),
@@ -594,48 +601,6 @@ class DFPreCategory:
 
     def alpha_certificates_pass(self):
         return all(h.is_isomorphism() for h in self.alpha_iso.values())
-
-    def composition_table(self, triple, col: CompatibleCollection):
-        """H-level composition induced by the chosen datum on a triple."""
-        s = self.setup
-        ring = s.ring
-        l0, l1, l2 = triple
-        h01 = self.h[((l0, l1), col.datum((l0, l1)))]
-        h12 = self.h[((l1, l2), col.datum((l1, l2)))]
-        h02 = self.h[((l0, l2), col.datum((l0, l2)))]
-        table = {}
-        entries = {}
-        for (inputs, out, scalar) in s.mu_entries(triple, col.datum(triple)):
-            val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-            entries.setdefault(tuple(inputs), {})
-            _merge(entries[tuple(inputs)], out, val, ring)
-        m01, m12, m02 = (s.cf_module(l0, l1), s.cf_module(l1, l2),
-                         s.cf_module(l0, l2))
-        for d1 in list(h01.by_degree):
-            p1 = h01.degree(d1)
-            for d2 in list(h12.by_degree):
-                p2 = h12.degree(d2)
-                pt = h02.degree(d1 + d2)
-                for i in range(p1.class_count):
-                    for j in range(p2.class_count):
-                        acc = {}
-                        xv = dict(zip(m01.labels(d1), p1.reps[i]))
-                        yv = dict(zip(m12.labels(d2), p2.reps[j]))
-                        for (lx, vx) in xv.items():
-                            if vx == 0:
-                                continue
-                            for (ly, vy) in yv.items():
-                                if vy == 0:
-                                    continue
-                                for o, vo in entries.get((lx, ly), {}).items():
-                                    _merge(acc, o,
-                                           ring.mul(ring.mul(vx, vy), vo), ring)
-                        vec = [ring.zero()] * pt.module_rank
-                        for lab, v in acc.items():
-                            vec[m02.index_of(lab)] = v
-                        table[(d1, i, d2, j)] = (pt.normalize_coords(pt.project(vec))
-                                                 if pt.class_count else ())
-        return table
 
 
 def df_precategory(s: WeakFloerSetup) -> DFPreCategory:
@@ -663,7 +628,7 @@ def check_envelope_independence(s: WeakFloerSetup, col1: CompatibleCollection,
         if dp is None:
             raise AlphaMissing(f"no alpha over ({d1},{d2}) on {tuple_key(pair)}")
         mod = s.cf_module(*pair)
-        a_map = _entries_map(s, mod, mod, 0, ds.alpha.get((pair, dp), ()))
+        a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp), ()))
         cx1 = Complex(mod, _pair_differential(s, pair, d1))
         cx2 = Complex(mod, _pair_differential(s, pair, d2))
         hmap = induced_cohomology_map(a_map, cx1, cx2)
@@ -684,7 +649,7 @@ def check_envelope_independence(s: WeakFloerSetup, col1: CompatibleCollection,
     for pair in s.tuples(1):
         mod = s.cf_module(*pair)
         for (ds_id, (ac, ab, bc)) in ds.Dsecond.get(pair, ()):
-            b_map = _entries_map(s, mod, mod, -1, ds.beta.get((pair, ds_id), ()))
+            b_map = _entries_map(mod, mod, -1, ds.beta.get((pair, ds_id), ()))
             defect = _beta_defect(s, pair, ac, ab, bc, b_map)
             report["beta"].append({"pair": list(pair), "element": ds_id,
                                    "passed": defect is None})
@@ -699,16 +664,8 @@ def _functoriality_ok(s, col1, col2, triple, hmaps):
     ring = s.ring
     l0, l1, l2 = triple
     m01, m12, m02 = (s.cf_module(l0, l1), s.cf_module(l1, l2), s.cf_module(l0, l2))
-    mu1 = {}
-    for (inputs, out, scalar) in s.mu_entries(triple, col1.datum(triple)):
-        val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-        mu1.setdefault(tuple(inputs), {})
-        _merge(mu1[tuple(inputs)], out, val, ring)
-    mu2t = {}
-    for (inputs, out, scalar) in s.mu_entries(triple, col2.datum(triple)):
-        val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-        mu2t.setdefault(tuple(inputs), {})
-        _merge(mu2t[tuple(inputs)], out, val, ring)
+    mu1 = _mu2_table(s, triple, col1.datum(triple))
+    mu2t = _mu2_table(s, triple, col2.datum(triple))
     h01 = cohomology(Complex(m01, _pair_differential(s, (l0, l1),
                                                      col1.datum((l0, l1)))))
     h12 = cohomology(Complex(m12, _pair_differential(s, (l1, l2),

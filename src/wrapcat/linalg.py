@@ -8,7 +8,7 @@ operations are deterministic pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (EmptySequence, NotAComplex, NotChainMap, ShapeMismatch)
 from .matrices import Matrix, invert_unimodular, smith_normal_form

@@ -75,9 +75,6 @@ class CSet:
     def with_target(self, tgt):
         return [c for c in self.classes if c.tgt == tgt]
 
-    def with_source(self, src):
-        return [c for c in self.classes if c.src == src]
-
     def is_identity(self, c: ContClass) -> bool:
         return (c.src == c.tgt
                 and tuple(c.coords) == tuple(self.hcat.identity_coords.get(c.src) or ()))
@@ -425,11 +422,9 @@ class FractionCategory:
         sl = self.slices[l]
         src = sl.objects[slice_index].src
         n = self.hcat.class_count(src, k, d)
-        cols = []
-        for i in range(n):
-            unit = tuple(self.ring.one() if t == i else self.ring.zero()
-                         for t in range(n))
-            cols.append(self.colim(l, k).project(d, slice_index, unit))
+        cols = [self.colim(l, k).project(d, slice_index,
+                                         self.ring.unit_vector(n, i))
+                for i in range(n)]
         m = Matrix.from_columns(self.ring, cols,
                                 self.colim(l, k).degree(d).class_count)
         sol = m.solve(tuple(coords))
@@ -515,8 +510,7 @@ class FractionCategory:
                 for d in sorted(cl.by_degree):
                     n = cl.degree(d).class_count
                     for i in range(n):
-                        u = tuple(self.ring.one() if t == i else self.ring.zero()
-                                  for t in range(n))
+                        u = self.ring.unit_vector(n, i)
                         lu = self.compose(l, l, k, 0, self.identity(l), d, u)
                         ru = self.compose(l, k, k, d, u, 0, self.identity(k))
                         if lu != u:
@@ -542,9 +536,7 @@ class FractionCategory:
         return {"passed": not failures, "failures": failures}
 
     def _basis(self, l, k, d, i):
-        n = self.class_count(l, k, d)
-        return tuple(self.ring.one() if t == i else self.ring.zero()
-                     for t in range(n))
+        return self.ring.unit_vector(self.class_count(l, k, d), i)
 
     def _assoc_quadruples(self):
         for l in self.objects:

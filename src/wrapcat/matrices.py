@@ -282,12 +282,11 @@ class Matrix:
                 return None
         return V.apply(tuple(y))
 
-    def solve_all(self, vec):
-        """(particular solution, kernel basis) pair, or None if unsolvable."""
-        part = self.solve(vec)
-        if part is None:
-            return None
-        return part, self.kernel_basis()
+def invertible_from_columns(ring: CoefficientRing, cols, rows: int) -> bool:
+    """Whether the matrix with the given columns (each of length ``rows``) is
+    square of full rank."""
+    m = Matrix.from_columns(ring, cols, rows)
+    return m.rows == m.cols and (m.rows == 0 or m.rank() == m.rows)
 
 
 def smith_normal_form(m: Matrix):

@@ -1,6 +1,4 @@
-"""Decorated posets: the poset-indexed category O_P, wrapping sequences,
-and the constructive extension to a sufficiently wrapped poset through a
-factorization oracle.
+"""Decorated posets: the poset-indexed category O_P and wrapping sequences.
 
 Finite-scale conventions (see the decisions ledger): a wrapping sequence is
 certified cofinal when it is a maximal chain of continuation classes (no
@@ -10,16 +8,13 @@ colimit comparisons hold exactly on the supplied prefix.
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .ainf import AInfCategory, HCategory, cohomology_category
-from .errors import (DecorationInconsistent, NotCofinal, NotTotallyOrdered,
-                     OracleRefused)
-from .floer import WeakFloerSetup, subsequences
-from .linalg import GradedModule, sequence_colimit
-from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
-                           h_graded_module, h_transition_map)
-from .matrices import Matrix
+from .ainf import AInfCategory, HCategory
+from .errors import DecorationInconsistent, NotCofinal, NotTotallyOrdered
+from .floer import WeakFloerSetup, unital_category
+from .linalg import sequence_colimit
+from .localization import (CSet, ContClass, FractionCategory, h_graded_module,
+                           h_transition_map)
+from .matrices import invertible_from_columns
 
 
 class DecoratedPoset:
@@ -54,9 +49,6 @@ class DecoratedPoset:
 
     def lt(self, a, b) -> bool:
         return (a, b) in self.less
-
-    def down_set(self, p):
-        return sorted([q for q in self.elements if self.lt(q, p)] + [p])
 
     def chains_desc(self, length):
         """Descending chains (p_k > ... > p_0) with length+1 elements."""
@@ -114,27 +106,11 @@ def build_O_P(setup: WeakFloerSetup, P: DecoratedPoset) -> AInfCategory:
     an adjoined unit on the diagonal, zero elsewhere, operations decorated by
     the poset's chains."""
     P.validate()
-    ring = setup.ring
-    homs = {}
-    units = {}
-    for p in P.elements:
-        homs[(p, p)] = GradedModule.from_generators(ring, [(f"1@{p}", 0)])
-        units[p] = {f"1@{p}": ring.one()}
-    for p in P.elements:
-        for q in P.elements:
-            if P.lt(q, p):
-                mod = setup.cf_module(P.lag[p], P.lag[q])
-                if not mod.is_zero():
-                    homs[(p, q)] = mod
-    cat = AInfCategory(ring, P.elements, homs, units, name=f"O_P[{setup.name}]")
-    for k in range(1, setup.max_arity + 1):
-        for chain in P.chains_desc(k):
-            lags = tuple(P.lag[p] for p in chain)
-            for (inputs, out, scalar) in setup.mu_entries(lags, P.datum(chain)):
-                val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-                cat.add_op_entry(chain, tuple(inputs), out, val)
-    cat.add_unit_entries()
-    return cat
+    pairs = [(p, q) for p in P.elements for q in P.elements if P.lt(q, p)]
+    chains = [(chain, P.datum(chain)) for k in range(1, setup.max_arity + 1)
+              for chain in P.chains_desc(k)]
+    return unital_category(setup, P.elements, P.lag, pairs, chains,
+                           name=f"O_P[{setup.name}]")
 
 
 def poset_continuation_cset(setup: WeakFloerSetup, P: DecoratedPoset,
@@ -151,51 +127,6 @@ def poset_continuation_cset(setup: WeakFloerSetup, P: DecoratedPoset,
     return CSet(hcat, classes)
 
 
-def has_duplicate_elements(P: DecoratedPoset) -> bool:
-    """Two distinct elements with isomorphic decorated down-sets (exhaustive
-    isomorphism search; intended for posets of at most a dozen elements)."""
-    for p in P.elements:
-        for q in P.elements:
-            if p >= q:
-                continue
-            dp, dq = P.down_set(p), P.down_set(q)
-            if len(dp) != len(dq):
-                continue
-            if _decorated_isomorphic(P, dp, dq):
-                return True
-    return False
-
-
-def _decorated_isomorphic(P, dp, dq):
-    for perm in permutations(dq):
-        iso = dict(zip(dp, perm))
-        ok = True
-        for a in dp:
-            if P.lag[a] != P.lag[iso[a]]:
-                ok = False
-                break
-            for b in dp:
-                if P.lt(a, b) != P.lt(iso[a], iso[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for chain, datum in P.data.items():
-                if all(x in dp for x in chain):
-                    img = tuple(iso[x] for x in chain)
-                    if P.data.get(img) != datum:
-                        ok = False
-                        break
-        if ok:
-            return True
-    return False
-
-
-class WrappingSequenceReport(dict):
-    pass
-
-
 def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
                              ocat: AInfCategory, oh: HCategory, icset: CSet,
                              env_h: HCategory, env_cset: CSet, seq,
@@ -208,7 +139,6 @@ def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
     colim_i H F(L_{p_i}, K) -> HW(L_{p_0}, K) for every Lagrangian K; and the
     induced comparison colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q).
     """
-    ring = setup.ring
     seq = list(seq)
     for a, b in zip(seq, seq[1:]):
         if not P.lt(a, b):
@@ -236,95 +166,70 @@ def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
     for c, (a, b) in zip(steps, zip(seq, seq[1:])):
         env_steps.append(ContClass(P.lag[b], P.lag[a], c.coords))
     for k_lag in setup.lagrangians:
-        mods = [h_graded_module(env_h, l, k_lag, tag=f"s{i}:{l}>{k_lag}")
-                for i, l in enumerate(lag_seq)]
-        maps = [h_transition_map(env_h, e, k_lag, mods[i], mods[i + 1])
-                for i, e in enumerate(env_steps)]
-        colim, structure, _ = sequence_colimit(mods, maps, 0)
-        # composite continuation class from the sequence top into the base
-        comp = None
-        for e in reversed(env_steps):
-            comp = e if comp is None else ContClass(
-                comp.src, e.tgt,
-                env_h.compose(comp.src, comp.tgt, e.tgt, 0, comp.coords,
-                              0, e.coords))
-        if comp is None:
-            idx = 0
-        else:
-            idx = frac_env._slice_index(lag_seq[0], comp)
-            if idx is None:
-                raise NotCofinal(
-                    f"composite continuation {lag_seq[-1]} -> {lag_seq[0]} "
-                    f"is not in the continuation set")
+        colim = _prefix_colimit(env_h, lag_seq, env_steps, k_lag, "s")
+        idx = _composite_index(env_h, frac_env, lag_seq[0], env_steps)
+        if idx is None:
+            raise NotCofinal(
+                f"composite continuation {lag_seq[-1]} -> {lag_seq[0]} "
+                f"is not in the continuation set")
         ok = _colim_comparison_iso(env_h, frac_env, lag_seq[0], lag_seq[-1],
                                    k_lag, colim, idx)
         report["hw_comparisons"].append({"K": k_lag, "iso": ok})
     frac_P = frac_P or FractionCategory(oh, icset, strict_system=False)
     for q in P.elements:
-        ok = _w_comparison_iso(oh, frac_P, icset, seq, steps, q)
+        ok = _w_comparison_iso(oh, frac_P, seq, steps, q)
         report["w_comparisons"].append({"q": q, "iso": ok})
     report["passed"] = (all(r["iso"] for r in report["hw_comparisons"])
                         and all(r["iso"] for r in report["w_comparisons"]))
     return report
 
 
-def _colim_comparison_iso(env_h, frac_env, base, last, k_lag, colim, idx):
-    """colim of the prefix is presented on H(last, k); compare with HW(base, k)
-    through the injection at the composite slice object."""
-    ring = env_h.ring
-    target = frac_env.colim(base, k_lag)
-    for d in set(list(colim.degrees()) + sorted(target.by_degree)):
-        n = env_h.class_count(last, k_lag, d)
-        cols = []
-        for i in range(n):
-            u = tuple(ring.one() if t == i else ring.zero() for t in range(n))
-            cols.append(target.project(d, idx, u))
-        m = Matrix.from_columns(ring, cols, target.degree(d).class_count)
-        if m.rows != m.cols:
-            return False
-        if m.rows and m.rank() != m.rows:
+def _prefix_colimit(hcat, sources, steps, target, tag):
+    """colim_i H(sources[i], target) along precomposition with the steps."""
+    mods = [h_graded_module(hcat, x, target, tag=f"{tag}{i}:{x}>{target}")
+            for i, x in enumerate(sources)]
+    maps = [h_transition_map(hcat, e, target, mods[i], mods[i + 1])
+            for i, e in enumerate(steps)]
+    return sequence_colimit(mods, maps, 0)[0]
+
+
+def _composite_index(hcat, frac, base, steps):
+    """Slice index over ``base`` of the composite continuation class from the
+    sequence top into the base: 0 for no steps, None when the composite is
+    not in the continuation set."""
+    comp = None
+    for e in reversed(steps):
+        comp = e if comp is None else ContClass(
+            comp.src, e.tgt,
+            hcat.compose(comp.src, comp.tgt, e.tgt, 0, comp.coords, 0, e.coords))
+    return 0 if comp is None else frac._slice_index(base, comp)
+
+
+def _colim_comparison_iso(hcat, frac, base, last, target, colim, idx):
+    """colim of the prefix is presented on H(last, target); compare with the
+    localized hom (base, target) through the injection at the composite
+    slice object."""
+    ring = hcat.ring
+    loc = frac.colim(base, target)
+    for d in set(list(colim.degrees()) + sorted(loc.by_degree)):
+        n = hcat.class_count(last, target, d)
+        cols = [loc.project(d, idx, ring.unit_vector(n, i)) for i in range(n)]
+        if not invertible_from_columns(ring, cols, loc.degree(d).class_count):
             return False
     return True
 
 
-def _w_comparison_iso(oh, frac_P, icset, seq, steps, q):
+def _w_comparison_iso(oh, frac_P, seq, steps, q):
     """colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q) comparison.
 
     The right side is a colimit along localized continuation classes, which
     are isomorphisms, so it is presented on W_P(p_0, q); the comparison is
     gamma at each level pushed down the sequence.
     """
-    ring = oh.ring
-    mods = [h_graded_module(oh, p, q, tag=f"o{i}:{p}>{q}")
-            for i, p in enumerate(seq)]
-    maps = [h_transition_map(oh, e, q, mods[i], mods[i + 1])
-            for i, e in enumerate(steps)]
-    colim, structure, _ = sequence_colimit(mods, maps, 0)
-    comp = None
-    for e in reversed(steps):
-        comp = e if comp is None else ContClass(
-            comp.src, e.tgt,
-            oh.compose(comp.src, comp.tgt, e.tgt, 0, comp.coords, 0, e.coords))
-    if comp is None:
-        idx = 0
-    else:
-        idx = frac_P._slice_index(seq[0], comp)
-        if idx is None:
-            return False
-    target = frac_P.colim(seq[0], q)
-    last = seq[-1]
-    for d in set(list(colim.degrees()) + sorted(target.by_degree)):
-        n = oh.class_count(last, q, d)
-        cols = []
-        for i in range(n):
-            u = tuple(ring.one() if t == i else ring.zero() for t in range(n))
-            cols.append(target.project(d, idx, u))
-        m = Matrix.from_columns(ring, cols, target.degree(d).class_count)
-        if m.rows != m.cols:
-            return False
-        if m.rows and m.rank() != m.rows:
-            return False
-    return True
+    colim = _prefix_colimit(oh, seq, steps, q, "o")
+    idx = _composite_index(oh, frac_P, seq[0], steps)
+    return idx is not None and _colim_comparison_iso(oh, frac_P, seq[0],
+                                                     seq[-1], q, colim, idx)
 
 
 def sufficiently_wrapped_report(setup, P, ocat, oh, icset, env_h, env_cset):
@@ -372,105 +277,3 @@ def _maximal_chains_from(P: DecoratedPoset, icset: CSet, p):
     grow([p])
     return chains
 
-
-class FactorizationOracle:
-    """Deterministic factorization-query callback (Rem.-factorization style).
-
-    Query: a slice morphism in the wrapping category of a Lagrangian plus a
-    finite set of Lagrangian tuples; answer: an intermediate Lagrangian H
-    with the two continuation classes and composability against the tuples,
-    or a refusal.  The "continuation" mode answers from the setup's own
-    class set; "refuse" always refuses; "table" replays a serialized log.
-    """
-
-    def __init__(self, setup: WeakFloerSetup, env_h: HCategory, env_cset: CSet,
-                 spec=None):
-        self.setup = setup
-        self.env_h = env_h
-        self.env_cset = env_cset
-        self.spec = dict(spec or setup.oracle or {"mode": "continuation"})
-        self.log = []
-
-    def factor(self, lagrangian, from_cls: ContClass, to_cls: ContClass,
-               excluded):
-        """Factor the slice morphism (from_cls -> to_cls over ``lagrangian``)
-        through a fresh intermediate avoiding the excluded Lagrangians."""
-        mode = self.spec.get("mode", "continuation")
-        query = {"object": lagrangian,
-                 "from": repr(from_cls), "to": repr(to_cls),
-                 "excluded": sorted(excluded)}
-        if mode == "refuse":
-            self.log.append({"query": query, "answer": "refused"})
-            raise OracleRefused(f"oracle refused query {query}")
-        sl = SliceCategory(self.env_h, self.env_cset, lagrangian)
-        idx_from = next((i for i, c in enumerate(sl.objects) if c == from_cls), None)
-        idx_to = next((i for i, c in enumerate(sl.objects) if c == to_cls), None)
-        if idx_from is None or idx_to is None:
-            raise OracleRefused(f"query outside the wrapping category: {query}")
-        for mid, c_mid in enumerate(sl.objects):
-            if c_mid.src in excluded:
-                continue
-            if (idx_from, mid) in sl.morphisms and (mid, idx_to) in sl.morphisms:
-                first = sorted(sl.morphisms[(idx_from, mid)],
-                               key=lambda e: e.key())[0]
-                second = sorted(sl.morphisms[(mid, idx_to)],
-                                key=lambda e: e.key())[0]
-                answer = {"H": c_mid.src, "into": repr(first),
-                          "onward": repr(second)}
-                self.log.append({"query": query, "answer": answer})
-                return c_mid.src, first, second
-        self.log.append({"query": query, "answer": "refused"})
-        raise OracleRefused(f"no admissible factorization for {query}")
-
-
-def extend_to_sufficiently_wrapped(setup: WeakFloerSetup, P: DecoratedPoset,
-                                   env_h: HCategory, env_cset: CSet,
-                                   oracle: FactorizationOracle, steps: int):
-    """Adjoin a chain of wrapped stages above P (the constructive-extension
-    recipe): new element i wraps its fiber element one step further along its
-    wrapping chain; every comparable pair must stay composable, so the oracle
-    must supply fresh Lagrangians and refuses when the finite setup has none.
-
-    Returns (P_prime, inclusion_is_downward_closed).
-    """
-    elements = list(P.elements)
-    less = set(P.less)
-    lag = dict(P.lag)
-    data = dict(P.data)
-    fibers = sorted(P.elements)
-    chain_pos = {p: 0 for p in P.elements}
-    wrap_class = {}
-    for p in P.elements:
-        sl = SliceCategory(env_h, env_cset, P.lag[p])
-        wrap_class[p] = sl.objects[0]
-    new_names = []
-    for i in range(steps):
-        p = fibers[i % len(fibers)]
-        lagr = P.lag[p]
-        sl = SliceCategory(env_h, env_cset, lagr)
-        t = sl.weakly_terminal_index()
-        cur = wrap_class[p]
-        target = sl.objects[t]
-        excluded = {lag[e] for e in elements}
-        h_lag, first, second = oracle.factor(lagr, cur, target, excluded)
-        name = f"w{i}"
-        new_names.append(name)
-        # ordering: above everything present (the integer part is total)
-        for e in list(elements):
-            less.add((e, name))
-        elements.append(name)
-        lag[name] = h_lag
-        wrap_class[p] = ContClass(h_lag, lagr, env_h.compose(
-            h_lag, cur.src, lagr, 0, first.coords, 0, cur.coords)) \
-            if not env_cset.is_identity(cur) else ContClass(
-                h_lag, lagr, first.coords)
-        chain_pos[p] += 1
-    P_prime = DecoratedPoset(setup, elements, less, lag, data)
-    # decorate all new descending chains (envelope profile: unique datum)
-    if setup.profile == "envelope":
-        pass
-    # inclusion is downward closed by construction: new elements only above
-    for p in P.elements:
-        if P_prime.down_set(p) != P.down_set(p):
-            return P_prime, False
-    return P_prime, True

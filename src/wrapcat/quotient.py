@@ -15,8 +15,7 @@ from .ainf import AInfCategory, HCategory, check_ainf_relations, cone_of_class
 from .errors import (HypothesisFailed, NotClosedRepresentative, RelationFailure,
                      ShapeMismatch)
 from .linalg import (Complex, GradedMap, GradedModule, cohomology,
-                     compose_graded_maps, induced_cohomology_map,
-                     sequence_colimit)
+                     induced_cohomology_map, sequence_colimit)
 
 
 class BarQuotient:
@@ -182,21 +181,6 @@ class TruncatedQuotient:
             return False
         return (self.homology[(x, y, self.depth)].rank(0)
                 == self.homology[(x, y, self.depth - 1)].rank(0))
-
-    def stabilization_report(self):
-        rows = []
-        for (a, b) in self.pairs:
-            cur = self.homology[(a, b, self.depth)]
-            prev = self.homology.get((a, b, self.depth - 1))
-            rows.append({
-                "pair": [a, b],
-                "h0_rank": cur.rank(0),
-                "ranks": {str(d): r for d, r in sorted(cur.rank_map().items())},
-                "prev_ranks": ({str(d): r for d, r in sorted(prev.rank_map().items())}
-                               if prev else {}),
-                "stabilized": self.stabilized(a, b),
-            })
-        return rows
 
     def localization_map(self, x, y):
         """H-level comparison map H hom(x,y) -> H quotient(x,y)."""

@@ -5,29 +5,8 @@ text table, byte-deterministic for fixed input and version.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 SCHEMA = "wrapcat/1"
-
-
-def thread_count() -> int:
-    raw = os.environ.get("WRAPCAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; worker count capped by WRAPCAT_THREADS."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 class Report:

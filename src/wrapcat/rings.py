@@ -116,10 +116,9 @@ class CoefficientRing:
             return a
         raise ZeroDivisionError(f"{a} is not a unit in Z")
 
-    def is_unit(self, a) -> bool:
-        if self.is_zero(a):
-            return False
-        return True if self.is_field else a in (1, -1)
+    def unit_vector(self, n: int, i: int):
+        """The i-th standard basis vector of length n."""
+        return tuple(self.one() if t == i else self.zero() for t in range(n))
 
     # -- exact string serialization -----------------------------------------
 

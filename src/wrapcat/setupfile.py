@@ -212,7 +212,3 @@ def _data_system_to_dict(ring, ds: FloerDataSystem) -> dict:
                        for t, tab in sorted(ds.sections.items())}
     return raw
 
-
-def save_setup(s: WeakFloerSetup, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(setup_to_dict(s)))

@@ -9,15 +9,12 @@ added decorations come from an explicit deterministic oracle.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .ainf import AInfCategory, HCategory, NaiveFunctor, cohomology_category
 from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
                      OracleIncomplete)
-from .floer import WeakFloerSetup
-from .linalg import GradedModule
+from .floer import WeakFloerSetup, unital_category
 from .localization import CSet, ContClass, FractionCategory
-from .matrices import Matrix
+from .matrices import invertible_from_columns
 from .posets import DecoratedPoset, sufficiently_wrapped_report
 
 
@@ -54,7 +51,6 @@ class DecoratedSSSet:
 
     def validate(self):
         s = self.setup
-        edge_set = set(self.edges())
         for k, simps in sorted(self.simplices.items()):
             for simp in simps:
                 if len(set(simp)) != len(simp):
@@ -108,29 +104,13 @@ def build_F_E(setup: WeakFloerSetup, E: DecoratedSSSet) -> AInfCategory:
     on composable Lagrangian pairs, units on the diagonal, zero otherwise;
     operations decorated by the simplices."""
     E.validate()
-    ring = setup.ring
-    homs = {}
-    units = {}
-    for v in E.vertices:
-        homs[(v, v)] = GradedModule.from_generators(ring, [(f"1@{v}", 0)])
-        units[v] = {f"1@{v}": ring.one()}
-    for p in E.vertices:
-        for q in E.vertices:
-            if p == q:
-                continue
-            if (E.lag[p], E.lag[q]) in setup.composable.get(1, ()):
-                mod = setup.cf_module(E.lag[p], E.lag[q])
-                if not mod.is_zero():
-                    homs[(p, q)] = mod
-    cat = AInfCategory(ring, E.vertices, homs, units, name=f"F[{E.name}]")
-    for k, simps in sorted(E.simplices.items()):
-        for simp in simps:
-            lags = tuple(E.lag[v] for v in simp)
-            for (inputs, out, scalar) in setup.mu_entries(lags, E.data.get(simp)):
-                val = ring.parse_scalar(scalar) if isinstance(scalar, str) else scalar
-                cat.add_op_entry(simp, tuple(inputs), out, val)
-    cat.add_unit_entries()
-    return cat
+    pairs1 = setup.composable.get(1, ())
+    pairs = [(p, q) for p in E.vertices for q in E.vertices
+             if p != q and (E.lag[p], E.lag[q]) in pairs1]
+    simplices = [(simp, E.data.get(simp))
+                 for _, simps in sorted(E.simplices.items()) for simp in simps]
+    return unital_category(setup, E.vertices, E.lag, pairs, simplices,
+                           name=f"F[{E.name}]")
 
 
 def sss_continuation_cset(setup: WeakFloerSetup, E: DecoratedSSSet,
@@ -159,7 +139,6 @@ class SimplexOracle:
     def __init__(self, setup: WeakFloerSetup, spec=None):
         self.setup = setup
         self.spec = dict(spec or setup.oracle or {"mode": "lexicographic"})
-        self.log = []
 
     def choose(self, lags, face_data):
         mode = self.spec.get("mode", "lexicographic")
@@ -173,7 +152,6 @@ class SimplexOracle:
             if key not in self.spec.get("entries", {}):
                 raise OracleIncomplete(f"oracle table missing {key}")
             return self.spec["entries"][key]
-        from .floer import subsequences
         for datum in ds.D.get(lags, ()):
             ok = True
             for sub_l, want in face_data.items():
@@ -262,28 +240,6 @@ def entangle(setup: WeakFloerSetup, blocks, level: int,
     return out
 
 
-def added_edges_symmetric(E: DecoratedSSSet):
-    """Cross-block edges must occur in mutually inverse pairs and exactly
-    cover the composable cross-block Lagrangian pairs."""
-    owner = {}
-    for bi, block in enumerate(E.blocks):
-        for v in block:
-            owner[v] = bi
-    edge_set = set(E.edges())
-    pairs1 = E.setup.composable.get(1, set())
-    for p in E.vertices:
-        for q in E.vertices:
-            if p == q or owner[p] == owner[q]:
-                continue
-            expected = (E.lag[p], E.lag[q]) in pairs1
-            if ((p, q) in edge_set) != expected:
-                return False
-            if expected and (q, p) not in edge_set:
-                if (E.lag[q], E.lag[p]) in pairs1:
-                    return False
-    return True
-
-
 def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
                  E_big: DecoratedSSSet, inclusion=None, depth: int = 4):
     """Bridge check for an inclusion of entanglement stages at H^0.
@@ -357,7 +313,9 @@ def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
 
 
 def _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion):
-    """Compare slice colimits through the canonical slice inclusion."""
+    """Whether the object map ``inclusion`` (the stage inclusion for a bridge,
+    iota for tau) induces an isomorphism of the slice colimits of (p, q) and
+    (pi, qi)."""
     ring = frac_s.ring
     small = frac_s.colim(p, q)
     big = frac_b.colim(pi, qi)
@@ -380,90 +338,9 @@ def _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion):
                 for t in range(len(acc)):
                     acc[t] = ring.add(acc[t], img[t])
             cols.append(tuple(acc))
-        m = Matrix.from_columns(ring, cols, big.degree(d).class_count)
-        if m.rows != m.cols or (m.rows and m.rank() != m.rows):
+        if not invertible_from_columns(ring, cols, big.degree(d).class_count):
             return False
     return True
-
-
-def _cone_translation(w_s, w_b, inclusion):
-    """Map small-stage cone names to big-stage cone names."""
-    big_names = {}
-    for n, (src, tgt, coords) in enumerate(w_b):
-        big_names[(src, tgt, tuple(coords))] = f"cone{n}[{src}>{tgt}]"
-    out = {}
-    for n, (src, tgt, coords) in enumerate(w_s):
-        key = (inclusion[src], inclusion[tgt], tuple(coords))
-        if key in big_names:
-            out[f"cone{n}[{src}>{tgt}]"] = big_names[key]
-    return out
-
-
-def _bar_comparison_iso(quo_s, quo_b, p, q, pi, qi, inclusion, cone_map):
-    """The inclusion-induced chain map between bar complexes is an
-    isomorphism on H^0 (and well defined: chains map to chains).
-
-    Labels are translated through the extended categories' block structure,
-    never by string surgery."""
-    from .linalg import GradedMap, induced_cohomology_map
-
-    ext_s, ext_b = quo_s.extended, quo_b.extended
-    bar_s = quo_s.bars[(p, q, quo_s.depth)]
-    bar_b = quo_b.bars[(pi, qi, quo_b.depth)]
-
-    def tr_obj(o):
-        return cone_map.get(o, inclusion.get(o, o))
-
-    def tr_host(obj_small, obj_big, lab):
-        unit = ext_s.units.get(obj_small)
-        if unit and lab in unit:
-            big_unit = ext_b.units.get(obj_big, {})
-            for bl in big_unit:
-                return bl
-        return lab
-
-    rev_b = {}
-
-    def tr_factor(pair_s, pair_b, lab):
-        info = ext_s.block_info.get(pair_s)
-        if info is None:
-            # plain hom: CF labels are shared; diagonal units translate by name
-            if pair_s[0] == pair_s[1]:
-                return tr_host(pair_s[0], pair_b[0], lab)
-            return lab
-        si, ti, host = info[lab]
-        ps = ext_s.summands(pair_s[0])[si][0]
-        pb = ext_b.summands(pair_b[0])[si][0]
-        qs = ext_s.summands(pair_s[1])[ti][0]
-        t_host = tr_host(ps, pb, host) if ps == qs else host
-        if pair_b not in rev_b:
-            rev_b[pair_b] = {v: l for l, v in
-                             ext_b.block_info.get(pair_b, {}).items()}
-        return rev_b[pair_b].get((si, ti, t_host))
-
-    entries = []
-    for (objs, labels) in bar_s.chains:
-        t_objs = tuple(tr_obj(o) for o in objs)
-        t_labels = []
-        for i, lab in enumerate(labels):
-            tl = tr_factor((objs[i], objs[i + 1]), (t_objs[i], t_objs[i + 1]), lab)
-            if tl is None:
-                return False
-            t_labels.append(tl)
-        t_labels = tuple(t_labels)
-        if (t_objs, t_labels) not in bar_b._index:
-            return False
-        entries.append((bar_s._encode(objs, labels),
-                        bar_b._encode(t_objs, t_labels), quo_s.base.ring.one()))
-    fmap = GradedMap.from_entries(bar_s.module, bar_b.module, 0, entries)
-    try:
-        hm = induced_cohomology_map(fmap, bar_s.complex, bar_b.complex)
-    except Exception:
-        return False
-    m = hm.matrix(0)
-    if m.rows != m.cols:
-        return False
-    return m.rows == 0 or m.rank() == m.rows
 
 
 def _split_rep(frac, p, q, d, rep):
@@ -518,8 +395,8 @@ def _witness_isomorphism(frac: FractionCategory, cls: ContClass, lag=None):
                     for k in range(len(acc)):
                         acc[k] = ring.add(acc[k], img[k])
                 cols.append(tuple(acc))
-            m = Matrix.from_columns(ring, cols, tgt_cl.degree(d).class_count)
-            if m.rows != m.cols or (m.rows and m.rank() != m.rows):
+            if not invertible_from_columns(ring, cols,
+                                           tgt_cl.degree(d).class_count):
                 return False
     return True
 
@@ -569,7 +446,8 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     report = {"fully_faithful": [], "essential_surjectivity": [], "passed": True}
     for p in P.elements:
         for q in P.elements:
-            ok = _tau_pair_iso(frac_P, frac_E, P, p, q, vertex_of)
+            ok = _slice_colims_isomorphic(frac_P, frac_E, p, q, vertex_of[p],
+                                          vertex_of[q], vertex_of)
             report["fully_faithful"].append({"pair": [p, q], "iso": ok})
             if not ok:
                 report["passed"] = False
@@ -597,33 +475,3 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     report["wrapping"] = wrapped
     return report, iota
 
-
-def _tau_pair_iso(frac_P, frac_E, P, p, q, vertex_of):
-    """tau on one pair: the poset-side localized hom maps isomorphically to
-    the vertex-side localized hom through iota."""
-    ring = frac_P.ring
-    small = frac_P.colim(p, q)
-    big = frac_E.colim(vertex_of[p], vertex_of[q])
-    if small.rank_map() != big.rank_map():
-        return False
-    sl = frac_P.slices[p].objects
-    for d in sorted(small.by_degree):
-        pres = small.degree(d)
-        cols = []
-        for rep in pres.reps:
-            acc = [ring.zero()] * big.degree(d).class_count
-            for obj_idx, coords in _split_rep(frac_P, p, q, d, rep):
-                cls = sl[obj_idx]
-                big_cls = ContClass(vertex_of.get(cls.src, cls.src),
-                                    vertex_of.get(cls.tgt, cls.tgt), cls.coords)
-                bidx = frac_E._slice_index(vertex_of[p], big_cls)
-                if bidx is None:
-                    return False
-                img = big.project(d, bidx, coords)
-                for t in range(len(acc)):
-                    acc[t] = ring.add(acc[t], img[t])
-            cols.append(tuple(acc))
-        m = Matrix.from_columns(ring, cols, big.degree(d).class_count)
-        if m.rows != m.cols or (m.rows and m.rank() != m.rows):
-            return False
-    return True

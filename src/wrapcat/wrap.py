@@ -9,15 +9,15 @@ always labelling waivers as such.
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, HCategory, cohomology_category
+from .ainf import AInfCategory, HCategory
 from .errors import (NonCofinalPrefix, NotAnInclusion, NotStabilized,
-                     RestrictionMismatch, SystemInvalid)
-from .floer import WeakFloerSetup, canonical_envelope
-from .linalg import GradedMap, sequence_colimit
+                     RestrictionMismatch)
+from .floer import WeakFloerSetup
+from .linalg import sequence_colimit
 from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
-                           check_right_multiplicative_system, gz_localize,
-                           h_graded_module, h_transition_map)
-from .matrices import Matrix
+                           check_right_multiplicative_system, h_graded_module,
+                           h_transition_map)
+from .matrices import invertible_from_columns
 
 
 def continuation_cset(setup: WeakFloerSetup, hcat: HCategory) -> CSet:
@@ -218,16 +218,12 @@ class WrappedDFCategory:
                 src_cl = self.frac.colim(l, c.src)
                 for d in sorted(src_cl.by_degree):
                     n = src_cl.degree(d).class_count
-                    cols = []
-                    for i in range(n):
-                        u = tuple(ring.one() if t == i else ring.zero()
-                                  for t in range(n))
-                        cols.append(self.frac.compose(l, c.src, c.tgt, d, u,
-                                                      0, gamma_c))
-                    m = Matrix.from_columns(
-                        ring, cols, self.frac.colim(l, c.tgt).degree(d).class_count)
-                    ok = (m.rows == m.cols and (m.rows == 0 or m.rank() == m.rows))
-                    if not ok:
+                    cols = [self.frac.compose(l, c.src, c.tgt, d,
+                                              ring.unit_vector(n, i), 0, gamma_c)
+                            for i in range(n)]
+                    if not invertible_from_columns(
+                            ring, cols,
+                            self.frac.colim(l, c.tgt).degree(d).class_count):
                         failures.append({"class": repr(c), "object": l,
                                          "degree": d})
         return {"passed": not failures, "failures": failures}
@@ -326,7 +322,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
             n = hcat.class_count(a, b, 0)
             ker_match = True
             for i in range(n):
-                u = tuple(ring.one() if t == i else ring.zero() for t in range(n))
+                u = ring.unit_vector(n, i)
                 gz = wdf.frac.gamma(a, b, 0, u)
                 lz = locmap.apply(0, u)
                 gz_zero = not any(x != 0 for x in gz)

@@ -1,0 +1,27 @@
+"""The bundled fixture files are the canonical serialization of the
+programmatic builders, byte for byte."""
+
+from pathlib import Path
+
+import pytest
+
+import fixture_builders
+from wrapcat import setupfile
+from wrapcat.setupfile import canonical_json, setup_to_dict
+
+FIXTURES = Path(setupfile.__file__).parent / "fixtures"
+NAMES = ["toyb", "toyc", "micro2datum", "toyb_break_permutation",
+         "toyc_break_closure", "ore_break", "dsq_break", "micro2_break_beta"]
+
+
+def test_every_builder_is_covered():
+    built = sorted(n[len("build_"):] for n in dir(fixture_builders)
+                   if n.startswith("build_"))
+    assert built == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fixture_file_matches_builder(name):
+    setup = getattr(fixture_builders, f"build_{name}")()
+    expected = (FIXTURES / f"{name}.json").read_bytes()
+    assert canonical_json(setup_to_dict(setup)).encode() == expected

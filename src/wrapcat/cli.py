@@ -1,18 +1,18 @@
 """Command-line entry point: validate / compute / entangle on setup files.
 
-Exit codes: 0 pass, 1 strict failure or mismatch, 2 input error.  Reports
-are emitted as canonical JSON (default) or a text table; bytes are stable
-across runs.
+Exit codes: 0 pass, 1 strict failure or mismatch, 2 input error; any other
+engine error ends in a failing report that names it.  Reports are emitted as
+canonical JSON (default) or a text table; bytes are stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .ainf import cohomology_category
-from .errors import (NotStabilized, OracleIncomplete, ParseError, SchemaError,
-                     WrapcatError)
+from .errors import ParseError, SchemaError, WrapcatError
 from .floer import (canonical_envelope, choose_compatible_collection,
                     validate_setup)
 from .localization import check_right_multiplicative_system
@@ -74,8 +74,7 @@ def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
     return DecoratedPoset(setup, elements, less, lag)
 
 
-def cmd_validate(path, mode="finite"):
-    setup = load_setup(path)
+def cmd_validate(setup, mode="finite"):
     rep = Report("validate", setup.name)
     res = validate_setup(setup, mode=mode)
     rep.add("setup_axioms", res)
@@ -95,8 +94,7 @@ def cmd_validate(path, mode="finite"):
     return rep
 
 
-def cmd_compute(path, what="hw", depth=4, mode="finite"):
-    setup = load_setup(path)
+def cmd_compute(setup, what="hw", depth=4, mode="finite"):
     rep = Report(f"compute:{what}", setup.name)
     val = validate_setup(setup, mode=mode)
     if not val["passed"]:
@@ -155,8 +153,7 @@ def cmd_compute(path, what="hw", depth=4, mode="finite"):
     raise SchemaError(f"unknown computation {what!r}")
 
 
-def cmd_entangle(path, level=1, compare=False, depth=4):
-    setup = load_setup(path)
+def cmd_entangle(setup, level=1, compare=False, depth=4):
     rep = Report(f"entangle:{level}", setup.name)
     col, env, hcat, cset = _prepare(setup)
     oracle = SimplexOracle(setup)
@@ -228,24 +225,30 @@ def main(argv=None):
         p.add_argument("--text", action="store_true",
                        help="human-readable table instead of JSON")
     args = parser.parse_args(argv)
+    if args.command == "validate":
+        command, run = "validate", partial(cmd_validate, mode=args.mode)
+    elif args.command == "compute":
+        command = f"compute:{args.what}"
+        run = partial(cmd_compute, what=args.what, depth=args.depth,
+                      mode=args.mode)
+    else:
+        command = f"entangle:{args.level}"
+        run = partial(cmd_entangle, level=args.level, compare=args.compare,
+                      depth=args.depth)
     try:
-        if args.command == "validate":
-            rep = cmd_validate(args.file, mode=args.mode)
-        elif args.command == "compute":
-            rep = cmd_compute(args.file, what=args.what, depth=args.depth,
-                              mode=args.mode)
-        else:
-            rep = cmd_entangle(args.file, level=args.level,
-                               compare=args.compare, depth=args.depth)
+        setup = load_setup(args.file)
+        try:
+            rep = run(setup)
+        except (ParseError, SchemaError):
+            raise
+        except WrapcatError as exc:
+            # every other engine error ends in a report naming it
+            rep = Report(command, setup.name)
+            rep.add("error", {"type": type(exc).__name__, "message": str(exc)})
+            rep.set_verdict(False)
     except (ParseError, SchemaError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except OracleIncomplete as exc:
-        sys.stderr.write(f"oracle incomplete: {exc}\n")
-        return 1
-    except NotStabilized as exc:
-        sys.stderr.write(f"not stabilized: {exc}\n")
-        return 1
     sys.stdout.write(rep.to_text() if args.text else rep.to_json())
     return 0 if rep.passed else 1
 

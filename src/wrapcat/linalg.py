@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (EmptySequence, NotAComplex, NotChainMap, ShapeMismatch)
-from .matrices import Matrix, invert_unimodular, smith_normal_form
+from .matrices import Echelon, Matrix, invert_unimodular, smith_normal_form
 from .rings import CoefficientRing
 
 __all__ = [
@@ -190,20 +190,8 @@ class GradedMap:
     def is_isomorphism(self) -> bool:
         """Exact graded isomorphism test (square blocks, invertible/unimodular)."""
         degs = set(self.source.degrees()) | {d - self.degree for d in self.target.degrees()}
-        for d in degs:
-            if self.source.rank(d) != self.target.rank(d + self.degree):
-                return False
-            blk = self.block(d)
-            if blk.rows == 0:
-                continue
-            if self.source.ring.is_field:
-                if blk.rank() != blk.rows:
-                    return False
-            else:
-                diag = smith_normal_form(blk)[2]
-                if any(x != 1 for x in diag) or len(diag) != blk.rows:
-                    return False
-        return True
+        return all(self.source.rank(d) == self.target.rank(d + self.degree)
+                   and self.block(d).is_invertible() for d in degs)
 
 
 def compose_graded_maps(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -237,11 +225,9 @@ class Complex:
         d = self.differential
         for deg in self.module.degrees():
             sq = d.block(deg + 1).mul(d.block(deg))
-            if not sq.is_zero():
-                for j, lab in enumerate(self.module.labels(deg)):
-                    if any(sq.data[i][j] != 0 for i in range(sq.rows)):
-                        raise NotAComplex(
-                            f"d(d({lab})) != 0 at degree {deg}")
+            for lab, col in zip(self.module.labels(deg), sq.columns()):
+                if any(col):
+                    raise NotAComplex(f"d(d({lab})) != 0 at degree {deg}")
         return True
 
     @staticmethod
@@ -253,20 +239,21 @@ class DegreePresentation:
     """Cohomology of one degree: free rank, torsion, representatives, projection.
 
     Internal data keeps exactly what the deterministic projection needs:
-    over a field the matrix [boundaries | representatives]; over Z the kernel
-    lattice basis, the Smith transform and the invariant factors.
+    over a field the echelon of the boundaries and the echelon of the rows
+    [representative | unit vector]; over Z the kernel lattice basis, the
+    Smith transform and the invariant factors.
     """
 
-    __slots__ = ("ring", "module_rank", "orders", "reps", "_field_solver",
+    __slots__ = ("ring", "module_rank", "orders", "reps", "_field",
                  "_zK", "_zU", "_zdiag", "_keep")
 
-    def __init__(self, ring, module_rank, orders, reps, field_solver=None,
+    def __init__(self, ring, module_rank, orders, reps, field=None,
                  zK=None, zU=None, zdiag=None, keep=None):
         self.ring = ring
         self.module_rank = module_rank
         self.orders = tuple(orders)  # 0 = free, n > 1 = torsion order
         self.reps = tuple(tuple(r) for r in reps)
-        self._field_solver = field_solver
+        self._field = field
         self._zK = zK
         self._zU = zU
         self._zdiag = zdiag
@@ -297,11 +284,13 @@ class DegreePresentation:
         if self.ring.is_field:
             if self.class_count == 0:
                 return ()
-            mat, n_bound = self._field_solver
-            sol = mat.solve(tuple(cycle))
-            if sol is None:
+            bound, coords = self._field
+            dim = self.module_rank
+            rest = coords.unpack(coords.reduce(bound.reduce(bound.pack(
+                tuple(self.ring.normalize(x) for x in cycle)))))
+            if any(rest[:dim]):
                 raise NotAComplex("vector is not a cycle")
-            return tuple(sol[n_bound:])
+            return tuple(self.ring.neg(x) for x in rest[dim:])
         if self._zK is None:
             return ()
         x = None
@@ -364,84 +353,42 @@ class CohomologyPresentation:
         return out
 
 
-def _select_independent(ring, base_cols, candidate_cols, dim):
-    """Indices of candidates that are independent modulo span(base).
-
-    Deterministic greedy Gaussian selection in the given order.
-    """
-    if ring.kind == "Fp" and ring.p == 2:
-        rows = []  # (pivot_index, packed vector)
-        def insert2(vec):
-            v = sum(1 << i for i, x in enumerate(vec) if x)
-            for piv, red in rows:
-                if (v >> piv) & 1:
-                    v ^= red
-            if v == 0:
-                return False
-            piv = (v & -v).bit_length() - 1
-            rows.append((piv, v))
-            return True
-        for col in base_cols:
-            insert2(col)
-        return [idx for idx, col in enumerate(candidate_cols) if insert2(col)]
-
-    rows = []  # reduced columns as (pivot_index, vector)
-    def reduce(vec):
-        v = list(vec)
-        for piv, red in rows:
-            c = v[piv]
-            if c != 0:
-                v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, red)]
-        return v
-
-    def insert(vec):
-        v = reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = ring.inv(v[piv])
-        v = [ring.mul(inv, x) for x in v]
-        rows.append((piv, v))
-        return True
-
-    for col in base_cols:
-        insert(col)
-    chosen = []
-    for idx, col in enumerate(candidate_cols):
-        if insert(col):
-            chosen.append(idx)
-    return chosen
+def _field_presentation(ring, dim, rel_cols, candidates, reduce_reps):
+    """ring^dim / span(rel_cols) over a field.  The representatives are the
+    candidates (sparse vectors) independent modulo the relations and the
+    candidates before them; with ``reduce_reps`` each is reduced to be zero at
+    every relation pivot, so equal classes yield equal representatives."""
+    bound = Echelon(ring, dim)
+    for col in rel_cols:
+        bound.insert(bound.pack(col))
+    chooser = bound.copy()
+    reps = [bound.reduce(z) if reduce_reps else z for z in candidates
+            if chooser.insert(z)]
+    # a class's coordinates c: a cycle reduced modulo the relations is
+    # sum c_i rep_i, and [cycle | 0] reduces against [rep_i | e_i] to [0 | -c]
+    coords = Echelon(ring, dim + len(reps))
+    for i, rep in enumerate(reps):
+        coords.insert(coords.axpy(bound.reduce(rep), 1, coords.unit(dim + i)))
+    return DegreePresentation(ring, dim, [0] * len(reps),
+                              [bound.unpack(r) for r in reps],
+                              field=(bound, coords))
 
 
-def _field_degree_presentation(ring, d_in: Matrix, d_out: Matrix):
-    """ker(d_out)/im(d_in) over a field with canonical reduced representatives."""
-    dim = d_out.cols
-    kernel = d_out.kernel_basis()
-    boundaries = d_in.columns() if d_in.cols else []
-    chosen = _select_independent(ring, boundaries, kernel, dim)
-    # canonical form: reduce each chosen representative against an echelonized
-    # boundary basis so equal classes yield equal representative vectors
-    bmat = Matrix.from_columns(ring, boundaries, dim) if boundaries else Matrix.zero(ring, dim, 0)
-    if boundaries:
-        red_rows, _ = bmat.transpose().rref()
-        echelon = [row for row in red_rows.data if any(x != 0 for x in row)]
-    else:
-        echelon = []
-
-    def reduce_rep(vec):
-        v = list(vec)
-        for row in echelon:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            c = v[piv]
-            if c != 0:
-                v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
-        return tuple(v)
-
-    reps = [reduce_rep(kernel[i]) for i in chosen]
-    solver_mat = bmat.hstack(Matrix.from_columns(ring, reps, dim)) if reps or boundaries \
-        else Matrix.zero(ring, dim, 0)
-    return DegreePresentation(ring, dim, [0] * len(reps), reps,
-                              field_solver=(solver_mat, bmat.cols))
+def _smith_presentation(ring, dim, K: Matrix, X: Matrix):
+    """The lattice spanned by K's columns in Z^dim, modulo the relations
+    whose K-coordinates are X's columns: Smith generators and orders."""
+    U, V, diag = smith_normal_form(X)
+    gens = K.mul(invert_unimodular(U))
+    orders, reps, keep = [], [], []
+    for i in range(K.cols):
+        d = diag[i] if i < len(diag) else 0
+        if d == 1:
+            continue
+        keep.append(i)
+        orders.append(d)
+        reps.append(gens.column(i))
+    return DegreePresentation(ring, dim, orders, reps,
+                              zK=K, zU=U, zdiag=diag, keep=keep)
 
 
 def _integer_degree_presentation(ring, d_in: Matrix, d_out: Matrix):
@@ -461,19 +408,7 @@ def _integer_degree_presentation(ring, d_in: Matrix, d_out: Matrix):
             raise NotAComplex("boundary outside the cycle lattice (d*d != 0?)")
         xcols.append(sol)
     X = Matrix.from_columns(ring, xcols, K.cols) if xcols else Matrix.zero(ring, K.cols, 0)
-    U, V, diag = smith_normal_form(X)
-    Uinv = invert_unimodular(U)
-    gens = K.mul(Uinv)
-    orders, reps, keep = [], [], []
-    for i in range(K.cols):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        keep.append(i)
-        orders.append(d)
-        reps.append(gens.column(i))
-    return DegreePresentation(ring, dim, orders, reps,
-                              zK=K, zU=U, zdiag=diag, keep=keep)
+    return _smith_presentation(ring, dim, K, X)
 
 
 def cohomology(c: Complex) -> CohomologyPresentation:
@@ -485,7 +420,8 @@ def cohomology(c: Complex) -> CohomologyPresentation:
         d_out = c.differential.block(d)
         d_in = c.differential.block(d - 1)
         if ring.is_field:
-            by_degree[d] = _field_degree_presentation(ring, d_in, d_out)
+            by_degree[d] = _field_presentation(
+                ring, d_out.cols, d_in.columns(), d_out.echelon().kernel(), True)
         else:
             by_degree[d] = _integer_degree_presentation(ring, d_in, d_out)
     return CohomologyPresentation(ring, c.module, by_degree)
@@ -513,7 +449,6 @@ class HMap:
         return self.matrix(d).apply(coords)
 
     def is_isomorphism(self) -> bool:
-        ring = self.source.ring
         degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
         for d in degs:
             sp, tp = self.source.degree(d), self.target.degree(d + self.degree)
@@ -522,21 +457,13 @@ class HMap:
             m = self.matrix(d)
             if m.rows != m.cols:
                 return False
-            if m.rows == 0:
-                continue
-            if ring.is_field:
-                if m.rank() != m.rows:
+            if sp.torsion:
+                # desk scale: iso of groups with torsion checked by
+                # exhausting both finite parts through the matrix
+                if not _torsion_bijective(sp, tp, m):
                     return False
-            else:
-                if sp.torsion:
-                    # desk scale: iso of groups with torsion checked by
-                    # exhausting both finite parts through the matrix
-                    if not _torsion_bijective(sp, tp, m):
-                        return False
-                else:
-                    diag = smith_normal_form(m)[2]
-                    if any(x != 1 for x in diag) or len(diag) != m.rows:
-                        return False
+            elif not m.is_invertible():
+                return False
         return True
 
     def compose(self, other: "HMap") -> "HMap":
@@ -561,8 +488,7 @@ class HMap:
 def _torsion_bijective(sp: DegreePresentation, tp: DegreePresentation, m: Matrix) -> bool:
     if sp.free_rank or tp.free_rank:
         # mixed free/torsion iso checks are not needed at desk scale
-        diag = smith_normal_form(m)[2]
-        return all(x == 1 for x in diag) and len(diag) == m.rows
+        return m.is_invertible()
     from itertools import product
     seen = set()
     ranges = [range(o) for o in sp.orders]
@@ -722,29 +648,11 @@ class DiagramColimit:
 def _quotient_of_free(ring, dim, rel_cols):
     """Presentation of R^dim / span(rel_cols)."""
     if ring.is_field:
-        eye = Matrix.identity(ring, dim)
-        chosen = _select_independent(ring, rel_cols, eye.columns(), dim)
-        rmat = Matrix.from_columns(ring, rel_cols, dim) if rel_cols else Matrix.zero(ring, dim, 0)
-        reps = [eye.column(i) for i in chosen]
-        solver = rmat.hstack(Matrix.from_columns(ring, reps, dim)) if (reps or rel_cols) \
-            else Matrix.zero(ring, dim, 0)
-        return DegreePresentation(ring, dim, [0] * len(reps), reps,
-                                  field_solver=(solver, rmat.cols))
-    # over Z: quotient by the relation lattice via Smith normal form
-    K = Matrix.identity(ring, dim)
+        units = Echelon(ring, dim)
+        return _field_presentation(ring, dim, rel_cols,
+                                   [units.unit(i) for i in range(dim)], False)
     X = Matrix.from_columns(ring, rel_cols, dim) if rel_cols else Matrix.zero(ring, dim, 0)
-    U, V, diag = smith_normal_form(X)
-    Uinv = invert_unimodular(U)
-    gens = K.mul(Uinv)
-    orders, reps, keep = [], [], []
-    for i in range(dim):
-        dd = diag[i] if i < len(diag) else 0
-        if dd == 1:
-            continue
-        keep.append(i)
-        orders.append(dd)
-        reps.append(gens.column(i))
-    return DegreePresentation(ring, dim, orders, reps, zK=K, zU=U, zdiag=diag, keep=keep)
+    return _smith_presentation(ring, dim, Matrix.identity(ring, dim), X)
 
 
 def diagram_colimit(obj_modules, morphisms, ring=None) -> DiagramColimit:

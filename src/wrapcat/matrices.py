@@ -1,8 +1,8 @@
-"""Dense exact matrices over a CoefficientRing.
+"""Exact matrices over a CoefficientRing, and the one elimination kernel.
 
-Everything here is small ("desk scale"), so the routines favour clarity and
-determinism over asymptotics: plain Gaussian elimination over fields, integer
-row/column reduction with full transform tracking for Smith normal form.
+``Matrix`` is dense and small ("desk scale").  Every elimination over a field
+goes through ``Echelon``, an incremental sparse echelon basis; integer
+matrices go through Smith normal form with full transform tracking.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Matrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     # -- basic algebra --------------------------------------------------------
 
@@ -100,43 +100,19 @@ class Matrix:
     def neg(self) -> "Matrix":
         return self.scale(-1)
 
-    def _packed_rows(self):
-        """Rows as bit masks (F2 fast path)."""
-        return [sum(1 << j for j, x in enumerate(row) if x) for row in self.data]
-
-    @staticmethod
-    def _from_packed(ring, rows, cols):
-        return Matrix(ring, [[(r >> j) & 1 for j in range(cols)] for r in rows],
-                      cols=cols)
-
-    def _is_f2(self):
-        return self.ring.kind == "Fp" and self.ring.p == 2
-
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply ``other`` first on column vectors)."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        R = self.ring
-        if self._is_f2():
-            brows = other._packed_rows()
-            out = []
-            for row in self.data:
-                acc = 0
-                for k, x in enumerate(row):
-                    if x:
-                        acc ^= brows[k]
-                out.append(acc)
-            return Matrix._from_packed(R, out, other.cols)
+        vecs = Echelon(self.ring, other.cols)
+        brows = [vecs.pack(row) for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = R.zero()
-                for k in range(self.cols):
-                    acc = R.add(acc, R.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(R, out, cols=other.cols)
+        for row in self.data:
+            acc = vecs.zero
+            for k, x in vecs.items(vecs.pack(row)):
+                acc = vecs.axpy(acc, x, brows[k])
+            out.append(vecs.unpack(acc))
+        return Matrix(self.ring, out, cols=other.cols, _trusted=True)
 
     def apply(self, vec):
         """Apply to a column vector (tuple of scalars)."""
@@ -152,8 +128,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, [[self.data[i][j] for i in range(self.rows)]
-                                  for j in range(self.cols)], cols=self.rows)
+        return Matrix(self.ring, self.columns(), cols=self.rows, _trusted=True)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -163,58 +138,25 @@ class Matrix:
 
     # -- field elimination -----------------------------------------------------
 
-    def _f2_rref_packed(self):
-        rows = self._packed_rows()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            bit = 1 << c
-            pivot = next((i for i in range(r, self.rows) if rows[i] & bit), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(self.rows):
-                if i != r and rows[i] & bit:
-                    rows[i] ^= rows[r]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return rows, pivots
+    def echelon(self) -> "Echelon":
+        """Echelon basis of the row space (over a field)."""
+        if not self.ring.is_field:
+            raise ShapeMismatch("elimination requires a field")
+        ech = Echelon(self.ring, self.cols)
+        for row in self.data:
+            ech.insert(ech.pack(row))
+        return ech
 
     def rref(self):
         """Reduced row echelon form over a field.  Returns (R, pivots)."""
-        if not self.ring.is_field:
-            raise ShapeMismatch("rref requires a field")
-        R = self.ring
-        if self._is_f2():
-            rows, pivots = self._f2_rref_packed()
-            return Matrix._from_packed(R, rows, self.cols), pivots
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if not R.is_zero(m[i][c])), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = R.inv(m[r][c])
-            m[r] = [R.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not R.is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(R, m, cols=self.cols), pivots
+        ech = self.echelon()
+        rows = [ech.unpack(v) for v in ech.rref()]
+        rows += [ech.unpack(ech.zero)] * (self.rows - len(rows))
+        return Matrix(self.ring, rows, cols=self.cols, _trusted=True), ech.pivots
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
         if self.ring.is_field:
-            return len(self.rref()[1])
+            return len(self.echelon().pivots)
         diag = smith_normal_form(self)[2]
         return sum(1 for d in diag if d != 0)
 
@@ -224,26 +166,20 @@ class Matrix:
         Over a field: the standard RREF kernel basis (deterministic).
         Over Z: a lattice basis of the integer kernel via SNF (saturated).
         """
-        R = self.ring
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            eye = Matrix.identity(R, self.cols)
-            return eye.columns()
-        if R.is_field:
-            red, pivots = self.rref()
-            free = [c for c in range(self.cols) if c not in pivots]
-            basis = []
-            for fc in free:
-                v = [R.zero()] * self.cols
-                v[fc] = R.one()
-                for r, pc in enumerate(pivots):
-                    v[pc] = R.neg(red.data[r][fc])
-                basis.append(tuple(v))
-            return basis
+        if self.ring.is_field:
+            ech = self.echelon()
+            return [ech.unpack(v) for v in ech.kernel()]
         U, V, diag = smith_normal_form(self)
         rank = sum(1 for d in diag if d != 0)
         return [V.column(j) for j in range(rank, self.cols)]
+
+    def is_invertible(self) -> bool:
+        """Square and invertible: of full rank over a field, unimodular over Z."""
+        if self.rows != self.cols:
+            return False
+        if self.ring.is_field:
+            return self.rank() == self.rows
+        return all(d == 1 for d in smith_normal_form(self)[2])
 
     def solve(self, vec):
         """One exact solution x with self @ x = vec, or None.
@@ -255,8 +191,7 @@ class Matrix:
         if len(vec) != self.rows:
             raise ShapeMismatch("solve dimension mismatch")
         if R.is_field:
-            aug = self.hstack(Matrix(R, [[v] for v in vec]))
-            red, pivots = aug.rref()
+            red, pivots = self.hstack(Matrix(R, [[v] for v in vec])).rref()
             if self.cols in pivots:
                 return None
             x = [R.zero()] * self.cols
@@ -281,6 +216,167 @@ class Matrix:
             if w[i] != 0:
                 return None
         return V.apply(tuple(y))
+
+
+class Echelon:
+    """Incremental echelon basis of a subspace of ring^n, in sparse vectors:
+    Python-int bitsets over F2 (bit i is coordinate i), ``{index: nonzero
+    scalar}`` dicts over every other ring.  ``Echelon(ring, n)`` makes that
+    choice for the whole engine.  Each stored row is monic at its pivot, its
+    lowest nonzero index, and zero at every pivot stored before it.  ``pack``,
+    ``unpack``, ``items`` and ``axpy`` work over any ring; ``insert``,
+    ``reduce``, ``rref`` and ``kernel`` need a field.  No vector is mutated
+    once built."""
+
+    def __new__(cls, ring, n):
+        if cls is Echelon:
+            f2 = ring.kind == "Fp" and ring.p == 2
+            cls = _BitEchelon if f2 else _DictEchelon
+        return super().__new__(cls)
+
+    def __init__(self, ring, n):
+        self.ring, self.n = ring, n
+        self._rows = {}     # pivot -> row, in insertion order
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    def copy(self) -> "Echelon":
+        dup = Echelon(self.ring, self.n)
+        dup._rows = dict(self._rows)
+        return dup
+
+    def unit(self, i):
+        return self.sparse({i: self.ring.one()})
+
+    def reduce(self, v):
+        """The representative of v + span that is zero at every pivot: each
+        row is zero at the pivots stored before it, so clearing the pivots
+        in that order never refills one."""
+        for p, row in self._rows.items():
+            c = self.coeff(v, p)
+            if c:
+                v = self.axpy(v, -c, row)
+        return v
+
+    def insert(self, v) -> bool:
+        """Add ``v`` to the span; False when it lay in the span already."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = self.lead(v)
+        self._rows[p] = self.monic(v, p)
+        return True
+
+    def rref(self):
+        """The rows of the reduced row echelon form of the span, by pivot."""
+        done = {}
+        for p in sorted(self._rows, reverse=True):
+            v = self._rows[p]
+            for q, c in list(self.items(v)):
+                if q in done:
+                    v = self.axpy(v, -c, done[q])
+            done[p] = v
+        return [done[p] for p in sorted(done)]
+
+    def kernel(self):
+        """The RREF basis of {x : w.x = 0 for every w in the span}: one
+        vector per non-pivot index, in index order."""
+        one, neg = self.ring.one(), self.ring.neg
+        entries = {j: {j: one} for j in range(self.n) if j not in self._rows}
+        for v in self.rref():
+            p = self.lead(v)
+            for j, c in self.items(v):
+                if j != p:
+                    entries[j][p] = neg(c)
+        return [self.sparse(e) for e in entries.values()]
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_UNBITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _BitEchelon(Echelon):
+    """F2: a vector is a Python int and v + w is v ^ w."""
+
+    zero = 0
+
+    def pack(self, dense):
+        return int(bytes(dense)[::-1].translate(_BITS) or b"0", 2)
+
+    def unpack(self, v):
+        if not self.n:
+            return ()
+        return tuple(format(v, f"0{self.n}b")[::-1].encode().translate(_UNBITS))
+
+    def sparse(self, entries):
+        return sum(1 << i for i, x in entries.items() if x)
+
+    def items(self, v):
+        while v:
+            low = v & -v
+            yield low.bit_length() - 1, 1
+            v ^= low
+
+    def lead(self, v):
+        return (v & -v).bit_length() - 1
+
+    def coeff(self, v, i):
+        return (v >> i) & 1
+
+    def axpy(self, v, c, w):
+        """v + c.w"""
+        return v ^ w if c % 2 else v
+
+    def monic(self, v, p):
+        return v
+
+
+class _DictEchelon(Echelon):
+    """Q, F_p for odd p, and Z: a vector is {index: nonzero scalar}."""
+
+    zero = {}
+
+    def pack(self, dense):
+        return {i: x for i, x in enumerate(dense) if x}
+
+    def unpack(self, v):
+        z = self.ring.zero()
+        return tuple(v.get(i, z) for i in range(self.n))
+
+    def sparse(self, entries):
+        return {i: x for i, x in entries.items() if x}
+
+    def items(self, v):
+        return v.items()
+
+    def lead(self, v):
+        return min(v)
+
+    def coeff(self, v, i):
+        return v.get(i, 0)
+
+    def axpy(self, v, c, w):
+        """v + c.w"""
+        out = dict(v)
+        p = self.ring.p     # 0 over Q and Z
+        for j, x in w.items():
+            y = out.get(j, 0) + c * x
+            if p:
+                y %= p
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+        return out
+
+    def monic(self, v, p):
+        if v[p] == 1:
+            return v
+        inv = self.ring.inv(v[p])
+        return {j: self.ring.mul(inv, x) for j, x in v.items()}
+
 
 def invertible_from_columns(ring: CoefficientRing, cols, rows: int) -> bool:
     """Whether the matrix with the given columns (each of length ``rows``) is
@@ -336,35 +432,25 @@ def smith_normal_form(m: Matrix):
             break
         swap_rows(t, best[0])
         swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility: a[t][t] must divide every later entry
-        offender = None
+        # clear row and column against the fixed pivot; a remainder is
+        # smaller than it and becomes the next round's pivot, so this ends
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            i, _ = offender
-            row_op(t, i, -1)  # add row i to row t, then restart this pivot
+            if a[i][t] != 0:
+                row_op(i, t, a[i][t] // p)
+        for j in range(t + 1, cols):
+            if a[t][j] != 0:
+                col_op(j, t, a[t][j] // p)
+        if (any(a[i][t] != 0 for i in range(t + 1, rows))
+                or any(a[t][j] != 0 for j in range(t + 1, cols))):
+            continue
+        # divisibility: the pivot must divide every later entry; adding an
+        # offending row leaves a remainder in row t next round
+        offender = next((i for i in range(t + 1, rows)
+                         if any(a[i][j] % p != 0 for j in range(t + 1, cols))),
+                        None)
+        if offender is not None:
+            row_op(t, offender, -1)
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
@@ -381,8 +467,7 @@ def invert_unimodular(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeMismatch("inverse of non-square matrix")
     if R.is_field:
-        aug = m.hstack(Matrix.identity(R, m.rows))
-        red, pivots = aug.rref()
+        red, pivots = m.hstack(Matrix.identity(R, m.rows)).rref()
         if pivots != list(range(m.rows)):
             raise ShapeMismatch("matrix not invertible")
         return Matrix(R, [row[m.rows:] for row in red.data])

@@ -1,76 +1,59 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
-These deliberately avoid the library's own code paths: naive Smith
-reduction without transform tracking, homology invariants through
-elementary-piece bookkeeping, and localization by zigzag-word saturation.
+These deliberately avoid the library's own code paths: Smith invariants
+from determinantal divisors, dense Gauss-Jordan elimination, homology
+invariants through elementary-piece bookkeeping, and localization by
+zigzag-word saturation.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 
-# -- naive Smith normal form (diagonal only, no transforms) -------------------
+# -- Smith invariants from determinantal divisors ---------------------------
+
+
+def _det(m):
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def naive_snf_diagonal(rows):
-    """Invariant factors by repeated gcd-pivot reduction on a copy."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero absolute value
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None
-                                     or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for r in range(m):
-            a[r][t], a[r][j0] = a[r][j0], a[r][t]
-        again = True
-        while again:
-            again = False
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    a[t], a[i] = a[i], a[t]
-                    again = True
-                elif a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, n):
-                col = [a[r][j] for r in range(m)]
-                if col[t] % a[t][t] != 0:
-                    q = col[t] // a[t][t]
-                    for r in range(m):
-                        a[r][j] -= q * a[r][t]
-                    for r in range(m):
-                        a[r][t], a[r][j] = a[r][j], a[r][t]
-                    again = True
-                elif col[t] != 0:
-                    q = col[t] // a[t][t]
-                    for r in range(m):
-                        a[r][j] -= q * a[r][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
+    """The nonzero invariant factors d_k / d_(k-1), where the determinantal
+    divisor d_k is the gcd of all k x k minors (the textbook definition)."""
+    rows = [list(map(int, r)) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    diag, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                g = gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
+                if g == 1:
                     break
-            if bad is not None:
+            if g == 1:
                 break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        diag.append(abs(a[t][t]))
-        t += 1
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
     return diag
 
 
@@ -102,28 +85,104 @@ def invariant_factors(divisors):
     return sorted(x for x in out if x > 1)
 
 
-def rational_rank(rows):
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
+# -- dense Gauss-Jordan elimination: the reference for the sparse kernel ----
+
+
+def dense_rref(rows, p=0):
+    """(reduced row echelon rows, pivot columns) of a matrix over Q (p = 0,
+    entries become Fractions) or F_p, by dense Gauss-Jordan elimination."""
+    if p:
+        norm, inv = (lambda x: int(x) % p), (lambda x: pow(x, p - 2, p))
+    else:
+        norm, inv = Fraction, (lambda x: 1 / x)
+    m = [[norm(x) for x in r] for r in rows]
+    n = len(m[0]) if m else 0
+    pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        m[r], m[piv] = m[piv], m[r]
+        s = inv(m[r][c])
+        m[r] = [norm(s * x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [norm(x - f * y) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
-        if r == m:
+        if r == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def rational_rank(rows):
+    return len(dense_rref(rows)[1])
+
+
+def dense_kernel(rows, n, p=0):
+    """The RREF kernel basis of an n-column matrix: one vector per free
+    column, in column order."""
+    red, pivots = dense_rref(rows, p)
+    norm = (lambda x: x % p) if p else Fraction
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [norm(0)] * n
+        v[fc] = norm(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = norm(-red[r][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(rows, b, n, p=0):
+    """The solution of rows @ x = b (n unknowns) with every free variable 0,
+    or None."""
+    red, pivots = dense_rref([list(r) + [x] for r, x in zip(rows, b)], p)
+    if n in pivots:
+        return None
+    x = [(Fraction(0) if not p else 0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n]
+    return tuple(x)
+
+
+def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
+    """ker(d_out) / im(d_in) on the dim-dimensional degree, as
+    (representatives, projection).
+
+    The representatives are the kernel basis vectors that are independent
+    modulo the boundaries and the vectors chosen before them, each reduced
+    against the RREF rows of the boundaries.  The projection sends a cycle
+    to its class coordinates (None for a non-cycle) through the solve of
+    [boundaries | representatives] x = cycle.
+    """
+    norm = (lambda x: x % p) if p else Fraction
+    kernel = dense_kernel(d_out_rows, dim, p)
+    bounds = [list(c) for c in zip(*d_in_rows)] if d_in_rows else []
+    chosen = []
+    for z in kernel:
+        if len(dense_rref(bounds + chosen + [list(z)], p)[1]) > \
+                len(dense_rref(bounds + chosen, p)[1]):
+            chosen.append(list(z))
+    echelon = [r for r in dense_rref(bounds, p)[0] if any(r)]
+    reps = []
+    for z in chosen:
+        for row in echelon:
+            piv = next(i for i, x in enumerate(row) if x)
+            c = z[piv]
+            z = [norm(a - c * b) for a, b in zip(z, row)]
+        reps.append(tuple(z))
+    cols = bounds + [list(r) for r in reps]
+
+    def project(cycle):
+        sol = dense_solve([list(r) for r in zip(*cols)] or [[]] * dim, cycle,
+                          len(cols), p)
+        return None if sol is None else sol[len(bounds):]
+    return reps, project
 
 
 def homology_rank_torsion(d_in_rows, d_out_rows, dim):
@@ -200,20 +259,9 @@ def random_integer_complex(rng, max_rank=6):
 
 def _int_inverse(u):
     n = len(u)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(u)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = [[int(a[i][n + j]) for j in range(n)] for i in range(n)]
-    return out
+    red, _ = dense_rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(u)])
+    return [[int(x) for x in row[n:]] for row in red]
 
 
 # -- zigzag-word localization oracle ------------------------------------------

@@ -7,6 +7,8 @@ change of the report's value encoding.
 import json
 from pathlib import Path
 
+import pytest
+
 from wrapcat import cli
 from wrapcat.cli import main
 
@@ -64,3 +66,34 @@ class TestEntangleCompare:
         assert ([r["vertex"] for r in
                  bridges["E0->E1"]["essential_surjectivity_failures"]]
                 == ["b1.X", "b1.Y", "b1.Z"])
+
+
+COMPUTE_ERRORS = [(fixture, what, "SystemInvalid")
+                  for fixture in ("ore_break", "toyc_break_closure")
+                  for what in ("hw", "dfcat", "agree")]
+ENTANGLE_ERRORS = [("dsq_break", "NotAComplex"),
+                   ("micro2datum", "DecorationInconsistent"),
+                   ("micro2_break_beta", "DecorationInconsistent")]
+
+
+class TestEngineErrorsEndInReports:
+    """An engine error ends in a failing report that names it, not a
+    traceback."""
+
+    @pytest.mark.parametrize("fixture,what,error", COMPUTE_ERRORS)
+    def test_compute(self, capsys, fixture, what, error):
+        code, rep = run_cli(capsys, "compute", str(FIXTURES / f"{fixture}.json"),
+                            "--what", what)
+        assert (code, rep["verdict"], rep["sections"]["error"]["type"]) == \
+            (1, "fail", error)
+        assert rep["command"] == f"compute:{what}"
+        assert rep["fixture"] == fixture
+
+    @pytest.mark.parametrize("fixture,error", ENTANGLE_ERRORS)
+    def test_entangle(self, capsys, fixture, error):
+        code, rep = run_cli(capsys, "entangle", str(FIXTURES / f"{fixture}.json"),
+                            "--level", "1", "--compare")
+        assert (code, rep["verdict"], rep["sections"]["error"]["type"]) == \
+            (1, "fail", error)
+        assert rep["sections"]["error"]["message"]
+        assert rep["fixture"] == fixture

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import homology_rank_torsion, invariant_factors, naive_snf_diagonal
+from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
+                     homology_rank_torsion, invariant_factors, naive_snf_diagonal)
 from wrapcat.errors import EmptySequence, NotAComplex, NotChainMap, ShapeMismatch
 from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
                             compose_graded_maps, diagram_colimit,
@@ -36,6 +37,19 @@ class TestSmithNormalForm:
 
     def test_zero(self):
         assert smith_normal_form(Matrix.zero(Z, 2, 3))[2] == (0, 0)
+
+    def test_pivot_coefficients_stay_bounded(self):
+        # the pivot-swapping loop grew entries past 4000 digits on this one
+        data = [[-3, -3, 4, 8, -8, -5], [6, -8, 7, -4, 4, -2],
+                [4, -3, -9, -2, -5, -5], [-3, 6, 3, 2, -2, 9],
+                [-9, -9, 0, 8, 8, -6]]
+        m = Matrix(Z, data)
+        U, V, diag = smith_normal_form(m)
+        assert U.mul(m).mul(V).data == tuple(
+            tuple(diag[i] if i == j else 0 for j in range(6)) for i in range(5))
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0
+        assert diag == (1, 1, 1, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
@@ -269,3 +283,77 @@ class TestZBackendOracle:
                 free, tors = expected[deg]
                 assert (H.rank(deg), sorted(H.torsion(deg))) == \
                     (free, invariant_factors(tors))
+
+
+RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}
+
+
+def _random_rows(rng, rows, cols):
+    return [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _combination(rng, ring, vectors, n):
+    out = [ring.zero()] * n
+    for v in vectors:
+        c = rng.randint(-2, 2)
+        out = [ring.add(a, ring.mul(c, b)) for a, b in zip(out, v)]
+    return tuple(out)
+
+
+class TestEliminationAgainstDenseReference:
+    """The sparse elimination kernel against dense Gauss-Jordan elimination."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(RINGS)), st.integers(0, 5), st.integers(0, 6),
+           st.integers(0, 10 ** 6))
+    def test_rank_rref_kernel_solve(self, name, rows, cols, seed):
+        ring, p = RINGS[name]
+        rng = random.Random(seed)
+        data = _random_rows(rng, rows, cols)
+        m = Matrix(ring, data, cols=cols)
+        red, pivots = dense_rref(data, p)
+        assert m.rank() == len(pivots)
+        if rows:
+            got, got_pivots = m.rref()
+            assert (got.data, got_pivots) == (tuple(map(tuple, red)), pivots)
+        kernel = dense_kernel(data, cols, p)
+        assert m.kernel_basis() == kernel
+        x = [rng.randint(-2, 2) for _ in range(cols)]
+        for b in (m.apply(tuple(ring.normalize(v) for v in x)),
+                  tuple(ring.normalize(rng.randint(-2, 2)) for _ in range(rows))):
+            assert m.solve(b) == dense_solve(data, b, cols, p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(RINGS)), st.integers(1, 4), st.integers(1, 5),
+           st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_cohomology_reps_and_projection(self, name, r0, r1, r2, seed):
+        ring, p = RINGS[name]
+        rng = random.Random(seed)
+        d0 = _random_rows(rng, r1, r0)
+        left = dense_kernel([list(c) for c in zip(*d0)], r1, p)
+        d1 = [list(_combination(rng, ring, left, r1)) for _ in range(r2)]
+        ranks = (r0, r1, r2)
+        gens = [(f"g{k}_{i}", k) for k in range(3) for i in range(ranks[k])]
+        mod = GradedModule.from_generators(ring, gens)
+        entries = [(f"g{k}_{i}", f"g{k + 1}_{j}", x)
+                   for k, rows in ((0, d0), (1, d1))
+                   for j, row in enumerate(rows) for i, x in enumerate(row) if x]
+        H = cohomology(Complex(mod, GradedMap.from_entries(mod, mod, 1, entries)))
+        blocks = {0: ([[] for _ in range(r0)], d0), 1: (d0, d1),
+                  2: (d1, [])}
+        for deg, (d_in, d_out) in blocks.items():
+            dim = ranks[deg]
+            reps, project = dense_cohomology(d_in, d_out, dim, p)
+            pres = H.degree(deg)
+            assert list(pres.reps) == reps
+            cycle = _combination(rng, ring, dense_kernel(d_out, dim, p), dim)
+            assert pres.project(cycle) == project(cycle)
+            if reps:
+                v = tuple(ring.normalize(rng.randint(-2, 2)) for _ in range(dim))
+                want = project(v)
+                if want is None:
+                    with pytest.raises(NotAComplex):
+                        pres.project(v)
+                else:
+                    assert pres.project(v) == want

@@ -556,7 +556,7 @@ class HCategory:
             vec = [self.ring.zero()] * pres.module_rank
             for lab, s in unit.items():
                 vec[mod.index_of(lab)] = s
-            self.identity_coords[x] = pres.normalize_coords(pres.project(vec))
+            self.identity_coords[x] = pres.project(vec)
         self._table = {}
 
     def pres(self, x, y) -> CohomologyPresentation:
@@ -565,9 +565,6 @@ class HCategory:
         return CohomologyPresentation(self.ring, GradedModule.zero(self.ring), {})
 
     def class_count(self, x, y, d) -> int:
-        return self.pres(x, y).class_count(d)
-
-    def rank(self, x, y, d) -> int:
         return self.pres(x, y).rank(d)
 
     def rep_vector(self, x, y, d, coords):
@@ -584,7 +581,7 @@ class HCategory:
         vec = [self.ring.zero()] * pres.module_rank
         for lab, s in element.items():
             vec[mod.index_of(lab)] = s
-        return pres.normalize_coords(pres.project(vec)) if pres.class_count else ()
+        return pres.project(vec)
 
     def basis_coords(self, x, y, d, i):
         return self.ring.unit_vector(self.class_count(x, y, d), i)
@@ -609,7 +606,7 @@ class HCategory:
                 c = ring.mul(uc, vc)
                 for r in range(len(out)):
                     out[r] = ring.add(out[r], ring.mul(c, col[r]))
-        return pt.normalize_coords(tuple(out))
+        return tuple(out)
 
     def _build_table(self, x, y, z, d1, d2):
         ring = self.ring
@@ -627,8 +624,7 @@ class HCategory:
                 vec = [ring.zero()] * pt.module_rank
                 for lab, s in w.items():
                     vec[mod_xz.index_of(lab)] = s
-                table[(i, j)] = (pt.normalize_coords(pt.project(vec))
-                                 if pt.class_count else ())
+                table[(i, j)] = pt.project(vec)
         return table
 
     def postcompose_matrix(self, x, y, z, d2, v_coords, d1) -> Matrix:

@@ -1,8 +1,8 @@
-"""Exact graded linear algebra: graded modules, chain complexes, cohomology
-presentations, induced maps, sequence and diagram colimits, Smith normal form.
+"""Exact graded linear algebra over a field: graded modules, chain complexes,
+cohomology presentations, induced maps, sequence and diagram colimits.
 
-Cohomology presentations are canonical for a fixed basis order: reduced
-echelon representatives over fields, Smith-based generators over Z.  All
+Cohomology presentations are canonical for a fixed basis order: each class
+representative is reduced against the echelon basis of the boundaries.  All
 operations are deterministic pure functions.
 """
 
@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (EmptySequence, NotAComplex, NotChainMap, ShapeMismatch)
-from .matrices import Echelon, Matrix, invert_unimodular, smith_normal_form
+from .matrices import Echelon, Matrix
 from .rings import CoefficientRing
 
 __all__ = [
     "GradedModule", "GradedMap", "Complex", "CohomologyPresentation", "HMap",
     "cohomology", "induced_cohomology_map", "compose_graded_maps",
-    "sequence_colimit", "diagram_colimit", "smith_normal_form",
+    "sequence_colimit", "diagram_colimit",
 ]
 
 
@@ -188,7 +188,7 @@ class GradedMap:
                      tuple(sorted(self.blocks.items(), key=lambda kv: kv[0]))))
 
     def is_isomorphism(self) -> bool:
-        """Exact graded isomorphism test (square blocks, invertible/unimodular)."""
+        """Exact graded isomorphism test (square invertible blocks)."""
         degs = set(self.source.degrees()) | {d - self.degree for d in self.target.degrees()}
         return all(self.source.rank(d) == self.target.rank(d + self.degree)
                    and self.block(d).is_invertible() for d in degs)
@@ -236,77 +236,39 @@ class Complex:
 
 
 class DegreePresentation:
-    """Cohomology of one degree: free rank, torsion, representatives, projection.
+    """Cohomology of one degree: class representatives and the projection
+    of a cycle onto class coordinates.
 
-    Internal data keeps exactly what the deterministic projection needs:
-    over a field the echelon of the boundaries and the echelon of the rows
-    [representative | unit vector]; over Z the kernel lattice basis, the
-    Smith transform and the invariant factors.
+    Internal data keeps exactly what the deterministic projection needs: the
+    echelon of the boundaries and the echelon of the rows
+    [representative | unit vector].
     """
 
-    __slots__ = ("ring", "module_rank", "orders", "reps", "_field",
-                 "_zK", "_zU", "_zdiag", "_keep")
+    __slots__ = ("ring", "module_rank", "reps", "_echelons")
 
-    def __init__(self, ring, module_rank, orders, reps, field=None,
-                 zK=None, zU=None, zdiag=None, keep=None):
+    def __init__(self, ring, module_rank, reps, echelons=None):
         self.ring = ring
         self.module_rank = module_rank
-        self.orders = tuple(orders)  # 0 = free, n > 1 = torsion order
         self.reps = tuple(tuple(r) for r in reps)
-        self._field = field
-        self._zK = zK
-        self._zU = zU
-        self._zdiag = zdiag
-        self._keep = keep
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for o in self.orders if o == 0)
-
-    @property
-    def torsion(self):
-        return tuple(o for o in self.orders if o > 1)
+        self._echelons = echelons
 
     @property
     def class_count(self) -> int:
-        return len(self.orders)
-
-    def normalize_coords(self, coords):
-        out = []
-        for c, o in zip(coords, self.orders):
-            out.append(self.ring.normalize(c % o if o > 1 else c))
-        return tuple(out)
+        return len(self.reps)
 
     def project(self, cycle):
         """Class coordinates of a cycle vector (must be a cycle)."""
         if len(cycle) != self.module_rank:
             raise ShapeMismatch("projection: wrong vector length")
-        if self.ring.is_field:
-            if self.class_count == 0:
-                return ()
-            bound, coords = self._field
-            dim = self.module_rank
-            rest = coords.unpack(coords.reduce(bound.reduce(bound.pack(
-                tuple(self.ring.normalize(x) for x in cycle)))))
-            if any(rest[:dim]):
-                raise NotAComplex("vector is not a cycle")
-            return tuple(self.ring.neg(x) for x in rest[dim:])
-        if self._zK is None:
+        if not self.reps:
             return ()
-        x = None
-        if self._zK.cols:
-            x = self._zK.solve(tuple(cycle))
-        elif all(v == 0 for v in cycle):
-            x = ()
-        if x is None:
+        bound, coords = self._echelons
+        dim = self.module_rank
+        rest = coords.unpack(coords.reduce(bound.reduce(bound.pack(
+            tuple(self.ring.normalize(x) for x in cycle)))))
+        if any(rest[:dim]):
             raise NotAComplex("vector is not a cycle")
-        y = self._zU.apply(tuple(x)) if self._zK.cols else ()
-        out = []
-        for i in self._keep:
-            d = self._zdiag[i] if i < len(self._zdiag) else 0
-            v = y[i] if i < len(y) else 0
-            out.append(v % d if d > 1 else v)
-        return tuple(out)
+        return tuple(self.ring.neg(x) for x in rest[dim:])
 
 
 class CohomologyPresentation:
@@ -322,39 +284,26 @@ class CohomologyPresentation:
     def degree(self, d: int) -> DegreePresentation:
         if d in self.by_degree:
             return self.by_degree[d]
-        return DegreePresentation(self.ring, self.module.rank(d), (), ())
+        return DegreePresentation(self.ring, self.module.rank(d), ())
 
     def degrees(self):
         return [d for d, pres in self.by_degree.items() if pres.class_count]
 
     def rank(self, d: int) -> int:
-        return self.degree(d).free_rank
-
-    def torsion(self, d: int):
-        return self.degree(d).torsion
-
-    def class_count(self, d: int) -> int:
         return self.degree(d).class_count
 
     def total_class_count(self) -> int:
         return sum(p.class_count for p in self.by_degree.values())
 
     def rank_map(self):
-        return {d: p.free_rank for d, p in self.by_degree.items() if p.class_count}
+        return {d: p.class_count for d, p in self.by_degree.items() if p.class_count}
 
     def is_zero(self) -> bool:
         return self.total_class_count() == 0
 
-    def summary(self):
-        out = {}
-        for d, p in sorted(self.by_degree.items()):
-            if p.class_count:
-                out[d] = {"rank": p.free_rank, "torsion": list(p.torsion)}
-        return out
 
-
-def _field_presentation(ring, dim, rel_cols, candidates, reduce_reps):
-    """ring^dim / span(rel_cols) over a field.  The representatives are the
+def _presentation(ring, dim, rel_cols, candidates, reduce_reps):
+    """ring^dim / span(rel_cols).  The representatives are the
     candidates (sparse vectors) independent modulo the relations and the
     candidates before them; with ``reduce_reps`` each is reduced to be zero at
     every relation pivot, so equal classes yield equal representatives."""
@@ -369,46 +318,8 @@ def _field_presentation(ring, dim, rel_cols, candidates, reduce_reps):
     coords = Echelon(ring, dim + len(reps))
     for i, rep in enumerate(reps):
         coords.insert(coords.axpy(bound.reduce(rep), 1, coords.unit(dim + i)))
-    return DegreePresentation(ring, dim, [0] * len(reps),
-                              [bound.unpack(r) for r in reps],
-                              field=(bound, coords))
-
-
-def _smith_presentation(ring, dim, K: Matrix, X: Matrix):
-    """The lattice spanned by K's columns in Z^dim, modulo the relations
-    whose K-coordinates are X's columns: Smith generators and orders."""
-    U, V, diag = smith_normal_form(X)
-    gens = K.mul(invert_unimodular(U))
-    orders, reps, keep = [], [], []
-    for i in range(K.cols):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        keep.append(i)
-        orders.append(d)
-        reps.append(gens.column(i))
-    return DegreePresentation(ring, dim, orders, reps,
-                              zK=K, zU=U, zdiag=diag, keep=keep)
-
-
-def _integer_degree_presentation(ring, d_in: Matrix, d_out: Matrix):
-    """ker(d_out)/im(d_in) over Z with free and torsion generators."""
-    dim = d_out.cols
-    if dim == 0:
-        return DegreePresentation(ring, 0, (), ())
-    kernel = d_out.kernel_basis()
-    K = Matrix.from_columns(ring, kernel, dim) if kernel else Matrix.zero(ring, dim, 0)
-    if K.cols == 0:
-        return DegreePresentation(ring, dim, (), (), zK=K)
-    bcols = d_in.columns() if d_in.cols else []
-    xcols = []
-    for b in bcols:
-        sol = K.solve(tuple(b))
-        if sol is None:
-            raise NotAComplex("boundary outside the cycle lattice (d*d != 0?)")
-        xcols.append(sol)
-    X = Matrix.from_columns(ring, xcols, K.cols) if xcols else Matrix.zero(ring, K.cols, 0)
-    return _smith_presentation(ring, dim, K, X)
+    return DegreePresentation(ring, dim, [bound.unpack(r) for r in reps],
+                              echelons=(bound, coords))
 
 
 def cohomology(c: Complex) -> CohomologyPresentation:
@@ -418,12 +329,9 @@ def cohomology(c: Complex) -> CohomologyPresentation:
     by_degree = {}
     for d in c.module.degrees():
         d_out = c.differential.block(d)
-        d_in = c.differential.block(d - 1)
-        if ring.is_field:
-            by_degree[d] = _field_presentation(
-                ring, d_out.cols, d_in.columns(), d_out.echelon().kernel(), True)
-        else:
-            by_degree[d] = _integer_degree_presentation(ring, d_in, d_out)
+        by_degree[d] = _presentation(
+            ring, d_out.cols, c.differential.block(d - 1).columns(),
+            d_out.echelon().kernel(), True)
     return CohomologyPresentation(ring, c.module, by_degree)
 
 
@@ -450,21 +358,7 @@ class HMap:
 
     def is_isomorphism(self) -> bool:
         degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
-        for d in degs:
-            sp, tp = self.source.degree(d), self.target.degree(d + self.degree)
-            if sp.orders != tp.orders:
-                return False
-            m = self.matrix(d)
-            if m.rows != m.cols:
-                return False
-            if sp.torsion:
-                # desk scale: iso of groups with torsion checked by
-                # exhausting both finite parts through the matrix
-                if not _torsion_bijective(sp, tp, m):
-                    return False
-            elif not m.is_invertible():
-                return False
-        return True
+        return all(self.matrix(d).is_invertible() for d in degs)
 
     def compose(self, other: "HMap") -> "HMap":
         """other after self."""
@@ -483,21 +377,6 @@ class HMap:
 
     def __hash__(self):
         return hash((self.degree, tuple(sorted(self.matrices.items(), key=lambda kv: kv[0]))))
-
-
-def _torsion_bijective(sp: DegreePresentation, tp: DegreePresentation, m: Matrix) -> bool:
-    if sp.free_rank or tp.free_rank:
-        # mixed free/torsion iso checks are not needed at desk scale
-        return m.is_invertible()
-    from itertools import product
-    seen = set()
-    ranges = [range(o) for o in sp.orders]
-    for xs in product(*ranges):
-        img = tp.normalize_coords(m.apply(tuple(xs)))
-        if img in seen:
-            return False
-        seen.add(img)
-    return True
 
 
 def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
@@ -524,7 +403,7 @@ def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
         cols = []
         for rep in sp.reps:
             img = f.apply_vector(d, rep)
-            cols.append(tp.normalize_coords(tp.project(img)) if tp.class_count else ())
+            cols.append(tp.project(img))
         matrices[d] = Matrix.from_columns(src.module.ring, cols, tp.class_count)
     return HMap(src_h, tgt_h, f.degree, matrices)
 
@@ -569,8 +448,8 @@ class DiagramColimit:
     """Colimit of a finite diagram of graded modules, as an exact quotient.
 
     Presented per degree by a quotient of the direct sum of all object
-    modules; representatives are chosen standard basis vectors (fields) or
-    Smith generators (Z).  ``structure_map(i)`` embeds object ``i``.
+    modules; representatives are chosen standard basis vectors.
+    ``structure_map(i)`` embeds object ``i``.
     """
 
     __slots__ = ("ring", "objects", "offsets", "dims", "by_degree", "module")
@@ -613,13 +492,13 @@ class DiagramColimit:
     def degree(self, d):
         if d in self.by_degree:
             return self.by_degree[d]
-        return DegreePresentation(self.ring, 0, (), ())
+        return DegreePresentation(self.ring, 0, ())
 
     def rank(self, d):
-        return self.degree(d).free_rank
+        return self.degree(d).class_count
 
     def rank_map(self):
-        return {d: p.free_rank for d, p in self.by_degree.items() if p.class_count}
+        return {d: p.class_count for d, p in self.by_degree.items() if p.class_count}
 
     def project(self, d, obj_index, vec):
         """Class coordinates of a vector sitting in object ``obj_index``."""
@@ -647,12 +526,9 @@ class DiagramColimit:
 
 def _quotient_of_free(ring, dim, rel_cols):
     """Presentation of R^dim / span(rel_cols)."""
-    if ring.is_field:
-        units = Echelon(ring, dim)
-        return _field_presentation(ring, dim, rel_cols,
-                                   [units.unit(i) for i in range(dim)], False)
-    X = Matrix.from_columns(ring, rel_cols, dim) if rel_cols else Matrix.zero(ring, dim, 0)
-    return _smith_presentation(ring, dim, Matrix.identity(ring, dim), X)
+    units = Echelon(ring, dim)
+    return _presentation(ring, dim, rel_cols,
+                         [units.unit(i) for i in range(dim)], False)
 
 
 def diagram_colimit(obj_modules, morphisms, ring=None) -> DiagramColimit:

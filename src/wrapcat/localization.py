@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .ainf import HCategory
-from .errors import NonCofinalPrefix, ShapeMismatch, SystemInvalid
+from .errors import NonCofinalPrefix, SystemInvalid
 from .linalg import GradedMap, GradedModule, diagram_colimit
 from .matrices import Matrix
 
@@ -340,20 +340,12 @@ class SliceCategory:
 
 
 def h_graded_module(hcat: HCategory, x, y, tag=None) -> GradedModule:
-    """Materialize H(x, y) as a free graded module, one generator per class.
-
-    Torsion classes are rejected: the fraction machinery runs over fields
-    or torsion-free integral cohomology.
-    """
+    """Materialize H(x, y) as a graded module, one generator per class."""
     pres = hcat.pres(x, y)
     gens = []
     name = tag or f"{x}>{y}"
     for d in pres.degrees():
-        dp = pres.degree(d)
-        if dp.torsion:
-            raise ShapeMismatch(
-                f"H({x},{y}) has torsion; fraction calculus needs a free H")
-        for i in range(dp.class_count):
+        for i in range(pres.rank(d)):
             gens.append((f"h[{name}]{d}:{i}", d))
     return GradedModule.from_generators(hcat.ring, gens)
 
@@ -402,9 +394,6 @@ class FractionCategory:
     def colim(self, l, k):
         return self.hom_data[(l, k)]["colim"]
 
-    def rank(self, l, k, d) -> int:
-        return self.colim(l, k).rank(d)
-
     def rank_map(self, l, k):
         return self.colim(l, k).rank_map()
 
@@ -413,7 +402,7 @@ class FractionCategory:
         return self.colim(l, k).project(d, 0, h_coords)
 
     def class_count(self, l, k, d):
-        return self.colim(l, k).degree(d).class_count
+        return self.colim(l, k).rank(d)
 
     # -- representatives and composition -----------------------------------------
 

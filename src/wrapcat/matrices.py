@@ -1,8 +1,8 @@
-"""Exact matrices over a CoefficientRing, and the one elimination kernel.
+"""Exact matrices over a coefficient field, and the one elimination kernel.
 
-``Matrix`` is dense and small ("desk scale").  Every elimination over a field
-goes through ``Echelon``, an incremental sparse echelon basis; integer
-matrices go through Smith normal form with full transform tracking.
+``Matrix`` is dense and small ("desk scale").  Every elimination (rank,
+reduced row echelon form, kernel, solve, product) goes through ``Echelon``,
+an incremental sparse echelon basis.
 """
 
 from __future__ import annotations
@@ -136,97 +136,56 @@ class Matrix:
         return Matrix(self.ring, [list(a) + list(b) for a, b in zip(self.data, other.data)],
                       cols=self.cols + other.cols)
 
-    # -- field elimination -----------------------------------------------------
+    # -- elimination ----------------------------------------------------------
 
     def echelon(self) -> "Echelon":
-        """Echelon basis of the row space (over a field)."""
-        if not self.ring.is_field:
-            raise ShapeMismatch("elimination requires a field")
+        """Echelon basis of the row space."""
         ech = Echelon(self.ring, self.cols)
         for row in self.data:
             ech.insert(ech.pack(row))
         return ech
 
     def rref(self):
-        """Reduced row echelon form over a field.  Returns (R, pivots)."""
+        """Reduced row echelon form.  Returns (R, pivots)."""
         ech = self.echelon()
         rows = [ech.unpack(v) for v in ech.rref()]
         rows += [ech.unpack(ech.zero)] * (self.rows - len(rows))
         return Matrix(self.ring, rows, cols=self.cols, _trusted=True), ech.pivots
 
     def rank(self) -> int:
-        if self.ring.is_field:
-            return len(self.echelon().pivots)
-        diag = smith_normal_form(self)[2]
-        return sum(1 for d in diag if d != 0)
+        return len(self.echelon().pivots)
 
     def kernel_basis(self):
-        """Basis of the kernel as a list of column vectors.
-
-        Over a field: the standard RREF kernel basis (deterministic).
-        Over Z: a lattice basis of the integer kernel via SNF (saturated).
-        """
-        if self.ring.is_field:
-            ech = self.echelon()
-            return [ech.unpack(v) for v in ech.kernel()]
-        U, V, diag = smith_normal_form(self)
-        rank = sum(1 for d in diag if d != 0)
-        return [V.column(j) for j in range(rank, self.cols)]
+        """The RREF basis of the kernel, as a list of column vectors."""
+        ech = self.echelon()
+        return [ech.unpack(v) for v in ech.kernel()]
 
     def is_invertible(self) -> bool:
-        """Square and invertible: of full rank over a field, unimodular over Z."""
-        if self.rows != self.cols:
-            return False
-        if self.ring.is_field:
-            return self.rank() == self.rows
-        return all(d == 1 for d in smith_normal_form(self)[2])
+        """Square and of full rank."""
+        return self.rows == self.cols and self.rank() == self.rows
 
     def solve(self, vec):
-        """One exact solution x with self @ x = vec, or None.
-
-        Deterministic: over fields, free variables are set to zero in RREF
-        order; over Z the solve goes through the Smith decomposition.
-        """
+        """One exact solution x with self @ x = vec, or None.  Deterministic:
+        free variables are set to zero in RREF order."""
         R = self.ring
         if len(vec) != self.rows:
             raise ShapeMismatch("solve dimension mismatch")
-        if R.is_field:
-            red, pivots = self.hstack(Matrix(R, [[v] for v in vec])).rref()
-            if self.cols in pivots:
-                return None
-            x = [R.zero()] * self.cols
-            for r, pc in enumerate(pivots):
-                x[pc] = red.data[r][self.cols]
-            return tuple(x)
-        U, V, diag = smith_normal_form(self)
-        w = U.apply(vec)
-        y = []
-        for i in range(self.cols):
-            d = diag[i] if i < len(diag) else 0
-            wi = w[i] if i < len(w) else 0
-            if d == 0:
-                if wi != 0:
-                    return None
-                y.append(0)
-            else:
-                if wi % d != 0:
-                    return None
-                y.append(wi // d)
-        for i in range(self.cols, len(w)):
-            if w[i] != 0:
-                return None
-        return V.apply(tuple(y))
+        red, pivots = self.hstack(Matrix(R, [[v] for v in vec])).rref()
+        if self.cols in pivots:
+            return None
+        x = [R.zero()] * self.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = red.data[r][self.cols]
+        return tuple(x)
 
 
 class Echelon:
-    """Incremental echelon basis of a subspace of ring^n, in sparse vectors:
+    """Incremental echelon basis of a subspace of field^n, in sparse vectors:
     Python-int bitsets over F2 (bit i is coordinate i), ``{index: nonzero
-    scalar}`` dicts over every other ring.  ``Echelon(ring, n)`` makes that
+    scalar}`` dicts over Q and F_p for odd p.  ``Echelon(ring, n)`` makes that
     choice for the whole engine.  Each stored row is monic at its pivot, its
-    lowest nonzero index, and zero at every pivot stored before it.  ``pack``,
-    ``unpack``, ``items`` and ``axpy`` work over any ring; ``insert``,
-    ``reduce``, ``rref`` and ``kernel`` need a field.  No vector is mutated
-    once built."""
+    lowest nonzero index, and zero at every pivot stored before it.  No
+    vector is mutated once built."""
 
     def __new__(cls, ring, n):
         if cls is Echelon:
@@ -334,7 +293,7 @@ class _BitEchelon(Echelon):
 
 
 class _DictEchelon(Echelon):
-    """Q, F_p for odd p, and Z: a vector is {index: nonzero scalar}."""
+    """Q and F_p for odd p: a vector is {index: nonzero scalar}."""
 
     zero = {}
 
@@ -360,7 +319,7 @@ class _DictEchelon(Echelon):
     def axpy(self, v, c, w):
         """v + c.w"""
         out = dict(v)
-        p = self.ring.p     # 0 over Q and Z
+        p = self.ring.p     # 0 over Q
         for j, x in w.items():
             y = out.get(j, 0) + c * x
             if p:
@@ -381,97 +340,4 @@ class _DictEchelon(Echelon):
 def invertible_from_columns(ring: CoefficientRing, cols, rows: int) -> bool:
     """Whether the matrix with the given columns (each of length ``rows``) is
     square of full rank."""
-    m = Matrix.from_columns(ring, cols, rows)
-    return m.rows == m.cols and (m.rows == 0 or m.rank() == m.rows)
-
-
-def smith_normal_form(m: Matrix):
-    """Smith normal form with transforms: U @ m @ V = diag(d1 | d2 | ...).
-
-    U, V are unimodular over Z; d_i >= 0 with the divisibility chain.  Total
-    on every integer matrix, including empty ones.
-    """
-    ring = m.ring
-    if ring.kind != "Z":
-        raise ShapeMismatch("smith_normal_form requires integer entries")
-    a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    U = [list(r) for r in Matrix.identity(ring, rows).data]
-    V = [list(r) for r in Matrix.identity(ring, cols).data]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    n = min(rows, cols)
-    t = 0
-    while t < n:
-        # find smallest nonzero |entry| in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        # clear row and column against the fixed pivot; a remainder is
-        # smaller than it and becomes the next round's pivot, so this ends
-        p = a[t][t]
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                row_op(i, t, a[i][t] // p)
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                col_op(j, t, a[t][j] // p)
-        if (any(a[i][t] != 0 for i in range(t + 1, rows))
-                or any(a[t][j] != 0 for j in range(t + 1, cols))):
-            continue
-        # divisibility: the pivot must divide every later entry; adding an
-        # offending row leaves a remainder in row t next round
-        offender = next((i for i in range(t + 1, rows)
-                         if any(a[i][j] % p != 0 for j in range(t + 1, cols))),
-                        None)
-        if offender is not None:
-            row_op(t, offender, -1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-
-    diag = tuple(a[i][i] if i < rows and i < cols else 0 for i in range(min(rows, cols)))
-    return Matrix(ring, U), Matrix(ring, V), diag
-
-
-def invert_unimodular(m: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix (or any invertible field matrix)."""
-    R = m.ring
-    if m.rows != m.cols:
-        raise ShapeMismatch("inverse of non-square matrix")
-    if R.is_field:
-        red, pivots = m.hstack(Matrix.identity(R, m.rows)).rref()
-        if pivots != list(range(m.rows)):
-            raise ShapeMismatch("matrix not invertible")
-        return Matrix(R, [row[m.rows:] for row in red.data])
-    U, V, diag = smith_normal_form(m)
-    if any(d != 1 for d in diag) or m.rows != len(diag):
-        raise ShapeMismatch("integer matrix not unimodular")
-    return V.mul(U)
+    return Matrix.from_columns(ring, cols, rows).is_invertible()

@@ -1,8 +1,9 @@
-"""Exact coefficient rings: the rationals, prime fields, and the integers.
+"""Exact coefficient fields: the rationals and the prime fields.
 
-Scalars are plain Python objects (``Fraction`` for Q, ``int`` for F_p and Z),
-normalised through the ring so that equality is literal equality.  No floats
-appear anywhere in the engine.
+Scalars are plain Python objects (``Fraction`` for Q, ``int`` for F_p),
+normalised through the field so that equality is literal equality.  No floats
+appear anywhere in the engine.  Every coefficient ring is a field, so every
+elimination in the engine is Gaussian elimination (``matrices.Echelon``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """One of Q, F_p (p prime) or Z, with exact scalar arithmetic."""
+    """Q or F_p (p prime), with exact scalar arithmetic."""
 
-    kind: str  # "Q" | "Fp" | "Z"
+    kind: str  # "Q" | "Fp"
     p: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("Q", "Fp", "Z"):
+        if self.kind not in ("Q", "Fp"):
             raise SchemaError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp" and not _is_prime(self.p):
             raise SchemaError(f"characteristic {self.p} is not prime")
@@ -48,32 +49,23 @@ class CoefficientRing:
         return CoefficientRing("Fp", p)
 
     @staticmethod
-    def integers() -> "CoefficientRing":
-        return CoefficientRing("Z")
-
-    @staticmethod
     def from_token(token: str) -> "CoefficientRing":
-        """Parse a coefficient token: "Q", "F2", "Fp:<p>", "Z"."""
+        """Parse a coefficient token: "Q", "F2", "Fp:<p>"."""
         if token == "Q":
             return CoefficientRing.rationals()
         if token == "Z":
-            return CoefficientRing.integers()
+            raise SchemaError("coefficient token 'Z' is not supported: the "
+                              "engine works over fields; use 'Q'")
         if token == "F2":
             return CoefficientRing.prime_field(2)
-        if token.startswith("Fp:"):
+        if isinstance(token, str) and token.startswith("Fp:"):
             return CoefficientRing.prime_field(int(token[3:]))
         raise SchemaError(f"unknown coefficient token {token!r}")
 
     def token(self) -> str:
         if self.kind == "Q":
             return "Q"
-        if self.kind == "Z":
-            return "Z"
         return "F2" if self.p == 2 else f"Fp:{self.p}"
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind in ("Q", "Fp")
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -86,9 +78,7 @@ class CoefficientRing:
     def normalize(self, x):
         if self.kind == "Q":
             return Fraction(x)
-        if self.kind == "Fp":
-            return int(x) % self.p
-        return int(x)
+        return int(x) % self.p
 
     def add(self, a, b):
         return self.normalize(a + b)
@@ -110,11 +100,7 @@ class CoefficientRing:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "Q":
             return Fraction(1) / a
-        if self.kind == "Fp":
-            return pow(int(a), self.p - 2, self.p)
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
+        return pow(int(a), self.p - 2, self.p)
 
     def unit_vector(self, n: int, i: int):
         """The i-th standard basis vector of length n."""
@@ -144,6 +130,4 @@ class CoefficientRing:
         x = self.normalize(x)
         if self.kind == "Q":
             return str(x)
-        if self.kind == "Fp":
-            return f"{x} mod {self.p}"
-        return str(x)
+        return f"{x} mod {self.p}"

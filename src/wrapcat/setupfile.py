@@ -8,8 +8,9 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, WrapcatError
 from .floer import FloerDataSystem, WeakFloerSetup
 from .linalg import GradedModule
 from .rings import CoefficientRing
@@ -35,6 +36,27 @@ def load_setup(path) -> WeakFloerSetup:
     return setup_from_dict(doc)
 
 
+@contextmanager
+def _at(where):
+    """Re-raise a failure to read the value at ``where`` as a SchemaError
+    that names it."""
+    try:
+        yield
+    except (WrapcatError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
+                  else str(exc))
+        raise SchemaError(f"{where}: {detail}") from exc
+
+
+def _get(doc, key, kind):
+    """``doc[key]``, an empty ``kind`` when absent, checked to be a ``kind``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise SchemaError(f"{key} must be {name}, not {value!r}")
+    return value
+
+
 def setup_from_dict(doc) -> WeakFloerSetup:
     if not isinstance(doc, dict):
         raise SchemaError("setup document must be a JSON object")
@@ -43,50 +65,63 @@ def setup_from_dict(doc) -> WeakFloerSetup:
     for key in ("coefficients", "lagrangians", "profile"):
         if key not in doc:
             raise SchemaError(f"missing top-level key {key!r}")
-    ring = CoefficientRing.from_token(doc["coefficients"])
-    lag = list(doc["lagrangians"])
-    comp = doc.get("composable", {"mode": "all-distinct", "max_arity": 3})
-    mode = comp.get("mode", "all-distinct")
-    max_arity = int(comp.get("max_arity", 3))
-    explicit = None
-    if mode == "explicit":
-        explicit = {int(k): [tuple(t) for t in v]
-                    for k, v in comp.get("tuples", {}).items()}
+    with _at("coefficients"):
+        ring = CoefficientRing.from_token(doc["coefficients"])
+    lag = doc["lagrangians"]
+    if not isinstance(lag, list) or not all(isinstance(x, str) for x in lag):
+        raise SchemaError(f"lagrangians must be an array of names, not {lag!r}")
+    comp = _get(doc, "composable", dict)
+    with _at("composable"):
+        mode = comp.get("mode", "all-distinct")
+        max_arity = int(comp.get("max_arity", 3))
+        explicit = None
+        if mode == "explicit":
+            explicit = {int(k): [tuple(t) for t in v]
+                        for k, v in comp.get("tuples", {}).items()}
     cf = {}
-    for key, gens in sorted(doc.get("hom", {}).items()):
-        pair = _pair_from_key(key)
-        if len(pair) != 2:
-            raise SchemaError(f"hom key {key!r} is not a pair")
-        items = []
-        for g in gens:
-            if "name" not in g or "degree" not in g:
-                raise SchemaError(f"hom generator in {key!r} needs name and degree")
-            items.append((g["name"], int(g["degree"])))
-        cf[pair] = GradedModule.from_generators(ring, items)
-
-    def parse_ops(raw):
-        out = {}
-        for entry in raw:
-            t = tuple(entry["tuple"])
+    for key, gens in sorted(_get(doc, "hom", dict).items()):
+        with _at(f"hom {key!r}"):
+            pair = _pair_from_key(key)
+            if len(pair) != 2:
+                raise SchemaError("key is not a pair")
+            items = []
+            for g in gens:
+                if "name" not in g or "degree" not in g:
+                    raise SchemaError("generator needs name and degree")
+                items.append((g["name"], int(g["degree"])))
+            cf[pair] = GradedModule.from_generators(ring, items)
+    envelope_ops = {}
+    for i, entry in enumerate(_get(doc, "operations", list)):
+        with _at(f"operations[{i}]"):
             scalar = ring.parse_scalar(str(entry["scalar"]))
-            out.setdefault(t, []).append(
+            envelope_ops.setdefault(tuple(entry["tuple"]), []).append(
                 (tuple(entry["inputs"]), entry["output"], scalar))
-        return out
-
-    envelope_ops = parse_ops(doc.get("operations", []))
     data_system = None
     if doc.get("profile") == "full":
-        data_system = _data_system_from_dict(ring, doc.get("floer_data", {}))
+        raw = _get(doc, "floer_data", dict)
+        with _at("floer_data"):
+            data_system = _data_system_from_dict(ring, raw)
     continuation = []
-    for c in doc.get("continuation", []):
-        combo = {k: ring.parse_scalar(str(v)) for k, v in sorted(c["combo"].items())}
-        continuation.append((c["source"], c["target"], combo))
+    for i, c in enumerate(_get(doc, "continuation", list)):
+        with _at(f"continuation[{i}]"):
+            src, tgt = c["source"], c["target"]
+            for end in (src, tgt):
+                if end not in lag:
+                    raise SchemaError(f"{end!r} is not a declared Lagrangian")
+            hom = cf.get((src, tgt), GradedModule.zero(ring))
+            combo = {}
+            for k, v in sorted(c["combo"].items()):
+                if not hom.has_label(k) or hom.degree_of(k) != 0:
+                    raise SchemaError(f"{k!r} is not a degree-0 generator of "
+                                      f"hom({src}, {tgt})")
+                combo[k] = ring.parse_scalar(str(v))
+            continuation.append((src, tgt, combo))
     return WeakFloerSetup(
         ring, lag, composable_mode=mode, composable_tuples=explicit,
         max_arity=max_arity, cf=cf, profile=doc["profile"],
         envelope_ops=envelope_ops, data_system=data_system,
-        continuation=continuation, wrap_chains=doc.get("wrap_chains", {}),
-        oracle=doc.get("oracle", {}), name=doc.get("name", "setup"))
+        continuation=continuation, wrap_chains=_get(doc, "wrap_chains", dict),
+        oracle=_get(doc, "oracle", dict), name=doc.get("name", "setup"))
 
 
 def _data_system_from_dict(ring, raw) -> FloerDataSystem:

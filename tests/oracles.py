@@ -1,88 +1,10 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
-These deliberately avoid the library's own code paths: Smith invariants
-from determinantal divisors, dense Gauss-Jordan elimination, homology
-invariants through elementary-piece bookkeeping, and localization by
-zigzag-word saturation.
+These deliberately avoid the library's own code paths: dense Gauss-Jordan
+elimination and localization by zigzag-word saturation.
 """
 
-import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
-
-
-# -- Smith invariants from determinantal divisors ---------------------------
-
-
-def _det(m):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def naive_snf_diagonal(rows):
-    """The nonzero invariant factors d_k / d_(k-1), where the determinantal
-    divisor d_k is the gcd of all k x k minors (the textbook definition)."""
-    rows = [list(map(int, r)) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    diag, prev = [], 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
-                g = gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            break
-        diag.append(g // prev)
-        prev = g
-    return diag
-
-
-def invariant_factors(divisors):
-    """Canonical divisibility-chain form of a list of elementary divisors."""
-    per_prime = {}
-    for d in divisors:
-        d = abs(int(d))
-        p = 2
-        while p * p <= d:
-            e = 0
-            while d % p == 0:
-                e += 1
-                d //= p
-            if e:
-                per_prime.setdefault(p, []).append(p ** e)
-            p += 1
-        if d > 1:
-            per_prime.setdefault(d, []).append(d)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    out = []
-    for i in range(width):
-        f = 1
-        for p, powers in per_prime.items():
-            powers = sorted(powers, reverse=True)
-            if i < len(powers):
-                f *= powers[i]
-        out.append(f)
-    return sorted(x for x in out if x > 1)
 
 
 # -- dense Gauss-Jordan elimination: the reference for the sparse kernel ----
@@ -115,10 +37,6 @@ def dense_rref(rows, p=0):
         if r == len(m):
             break
     return m, pivots
-
-
-def rational_rank(rows):
-    return len(dense_rref(rows)[1])
 
 
 def dense_kernel(rows, n, p=0):
@@ -185,85 +103,6 @@ def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
     return reps, project
 
 
-def homology_rank_torsion(d_in_rows, d_out_rows, dim):
-    """(free rank, torsion list) of ker(d_out)/im(d_in) on Z^dim.
-
-    Independent route: rank from rational nullity minus boundary rank,
-    torsion as the nonunit invariant factors of the boundary matrix.
-    """
-    rank_out = rational_rank(d_out_rows) if d_out_rows else 0
-    rank_in = rational_rank(d_in_rows) if d_in_rows and d_in_rows[0] else 0
-    free = (dim - rank_out) - rank_in
-    torsion = [d for d in (naive_snf_diagonal(d_in_rows)
-                           if d_in_rows and d_in_rows[0] else []) if d > 1]
-    return free, sorted(torsion)
-
-
-def random_unimodular(n, rng, steps=6):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return m
-
-
-def mat_mul(a, b):
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(m)]
-            for i in range(n)]
-
-
-def random_integer_complex(rng, max_rank=6):
-    """Three-term integer complex with known homology.
-
-    Degree layout: [a frees | b map sources] -> [b map targets | c frees |
-    d map sources] -> [d map targets | e frees]; the two map families have
-    disjoint supports, so d1 d0 = 0 structurally.  Conjugating by unimodular
-    base changes scrambles the matrices without touching the invariants.
-    Returns (ranks, d0_rows, d1_rows, expected = {degree: (free, torsion)}).
-    """
-    while True:
-        a, b, c = rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 2)
-        d, e = rng.randint(0, 3), rng.randint(0, 2)
-        r0, r1, r2 = a + b, b + c + d, d + e
-        if 0 < r0 <= max_rank and 0 < r1 <= max_rank and r2 <= max_rank:
-            break
-    ks = [rng.choice([0, 1, 2, 3, 4, 6]) * rng.choice([1, -1]) for _ in range(b)]
-    ls = [rng.choice([0, 1, 2, 5]) * rng.choice([1, -1]) for _ in range(d)]
-    d0 = [[0] * r0 for _ in range(r1)]
-    d1 = [[0] * r1 for _ in range(r2)]
-    for m, k in enumerate(ks):
-        d0[m][a + m] = k
-    for m, l in enumerate(ls):
-        d1[m][b + c + m] = l
-    k0 = sum(1 for k in ks if k == 0)
-    l0 = sum(1 for l in ls if l == 0)
-    expected = {
-        0: (a + k0, []),
-        1: (c + k0 + l0, sorted(abs(k) for k in ks if abs(k) > 1)),
-        2: (e + l0, sorted(abs(l) for l in ls if abs(l) > 1)),
-    }
-    u0 = random_unimodular(r0, rng) if r0 else []
-    u1 = random_unimodular(r1, rng) if r1 else []
-    u2 = random_unimodular(r2, rng) if r2 else []
-    if r0 and r1:
-        d0 = mat_mul(u1, mat_mul(d0, u0))
-    if r1 and r2:
-        d1 = mat_mul(u2, mat_mul(d1, _int_inverse(u1)))
-    return (r0, r1, r2), d0, d1, expected
-
-
-def _int_inverse(u):
-    n = len(u)
-    red, _ = dense_rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(u)])
-    return [[int(x) for x in row[n:]] for row in red]
-
-
 # -- zigzag-word localization oracle ------------------------------------------
 
 
@@ -296,12 +135,14 @@ class PathCategoryInstance:
 
 
 def zigzag_localization_ranks(inst: PathCategoryInstance, max_word=6):
-    """Localized hom ranks over F2 by word saturation.
+    """Localized hom ranks by word saturation.
 
     Words alternate forward path tokens and inverted continuation tokens;
     the congruence is generated by cancelling adjacent c, c^{-1} pairs and
     composing adjacent forwards.  Saturation doubles the cut until the rank
-    table stabilizes twice.
+    table stabilizes twice.  Each relation identifies two words, so a rank
+    counts classes of words and is the same over every field; it is
+    computed over F2.
     """
     edge_info = {name: (s, t) for (name, s, t) in inst.edges}
     wraps = sorted(inst.wrap_edges)

@@ -4,26 +4,23 @@ from oracles import PathCategoryInstance
 from wrapcat.ainf import AInfCategory
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import CSet
-from wrapcat.rings import CoefficientRing
-
-F2 = CoefficientRing.prime_field(2)
 
 
-def instance_to_category(inst: PathCategoryInstance) -> AInfCategory:
+def instance_to_category(inst: PathCategoryInstance, ring) -> AInfCategory:
     paths = inst.paths()
     objs = inst.objects
     edge_info = {name: (s, t) for (name, s, t) in inst.edges}
     homs = {}
     units = {}
     for i, o in enumerate(objs):
-        homs[(o, o)] = GradedModule.from_generators(F2, [(f"id{i}", 0)])
+        homs[(o, o)] = GradedModule.from_generators(ring, [(f"id{i}", 0)])
         units[o] = {f"id{i}": 1}
     for (s, t), plist in sorted(paths.items()):
         if s == t:
             continue
         homs[(objs[s], objs[t])] = GradedModule.from_generators(
-            F2, [(";".join(p), 0) for p in sorted(plist)])
-    cat = AInfCategory(F2, objs, homs, units)
+            ring, [(";".join(p), 0) for p in sorted(plist)])
+    cat = AInfCategory(ring, objs, homs, units)
     for (s, t), plist in sorted(paths.items()):
         for p in plist:
             for cut in range(1, len(p)):

@@ -86,14 +86,15 @@ class TestHCategory:
     def test_zero_differential_recovers_mu2_tables(self):
         cat = associative_algebra_cat(F2)
         h = cohomology_category(cat)
-        assert h.rank("X", "Y", 0) == 2
+        assert h.class_count("X", "Y", 0) == 2
         assert h.verify_category_axioms()["passed"]
 
     def test_toyb_h_tables(self):
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env)
-        assert h.rank("Lp", "K", 0) == 1 and h.rank("L", "K", 0) == 1
-        assert h.rank("K", "L", 0) == 0
+        assert h.class_count("Lp", "K", 0) == 1
+        assert h.class_count("L", "K", 0) == 1
+        assert h.class_count("K", "L", 0) == 0
         # c . y = x on classes
         cy = h.compose("Lp", "L", "K", 0, h.project_dict("Lp", "L", 0, {"c": 1}),
                        0, h.project_dict("L", "K", 0, {"y": 1}))

@@ -21,6 +21,54 @@ def run_cli(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def _dup_generator(doc):
+    doc["hom"]["K,Kp"].append({"degree": 0, "name": "dp"})
+
+
+def _bad_degree(doc):
+    doc["hom"]["K,Kp"][0]["degree"] = "x"
+
+
+def _scalar_lagrangians(doc):
+    doc["lagrangians"] = 5
+
+
+def _op_without_output(doc):
+    del doc["operations"][0]["output"]
+
+
+def _undeclared_continuation_source(doc):
+    doc["continuation"][0]["source"] = "NOPE"
+
+
+def _integer_coefficients(doc):
+    doc["coefficients"] = "Z"
+
+
+# (edit of toyb.json, a fragment the error message must contain)
+MALFORMED = [(_dup_generator, "hom 'K,Kp'"), (_bad_degree, "hom 'K,Kp'"),
+             (_scalar_lagrangians, "lagrangians"),
+             (_op_without_output, "'output'"),
+             (_undeclared_continuation_source, "'NOPE'"),
+             (_integer_coefficients, "'Z'")]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("edit,fragment", MALFORMED,
+                             ids=[e.__name__.lstrip("_") for e, _ in MALFORMED])
+    def test_malformed_setup_is_an_input_error(self, capsys, tmp_path, edit,
+                                               fragment):
+        doc = json.loads((FIXTURES / "toyb.json").read_text())
+        edit(doc)
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error:")
+        assert fragment in err
+
+
 class TestLocalize:
     def test_invalid_continuation_set_fails_before_cones(self, capsys):
         code, rep = run_cli(capsys, "compute", str(FIXTURES / "ore_break.json"),

@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
-                     homology_rank_torsion, invariant_factors, naive_snf_diagonal)
+from oracles import dense_cohomology, dense_kernel, dense_rref, dense_solve
 from wrapcat.errors import EmptySequence, NotAComplex, NotChainMap, ShapeMismatch
 from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
                             compose_graded_maps, diagram_colimit,
-                            induced_cohomology_map, sequence_colimit,
-                            smith_normal_form)
+                            induced_cohomology_map, sequence_colimit)
 from wrapcat.matrices import Matrix
 from wrapcat.rings import CoefficientRing
 
-Z = CoefficientRing.integers()
 F2 = CoefficientRing.prime_field(2)
 F3 = CoefficientRing.prime_field(3)
 Q = CoefficientRing.rationals()
@@ -22,50 +19,6 @@ Q = CoefficientRing.rationals()
 
 def mod(ring, *gens):
     return GradedModule.from_generators(ring, list(gens))
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        U, V, diag = smith_normal_form(Matrix.identity(Z, 3))
-        assert diag == (1, 1, 1)
-
-    def test_two_three(self):
-        m = Matrix(Z, [[2, 0], [0, 3]])
-        U, V, diag = smith_normal_form(m)
-        assert diag == (1, 6)
-        assert U.mul(m).mul(V).data == ((1, 0), (0, 6))
-
-    def test_zero(self):
-        assert smith_normal_form(Matrix.zero(Z, 2, 3))[2] == (0, 0)
-
-    def test_pivot_coefficients_stay_bounded(self):
-        # the pivot-swapping loop grew entries past 4000 digits on this one
-        data = [[-3, -3, 4, 8, -8, -5], [6, -8, 7, -4, 4, -2],
-                [4, -3, -9, -2, -5, -5], [-3, 6, 3, 2, -2, 9],
-                [-9, -9, 0, 8, 8, -6]]
-        m = Matrix(Z, data)
-        U, V, diag = smith_normal_form(m)
-        assert U.mul(m).mul(V).data == tuple(
-            tuple(diag[i] if i == j else 0 for j in range(6)) for i in range(5))
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
-        assert diag == (1, 1, 1, 1, 1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
-    def test_against_naive_oracle(self, rows, cols, seed):
-        rng = random.Random(seed)
-        data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        m = Matrix(Z, data)
-        U, V, diag = smith_normal_form(m)
-        got = U.mul(m).mul(V)
-        for i in range(rows):
-            for j in range(cols):
-                assert got.data[i][j] == (diag[i] if i == j and i < len(diag) else 0)
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
-        assert [d for d in diag if d] == [d for d in naive_snf_diagonal(data) if d]
 
 
 class TestCohomology:
@@ -78,12 +31,6 @@ class TestCohomology:
         m = mod(Q, ("a", 0), ("b", 0), ("c", 1))
         H = cohomology(Complex.with_zero_differential(m))
         assert H.rank(0) == 2 and H.rank(1) == 1
-
-    def test_times_two_over_Z(self):
-        m = mod(Z, ("a", 0), ("b", 1))
-        d = GradedMap.from_entries(m, m, 1, [("a", "b", 2)])
-        H = cohomology(Complex(m, d))
-        assert H.rank(0) == 0 and H.rank(1) == 0 and H.torsion(1) == (2,)
 
     def test_not_a_complex_names_witness(self):
         m = mod(F2, ("u", 0), ("v", 1), ("w", 2))
@@ -242,48 +189,14 @@ class TestDiagramColimit:
         assert compose_graded_maps(f, s1).block(0) == s0.block(0)
 
     def test_single_arrow_collapses_to_target(self):
-        a = mod(Z, ("a", 0))
-        b = mod(Z, ("b", 0))
+        a = mod(Q, ("a", 0))
+        b = mod(Q, ("b", 0))
         f = GradedMap.from_entries(a, b, 0, [("a", "b", 3)])
         dc = diagram_colimit([a, b], [(0, 1, f)])
         pres = dc.degree(0)
-        assert pres.free_rank == 1 and pres.torsion == ()
-
-    def test_integer_torsion_from_parallel_arrows(self):
-        a = mod(Z, ("a", 0))
-        b = mod(Z, ("b", 0))
-        f = GradedMap.from_entries(a, b, 0, [("a", "b", 3)])
-        g = GradedMap.zero(a, b)
-        dc = diagram_colimit([a, b], [(0, 1, f), (0, 1, g)])
-        pres = dc.degree(0)
-        assert pres.free_rank == 0 and pres.torsion == (3,)
-
-
-class TestZBackendOracle:
-    def test_random_complexes_match_oracle(self):
-        from oracles import random_integer_complex
-        rng = random.Random(20260809)
-        for _ in range(10):
-            (r0, r1, r2), d0, d1, expected = random_integer_complex(rng)
-            gens = ([(f"g0_{i}", 0) for i in range(r0)]
-                    + [(f"g1_{i}", 1) for i in range(r1)]
-                    + [(f"g2_{i}", 2) for i in range(r2)])
-            m = GradedModule.from_generators(Z, gens)
-            entries = []
-            for j in range(r1):
-                for i in range(r0):
-                    if d0[j][i]:
-                        entries.append((f"g0_{i}", f"g1_{j}", d0[j][i]))
-            for j in range(r2):
-                for i in range(r1):
-                    if d1[j][i]:
-                        entries.append((f"g1_{i}", f"g2_{j}", d1[j][i]))
-            H = cohomology(Complex(m, GradedMap.from_entries(m, m, 1, entries)))
-            for deg in (0, 1, 2):
-                free, tors = expected[deg]
-                assert (H.rank(deg), sorted(H.torsion(deg))) == \
-                    (free, invariant_factors(tors))
-
+        assert pres.class_count == 1
+        (img_a,), (img_b,) = dc.project(0, 0, (1,)), dc.project(0, 1, (1,))
+        assert img_b != 0 and img_a == 3 * img_b
 
 RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}
 

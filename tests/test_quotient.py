@@ -52,7 +52,7 @@ class TestBarQuotient:
         frac = gz_localize(h, cset)
         for a in cat.objects:
             for b in cat.objects:
-                assert quo.h0_rank(a, b) == frac.rank(a, b, 0) == 1
+                assert quo.h0_rank(a, b) == frac.class_count(a, b, 0) == 1
 
     def test_differential_squares_to_zero_over_Q(self):
         from wrapcat.ainf import cone
@@ -72,7 +72,7 @@ class TestBarQuotient:
         for a in env.objects:
             for b in env.objects:
                 assert quo.stabilized(a, b)
-                assert quo.h0_rank(a, b) == frac.rank(a, b, 0)
+                assert quo.h0_rank(a, b) == frac.class_count(a, b, 0)
 
     def test_not_closed_representative(self):
         env = canonical_envelope(build_toyb())

@@ -21,7 +21,7 @@ from .quotient import localize_by_cones
 from .report import Report
 from .setupfile import load_setup
 from .sss import (SimplexOracle, canonical_sss, check_bridge, entangle,
-                  tau_compare)
+                  localize_stage, tau_compare)
 from .wrap import (check_localization_agreement, continuation_cset,
                    generating_subset, validate_continuation_system,
                    wrapped_df_category)
@@ -153,7 +153,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
     raise SchemaError(f"unknown computation {what!r}")
 
 
-def cmd_entangle(setup, level=1, compare=False, depth=4):
+def cmd_entangle(setup, level=1, compare=False):
     rep = Report(f"entangle:{level}", setup.name)
     col, env, hcat, cset = _prepare(setup)
     oracle = SimplexOracle(setup)
@@ -168,15 +168,13 @@ def cmd_entangle(setup, level=1, compare=False, depth=4):
     rep.add("stages", {name: E.stats() for name, E in stages})
     passed = True
     if compare:
+        fracs = [localize_stage(setup, E) for _, E in stages]
         bridges = {}
-        for (na, Ea), (nb, Eb) in zip(stages, stages[1:]):
-            if na == "E_delta":
-                inc = {v: v for v in Ea.vertices}
-            elif nb == "E1":
-                inc = {v: f"b0.{v}" for v in Ea.vertices}
-            else:
-                inc = {v: v for v in Ea.vertices}
-            br = check_bridge(setup, Ea, Eb, inclusion=inc, depth=depth)
+        for (na, Ea), (nb, Eb), fa, fb in zip(stages, stages[1:], fracs,
+                                              fracs[1:]):
+            # E0 -> E1 is the first stage with more than one block
+            inc = {v: f"b0.{v}" if nb == "E1" else v for v in Ea.vertices}
+            br = check_bridge(Ea, Eb, fa, fb, inclusion=inc)
             bridges[f"{na}->{nb}"] = {
                 "passed": br["passed"],
                 "waived_pairs": len(br["waived_pairs"]),
@@ -188,7 +186,7 @@ def cmd_entangle(setup, level=1, compare=False, depth=4):
             passed = passed and br["passed"]
         rep.add("bridges", bridges)
         P = bundled_wrapped_poset(setup, hcat, cset)
-        tau_rep, _ = tau_compare(setup, P, e_delta, depth=depth)
+        tau_rep, _ = tau_compare(setup, P, e_delta, fracs[0])
         rep.add("tau", {"passed": tau_rep["passed"],
                         "fully_faithful_failures": [
                             r for r in tau_rep["fully_faithful"] if not r["iso"]],
@@ -220,7 +218,6 @@ def main(argv=None):
     p_ent.add_argument("file")
     p_ent.add_argument("--level", type=int, default=1)
     p_ent.add_argument("--compare", action="store_true")
-    p_ent.add_argument("--depth", type=int, default=4)
     for p in (p_val, p_cmp, p_ent):
         p.add_argument("--text", action="store_true",
                        help="human-readable table instead of JSON")
@@ -233,8 +230,7 @@ def main(argv=None):
                       mode=args.mode)
     else:
         command = f"entangle:{args.level}"
-        run = partial(cmd_entangle, level=args.level, compare=args.compare,
-                      depth=args.depth)
+        run = partial(cmd_entangle, level=args.level, compare=args.compare)
     try:
         setup = load_setup(args.file)
         try:

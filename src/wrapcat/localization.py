@@ -363,13 +363,12 @@ class FractionCategory:
     """The localized category at H level: objects of the host, homs the
     exact colimits over continuation slices, composition by right roofs."""
 
-    def __init__(self, hcat: HCategory, cset: CSet, depth: int = 4,
-                 strict_system: bool = True, validation=None):
+    def __init__(self, hcat: HCategory, cset: CSet, strict_system: bool = True,
+                 validation=None):
         self.hcat = hcat
         self.cset = cset
         self.ring = hcat.ring
         self.objects = hcat.objects
-        self.depth = depth
         self.validation = validation or check_right_multiplicative_system(hcat, cset)
         if strict_system and not self.validation["passed"]:
             raise SystemInvalid(f"right multiplicative system invalid: "
@@ -403,6 +402,21 @@ class FractionCategory:
 
     def class_count(self, l, k, d):
         return self.colim(l, k).rank(d)
+
+    def postcomposition(self, l, c: ContClass) -> GradedMap:
+        """Post-composition with c as the map colim(l, c.src) -> colim(l, c.tgt).
+
+        Computed levelwise on the slice diagram of l (post-composition
+        commutes with the precomposition transitions), so no Ore square is
+        needed and the slices need not be filtered.
+        """
+        objs = self.slices[l].objects
+
+        def levelwise(d, i, v):
+            post = self.hcat.postcompose_matrix(objs[i].src, c.src, c.tgt, 0,
+                                                c.coords, d)
+            return i, post.apply(v)
+        return self.colim(l, c.src).map_to(self.colim(l, c.tgt), levelwise)
 
     # -- representatives and composition -----------------------------------------
 
@@ -544,7 +558,7 @@ class FractionCategory:
                                 yield (d1, i, d2, j, d3, t)
 
 
-def gz_localize(hcat: HCategory, cset: CSet, depth: int = 4,
+def gz_localize(hcat: HCategory, cset: CSet,
                 strict_system: bool = True) -> FractionCategory:
     """Fraction category of an HCategory at a validated continuation set.
 
@@ -552,4 +566,4 @@ def gz_localize(hcat: HCategory, cset: CSet, depth: int = 4,
     conditions fail somewhere (used by the bridge checks, which flag the
     validation separately); composition may then raise NonCofinalPrefix.
     """
-    return FractionCategory(hcat, cset, depth=depth, strict_system=strict_system)
+    return FractionCategory(hcat, cset, strict_system=strict_system)

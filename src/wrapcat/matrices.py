@@ -335,9 +335,3 @@ class _DictEchelon(Echelon):
             return v
         inv = self.ring.inv(v[p])
         return {j: self.ring.mul(inv, x) for j, x in v.items()}
-
-
-def invertible_from_columns(ring: CoefficientRing, cols, rows: int) -> bool:
-    """Whether the matrix with the given columns (each of length ``rows``) is
-    square of full rank."""
-    return Matrix.from_columns(ring, cols, rows).is_invertible()

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from .ainf import AInfCategory, HCategory
 from .errors import DecorationInconsistent, NotCofinal, NotTotallyOrdered
-from .floer import WeakFloerSetup, unital_category
-from .linalg import sequence_colimit
-from .localization import (CSet, ContClass, FractionCategory, h_graded_module,
-                           h_transition_map)
-from .matrices import invertible_from_columns
+from .floer import WeakFloerSetup, subsequences, unital_category
+from .localization import CSet, ContClass, FractionCategory
 
 
 class DecoratedPoset:
@@ -82,23 +79,13 @@ class DecoratedPoset:
                     top = self.datum(chain)
                     if top is None:
                         raise DecorationInconsistent(f"chain {chain} undecorated")
-                    for idxs in _consecutive_subchains(len(chain)):
-                        sub = tuple(chain[i] for i in idxs)
-                        sub_l = tuple(lags[i] for i in idxs)
+                    for sub, sub_l in zip(subsequences(chain),
+                                          subsequences(lags)):
                         want = s.data_system.restrict(lags, sub_l, top)
                         if self.datum(sub) != want:
                             raise DecorationInconsistent(
                                 f"decoration of {sub} incompatible with {chain}")
         return True
-
-
-def _consecutive_subchains(n):
-    from itertools import combinations
-    out = []
-    for l in range(2, n):
-        for idx in combinations(range(n), l):
-            out.append(idx)
-    return out
 
 
 def build_O_P(setup: WeakFloerSetup, P: DecoratedPoset) -> AInfCategory:
@@ -128,17 +115,22 @@ def poset_continuation_cset(setup: WeakFloerSetup, P: DecoratedPoset,
 
 
 def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
-                             ocat: AInfCategory, oh: HCategory, icset: CSet,
-                             env_h: HCategory, env_cset: CSet, seq,
-                             frac_env: FractionCategory = None,
-                             frac_P: FractionCategory = None):
+                             frac_P: FractionCategory,
+                             frac_env: FractionCategory, seq):
     """Certify a wrapping sequence p_0 < p_1 < ... in P.
+
+    ``frac_P`` localizes H O_P at I_{P,C}; ``frac_env`` localizes the
+    comparison category (H F_E at C_E), whose objects carry the Lagrangians.
 
     Checks: total order; finite-scale cofinality (the chain of continuation
     classes admits no upward extension); the defining isomorphism
     colim_i H F(L_{p_i}, K) -> HW(L_{p_0}, K) for every Lagrangian K; and the
-    induced comparison colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q).
+    induced comparison colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q).  The
+    colimit along the sequence is presented on its last term, so each
+    comparison is the structure map of the localized hom out of p_0 at the
+    slice object of the composite continuation class.
     """
+    icset = frac_P.cset
     seq = list(seq)
     for a, b in zip(seq, seq[1:]):
         if not P.lt(a, b):
@@ -160,92 +152,47 @@ def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
                 raise NotCofinal(
                     f"sequence extendable upward by {q}; not cofinal")
     report = {"sequence": list(seq), "hw_comparisons": [], "w_comparisons": []}
-    frac_env = frac_env or FractionCategory(env_h, env_cset, strict_system=False)
-    lag_seq = [P.lag[p] for p in seq]
-    env_steps = []
-    for c, (a, b) in zip(steps, zip(seq, seq[1:])):
-        env_steps.append(ContClass(P.lag[b], P.lag[a], c.coords))
+    base = P.lag[seq[0]]
+    env_steps = [ContClass(P.lag[b], P.lag[a], c.coords)
+                 for c, (a, b) in zip(steps, zip(seq, seq[1:]))]
+    idx = _composite_index(frac_env, base, env_steps)
+    if idx is None:
+        raise NotCofinal(
+            f"composite continuation {P.lag[seq[-1]]} -> {base} "
+            f"is not in the continuation set")
     for k_lag in setup.lagrangians:
-        colim = _prefix_colimit(env_h, lag_seq, env_steps, k_lag, "s")
-        idx = _composite_index(env_h, frac_env, lag_seq[0], env_steps)
-        if idx is None:
-            raise NotCofinal(
-                f"composite continuation {lag_seq[-1]} -> {lag_seq[0]} "
-                f"is not in the continuation set")
-        ok = _colim_comparison_iso(env_h, frac_env, lag_seq[0], lag_seq[-1],
-                                   k_lag, colim, idx)
+        ok = frac_env.colim(base, k_lag).structure_map(idx).is_isomorphism()
         report["hw_comparisons"].append({"K": k_lag, "iso": ok})
-    frac_P = frac_P or FractionCategory(oh, icset, strict_system=False)
+    idx = _composite_index(frac_P, seq[0], steps)
     for q in P.elements:
-        ok = _w_comparison_iso(oh, frac_P, seq, steps, q)
+        ok = (idx is not None
+              and frac_P.colim(seq[0], q).structure_map(idx).is_isomorphism())
         report["w_comparisons"].append({"q": q, "iso": ok})
     report["passed"] = (all(r["iso"] for r in report["hw_comparisons"])
                         and all(r["iso"] for r in report["w_comparisons"]))
     return report
 
 
-def _prefix_colimit(hcat, sources, steps, target, tag):
-    """colim_i H(sources[i], target) along precomposition with the steps."""
-    mods = [h_graded_module(hcat, x, target, tag=f"{tag}{i}:{x}>{target}")
-            for i, x in enumerate(sources)]
-    maps = [h_transition_map(hcat, e, target, mods[i], mods[i + 1])
-            for i, e in enumerate(steps)]
-    return sequence_colimit(mods, maps, 0)[0]
-
-
-def _composite_index(hcat, frac, base, steps):
+def _composite_index(frac, base, steps):
     """Slice index over ``base`` of the composite continuation class from the
     sequence top into the base: 0 for no steps, None when the composite is
     not in the continuation set."""
     comp = None
     for e in reversed(steps):
-        comp = e if comp is None else ContClass(
-            comp.src, e.tgt,
-            hcat.compose(comp.src, comp.tgt, e.tgt, 0, comp.coords, 0, e.coords))
+        comp = e if comp is None else frac._compose_classes(comp, e)
     return 0 if comp is None else frac._slice_index(base, comp)
 
 
-def _colim_comparison_iso(hcat, frac, base, last, target, colim, idx):
-    """colim of the prefix is presented on H(last, target); compare with the
-    localized hom (base, target) through the injection at the composite
-    slice object."""
-    ring = hcat.ring
-    loc = frac.colim(base, target)
-    for d in set(list(colim.degrees()) + sorted(loc.by_degree)):
-        n = hcat.class_count(last, target, d)
-        cols = [loc.project(d, idx, ring.unit_vector(n, i)) for i in range(n)]
-        if not invertible_from_columns(ring, cols, loc.degree(d).class_count):
-            return False
-    return True
-
-
-def _w_comparison_iso(oh, frac_P, seq, steps, q):
-    """colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q) comparison.
-
-    The right side is a colimit along localized continuation classes, which
-    are isomorphisms, so it is presented on W_P(p_0, q); the comparison is
-    gamma at each level pushed down the sequence.
-    """
-    colim = _prefix_colimit(oh, seq, steps, q, "o")
-    idx = _composite_index(oh, frac_P, seq[0], steps)
-    return idx is not None and _colim_comparison_iso(oh, frac_P, seq[0],
-                                                     seq[-1], q, colim, idx)
-
-
-def sufficiently_wrapped_report(setup, P, ocat, oh, icset, env_h, env_cset):
+def sufficiently_wrapped_report(setup, P, frac_P, frac_env):
     """Each element's maximal continuation chains, with certificates; an
     element passes when some verified wrapping sequence starts at it."""
-    frac_env = FractionCategory(env_h, env_cset, strict_system=False)
-    frac_P = FractionCategory(oh, icset, strict_system=False)
     out = {"elements": {}, "passed": True}
     for p in sorted(P.elements):
-        seqs = _maximal_chains_from(P, icset, p)
+        seqs = _maximal_chains_from(P, frac_P.cset, p)
         verdict = None
         for seq in seqs:
             try:
-                rep = verify_wrapping_sequence(setup, P, ocat, oh, icset,
-                                               env_h, env_cset, seq,
-                                               frac_env=frac_env, frac_P=frac_P)
+                rep = verify_wrapping_sequence(setup, P, frac_P, frac_env, seq)
             except (NotCofinal, NotTotallyOrdered):
                 continue
             if rep["passed"]:

@@ -16,6 +16,7 @@ from .errors import (HypothesisFailed, NotClosedRepresentative, RelationFailure,
                      ShapeMismatch)
 from .linalg import (Complex, GradedMap, GradedModule, cohomology,
                      induced_cohomology_map, sequence_colimit)
+from .matrices import Matrix
 
 
 class BarQuotient:
@@ -115,7 +116,12 @@ class BarQuotient:
         return GradedMap.from_entries(base, self.module, 0, entries)
 
     def truncate(self, depth: int) -> "BarQuotient":
-        """The depth-truncated subcomplex, reusing the computed differential."""
+        """The depth-truncated subcomplex, reusing the computed differential.
+
+        Chains are enumerated shortest first, so in every degree the
+        truncated basis is a prefix of the full one and each truncated block
+        is the leading block of the full one.
+        """
         sub = BarQuotient.__new__(BarQuotient)
         sub.cat = self.cat
         sub.ring = self.ring
@@ -125,19 +131,12 @@ class BarQuotient:
         sub.chains = [(o, l) for (o, l) in self.chains if len(l) - 1 <= depth]
         sub._index = {c: i for i, c in enumerate(sub.chains)}
         sub.module = sub._build_module()
-        keep = {self._encode(o, l) for (o, l) in sub.chains}
-        entries = []
-        for d in self.differential.blocks:
-            blk = self.differential.block(d)
-            src_labels = self.module.labels(d)
-            tgt_labels = self.module.labels(d + 1)
-            for j, sl in enumerate(src_labels):
-                if sl not in keep:
-                    continue
-                for i, tl in enumerate(tgt_labels):
-                    if tl in keep and blk.data[i][j] != 0:
-                        entries.append((sl, tl, blk.data[i][j]))
-        sub.differential = GradedMap.from_entries(sub.module, sub.module, 1, entries)
+        blocks = {}
+        for d, blk in self.differential.blocks.items():
+            rows, cols = sub.module.rank(d + 1), sub.module.rank(d)
+            data = tuple(row[:cols] for row in blk.data[:rows])
+            blocks[d] = Matrix(self.ring, data, cols=cols, _trusted=True)
+        sub.differential = GradedMap(sub.module, sub.module, 1, blocks)
         sub.complex = Complex(sub.module, sub.differential)
         return sub
 

@@ -84,6 +84,9 @@ def setup_from_dict(doc) -> WeakFloerSetup:
             pair = _pair_from_key(key)
             if len(pair) != 2:
                 raise SchemaError("key is not a pair")
+            for end in pair:
+                if end not in lag:
+                    raise SchemaError(f"{end!r} is not a declared Lagrangian")
             items = []
             for g in gens:
                 if "name" not in g or "degree" not in g:

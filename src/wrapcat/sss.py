@@ -12,9 +12,8 @@ from __future__ import annotations
 from .ainf import AInfCategory, HCategory, NaiveFunctor, cohomology_category
 from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
                      OracleIncomplete)
-from .floer import WeakFloerSetup, unital_category
+from .floer import WeakFloerSetup, subsequences, unital_category
 from .localization import CSet, ContClass, FractionCategory
-from .matrices import invertible_from_columns
 from .posets import DecoratedPoset, sufficiently_wrapped_report
 
 
@@ -51,7 +50,9 @@ class DecoratedSSSet:
 
     def validate(self):
         s = self.setup
+        full = s.profile == "full" and s.data_system is not None
         for k, simps in sorted(self.simplices.items()):
+            faces = set(self.simplices.get(k - 1, ()))
             for simp in simps:
                 if len(set(simp)) != len(simp):
                     raise DecorationInconsistent(f"degenerate simplex {simp}")
@@ -62,23 +63,19 @@ class DecoratedSSSet:
                 if k >= 2:
                     for i in range(k + 1):
                         face = simp[:i] + simp[i + 1:]
-                        if face not in set(self.simplices.get(k - 1, ())):
+                        if face not in faces:
                             raise DecorationInconsistent(
                                 f"face {face} of {simp} missing")
-                if s.profile == "full" and s.data_system is not None:
+                if full:
                     top = self.data.get(simp)
                     if top is None:
                         raise DecorationInconsistent(f"simplex {simp} undecorated")
-                    from itertools import combinations
-                    for l in range(2, k + 1):
-                        for idx in combinations(range(k + 1), l):
-                            sub = tuple(simp[i] for i in idx)
-                            sub_l = tuple(lags[i] for i in idx)
-                            want = s.data_system.restrict(lags, sub_l, top)
-                            if self.data.get(sub) != want:
-                                raise DecorationInconsistent(
-                                    f"decoration of {sub} incompatible "
-                                    f"with {simp}")
+                    for sub, sub_l in zip(subsequences(simp), subsequences(lags)):
+                        want = s.data_system.restrict(lags, sub_l, top)
+                        if self.data.get(sub) != want:
+                            raise DecorationInconsistent(
+                                f"decoration of {sub} incompatible "
+                                f"with {simp}")
         return True
 
 
@@ -94,16 +91,18 @@ def canonical_sss(setup: WeakFloerSetup, col=None, name=None) -> DecoratedSSSet:
         simplices[k] = list(setup.tuples(k))
         for t in setup.tuples(k):
             data[t] = col.datum(t)
-    return DecoratedSSSet(setup, setup.lagrangians,
-                          {l: l for l in setup.lagrangians}, simplices, data,
-                          name=name or f"E_delta[{setup.name}]")
+    out = DecoratedSSSet(setup, setup.lagrangians,
+                         {l: l for l in setup.lagrangians}, simplices, data,
+                         name=name or f"E_delta[{setup.name}]")
+    out.validate()
+    return out
 
 
 def build_F_E(setup: WeakFloerSetup, E: DecoratedSSSet) -> AInfCategory:
     """Strictly unital category on the vertices: hom(p, q) = CF(L_p, L_q)
     on composable Lagrangian pairs, units on the diagonal, zero otherwise;
-    operations decorated by the simplices."""
-    E.validate()
+    operations decorated by the simplices.  E is validated where it is
+    built (``canonical_sss``, ``entangle``)."""
     pairs1 = setup.composable.get(1, ())
     pairs = [(p, q) for p in E.vertices for q in E.vertices
              if p != q and (E.lag[p], E.lag[q]) in pairs1]
@@ -125,6 +124,15 @@ def sss_continuation_cset(setup: WeakFloerSetup, E: DecoratedSSSet,
                     if hcat.class_count(p, q, 0):
                         classes.append((p, q, hcat.project_dict(p, q, 0, combo)))
     return CSet(hcat, classes)
+
+
+def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory:
+    """The localization of a stage: F_E, its H-category and C_E, with the
+    right-multiplicative conditions computed but not enforced (the bridge
+    and tau checks report their consequences instead)."""
+    hcat = cohomology_category(build_F_E(setup, E), check_arity=0)
+    return FractionCategory(hcat, sss_continuation_cset(setup, E, hcat),
+                            strict_system=False)
 
 
 class SimplexOracle:
@@ -240,16 +248,19 @@ def entangle(setup: WeakFloerSetup, blocks, level: int,
     return out
 
 
-def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
-                 E_big: DecoratedSSSet, inclusion=None, depth: int = 4):
+def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
+                 frac_s: FractionCategory, frac_b: FractionCategory,
+                 inclusion=None):
     """Bridge check for an inclusion of entanglement stages at H^0.
 
-    (a) hom stability: for p, q in the small stage, the slice colimit over
-    the small stage equals (through the canonical comparison) the slice
-    colimit over the big stage, exactly.  Pairs of distinct vertices with
-    equal Lagrangians are waived: their finite-scale localized homs carry
-    loop classes that only infinite wrapping contracts (see the ledger),
-    and the growth is reported, not hidden.
+    ``frac_s`` and ``frac_b`` are the stages' localizations
+    (``localize_stage``).
+
+    (a) hom stability: for p, q in the small stage, the map of slice
+    colimits induced by the inclusion is an isomorphism.  Pairs of distinct
+    vertices with equal Lagrangians are waived: their finite-scale localized
+    homs carry loop classes that only infinite wrapping contracts (see the
+    ledger), and the growth is reported, not hidden.
 
     (b) essential surjectivity: every added vertex is connected to an old
     vertex by a continuation class (inverted by the localization), and
@@ -262,14 +273,6 @@ def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
         if E_small.lag[v] != E_big.lag[w]:
             raise DecorationInconsistent(
                 f"inclusion sends {v} to {w} with a different Lagrangian")
-    cat_s = build_F_E(setup, E_small)
-    cat_b = build_F_E(setup, E_big)
-    h_s = cohomology_category(cat_s, check_arity=0)
-    h_b = cohomology_category(cat_b, check_arity=0)
-    cs_s = sss_continuation_cset(setup, E_small, h_s)
-    cs_b = sss_continuation_cset(setup, E_big, h_b)
-    frac_s = FractionCategory(h_s, cs_s, strict_system=False)
-    frac_b = FractionCategory(h_b, cs_b, strict_system=False)
     report = {"hom_stability": [], "essential_surjectivity": [], "passed": True,
               "waived_pairs": []}
     for p in E_small.vertices:
@@ -292,16 +295,11 @@ def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
     for w in new:
         found = None
         for u in old:
-            fwd = [c for c in cs_b if c.src == u and c.tgt == w
-                   and not cs_b.is_identity(c)]
-            bwd = [c for c in cs_b if c.src == w and c.tgt == u
-                   and not cs_b.is_identity(c)]
-            cls = fwd[0] if fwd else (bwd[0] if bwd else None)
-            if cls is None:
-                continue
-            if _witness_isomorphism(frac_b, cls, lag=E_big.lag):
+            cls = _connecting_class(frac_b.cset, u, w)
+            if cls is not None and _witness_isomorphism(frac_b, cls,
+                                                        lag=E_big.lag):
                 found = {"old": u, "class": repr(cls),
-                         "direction": "old->new" if fwd else "new->old"}
+                         "direction": "old->new" if cls.src == u else "new->old"}
                 break
         if found is None:
             report["essential_surjectivity"].append({"vertex": w, "passed": False})
@@ -312,113 +310,67 @@ def check_bridge(setup: WeakFloerSetup, E_small: DecoratedSSSet,
     return report
 
 
+def _connecting_class(cset: CSet, u, w):
+    """The first non-identity class u -> w, else the first w -> u, else None."""
+    for a, b in ((u, w), (w, u)):
+        for c in cset:
+            if c.src == a and c.tgt == b and not cset.is_identity(c):
+                return c
+    return None
+
+
 def _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion):
     """Whether the object map ``inclusion`` (the stage inclusion for a bridge,
     iota for tau) induces an isomorphism of the slice colimits of (p, q) and
     (pi, qi)."""
-    ring = frac_s.ring
-    small = frac_s.colim(p, q)
-    big = frac_b.colim(pi, qi)
-    if small.rank_map() != big.rank_map():
-        return False
     sl_small = frac_s.slices[p].objects
-    for d in sorted(small.by_degree):
-        pres = small.degree(d)
-        cols = []
-        for rep in pres.reps:
-            acc = [ring.zero()] * big.degree(d).class_count
-            for obj_idx, coords in _split_rep(frac_s, p, q, d, rep):
-                cls = sl_small[obj_idx]
-                big_cls = ContClass(inclusion.get(cls.src, cls.src),
-                                    inclusion.get(cls.tgt, cls.tgt), cls.coords)
-                bidx = frac_b._slice_index(pi, big_cls)
-                if bidx is None:
-                    return False
-                img = big.project(d, bidx, coords)
-                for t in range(len(acc)):
-                    acc[t] = ring.add(acc[t], img[t])
-            cols.append(tuple(acc))
-        if not invertible_from_columns(ring, cols, big.degree(d).class_count):
-            return False
-    return True
 
-
-def _split_rep(frac, p, q, d, rep):
-    """Split a colimit representative vector over the slice-object blocks."""
-    out = []
-    offs = frac.colim(p, q).offsets.get(d)
-    mods = frac.hom_data[(p, q)]["mods"]
-    if offs is None:
-        return out
-    for i, mod in enumerate(mods):
-        r = mod.rank(d)
-        if r == 0:
-            continue
-        chunk = tuple(rep[offs[i]:offs[i] + r])
-        if any(x != 0 for x in chunk):
-            out.append((i, chunk))
-    return out
+    def levelwise(d, i, v):
+        cls = sl_small[i]
+        j = frac_b._slice_index(pi, ContClass(inclusion.get(cls.src, cls.src),
+                                              inclusion.get(cls.tgt, cls.tgt),
+                                              cls.coords))
+        return None if j is None else (j, v)
+    induced = frac_s.colim(p, q).map_to(frac_b.colim(pi, qi), levelwise)
+    return induced is not None and induced.is_isomorphism()
 
 
 def _witness_isomorphism(frac: FractionCategory, cls: ContClass, lag=None):
     """Post-composition with the class is an isomorphism on the localized
     homs out of every admissible test vertex.
 
-    Computed levelwise on the slice diagram (post-composition commutes with
-    the precomposition transitions), so no Ore completion is needed; this is
-    what makes the check usable on entangled stages whose slices are not
-    filtered.  When a Lagrangian labelling is supplied, test vertices whose
-    Lagrangian equals an endpoint's are skipped (duplicate-pair loop classes,
-    see check_bridge).
+    Computed levelwise on the slice diagram (``postcomposition``), so no Ore
+    completion is needed; this is what makes the check usable on entangled
+    stages whose slices are not filtered.  When a Lagrangian labelling is
+    supplied, test vertices whose Lagrangian equals an endpoint's are skipped
+    (duplicate-pair loop classes, see check_bridge).
     """
-    ring = frac.ring
-    hcat = frac.hcat
     endpoints = {lag[cls.src], lag[cls.tgt]} if lag else set()
-    for t in frac.objects:
-        if lag and lag.get(t, t) in endpoints:
-            continue
-        src_cl = frac.colim(t, cls.src)
-        tgt_cl = frac.colim(t, cls.tgt)
-        slice_objs = frac.slices[t].objects
-        for d in sorted(set(list(src_cl.by_degree) + list(tgt_cl.by_degree))):
-            n = src_cl.degree(d).class_count
-            if n != tgt_cl.degree(d).class_count:
-                return False
-            cols = []
-            for rep in src_cl.degree(d).reps:
-                acc = [ring.zero()] * tgt_cl.degree(d).class_count
-                for obj_idx, coords in _split_rep(frac, t, cls.src, d, rep):
-                    x_obj = slice_objs[obj_idx].src
-                    post = hcat.postcompose_matrix(x_obj, cls.src, cls.tgt, 0,
-                                                   cls.coords, d)
-                    img = tgt_cl.project(d, obj_idx, post.apply(coords))
-                    for k in range(len(acc)):
-                        acc[k] = ring.add(acc[k], img[k])
-                cols.append(tuple(acc))
-            if not invertible_from_columns(ring, cols,
-                                           tgt_cl.degree(d).class_count):
-                return False
-    return True
+    return all(frac.postcomposition(t, cls).is_isomorphism()
+               for t in frac.objects
+               if not (lag and lag.get(t, t) in endpoints))
 
 
 def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
-                depth: int = 4):
+                frac_E: FractionCategory):
     """The comparison functor from the localized poset category to the
     localized vertex category: iota at chain level, tau at H level; fully
     faithful on all pairs, essentially surjective onto reachable vertices.
+
+    ``frac_E`` is the localization of E (``localize_stage``).  The poset
+    side, O_P with its continuation classes, is localized here once and
+    shared with the wrapping-sequence certificates.
 
     Raises NotSufficientlyWrapped naming an element with no verified
     wrapping sequence.
     """
     from .posets import build_O_P, poset_continuation_cset
-    env = build_F_E(setup, E)
-    env_h = cohomology_category(env, check_arity=0)
-    env_cset = sss_continuation_cset(setup, E, env_h)
+    env = frac_E.hcat.source
     ocat = build_O_P(setup, P)
     oh = cohomology_category(ocat, check_arity=0)
-    icset = poset_continuation_cset(setup, P, oh)
-    wrapped = sufficiently_wrapped_report(setup, P, ocat, oh, icset,
-                                          env_h, env_cset)
+    frac_P = FractionCategory(oh, poset_continuation_cset(setup, P, oh),
+                              strict_system=False)
+    wrapped = sufficiently_wrapped_report(setup, P, frac_P, frac_E)
     for el, verdict in wrapped["elements"].items():
         if not verdict["passed"]:
             raise NotSufficientlyWrapped(
@@ -441,8 +393,6 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     iota = NaiveFunctor.inclusion(ocat, env, object_map=vertex_of,
                                   label_map=label_map)
     iota.validate()
-    frac_P = FractionCategory(oh, icset, strict_system=False)
-    frac_E = FractionCategory(env_h, env_cset, strict_system=False)
     report = {"fully_faithful": [], "essential_surjectivity": [], "passed": True}
     for p in P.elements:
         for q in P.elements:
@@ -458,11 +408,7 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
             continue
         witness = None
         for u in sorted(vertex_of.values()):
-            fwd = [c for c in env_cset if c.src == u and c.tgt == w
-                   and not env_cset.is_identity(c)]
-            bwd = [c for c in env_cset if c.src == w and c.tgt == u
-                   and not env_cset.is_identity(c)]
-            cls = fwd[0] if fwd else (bwd[0] if bwd else None)
+            cls = _connecting_class(frac_E.cset, u, w)
             if cls is not None and _witness_isomorphism(frac_E, cls):
                 witness = repr(cls)
                 break

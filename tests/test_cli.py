@@ -45,12 +45,17 @@ def _integer_coefficients(doc):
     doc["coefficients"] = "Z"
 
 
+def _undeclared_hom_end(doc):
+    doc["hom"]["Q9,L"] = [{"degree": 0, "name": "q"}]
+
+
 # (edit of toyb.json, a fragment the error message must contain)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'"), (_bad_degree, "hom 'K,Kp'"),
              (_scalar_lagrangians, "lagrangians"),
              (_op_without_output, "'output'"),
              (_undeclared_continuation_source, "'NOPE'"),
-             (_integer_coefficients, "'Z'")]
+             (_integer_coefficients, "'Z'"),
+             (_undeclared_hom_end, "hom 'Q9,L'")]
 
 
 class TestInputErrors:
@@ -114,6 +119,32 @@ class TestEntangleCompare:
         assert ([r["vertex"] for r in
                  bridges["E0->E1"]["essential_surjectivity_failures"]]
                 == ["b1.X", "b1.Y", "b1.Z"])
+
+
+    def test_toyc_fails_only_on_new_vertex_without_class(self, capsys):
+        # Pins the verdict the engine gives today, so that a refactor of the
+        # colimit comparisons cannot move it unnoticed; whether b1.K (K has
+        # no continuation class) should pass is still undecided.
+        code, rep = run_cli(capsys, "entangle", str(FIXTURES / "toyc.json"),
+                            "--level", "1", "--compare")
+        assert (code, rep["verdict"]) == (1, "fail")
+        assert rep["sections"]["tau"] == {"passed": True,
+                                          "fully_faithful_failures": [],
+                                          "essential_surjectivity_failures": []}
+        bridges = rep["sections"]["bridges"]
+        assert bridges["E_delta->E0"]["passed"]
+        assert bridges["E_delta->E0"]["hom_stability_failures"] == []
+        assert bridges["E_delta->E0"]["essential_surjectivity_failures"] == []
+        assert not bridges["E0->E1"]["passed"]
+        assert bridges["E0->E1"]["hom_stability_failures"] == []
+        assert bridges["E0->E1"]["essential_surjectivity_failures"] == [
+            {"passed": False, "vertex": "b1.K"}]
+
+    def test_depth_is_not_an_entangle_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["entangle", str(FIXTURES / "toyb.json"), "--depth", "2"])
+        assert exc.value.code == 2
+        assert "--depth" in capsys.readouterr().err
 
 
 COMPUTE_ERRORS = [(fixture, what, "SystemInvalid")

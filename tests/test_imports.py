@@ -1,8 +1,11 @@
-"""Every import in the wrapcat sources is used.
+"""Every import in the wrapcat sources is used, and every function, class
+and method they define is referenced.
 
-A name counts as used when the module reads it anywhere or lists it in
-``__all__`` (a re-export).  No linter runs on this code, so this check
-keeps dead imports out.
+An import counts as used when the module reads it anywhere or lists it in
+``__all__`` (a re-export).  A definition counts as referenced when a Name or
+Attribute in the wrapcat sources or the tests mentions it outside the
+definition itself.  No linter runs on this code, so this check keeps dead
+imports and dead code out.
 """
 
 import ast
@@ -11,6 +14,7 @@ from pathlib import Path
 from wrapcat import cli
 
 SRC = Path(cli.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source):
@@ -43,3 +47,40 @@ def test_no_unused_imports_in_wrapcat():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def unreferenced_definitions(defining, referencing):
+    """(file, line, name) of each function, class or method defined in the
+    ``defining`` sources ({file: text}) that no Name or Attribute in either
+    set of sources mentions outside the definition itself.  Dunder methods
+    are called by the language and never count."""
+    defs, refs = [], {}
+    for fname, text in {**referencing, **defining}.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((fname, node.lineno))
+            elif (fname in defining
+                  and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("__")):
+                defs.append((fname, node.lineno, node.end_lineno, node.name))
+    return [(fname, first, name) for fname, first, last, name in defs
+            if not any(f != fname or not first <= line <= last
+                       for f, line in refs.get(name, ()))]
+
+
+def test_checker_sees_unreferenced_definitions():
+    lib = ("def used():\n    pass\n\n"
+           "def recursive(n):\n    return recursive(n - 1)\n\n"
+           "class C:\n    def __init__(self):\n        pass\n\n"
+           "    def method(self):\n        pass\n\n"
+           "    def dead(self):\n        pass\n")
+    test = "from lib import used, C\nused()\nC().method()\n"
+    assert unreferenced_definitions({"lib": lib}, {"test": test}) == [
+        ("lib", 4, "recursive"), ("lib", 14, "dead")]
+
+
+def test_no_unreferenced_definitions_in_wrapcat():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = {f"tests/{p.name}": p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert unreferenced_definitions(defining, tests) == []

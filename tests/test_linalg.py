@@ -188,6 +188,17 @@ class TestDiagramColimit:
         s0, s1 = dc.structure_map(0), dc.structure_map(1)
         assert compose_graded_maps(f, s1).block(0) == s0.block(0)
 
+    def test_map_to(self):
+        a = mod(Q, ("a", 0), ("a1", 1))
+        b = mod(Q, ("b", 0), ("b1", 1))
+        f = GradedMap.from_entries(a, b, 0, [("a", "b", 3), ("a1", "b1", 1)])
+        src, tgt = (diagram_colimit([a, b], [(0, 1, f)]) for _ in range(2))
+        ident = src.map_to(tgt, lambda d, i, v: (i, v))
+        assert ident.source.rank_map() == {0: 1, 1: 1}
+        assert ident.is_isomorphism()
+        assert not src.map_to(tgt, lambda d, i, v: (i, [0] * len(v))).is_isomorphism()
+        assert src.map_to(tgt, lambda d, i, v: None) is None
+
     def test_single_arrow_collapses_to_target(self):
         a = mod(Q, ("a", 0))
         b = mod(Q, ("b", 0))

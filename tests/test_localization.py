@@ -75,6 +75,18 @@ class TestFractionCategory:
                     {d: h.pres(a, b).rank(d) for d in h.pres(a, b).degrees()
                      if h.pres(a, b).rank(d)}
 
+    def test_postcomposition_iso_and_non_iso(self):
+        # identities only: each localized hom is H itself, so post-composing
+        # with c: Lp -> L is c o - on H(l, Lp) -> H(l, L)
+        s, env, h, cset = toyb_data()
+        c = [x for x in cset if x.src == "Lp" and x.tgt == "L"][0]
+        frac = gz_localize(h, CSet(h, []))
+        assert frac.postcomposition("Lp", c).is_isomorphism()
+        out_of_l = frac.postcomposition("L", c)
+        assert out_of_l.source.rank_map() == out_of_l.target.rank_map() == {0: 1}
+        assert out_of_l.is_zero()
+        assert not out_of_l.is_isomorphism()
+
     def test_one_arrow_category(self):
         homs = {("A", "A"): GradedModule.from_generators(F2, [("1A", 0)]),
                 ("B", "B"): GradedModule.from_generators(F2, [("1B", 0)]),

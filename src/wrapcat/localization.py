@@ -363,16 +363,16 @@ class FractionCategory:
     """The localized category at H level: objects of the host, homs the
     exact colimits over continuation slices, composition by right roofs."""
 
-    def __init__(self, hcat: HCategory, cset: CSet, strict_system: bool = True,
-                 validation=None):
+    def __init__(self, hcat: HCategory, cset: CSet, strict_system: bool = True):
         self.hcat = hcat
         self.cset = cset
         self.ring = hcat.ring
         self.objects = hcat.objects
-        self.validation = validation or check_right_multiplicative_system(hcat, cset)
-        if strict_system and not self.validation["passed"]:
-            raise SystemInvalid(f"right multiplicative system invalid: "
-                                f"{self.validation['failures']}")
+        if strict_system:
+            validation = check_right_multiplicative_system(hcat, cset)
+            if not validation["passed"]:
+                raise SystemInvalid(f"right multiplicative system invalid: "
+                                    f"{validation['failures']}")
         self.slices = {x: SliceCategory(hcat, cset, x) for x in hcat.objects}
         self.hom_data = {}
         for l in self.objects:

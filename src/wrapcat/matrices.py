@@ -261,6 +261,34 @@ class _BitEchelon(Echelon):
 
     zero = 0
 
+    def __init__(self, ring, n):
+        super().__init__(ring, n)
+        self._pivot_bits = 0    # bit p set for every stored pivot p
+
+    def copy(self) -> "Echelon":
+        dup = super().copy()
+        dup._pivot_bits = self._pivot_bits
+        return dup
+
+    def reduce(self, v):
+        """Clear the stored pivots set in v, lowest first: a row has no bit
+        below its pivot, so clearing one never refills a lower one."""
+        rows, pivots = self._rows, self._pivot_bits
+        hit = v & pivots
+        while hit:
+            v ^= rows[(hit & -hit).bit_length() - 1]
+            hit = v & pivots
+        return v
+
+    def insert(self, v) -> bool:
+        v = self.reduce(v)
+        if not v:
+            return False
+        low = v & -v
+        self._rows[low.bit_length() - 1] = v
+        self._pivot_bits |= low
+        return True
+
     def pack(self, dense):
         return int(bytes(dense)[::-1].translate(_BITS) or b"0", 2)
 

@@ -3,8 +3,9 @@
 The quotient of a strictly unital category by the subcategory of cones over
 chosen degree-0 classes is realized through bar-type hom complexes: chains
 through null objects of bounded length, with the differential assembled from
-all consecutive-run contractions.  H^0 ranks are reported per depth with a
-stabilization certificate, never a convergence claim.
+all consecutive-run contractions.  Only H^0 is computed, so each bar complex
+holds only its chains of degree -1, 0 and 1.  H^0 ranks are reported per
+depth with a stabilization certificate, never a convergence claim.
 """
 
 from __future__ import annotations
@@ -20,24 +21,28 @@ from .matrices import Matrix
 
 
 class BarQuotient:
-    """Bar-type hom complex between two objects through null objects.
+    """Bar-type hom complex between two objects through null objects, in the
+    three degrees around ``degree`` (n) that its cohomology H^n needs.
 
     Chains are tuples (x_0, .., x_k) with x_l a basis label of
     hom(O_l, O_{l+1}) along X = O_0, b_1, .., b_k, Y = O_{k+1}, nulls b_i;
-    a chain sits in degree sum(ext degrees) - k.  The differential contracts
-    consecutive runs through the category's operations with the Koszul signs
-    of the global convention.
+    a chain sits in degree sum(ext degrees) - k.  Only chains of degree n-1,
+    n and n+1 are built, and the differential only on degrees n-1 and n, so
+    of the cohomology of ``complex`` only H^n is that of the bar complex.
+    The differential contracts consecutive runs through the category's
+    operations with the Koszul signs of the global convention.
     """
 
-    def __init__(self, cat: AInfCategory, nulls, x, y, depth: int):
+    def __init__(self, cat: AInfCategory, nulls, x, y, depth: int,
+                 degree: int = 0):
         self.cat = cat
         self.ring = cat.ring
         self.nulls = tuple(nulls)
         self.x = x
         self.y = y
         self.depth = int(depth)
+        self.degree = int(degree)
         self.chains = []    # (objects tuple, labels tuple)
-        self._index = {}
         self._build_chains()
         self.module = self._build_module()
         self.differential = self._build_differential()
@@ -50,21 +55,27 @@ class BarQuotient:
         return "|".join(objects) + "//" + "|".join(labels)
 
     def _build_chains(self):
+        """Shortest first, then in the product order of the label lists; a
+        partial chain is dropped once the degrees left to choose cannot bring
+        it into the window."""
         for k in range(self.depth + 1):
+            lo, hi = self.degree - 1 + k, self.degree + 1 + k
             for mids in product(self.nulls, repeat=k):
                 objs = (self.x,) + mids + (self.y,)
                 mods = [self.cat.hom(objs[i], objs[i + 1]) for i in range(k + 1)]
                 if any(m.is_zero() for m in mods):
                     continue
-                label_sets = []
-                for m in mods:
-                    labs = []
-                    for d in m.degrees():
-                        labs.extend(m.labels(d))
-                    label_sets.append(labs)
-                for labels in product(*label_sets):
-                    self._index[(objs, labels)] = len(self.chains)
-                    self.chains.append((objs, labels))
+                rest_min = [sum(min(m.degrees()) for m in mods[i:])
+                            for i in range(k + 2)]
+                rest_max = [sum(max(m.degrees()) for m in mods[i:])
+                            for i in range(k + 2)]
+                partial = [((), 0)]
+                for i, m in enumerate(mods):
+                    partial = [(labs + (lab,), t + d) for labs, t in partial
+                               for d in m.degrees() for lab in m.labels(d)
+                               if lo - rest_max[i + 1] <= t + d
+                               <= hi - rest_min[i + 1]]
+                self.chains.extend((objs, labels) for labels, _ in partial)
 
     def chain_degree(self, objs, labels):
         total = 0
@@ -82,10 +93,12 @@ class BarQuotient:
         ring = self.ring
         entries = []
         for objs, labels in self.chains:
+            src_label = self._encode(objs, labels)
+            if self.module.degree_of(src_label) > self.degree:
+                continue
             k = len(labels) - 1
             degs = [self.cat.hom(objs[i], objs[i + 1]).degree_of(labels[i])
                     for i in range(k + 1)]
-            src_label = self._encode(objs, labels)
             for i in range(k + 1):
                 for j in range(i, k + 1):
                     run_chain = objs[i:j + 2]
@@ -98,22 +111,10 @@ class BarQuotient:
                     new_objs = objs[:i + 1] + objs[j + 1:]
                     for mid, c in out.items():
                         new_labels = labels[:i] + (mid,) + labels[j + 1:]
-                        if (new_objs, new_labels) not in self._index:
-                            continue
                         entries.append((src_label,
                                         self._encode(new_objs, new_labels),
                                         ring.mul(sgn, c)))
         return GradedMap.from_entries(self.module, self.module, 1, entries)
-
-    def inclusion_of_base(self) -> GradedMap:
-        """Chain map hom(x, y) -> bar complex (the k = 0 chains)."""
-        base = self.cat.hom(self.x, self.y)
-        entries = []
-        objs = (self.x, self.y)
-        for d in base.degrees():
-            for lab in base.labels(d):
-                entries.append((lab, self._encode(objs, (lab,)), self.ring.one()))
-        return GradedMap.from_entries(base, self.module, 0, entries)
 
     def truncate(self, depth: int) -> "BarQuotient":
         """The depth-truncated subcomplex, reusing the computed differential.
@@ -128,8 +129,8 @@ class BarQuotient:
         sub.nulls = self.nulls
         sub.x, sub.y = self.x, self.y
         sub.depth = depth
+        sub.degree = self.degree
         sub.chains = [(o, l) for (o, l) in self.chains if len(l) - 1 <= depth]
-        sub._index = {c: i for i, c in enumerate(sub.chains)}
         sub.module = sub._build_module()
         blocks = {}
         for d, blk in self.differential.blocks.items():
@@ -142,11 +143,10 @@ class BarQuotient:
 
 
 class TruncatedQuotient:
-    """Quotient data for all pairs of non-null objects, per depth."""
+    """H^0 of the quotient for the chosen pairs of non-null objects, at the
+    depth and at the depth below it."""
 
-    def __init__(self, base: AInfCategory, extended: AInfCategory, nulls,
-                 depth: int, pairs=None):
-        self.base = base
+    def __init__(self, extended: AInfCategory, nulls, depth: int, pairs=None):
         self.extended = extended
         self.nulls = tuple(nulls)
         self.depth = int(depth)
@@ -155,38 +155,38 @@ class TruncatedQuotient:
         self.pairs = list(pairs) if pairs is not None else [
             (a, b) for a in self.objects for b in self.objects]
         self.bars = {}          # (x, y, d) -> BarQuotient
-        self.homology = {}      # (x, y, d) -> CohomologyPresentation
+        self.homology = {}      # (x, y, d) -> DegreePresentation of H^0
         for (a, b) in self.pairs:
             bar = BarQuotient(extended, self.nulls, a, b, self.depth)
             self.bars[(a, b, self.depth)] = bar
-            self.homology[(a, b, self.depth)] = cohomology(bar.complex)
+            self.homology[(a, b, self.depth)] = cohomology(
+                bar.complex, (0,)).degree(0)
             if self.depth >= 1:
                 sub = bar.truncate(self.depth - 1)
                 self.bars[(a, b, self.depth - 1)] = sub
-                self.homology[(a, b, self.depth - 1)] = cohomology(sub.complex)
+                self.homology[(a, b, self.depth - 1)] = cohomology(
+                    sub.complex, (0,)).degree(0)
 
-    def h_ranks(self, x, y, depth=None):
-        d = self.depth if depth is None else depth
-        return self.homology[(x, y, d)].rank_map()
-
-    def h0_rank(self, x, y, depth=None):
-        d = self.depth if depth is None else depth
-        return self.homology[(x, y, d)].rank(0)
+    def h0_rank(self, x, y):
+        return self.homology[(x, y, self.depth)].class_count
 
     def stabilized(self, x, y):
-        """H^0 rank equality at consecutive depths (the spec's certificate;
-        negative-degree truncation junk at the cut boundary is expected)."""
+        """H^0 rank equality at consecutive depths (the spec's certificate)."""
         if self.depth == 0:
             return False
-        return (self.homology[(x, y, self.depth)].rank(0)
-                == self.homology[(x, y, self.depth - 1)].rank(0))
+        return (self.homology[(x, y, self.depth)].class_count
+                == self.homology[(x, y, self.depth - 1)].class_count)
 
-    def localization_map(self, x, y):
-        """H-level comparison map H hom(x,y) -> H quotient(x,y)."""
+    def localization_map(self, x, y) -> Matrix:
+        """The comparison map H^0 hom(x, y) -> H^0 quotient(x, y) on class
+        coordinates.  The degree-0 labels of hom(x, y) are the length-0
+        chains, which come first in the bar's degree-0 basis, in that order."""
         bar = self.bars[(x, y, self.depth)]
-        incl = bar.inclusion_of_base()
-        src_cx = self.extended.hom_complex(x, y)
-        return induced_cohomology_map(incl, src_cx, bar.complex)
+        tgt = self.homology[(x, y, self.depth)]
+        src = cohomology(self.extended.hom_complex(x, y), (0,)).degree(0)
+        pad = (bar.ring.zero(),) * (bar.module.rank(0) - src.module_rank)
+        cols = [tgt.project(rep + pad) for rep in src.reps]
+        return Matrix.from_columns(bar.ring, cols, tgt.class_count)
 
 
 def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
@@ -211,7 +211,7 @@ def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
         name = f"cone{n}[{src}>{tgt}]"
         ext = cone_of_class(ext, hcat, name, src, tgt, coords)
         nulls.append(name)
-    quo = TruncatedQuotient(a, ext, nulls, depth, pairs=pairs)
+    quo = TruncatedQuotient(ext, nulls, depth, pairs=pairs)
     return quo, ext
 
 

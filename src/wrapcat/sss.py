@@ -128,8 +128,8 @@ def sss_continuation_cset(setup: WeakFloerSetup, E: DecoratedSSSet,
 
 def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory:
     """The localization of a stage: F_E, its H-category and C_E, with the
-    right-multiplicative conditions computed but not enforced (the bridge
-    and tau checks report their consequences instead)."""
+    right-multiplicative conditions left unchecked (the bridge and tau
+    checks report their consequences instead)."""
     hcat = cohomology_category(build_F_E(setup, E), check_arity=0)
     return FractionCategory(hcat, sss_continuation_cset(setup, E, hcat),
                             strict_system=False)

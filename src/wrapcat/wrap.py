@@ -155,14 +155,12 @@ class WrappedDFCategory:
     composition; per-pair stabilization certificates from the chosen chains."""
 
     def __init__(self, setup: WeakFloerSetup, env: AInfCategory, hcat: HCategory,
-                 cset: CSet, depth: int = 4, require_stabilized: bool = False,
-                 validation=None):
+                 cset: CSet, depth: int = 4, require_stabilized: bool = False):
         self.setup = setup
         self.env = env
         self.hcat = hcat
         self.cset = cset
-        self.frac = FractionCategory(hcat, cset, strict_system=True,
-                                     validation=validation)
+        self.frac = FractionCategory(hcat, cset, strict_system=True)
         self.wrapping = {}
         self.stabilization = {}
         for l in hcat.objects:
@@ -233,11 +231,9 @@ class WrappedDFCategory:
 
 
 def wrapped_df_category(setup, env, hcat, cset, depth: int = 4,
-                        require_stabilized: bool = False,
-                        validation=None) -> WrappedDFCategory:
+                        require_stabilized: bool = False) -> WrappedDFCategory:
     return WrappedDFCategory(setup, env, hcat, cset, depth=depth,
-                             require_stabilized=require_stabilized,
-                             validation=validation)
+                             require_stabilized=require_stabilized)
 
 
 def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
@@ -315,7 +311,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
             for i in range(n):
                 u = ring.unit_vector(n, i)
                 gz = wdf.frac.gamma(a, b, 0, u)
-                lz = locmap.apply(0, u)
+                lz = locmap.apply(u)
                 gz_zero = not any(x != 0 for x in gz)
                 lz_zero = not any(x != 0 for x in lz)
                 if gz_zero != lz_zero:

@@ -9,27 +9,28 @@ from wrapcat.rings import CoefficientRing
 Q = CoefficientRing.rationals()
 
 
-def dg_path_cat() -> AInfCategory:
+def dg_path_cat(ring=Q) -> AInfCategory:
     """Objects o0..o3; edges a: o0->o1 (deg 1), b, e: o1->o2 (deg 0),
     f: o1->o2 (deg 1) with d(e) = f, c: o2->o3 (deg 1); free products with
-    the Leibniz-forced differentials."""
+    the Leibniz-forced differentials.  The structure constants are +-1, so
+    the same category exists over every field."""
     objs = ["o0", "o1", "o2", "o3"]
     homs = {}
     units = {}
     for o in objs:
-        homs[(o, o)] = GradedModule.from_generators(Q, [(f"1_{o}", 0)])
+        homs[(o, o)] = GradedModule.from_generators(ring, [(f"1_{o}", 0)])
         units[o] = {f"1_{o}": 1}
-    homs[("o0", "o1")] = GradedModule.from_generators(Q, [("a", 1)])
+    homs[("o0", "o1")] = GradedModule.from_generators(ring, [("a", 1)])
     homs[("o1", "o2")] = GradedModule.from_generators(
-        Q, [("b", 0), ("e", 0), ("f", 1)])
-    homs[("o2", "o3")] = GradedModule.from_generators(Q, [("c", 1)])
+        ring, [("b", 0), ("e", 0), ("f", 1)])
+    homs[("o2", "o3")] = GradedModule.from_generators(ring, [("c", 1)])
     homs[("o0", "o2")] = GradedModule.from_generators(
-        Q, [("ab", 1), ("ae", 1), ("af", 2)])
+        ring, [("ab", 1), ("ae", 1), ("af", 2)])
     homs[("o1", "o3")] = GradedModule.from_generators(
-        Q, [("bc", 1), ("ec", 1), ("fc", 2)])
+        ring, [("bc", 1), ("ec", 1), ("fc", 2)])
     homs[("o0", "o3")] = GradedModule.from_generators(
-        Q, [("abc", 2), ("aec", 2), ("afc", 3)])
-    cat = AInfCategory(Q, objs, homs, units, name="dgQ")
+        ring, [("abc", 2), ("aec", 2), ("afc", 3)])
+    cat = AInfCategory(ring, objs, homs, units, name=f"dg{ring.token()}")
     cat.add_op_entry(("o1", "o2"), ("e",), "f", 1)
     cat.add_op_entry(("o0", "o2"), ("ae",), "af", -1)
     cat.add_op_entry(("o1", "o3"), ("ec",), "fc", 1)

@@ -68,6 +68,16 @@ def dense_solve(rows, b, n, p=0):
     return tuple(x)
 
 
+def row_walk_reduce(rows, v):
+    """The F2 reduction of the bitset ``v`` against echelon rows ``{pivot:
+    row}`` in insertion order, each zero at the pivots stored before it:
+    walk every row and clear its pivot where ``v`` has it set."""
+    for p, row in rows.items():
+        if (v >> p) & 1:
+            v ^= row
+    return v
+
+
 def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
     """ker(d_out) / im(d_in) on the dim-dimensional degree, as
     (representatives, projection).

@@ -74,7 +74,36 @@ class TestInputErrors:
         assert fragment in err
 
 
+def _toyb_h0(a, b):
+    # K and Kp have no homs into L or Lp; every other pair has rank 1
+    return 0 if a.startswith("K") and b.startswith("L") else 1
+
+
+def _toyc_h0(a, b):
+    # L0..L3 are all isomorphic to L3: hom(L3, Li) has rank 1 and
+    # hom(L3, K) rank 2; hom(K, K) has rank 1 and hom(K, Li) = 0
+    if a == "K":
+        return int(b == "K")
+    return 2 if b == "K" else 1
+
+
+# H^0 ranks of the localized homs, derived by hand in bench/README.md
+LOCALIZED_H0 = {"toyb": (_toyb_h0, 4), "toyc": (_toyc_h0, 5)}
+
+
 class TestLocalize:
+    @pytest.mark.parametrize("fixture", sorted(LOCALIZED_H0))
+    def test_default_depth_matches_hand_derived_ranks(self, capsys, fixture):
+        table, n_objects = LOCALIZED_H0[fixture]
+        code, rep = run_cli(capsys, "compute", str(FIXTURES / f"{fixture}.json"),
+                            "--what", "localize")
+        assert (code, rep["verdict"]) == (0, "pass")
+        rows = rep["sections"]["quotient_h0"]
+        assert len(rows) == n_objects ** 2
+        for row in rows:
+            assert row["stabilized"], row["pair"]
+            assert row["h0_rank"] == table(*row["pair"]), row["pair"]
+
     def test_invalid_continuation_set_fails_before_cones(self, capsys):
         code, rep = run_cli(capsys, "compute", str(FIXTURES / "ore_break.json"),
                             "--what", "localize")

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_cohomology, dense_kernel, dense_rref, dense_solve
+from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
+                     row_walk_reduce)
 from wrapcat.errors import EmptySequence, NotAComplex, NotChainMap, ShapeMismatch
 from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
                             compose_graded_maps, diagram_colimit,
                             induced_cohomology_map, sequence_colimit)
-from wrapcat.matrices import Matrix
+from wrapcat.matrices import Echelon, Matrix
 from wrapcat.rings import CoefficientRing
 
 F2 = CoefficientRing.prime_field(2)
@@ -281,3 +282,17 @@ class TestEliminationAgainstDenseReference:
                         pres.project(v)
                 else:
                     assert pres.project(v) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 40), st.lists(st.integers(0, 2 ** 40 - 1), max_size=12),
+           st.integers(0, 2 ** 40 - 1))
+    def test_f2_pivot_walk_matches_row_walk(self, n, rows, v):
+        ech = Echelon(F2, n)
+        mask = (1 << n) - 1
+        for row in rows:
+            ech.insert(row & mask)
+        v &= mask
+        got = ech.reduce(v)
+        assert not any((got >> p) & 1 for p in ech.pivots)
+        assert got == row_walk_reduce(ech._rows, v)
+        assert ech.copy().reduce(v) == got

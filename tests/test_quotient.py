@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
 from conv_fixtures_support import dg_path_cat
 from fixture_builders import build_toyb, build_toyc
-from wrapcat.ainf import AInfCategory, cohomology_category
+from oracles import dense_cohomology, random_path_instance
+from pathcat_support import instance_to_category, wrap_cset
+from wrapcat.ainf import AInfCategory, cohomology_category, cone
 from wrapcat.errors import HypothesisFailed, NotClosedRepresentative
 from wrapcat.floer import canonical_envelope
-from wrapcat.linalg import GradedModule
+from wrapcat.linalg import GradedModule, cohomology
 from wrapcat.localization import CSet, gz_localize
 from wrapcat.quotient import BarQuotient, hom_via_wrapping_colimit, localize_by_cones
 from wrapcat.rings import CoefficientRing
 from wrapcat.wrap import continuation_cset, generating_subset
 
 F2 = CoefficientRing.prime_field(2)
+RINGS = [(F2, 2), (CoefficientRing.prime_field(3), 3),
+         (CoefficientRing.rationals(), 0)]
 
 
 def one_arrow():
@@ -30,9 +36,11 @@ class TestBarQuotient:
         quo, ext = localize_by_cones(env, h, [], depth=2, check_relations=False)
         for a in env.objects:
             for b in env.objects:
-                assert quo.h_ranks(a, b) == \
-                    {d: h.pres(a, b).rank(d) for d in h.pres(a, b).degrees()
-                     if h.pres(a, b).rank(d)}
+                assert quo.h0_rank(a, b) == h.pres(a, b).rank(0)
+                for n in set(ext.hom(a, b).degrees()) | set(h.pres(a, b).degrees()):
+                    bar = BarQuotient(ext, [], a, b, 2, degree=n)
+                    assert cohomology(bar.complex, (n,)).rank(n) == \
+                        h.pres(a, b).rank(n)
 
     def test_unit_class_cone_keeps_h0(self):
         env = canonical_envelope(build_toyb())
@@ -55,11 +63,12 @@ class TestBarQuotient:
                 assert quo.h0_rank(a, b) == frac.class_count(a, b, 0) == 1
 
     def test_differential_squares_to_zero_over_Q(self):
-        from wrapcat.ainf import cone
-        cat = dg_path_cat()
-        ext = cone(cat, "Cb", "o1", "o2", {"b": 1})
-        bar = BarQuotient(ext, ["Cb"], "o0", "o3", 2)
-        bar.complex.check()  # raises NotAComplex on failure
+        ext = cone(dg_path_cat(), "Cb", "o1", "o2", {"b": 1})
+        # the complex spans degrees -1..5; window n holds d_n d_{n-1}
+        for n in range(-1, 6):
+            bar = BarQuotient(ext, ["Cb"], "o0", "o3", 2, degree=n)
+            assert bar.module.rank(n)
+            bar.complex.check()  # raises NotAComplex on failure
 
     def test_cross_oracle_toyb(self):
         s = build_toyb()
@@ -80,6 +89,60 @@ class TestBarQuotient:
         with pytest.raises(NotClosedRepresentative):
             localize_by_cones(env, h, [("L", "K", ())], depth=1,
                               check_relations=False)
+
+
+WINDOWS = range(-8, 9)
+
+
+def check_windows(cat, nulls, x, y, depth, p):
+    """Adjacent windows share their common degrees and block, and the H^n of
+    each window is the dense cohomology of the complex assembled from the
+    windows' blocks."""
+    bars = {n: BarQuotient(cat, nulls, x, y, depth, degree=n) for n in WINDOWS}
+    assert bars[WINDOWS[0]].module.is_zero()
+    assert bars[WINDOWS[-1]].module.is_zero()
+    for n in WINDOWS[:-1]:
+        low, high = bars[n], bars[n + 1]
+        for d in (n, n + 1):
+            assert low.module.labels(d) == high.module.labels(d)
+        assert low.differential.block(n) == high.differential.block(n)
+    for n in WINDOWS[1:]:
+        d_in = bars[n - 1].differential.block(n - 1).data
+        d_out = bars[n].differential.block(n).data
+        reps, _ = dense_cohomology(d_in, d_out, bars[n].module.rank(n), p)
+        pres = cohomology(bars[n].complex, (n,)).degree(n)
+        assert pres.class_count == len(reps)
+        assert list(pres.reps) == reps
+
+
+class TestDegreeWindows:
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_dg_path_cone(self, ring, p):
+        ext = cone(dg_path_cat(ring), "Cb", "o1", "o2", {"b": 1})
+        check_windows(ext, ["Cb"], "o0", "o3", 2, p)
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_random_path_instances_with_cones(self, ring, p):
+        # small draws: the dense oracle over Q is slow on large complexes
+        rng = random.Random(5)
+        checked, most_cones = 0, 0
+        while checked < 3:
+            inst = random_path_instance(rng, max_objects=4, max_edges=5)
+            if not inst.wrap_edges:
+                continue
+            cat = instance_to_category(inst, ring)
+            h = cohomology_category(cat, check_arity=0)
+            cset = wrap_cset(inst, h)
+            w = [(c.src, c.tgt, c.coords) for c in cset
+                 if not cset.is_identity(c)][:2]
+            quo, ext = localize_by_cones(cat, h, w, depth=2, pairs=[],
+                                         check_relations=False)
+            for x in cat.objects:
+                for y in cat.objects:
+                    check_windows(ext, quo.nulls, x, y, 2, p)
+            checked += 1
+            most_cones = max(most_cones, len(w))
+        assert most_cones == 2
 
 
 class TestWrappingColimit:

@@ -491,20 +491,18 @@ def _homotopy_exists(cx: Complex, target: GradedMap) -> bool:
         return target.is_zero()
     rows, rhs = [], []
     for deg in mod.degrees():
-        tb = target.block(deg)
-        for i in range(tb.rows):
-            for j in range(tb.cols):
+        below, above = d.block(deg - 1).data, d.block(deg).data
+        for i, target_row in enumerate(target.block(deg).data):
+            for j, t in enumerate(target_row):
                 row = [ring.zero()] * len(unknowns)
                 for idx, (hd, hi, hj) in enumerate(unknowns):
                     if hd == deg and hj == j:
-                        blk = d.block(deg - 1)
-                        row[idx] = ring.add(row[idx], blk.data[i][hi])
+                        row[idx] = ring.add(row[idx], below[i][hi])
                     if hd == deg + 1 and hi == i:
-                        blk = d.block(deg)
-                        row[idx] = ring.add(row[idx], blk.data[hj][j])
+                        row[idx] = ring.add(row[idx], above[hj][j])
                 rows.append(row)
-                rhs.append(tb.data[i][j])
-    return Matrix(ring, rows, cols=len(unknowns)).solve(tuple(rhs)) is not None
+                rhs.append(t)
+    return Matrix.from_rows(ring, rows, len(unknowns)).solve(tuple(rhs)) is not None
 
 
 def _coords_to_vector(ring, pres, coords):
@@ -944,9 +942,8 @@ def find_h_isomorphism(hcat: HCategory, x, y):
     for u in hcat.degree0_elements(x, y):
         pre = hcat.precompose_matrix(x, y, x, 0, u, 0)    # v -> (u then v)
         post = hcat.postcompose_matrix(y, x, y, 0, u, 0)  # v -> (v then u)
-        rows = list(pre.data) + list(post.data)
         rhs = list(ex) + list(ey)
-        v = Matrix(ring, rows, cols=n).solve(tuple(rhs))
+        v = Matrix(ring, pre.vecs + post.vecs, n).solve(tuple(rhs))
         if v is not None:
             return (u, tuple(v))
     return None

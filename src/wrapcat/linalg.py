@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (EmptySequence, NotAComplex, NotChainMap, ShapeMismatch)
-from .matrices import Echelon, Matrix
+from .matrices import Echelon, Matrix, vectors
 from .rings import CoefficientRing
 
 __all__ = [
@@ -102,8 +102,6 @@ class GradedMap:
         self.degree = int(degree)
         self.blocks = {}
         for d, blk in sorted(blocks.items()):
-            if not isinstance(blk, Matrix):
-                blk = Matrix(source.ring, blk)
             want = (target.rank(d + self.degree), source.rank(d))
             if (blk.rows, blk.cols) != want:
                 raise ShapeMismatch(
@@ -126,19 +124,22 @@ class GradedMap:
                      entries) -> "GradedMap":
         """Build from (source_label, target_label, scalar) triples."""
         ring = source.ring
-        acc = {}
+        acc = {}    # degree -> target index -> {source index: scalar}
         for src_lab, tgt_lab, scalar in entries:
             d = source.degree_of(src_lab)
             dt = target.degree_of(tgt_lab)
             if dt != d + degree:
                 raise ShapeMismatch(
                     f"entry {src_lab}->{tgt_lab} violates degree {degree}")
-            blk = acc.setdefault(d, {})
-            key = (target.index_of(tgt_lab), source.index_of(src_lab))
-            blk[key] = ring.add(blk.get(key, ring.zero()), ring.normalize(scalar))
-        blocks = {d: Matrix.from_sparse(ring, target.rank(d + degree),
-                                        source.rank(d), ent)
-                  for d, ent in acc.items()}
+            row = acc.setdefault(d, {}).setdefault(target.index_of(tgt_lab), {})
+            j = source.index_of(src_lab)
+            row[j] = ring.add(row.get(j, ring.zero()), ring.normalize(scalar))
+        blocks = {}
+        for d, rows in acc.items():
+            sparse = vectors(ring, source.rank(d)).sparse
+            blocks[d] = Matrix(ring, [sparse(rows.get(i, {}))
+                                      for i in range(target.rank(d + degree))],
+                               source.rank(d))
         return GradedMap(source, target, degree, blocks)
 
     def block(self, d: int) -> Matrix:
@@ -150,13 +151,9 @@ class GradedMap:
     def apply_label(self, label: str):
         """Image of a basis element as {target_label: scalar}."""
         d = self.source.degree_of(label)
-        col = self.block(d).column(self.source.index_of(label))
-        out = {}
         tlabels = self.target.labels(d + self.degree)
-        for lab, x in zip(tlabels, col):
-            if x != 0:
-                out[lab] = x
-        return out
+        return {tlabels[i]: x for i, x in
+                self.block(d).column(self.source.index_of(label)).items()}
 
     def apply_vector(self, d: int, vec):
         return self.block(d).apply(vec)
@@ -183,10 +180,6 @@ class GradedMap:
         ds = set(self.blocks) | set(other.blocks)
         return all(self.block(d) == other.block(d) for d in ds)
 
-    def __hash__(self):
-        return hash((self.source, self.target, self.degree,
-                     tuple(sorted(self.blocks.items(), key=lambda kv: kv[0]))))
-
     def is_isomorphism(self) -> bool:
         """Exact graded isomorphism test (square invertible blocks)."""
         degs = set(self.source.degrees()) | {d - self.degree for d in self.target.degrees()}
@@ -198,11 +191,7 @@ def compose_graded_maps(f: GradedMap, g: GradedMap) -> GradedMap:
     if f.target != g.source:
         raise ShapeMismatch("compose_graded_maps: target(f) != source(g)")
     degree = f.degree + g.degree
-    blocks = {}
-    for d in f.source.degrees():
-        blk = g.block(d + f.degree).mul(f.block(d))
-        if not blk.is_zero():
-            blocks[d] = blk
+    blocks = {d: g.block(d + f.degree).mul(f.block(d)) for d in f.source.degrees()}
     return GradedMap(f.source, g.target, degree, blocks)
 
 
@@ -223,10 +212,10 @@ class Complex:
         """Raise NotAComplex with the first offending basis element if d*d != 0."""
         d = self.differential
         for deg in self.module.degrees():
-            sq = d.block(deg + 1).mul(d.block(deg))
-            for lab, col in zip(self.module.labels(deg), sq.columns()):
-                if any(col):
-                    raise NotAComplex(f"d(d({lab})) != 0 at degree {deg}")
+            j = d.block(deg + 1).mul(d.block(deg)).first_nonzero_column()
+            if j is not None:
+                lab = self.module.labels(deg)[j]
+                raise NotAComplex(f"d(d({lab})) != 0 at degree {deg}")
         return True
 
     @staticmethod
@@ -294,21 +283,18 @@ class CohomologyPresentation:
     def total_class_count(self) -> int:
         return sum(p.class_count for p in self.by_degree.values())
 
-    def rank_map(self):
-        return {d: p.class_count for d, p in self.by_degree.items() if p.class_count}
-
     def is_zero(self) -> bool:
         return self.total_class_count() == 0
 
 
-def _presentation(ring, dim, rel_cols, candidates, reduce_reps):
-    """ring^dim / span(rel_cols).  The representatives are the
-    candidates (sparse vectors) independent modulo the relations and the
-    candidates before them; with ``reduce_reps`` each is reduced to be zero at
+def _presentation(ring, dim, relations, candidates, reduce_reps):
+    """ring^dim / span(relations).  The representatives are the candidates
+    independent modulo the relations and the candidates before them (all
+    sparse vectors); with ``reduce_reps`` each is reduced to be zero at
     every relation pivot, so equal classes yield equal representatives."""
     bound = Echelon(ring, dim)
-    for col in rel_cols:
-        bound.insert(bound.pack(col))
+    for rel in relations:
+        bound.insert(rel)
     chooser = bound.copy()
     reps = [bound.reduce(z) if reduce_reps else z for z in candidates
             if chooser.insert(z)]
@@ -350,22 +336,12 @@ class HMap:
     def matrix(self, d: int) -> Matrix:
         if d in self.matrices:
             return self.matrices[d]
-        return Matrix.zero(self.source.ring, self.target.class_count(d + self.degree),
-                           self.source.class_count(d))
-
-    def apply(self, d: int, coords):
-        return self.matrix(d).apply(coords)
+        return Matrix.zero(self.source.ring, self.target.rank(d + self.degree),
+                           self.source.rank(d))
 
     def is_isomorphism(self) -> bool:
         degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
         return all(self.matrix(d).is_invertible() for d in degs)
-
-    def compose(self, other: "HMap") -> "HMap":
-        """other after self."""
-        mats = {}
-        for d in set(self.matrices) | set(d - self.degree for d in other.matrices):
-            mats[d] = other.matrix(d + self.degree).mul(self.matrix(d))
-        return HMap(self.source, other.target, self.degree + other.degree, mats)
 
     def __eq__(self, other):
         if not isinstance(other, HMap):
@@ -374,9 +350,6 @@ class HMap:
             return False
         degs = set(self.matrices) | set(other.matrices)
         return all(self.matrix(d) == other.matrix(d) for d in degs)
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.matrices.items(), key=lambda kv: kv[0]))))
 
 
 def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
@@ -388,10 +361,10 @@ def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
     for d in src.module.degrees():
         lhs = tgt.differential.block(d + f.degree).mul(f.block(d))
         rhs = f.block(d + 1).mul(src.differential.block(d))
-        if lhs != rhs:
-            for j, lab in enumerate(src.module.labels(d)):
-                if any(lhs.data[i][j] != rhs.data[i][j] for i in range(lhs.rows)):
-                    raise NotChainMap(f"f fails to commute with d on {lab!r}")
+        j = lhs.add(rhs.scale(-1)).first_nonzero_column()
+        if j is not None:
+            lab = src.module.labels(d)[j]
+            raise NotChainMap(f"f fails to commute with d on {lab!r}")
     src_h = src_h or cohomology(src)
     tgt_h = tgt_h or cohomology(tgt)
     matrices = {}
@@ -452,12 +425,14 @@ class DiagramColimit:
     ``structure_map(i)`` embeds object ``i``.
     """
 
-    __slots__ = ("ring", "objects", "offsets", "dims", "by_degree", "module")
+    __slots__ = ("ring", "objects", "offsets", "dims", "by_degree", "module",
+                 "_structure")
 
     def __init__(self, ring, obj_modules, morphisms):
         """morphisms: iterable of (src_index, tgt_index, GradedMap)."""
         self.ring = ring
         self.objects = list(obj_modules)
+        self._structure = {}    # object index -> structure map, built once
         degrees = sorted({d for m in self.objects for d in m.degrees()})
         self.offsets = {}
         self.dims = {}
@@ -470,18 +445,17 @@ class DiagramColimit:
             self.dims[d] = total
         self.by_degree = {}
         for d in degrees:
-            rel_cols = []
+            offs, sparse = self.offsets[d], vectors(ring, self.dims[d]).sparse
+            relations = []      # f(v) - v for each basis vector v
             for (si, ti, f) in morphisms:
-                src = self.objects[si]
                 blk = f.block(d)
-                for j in range(src.rank(d)):
-                    col = [ring.zero()] * self.dims[d]
-                    col[self.offsets[d][si] + j] = ring.normalize(-1)
-                    for i in range(blk.rows):
-                        col[self.offsets[d][ti] + i] = ring.add(
-                            col[self.offsets[d][ti] + i], blk.data[i][j])
-                    rel_cols.append(tuple(col))
-            self.by_degree[d] = _quotient_of_free(ring, self.dims[d], rel_cols)
+                for j in range(blk.cols):
+                    rel = {offs[si] + j: ring.normalize(-1)}
+                    for i, x in blk.column(j).items():
+                        k = offs[ti] + i
+                        rel[k] = ring.add(rel.get(k, ring.zero()), x)
+                    relations.append(sparse(rel))
+            self.by_degree[d] = _quotient_of_free(ring, self.dims[d], relations)
         gens = []
         for d in degrees:
             pres = self.by_degree[d]
@@ -511,6 +485,8 @@ class DiagramColimit:
         return self.by_degree[d].project(full)
 
     def structure_map(self, obj_index) -> GradedMap:
+        if obj_index in self._structure:
+            return self._structure[obj_index]
         src = self.objects[obj_index]
         blocks = {}
         for d in src.degrees():
@@ -521,7 +497,8 @@ class DiagramColimit:
                 cols.append(self.project(d, obj_index, vec))
             blocks[d] = Matrix.from_columns(self.ring, cols,
                                             self.degree(d).class_count)
-        return GradedMap(src, self.module, 0, blocks)
+        self._structure[obj_index] = GradedMap(src, self.module, 0, blocks)
+        return self._structure[obj_index]
 
     def map_to(self, target: "DiagramColimit", levelwise):
         """The map colim(self) -> colim(target) induced by levelwise maps.
@@ -552,10 +529,10 @@ class DiagramColimit:
         return GradedMap(self.module, target.module, 0, blocks)
 
 
-def _quotient_of_free(ring, dim, rel_cols):
-    """Presentation of R^dim / span(rel_cols)."""
-    units = Echelon(ring, dim)
-    return _presentation(ring, dim, rel_cols,
+def _quotient_of_free(ring, dim, relations):
+    """Presentation of R^dim / span(relations)."""
+    units = vectors(ring, dim)
+    return _presentation(ring, dim, relations,
                          [units.unit(i) for i in range(dim)], False)
 
 

@@ -82,8 +82,7 @@ class CSet:
 
 def _left_null_space(ring, m: Matrix) -> Matrix:
     """Rows spanning {y : y m = 0}."""
-    basis = m.transpose().kernel_basis()
-    return Matrix(ring, [list(b) for b in basis], cols=m.rows)
+    return Matrix.from_rows(ring, m.transpose().kernel_basis(), m.rows)
 
 
 def _subspace_covers(ring, constraint: Matrix, space_dim: int, subspace=None):
@@ -374,24 +373,20 @@ class FractionCategory:
                 raise SystemInvalid(f"right multiplicative system invalid: "
                                     f"{validation['failures']}")
         self.slices = {x: SliceCategory(hcat, cset, x) for x in hcat.objects}
-        self.hom_data = {}
-        for l in self.objects:
-            sl = self.slices[l]
-            for k in self.objects:
-                mods = [h_graded_module(hcat, c.src, k, tag=f"{i}:{c.src}>{k}")
-                        for i, c in enumerate(sl.objects)]
-                morphs = []
-                for (i, j), es in sorted(sl.morphisms.items()):
-                    for e in es:
-                        morphs.append((i, j, h_transition_map(hcat, e, k,
-                                                              mods[i], mods[j])))
-                colim = diagram_colimit(mods, morphs, ring=self.ring)
-                self.hom_data[(l, k)] = {"colim": colim, "mods": mods}
+        self._colims = {}
 
     # -- hom access -------------------------------------------------------------
 
     def colim(self, l, k):
-        return self.hom_data[(l, k)]["colim"]
+        """The colimit of H(-, k) over the slice of l, built on first use."""
+        if (l, k) not in self._colims:
+            sl = self.slices[l]
+            mods = [h_graded_module(self.hcat, c.src, k, tag=f"{i}:{c.src}>{k}")
+                    for i, c in enumerate(sl.objects)]
+            morphs = [(i, j, h_transition_map(self.hcat, e, k, mods[i], mods[j]))
+                      for (i, j), es in sorted(sl.morphisms.items()) for e in es]
+            self._colims[(l, k)] = diagram_colimit(mods, morphs, ring=self.ring)
+        return self._colims[(l, k)]
 
     def rank_map(self, l, k):
         return self.colim(l, k).rank_map()
@@ -422,16 +417,8 @@ class FractionCategory:
 
     def represent_at(self, l, k, d, coords, slice_index):
         """H-class at the given slice object mapping to the colimit element."""
-        sl = self.slices[l]
-        src = sl.objects[slice_index].src
-        n = self.hcat.class_count(src, k, d)
-        cols = [self.colim(l, k).project(d, slice_index,
-                                         self.ring.unit_vector(n, i))
-                for i in range(n)]
-        m = Matrix.from_columns(self.ring, cols,
-                                self.colim(l, k).degree(d).class_count)
-        sol = m.solve(tuple(coords))
-        return None if sol is None else tuple(sol)
+        return self.colim(l, k).structure_map(slice_index).block(d).solve(
+            tuple(coords))
 
     def tail_index(self, l):
         t = self.slices[l].weakly_terminal_index()

@@ -1,8 +1,11 @@
 """Exact matrices over a coefficient field, and the one elimination kernel.
 
-``Matrix`` is dense and small ("desk scale").  Every elimination (rank,
-reduced row echelon form, kernel, solve, product) goes through ``Echelon``,
-an incremental sparse echelon basis.
+A ``Matrix`` stores its rows as sparse vectors in ``Echelon``'s vector form
+(bitsets over F2, ``{index: scalar}`` dicts over Q and F_p); dense rows
+come in only through ``Matrix.from_rows`` and ``Matrix.from_columns`` and go
+out only through the read-only ``data`` view.  Every elimination (rank,
+reduced row echelon form, kernel, solve) goes through ``Echelon``, an
+incremental sparse echelon basis.
 """
 
 from __future__ import annotations
@@ -10,153 +13,169 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .rings import CoefficientRing
 
+_SPACES = {}    # (characteristic, n) -> Echelon; the characteristic names the field
+
+
+def vectors(ring: CoefficientRing, n: int) -> "Echelon":
+    """The shared, never filled ``Echelon`` of length-n vectors over
+    ``ring``, for its vector methods (pack, unpack, sparse, items, axpy)."""
+    space = _SPACES.get((ring.p, n))
+    if space is None:
+        space = _SPACES[(ring.p, n)] = Echelon(ring, n)
+    return space
+
 
 class Matrix:
-    """Immutable exact matrix.  ``rows x cols`` entries, column-vector action."""
+    """Immutable exact matrix: ``rows`` sparse row vectors of length ``cols``,
+    column-vector action."""
 
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "vecs", "rows", "cols")
 
-    def __init__(self, ring: CoefficientRing, data, cols: int = None,
-                 _trusted: bool = False):
+    def __init__(self, ring: CoefficientRing, vecs, cols: int):
         self.ring = ring
-        if _trusted:
-            self.data = data if isinstance(data, tuple) else tuple(
-                tuple(row) for row in data)
-        else:
-            self.data = tuple(tuple(ring.normalize(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else int(cols)
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ShapeMismatch("ragged matrix rows")
-
-    @staticmethod
-    def from_sparse(ring: CoefficientRing, rows: int, cols: int, entries) -> "Matrix":
-        """Build from {(i, j): normalized scalar} without dense normalization."""
-        z = ring.zero()
-        data = [[z] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            data[i][j] = v
-        return Matrix(ring, tuple(tuple(r) for r in data), cols=cols, _trusted=True)
+        self.vecs = tuple(vecs)
+        self.rows = len(self.vecs)
+        self.cols = cols
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(ring: CoefficientRing, rows: int, cols: int) -> "Matrix":
-        z = ring.zero()
-        return Matrix(ring, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
-    def identity(ring: CoefficientRing, n: int) -> "Matrix":
-        z, o = ring.zero(), ring.one()
-        return Matrix(ring, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+    def from_rows(ring: CoefficientRing, rows, cols: int = None) -> "Matrix":
+        """From dense rows of scalars; ``cols`` gives the width of a matrix
+        without rows."""
+        rows = [tuple(ring.normalize(x) for x in row) for row in rows]
+        n = len(rows[0]) if rows else int(cols or 0)
+        if any(len(row) != n for row in rows):
+            raise ShapeMismatch("ragged matrix rows")
+        space = vectors(ring, n)
+        return Matrix(ring, [space.pack(row) for row in rows], n)
 
     @staticmethod
     def from_columns(ring: CoefficientRing, cols, rows: int) -> "Matrix":
-        cols = list(cols)
-        return Matrix(ring, [[cols[j][i] for j in range(len(cols))] for i in range(rows)],
-                      cols=len(cols))
+        """From dense columns of length ``rows``."""
+        return Matrix.from_rows(ring, cols, rows).transpose()
+
+    @staticmethod
+    def zero(ring: CoefficientRing, rows: int, cols: int) -> "Matrix":
+        return Matrix(ring, [vectors(ring, cols).zero] * rows, cols)
+
+    @staticmethod
+    def identity(ring: CoefficientRing, n: int) -> "Matrix":
+        space = vectors(ring, n)
+        return Matrix(ring, [space.unit(i) for i in range(n)], n)
+
+    # -- views ----------------------------------------------------------------
+
+    @property
+    def data(self):
+        """The dense rows, as tuples of scalars."""
+        unpack = vectors(self.ring, self.cols).unpack
+        return tuple(unpack(v) for v in self.vecs)
 
     def column(self, j: int):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        """The nonzero entries of column j, as {row index: scalar}."""
+        coeff = vectors(self.ring, self.cols).coeff
+        return {i: c for i, v in enumerate(self.vecs) if (c := coeff(v, j))}
 
     def columns(self):
-        return list(zip(*self.data)) if self.rows else [()] * self.cols
+        """The columns, as sparse vectors of length ``rows``."""
+        return self.transpose().vecs
+
+    def leading(self, rows: int, cols: int) -> "Matrix":
+        """The leading ``rows`` x ``cols`` block."""
+        space = vectors(self.ring, cols)
+        return Matrix(self.ring, [
+            space.sparse({j: x for j, x in space.items(v) if j < cols})
+            for v in self.vecs[:rows]], cols)
+
+    def first_nonzero_column(self):
+        """The lowest index of a nonzero column; None for a zero matrix."""
+        lead = vectors(self.ring, self.cols).lead
+        return min((lead(v) for v in self.vecs if v), default=None)
 
     # -- basic algebra --------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.ring, self.data))
+                and self.cols == other.cols and self.vecs == other.vecs)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
 
     def is_zero(self) -> bool:
-        z = self.ring.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(self.vecs)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"add {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        R = self.ring
-        return Matrix(R, [[R.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)], cols=self.cols)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
+        axpy = vectors(self.ring, self.cols).axpy
+        return Matrix(self.ring, [axpy(a, 1, b) for a, b in zip(self.vecs, other.vecs)],
+                      self.cols)
 
     def scale(self, c) -> "Matrix":
-        R = self.ring
-        c = R.normalize(c)
-        return Matrix(R, [[R.mul(c, x) for x in row] for row in self.data], cols=self.cols)
-
-    def neg(self) -> "Matrix":
-        return self.scale(-1)
+        space = vectors(self.ring, self.cols)
+        c = self.ring.normalize(c)
+        return Matrix(self.ring, [space.axpy(space.zero, c, v) for v in self.vecs],
+                      self.cols)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply ``other`` first on column vectors)."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"mul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        vecs = Echelon(self.ring, other.cols)
-        brows = [vecs.pack(row) for row in other.data]
+        space = vectors(self.ring, other.cols)
+        items = vectors(self.ring, self.cols).items
         out = []
-        for row in self.data:
-            acc = vecs.zero
-            for k, x in vecs.items(vecs.pack(row)):
-                acc = vecs.axpy(acc, x, brows[k])
-            out.append(vecs.unpack(acc))
-        return Matrix(self.ring, out, cols=other.cols, _trusted=True)
+        for row in self.vecs:
+            acc = space.zero
+            for k, x in items(row):
+                acc = space.axpy(acc, x, other.vecs[k])
+            out.append(acc)
+        return Matrix(self.ring, out, other.cols)
 
     def apply(self, vec):
-        """Apply to a column vector (tuple of scalars)."""
+        """Apply to a dense column vector (tuple of scalars)."""
         if self.cols != len(vec):
             raise ShapeMismatch(f"apply {self.rows}x{self.cols} to len-{len(vec)} vector")
         R = self.ring
+        items = vectors(R, self.cols).items
         out = []
-        for i in range(self.rows):
+        for row in self.vecs:
             acc = R.zero()
-            for k in range(self.cols):
-                acc = R.add(acc, R.mul(self.data[i][k], vec[k]))
+            for k, x in items(row):
+                acc = R.add(acc, R.mul(x, vec[k]))
             out.append(acc)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.columns(), cols=self.rows, _trusted=True)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack row mismatch")
-        return Matrix(self.ring, [list(a) + list(b) for a, b in zip(self.data, other.data)],
-                      cols=self.cols + other.cols)
+        items = vectors(self.ring, self.cols).items
+        entries = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.vecs):
+            for j, x in items(row):
+                entries[j][i] = x
+        sparse = vectors(self.ring, self.rows).sparse
+        return Matrix(self.ring, [sparse(e) for e in entries], self.rows)
 
     # -- elimination ----------------------------------------------------------
 
     def echelon(self) -> "Echelon":
         """Echelon basis of the row space."""
         ech = Echelon(self.ring, self.cols)
-        for row in self.data:
-            ech.insert(ech.pack(row))
+        for row in self.vecs:
+            ech.insert(row)
         return ech
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivots)."""
         ech = self.echelon()
-        rows = [ech.unpack(v) for v in ech.rref()]
-        rows += [ech.unpack(ech.zero)] * (self.rows - len(rows))
-        return Matrix(self.ring, rows, cols=self.cols, _trusted=True), ech.pivots
+        rows = ech.rref()
+        rows += [ech.zero] * (self.rows - len(rows))
+        return Matrix(self.ring, rows, self.cols), ech.pivots
 
     def rank(self) -> int:
         return len(self.echelon().pivots)
 
     def kernel_basis(self):
-        """The RREF basis of the kernel, as a list of column vectors."""
+        """The RREF basis of the kernel, as a list of dense column vectors."""
         ech = self.echelon()
         return [ech.unpack(v) for v in ech.kernel()]
 
@@ -167,16 +186,18 @@ class Matrix:
     def solve(self, vec):
         """One exact solution x with self @ x = vec, or None.  Deterministic:
         free variables are set to zero in RREF order."""
-        R = self.ring
         if len(vec) != self.rows:
             raise ShapeMismatch("solve dimension mismatch")
-        red, pivots = self.hstack(Matrix(R, [[v] for v in vec])).rref()
-        if self.cols in pivots:
+        n = self.cols
+        aug = vectors(self.ring, n + 1)
+        red, pivots = Matrix(self.ring, [
+            aug.axpy(row, self.ring.normalize(b), aug.unit(n))
+            for row, b in zip(self.vecs, vec)], n + 1).rref()
+        if n in pivots:
             return None
-        x = [R.zero()] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
-        return tuple(x)
+        space = vectors(self.ring, n)
+        return space.unpack(space.sparse(
+            {pc: aug.coeff(row, n) for row, pc in zip(red.vecs, pivots)}))
 
 
 class Echelon:

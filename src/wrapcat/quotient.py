@@ -132,11 +132,8 @@ class BarQuotient:
         sub.degree = self.degree
         sub.chains = [(o, l) for (o, l) in self.chains if len(l) - 1 <= depth]
         sub.module = sub._build_module()
-        blocks = {}
-        for d, blk in self.differential.blocks.items():
-            rows, cols = sub.module.rank(d + 1), sub.module.rank(d)
-            data = tuple(row[:cols] for row in blk.data[:rows])
-            blocks[d] = Matrix(self.ring, data, cols=cols, _trusted=True)
+        blocks = {d: blk.leading(sub.module.rank(d + 1), sub.module.rank(d))
+                  for d, blk in self.differential.blocks.items()}
         sub.differential = GradedMap(sub.module, sub.module, 1, blocks)
         sub.complex = Complex(sub.module, sub.differential)
         return sub

@@ -83,9 +83,6 @@ class CoefficientRing:
     def add(self, a, b):
         return self.normalize(a + b)
 
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
     def mul(self, a, b):
         return self.normalize(a * b)
 

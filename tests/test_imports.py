@@ -4,8 +4,9 @@ and method they define is referenced.
 An import counts as used when the module reads it anywhere or lists it in
 ``__all__`` (a re-export).  A definition counts as referenced when a Name or
 Attribute in the wrapcat sources or the tests mentions it outside the
-definition itself.  No linter runs on this code, so this check keeps dead
-imports and dead code out.
+definition itself; a method only through an Attribute, since a bare Name of
+the same spelling is some other variable.  No linter runs on this code, so
+this check keeps dead imports and dead code out.
 """
 
 import ast
@@ -52,21 +53,27 @@ def test_no_unused_imports_in_wrapcat():
 def unreferenced_definitions(defining, referencing):
     """(file, line, name) of each function, class or method defined in the
     ``defining`` sources ({file: text}) that no Name or Attribute in either
-    set of sources mentions outside the definition itself.  Dunder methods
-    are called by the language and never count."""
+    set of sources mentions outside the definition itself (no Attribute, for
+    a method).  Dunder methods are called by the language and never count."""
     defs, refs = [], {}
     for fname, text in {**referencing, **defining}.items():
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                refs.setdefault(name, []).append((fname, node.lineno))
+                refs.setdefault(name, []).append(
+                    (fname, node.lineno, isinstance(node, ast.Attribute)))
             elif (fname in defining
                   and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("__")):
-                defs.append((fname, node.lineno, node.end_lineno, node.name))
-    return [(fname, first, name) for fname, first, last, name in defs
-            if not any(f != fname or not first <= line <= last
-                       for f, line in refs.get(name, ()))]
+                defs.append((fname, node.lineno, node.end_lineno, node.name,
+                             id(node) in methods))
+    return [(fname, first, name) for fname, first, last, name, method in defs
+            if not any((f != fname or not first <= line <= last)
+                       and (attr or not method)
+                       for f, line, attr in refs.get(name, ()))]
 
 
 def test_checker_sees_unreferenced_definitions():
@@ -74,10 +81,12 @@ def test_checker_sees_unreferenced_definitions():
            "def recursive(n):\n    return recursive(n - 1)\n\n"
            "class C:\n    def __init__(self):\n        pass\n\n"
            "    def method(self):\n        pass\n\n"
-           "    def dead(self):\n        pass\n")
-    test = "from lib import used, C\nused()\nC().method()\n"
+           "    def dead(self):\n        pass\n\n"
+           "    def shadowed(self):\n        pass\n")
+    test = ("from lib import used, C\nused()\nC().method()\n"
+            "shadowed = 1\nprint(shadowed)\n")
     assert unreferenced_definitions({"lib": lib}, {"test": test}) == [
-        ("lib", 4, "recursive"), ("lib", 14, "dead")]
+        ("lib", 4, "recursive"), ("lib", 14, "dead"), ("lib", 17, "shadowed")]
 
 
 def test_no_unreferenced_definitions_in_wrapcat():

@@ -556,6 +556,7 @@ class HCategory:
                 vec[mod.index_of(lab)] = s
             self.identity_coords[x] = pres.project(vec)
         self._table = {}
+        self._matrices = {}     # ("pre" | "post", x, y, z, d, coords, d') -> Matrix
 
     def pres(self, x, y) -> CohomologyPresentation:
         if (x, y) in self.H:
@@ -626,20 +627,26 @@ class HCategory:
         return table
 
     def postcompose_matrix(self, x, y, z, d2, v_coords, d1) -> Matrix:
-        """Matrix of (- then v): H^{d1}(x,y) -> H^{d1+d2}(x,z)."""
-        n = self.class_count(x, y, d1)
-        cols = [self.compose(x, y, z, d1, self.basis_coords(x, y, d1, i), d2, v_coords)
-                for i in range(n)]
-        return Matrix.from_columns(self.ring, cols,
-                                   self.class_count(x, z, d1 + d2))
+        """Matrix of (- then v): H^{d1}(x,y) -> H^{d1+d2}(x,z), built once."""
+        key = ("post", x, y, z, d2, tuple(v_coords), d1)
+        m = self._matrices.get(key)
+        if m is None:
+            cols = [self.compose(x, y, z, d1, self.basis_coords(x, y, d1, i), d2, v_coords)
+                    for i in range(self.class_count(x, y, d1))]
+            m = self._matrices[key] = Matrix.from_columns(
+                self.ring, cols, self.class_count(x, z, d1 + d2))
+        return m
 
     def precompose_matrix(self, x, y, z, d1, u_coords, d2) -> Matrix:
-        """Matrix of (u then -): H^{d2}(y,z) -> H^{d1+d2}(x,z)."""
-        n = self.class_count(y, z, d2)
-        cols = [self.compose(x, y, z, d1, u_coords, d2, self.basis_coords(y, z, d2, j))
-                for j in range(n)]
-        return Matrix.from_columns(self.ring, cols,
-                                   self.class_count(x, z, d1 + d2))
+        """Matrix of (u then -): H^{d2}(y,z) -> H^{d1+d2}(x,z), built once."""
+        key = ("pre", x, y, z, d1, tuple(u_coords), d2)
+        m = self._matrices.get(key)
+        if m is None:
+            cols = [self.compose(x, y, z, d1, u_coords, d2, self.basis_coords(y, z, d2, j))
+                    for j in range(self.class_count(y, z, d2))]
+            m = self._matrices[key] = Matrix.from_columns(
+                self.ring, cols, self.class_count(x, z, d1 + d2))
+        return m
 
     def degree0_elements(self, x, y, cap=4096):
         """Degree-0 classes to search over: all of them over a small finite

@@ -248,15 +248,23 @@ class DegreePresentation:
         """Class coordinates of a cycle vector (must be a cycle)."""
         if len(cycle) != self.module_rank:
             raise ShapeMismatch("projection: wrong vector length")
+        space = vectors(self.ring, self.module_rank)
+        return self.project_sparse(space.pack(
+            tuple(self.ring.normalize(x) for x in cycle)))
+
+    def project_sparse(self, cycle):
+        """``project`` of a cycle given as a sparse vector."""
         if not self.reps:
             return ()
         bound, coords = self._echelons
-        dim = self.module_rank
-        rest = coords.unpack(coords.reduce(bound.reduce(bound.pack(
-            tuple(self.ring.normalize(x) for x in cycle)))))
-        if any(rest[:dim]):
+        dim, neg = self.module_rank, self.ring.neg
+        rest = coords.reduce(bound.reduce(cycle))
+        if rest and coords.lead(rest) < dim:
             raise NotAComplex("vector is not a cycle")
-        return tuple(self.ring.neg(x) for x in rest[dim:])
+        out = [self.ring.zero()] * len(self.reps)
+        for j, x in coords.items(rest):
+            out[j - dim] = neg(x)
+        return tuple(out)
 
 
 class CohomologyPresentation:
@@ -476,13 +484,16 @@ class DiagramColimit:
 
     def project(self, d, obj_index, vec):
         """Class coordinates of a vector sitting in object ``obj_index``."""
+        rank = self.objects[obj_index].rank(d)
+        if len(vec) != rank:
+            raise ShapeMismatch(f"projection: object {obj_index} has rank {rank} "
+                                f"in degree {d}, not {len(vec)}")
         if d not in self.by_degree:
             return ()
-        full = [self.ring.zero()] * self.dims[d]
-        off = self.offsets[d][obj_index]
-        for i, x in enumerate(vec):
-            full[off + i] = self.ring.normalize(x)
-        return self.by_degree[d].project(full)
+        off, normalize = self.offsets[d][obj_index], self.ring.normalize
+        sparse = vectors(self.ring, self.dims[d]).sparse
+        return self.by_degree[d].project_sparse(
+            sparse({off + i: normalize(x) for i, x in enumerate(vec)}))
 
     def structure_map(self, obj_index) -> GradedMap:
         if obj_index in self._structure:
@@ -490,13 +501,11 @@ class DiagramColimit:
         src = self.objects[obj_index]
         blocks = {}
         for d in src.degrees():
-            cols = []
-            for j in range(src.rank(d)):
-                vec = [self.ring.zero()] * src.rank(d)
-                vec[j] = self.ring.one()
-                cols.append(self.project(d, obj_index, vec))
-            blocks[d] = Matrix.from_columns(self.ring, cols,
-                                            self.degree(d).class_count)
+            pres, off = self.degree(d), self.offsets[d][obj_index]
+            units = vectors(self.ring, self.dims[d])
+            cols = [pres.project_sparse(units.unit(off + j))
+                    for j in range(src.rank(d))]
+            blocks[d] = Matrix.from_columns(self.ring, cols, pres.class_count)
         self._structure[obj_index] = GradedMap(src, self.module, 0, blocks)
         return self._structure[obj_index]
 

@@ -277,6 +277,13 @@ class SliceCategory:
                     comp = hcat.compose(e.src, e.tgt, obj, 0, e.coords, 0, ci.coords)
                     if tuple(comp) == tuple(cj.coords):
                         self.morphisms.setdefault((i, j), []).append(e)
+        self.index = {}     # ContClass.key() -> index of its first slice object
+        for i, c in enumerate(self.objects):
+            self.index.setdefault(c.key(), i)
+        n = len(self.objects)
+        self._terminal = next((k for k in range(n)
+                               if all((i, k) in self.morphisms for i in range(n))),
+                              None)
 
     def is_filtered(self):
         """Nonempty, pairwise cocones, and parallel-morphism equalization."""
@@ -306,11 +313,8 @@ class SliceCategory:
         return False
 
     def weakly_terminal_index(self):
-        n = len(self.objects)
-        for k in range(n):
-            if all((i, k) in self.morphisms for i in range(n)):
-                return k
-        return None
+        """The first object every object maps to, or None."""
+        return self._terminal
 
     def chain(self, depth: int):
         """Cofinal chain of object indices with connecting morphisms.
@@ -416,7 +420,9 @@ class FractionCategory:
     # -- representatives and composition -----------------------------------------
 
     def represent_at(self, l, k, d, coords, slice_index):
-        """H-class at the given slice object mapping to the colimit element."""
+        """H-class at the given slice object mapping to the colimit element.
+        The structure map is built once per colimit and its block keeps its
+        factorization, so each call costs one sparse product."""
         return self.colim(l, k).structure_map(slice_index).block(d).solve(
             tuple(coords))
 
@@ -463,10 +469,7 @@ class FractionCategory:
         return ContClass(first.src, second.tgt, comp)
 
     def _slice_index(self, l, cls: ContClass):
-        for i, c in enumerate(self.slices[l].objects):
-            if c == cls:
-                return i
-        return None
+        return self.slices[l].index.get(cls.key())
 
     def identity(self, l):
         e = self.hcat.identity_coords[l]

@@ -5,7 +5,9 @@ A ``Matrix`` stores its rows as sparse vectors in ``Echelon``'s vector form
 come in only through ``Matrix.from_rows`` and ``Matrix.from_columns`` and go
 out only through the read-only ``data`` view.  Every elimination (rank,
 reduced row echelon form, kernel, solve) goes through ``Echelon``, an
-incremental sparse echelon basis.
+incremental sparse echelon basis.  A ``Matrix`` is immutable, so ``solve``
+keeps its factorization (the RREF of ``[A | I]``) on the matrix: the first
+right-hand side eliminates, every later one costs a sparse product.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ class Matrix:
     """Immutable exact matrix: ``rows`` sparse row vectors of length ``cols``,
     column-vector action."""
 
-    __slots__ = ("ring", "vecs", "rows", "cols")
+    __slots__ = ("ring", "vecs", "rows", "cols", "_solver")
 
     def __init__(self, ring: CoefficientRing, vecs, cols: int):
         self.ring = ring
         self.vecs = tuple(vecs)
         self.rows = len(self.vecs)
         self.cols = cols
+        self._solver = None     # (pivots, transform), filled by the first solve
 
     # -- constructors --------------------------------------------------------
 
@@ -185,19 +188,40 @@ class Matrix:
 
     def solve(self, vec):
         """One exact solution x with self @ x = vec, or None.  Deterministic:
-        free variables are set to zero in RREF order."""
+        free variables are set to zero in RREF order.
+
+        The RREF T [A | I] = [R | T] of the augmented identity is computed on
+        the first call and kept: a row of R with pivot column c gives
+        x_c = T_c . vec, and vec is consistent iff every row of T whose
+        pivot lies in the I part (a row of the left null space) kills it.
+        Since T is linear in vec, this is the RREF solution of [A | vec]."""
         if len(vec) != self.rows:
             raise ShapeMismatch("solve dimension mismatch")
-        n = self.cols
-        aug = vectors(self.ring, n + 1)
-        red, pivots = Matrix(self.ring, [
-            aug.axpy(row, self.ring.normalize(b), aug.unit(n))
-            for row, b in zip(self.vecs, vec)], n + 1).rref()
-        if n in pivots:
-            return None
-        space = vectors(self.ring, n)
-        return space.unpack(space.sparse(
-            {pc: aug.coeff(row, n) for row, pc in zip(red.vecs, pivots)}))
+        if self._solver is None:
+            self._solver = self._factor()
+        pivots, transform = self._solver
+        R, n = self.ring, self.cols
+        image = transform.apply(tuple(R.normalize(b) for b in vec))
+        x = [R.zero()] * n
+        for pc, c in zip(pivots, image):
+            if pc >= n:
+                if c:
+                    return None
+            else:
+                x[pc] = c
+        return tuple(x)
+
+    def _factor(self):
+        """The pivots of the RREF of [self | I] and its I part, row by row."""
+        n, m = self.cols, self.rows
+        aug = vectors(self.ring, n + m)
+        red, pivots = Matrix(self.ring, [aug.axpy(row, 1, aug.unit(n + i))
+                                         for i, row in enumerate(self.vecs)],
+                             n + m).rref()
+        tail = vectors(self.ring, m).sparse
+        return pivots, Matrix(self.ring, [
+            tail({j - n: x for j, x in aug.items(v) if j >= n})
+            for v in red.vecs[:len(pivots)]], m)
 
 
 class Echelon:

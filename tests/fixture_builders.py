@@ -5,6 +5,10 @@ The JSON files under src/wrapcat/fixtures are generated from these builders
 byte for byte.
 """
 
+import json
+from pathlib import Path
+
+from wrapcat import setupfile
 from wrapcat.floer import FloerDataSystem, WeakFloerSetup
 from wrapcat.linalg import GradedModule
 from wrapcat.rings import CoefficientRing
@@ -224,3 +228,14 @@ ALL_BUILDERS = {
     "dsq_break": build_dsq_break,
     "micro2_break_beta": build_micro2_break_beta,
 }
+
+
+def rational_fixture_doc(name):
+    """The setup document of a bundled F2 fixture re-coefficiented to Q:
+    every scalar of these fixtures is "1 mod 2", which becomes "1"."""
+    path = Path(setupfile.__file__).parent / "fixtures" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    assert doc["coefficients"] == "F2"
+    text = json.dumps(dict(doc, coefficients="Q")).replace('"1 mod 2"', '"1"')
+    assert " mod " not in text
+    return json.loads(text)

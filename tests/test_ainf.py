@@ -1,14 +1,17 @@
 import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
-from fixture_builders import build_toyb
+from fixture_builders import build_toyb, build_toyc, rational_fixture_doc
 from wrapcat.ainf import (AInfCategory, NaiveFunctor, check_ainf_relations,
                           check_quasi_equivalence, classify_unitality,
                           cohomology_category)
 from wrapcat.errors import InvalidFunctor, RelationFailure
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule
+from wrapcat.matrices import Matrix
 from wrapcat.rings import CoefficientRing
+from wrapcat.setupfile import setup_from_dict
+from wrapcat.wrap import continuation_cset
 
 F2 = CoefficientRing.prime_field(2)
 Q = CoefficientRing.rationals()
@@ -100,6 +103,42 @@ class TestHCategory:
                        0, h.project_dict("L", "K", 0, {"y": 1}))
         assert cy == h.project_dict("Lp", "K", 0, {"x": 1})
         assert h.verify_category_axioms()["passed"]
+
+    @pytest.mark.parametrize("setup", [build_toyc, lambda: setup_from_dict(
+        rational_fixture_doc("toyb"))], ids=["toyc-F2", "toyb-Q"])
+    def test_composition_matrices_are_built_once(self, setup):
+        s = setup()
+        h = cohomology_category(canonical_envelope(s))
+        # each continuation class, and on the same objects the zero class and
+        # every enumerated degree-0 class, so a key that drops the
+        # coordinates returns a wrong matrix
+        for c in continuation_cset(s, h):
+            zero = (h.ring.zero(),) * len(c.coords)
+            for u in [c.coords, zero] + h.degree0_elements(c.src, c.tgt):
+                for k in h.objects:
+                    for d in sorted(set(h.pres(k, c.src).degrees())
+                                    | set(h.pres(c.tgt, k).degrees())):
+                        self._check_memoized(h, c.src, c.tgt, k, u, d)
+
+    @staticmethod
+    def _check_memoized(h, x, y, k, u, d):
+        """(- then u) on H^d(k, x) and (u then -) on H^d(y, k) against their
+        columns from compose; repeated calls, with u as a list too, return
+        the stored matrices."""
+        post = h.postcompose_matrix(k, x, y, 0, u, d)
+        assert post == Matrix.from_columns(h.ring, [
+            h.compose(k, x, y, d, h.basis_coords(k, x, d, i), 0, u)
+            for i in range(h.class_count(k, x, d))], h.class_count(k, y, d))
+        pre = h.precompose_matrix(x, y, k, 0, u, d)
+        assert pre == Matrix.from_columns(h.ring, [
+            h.compose(x, y, k, 0, u, d, h.basis_coords(y, k, d, j))
+            for j in range(h.class_count(y, k, d))], h.class_count(x, k, d))
+        built = len(h._matrices)
+        assert h.postcompose_matrix(k, x, y, 0, tuple(u), d) is post
+        assert h.postcompose_matrix(k, x, y, 0, list(u), d) is post
+        assert h.precompose_matrix(x, y, k, 0, tuple(u), d) is pre
+        assert h.precompose_matrix(x, y, k, 0, list(u), d) is pre
+        assert len(h._matrices) == built
 
     def test_relation_failure_raised(self):
         env = canonical_envelope(build_toyb())

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from fixture_builders import rational_fixture_doc
 from wrapcat import cli
 from wrapcat.cli import main
+from wrapcat.matrices import Matrix
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -205,3 +207,37 @@ class TestEngineErrorsEndInReports:
             (1, "fail", error)
         assert rep["sections"]["error"]["message"]
         assert rep["fixture"] == fixture
+
+
+class TestRepeatedCalls:
+    """Caches live on objects built for one call: a second identical call in
+    the same process prints the same bytes and exits the same way."""
+
+    def test_second_call_repeats_the_first(self, capsys, tmp_path):
+        toyb_q = tmp_path / "toyb_q.json"
+        toyb_q.write_text(json.dumps(rational_fixture_doc("toyb")))
+        calls = [["compute", str(FIXTURES / "toyc.json"), "--what", "dfcat"],
+                 ["entangle", str(FIXTURES / "toyc.json"), "--level", "1",
+                  "--compare"],
+                 ["compute", str(toyb_q), "--what", "dfcat"]]
+        for argv in calls:
+            first = (main(list(argv)), capsys.readouterr().out)
+            second = (main(list(argv)), capsys.readouterr().out)
+            assert first[1]
+            assert second == first, argv
+
+    def test_fraction_composition_eliminates_once_per_block(self, capsys,
+                                                            monkeypatch):
+        # toyc dfcat composes 1,762 roofs through 21 distinct structure-map
+        # blocks: eliminating per call rather than per block costs thousands
+        calls = []
+        rref = Matrix.rref
+
+        def counted(self):
+            calls.append(None)
+            return rref(self)
+        monkeypatch.setattr(Matrix, "rref", counted)
+        code, rep = run_cli(capsys, "compute", str(FIXTURES / "toyc.json"),
+                            "--what", "dfcat")
+        assert (code, rep["verdict"]) == (0, "pass")
+        assert len(calls) < 100

@@ -222,6 +222,17 @@ class TestDiagramColimit:
         (img_a,), (img_b,) = dc.project(0, 0, (1,)), dc.project(0, 1, (1,))
         assert img_b != 0 and img_a == 3 * img_b
 
+    def test_project_rejects_a_vector_of_the_wrong_length(self):
+        a = mod(Q, ("a", 0))
+        b = mod(Q, ("b1", 0), ("b2", 0))
+        dc = diagram_colimit([a, b], [])
+        assert dc.project(0, 0, (1,)) == (1, 0, 0)
+        assert dc.project(0, 1, (1, 1)) == (0, 1, 1)
+        with pytest.raises(ShapeMismatch):
+            dc.project(0, 0, (1, 1))    # would spill into object 1
+        with pytest.raises(ShapeMismatch):
+            dc.project(0, 1, (1, 1, 1))     # runs past the last object
+
 RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}
 
 
@@ -280,9 +291,16 @@ class TestEliminationAgainstDenseReference:
             assert (got.data, got_pivots) == (tuple(map(tuple, red)), pivots)
         kernel = dense_kernel(data, cols, p)
         assert m.kernel_basis() == kernel
+        # one matrix, many right-hand sides: the factorization kept by the
+        # first solve must answer every later one as a fresh elimination would
         x = [rng.randint(-2, 2) for _ in range(cols)]
-        for b in (m.apply(tuple(ring.normalize(v) for v in x)),
-                  tuple(ring.normalize(rng.randint(-2, 2)) for _ in range(rows))):
+        units = [ring.unit_vector(rows, i) for i in range(rows)]
+        inconsistent = [b for b in units if dense_solve(data, b, cols, p) is None]
+        rhs = [m.apply(tuple(ring.normalize(v) for v in x)),
+               tuple(ring.normalize(rng.randint(-2, 2)) for _ in range(rows)),
+               (ring.zero(),) * rows] + inconsistent[:1]
+        rng.shuffle(rhs)
+        for b in rhs + rhs[::-1]:
             assert m.solve(b) == dense_solve(data, b, cols, p)
 
     @settings(max_examples=80, deadline=None)

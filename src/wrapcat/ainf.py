@@ -83,6 +83,8 @@ class AInfCategory:
         self.ops = {}          # chain -> {inputs: {output: scalar}}
         self._block_rev = None
         self._mu_cache = None
+        self._contractions = None   # run -> {inputs: output or None}, False if zero
+        self._arity = None
         for chain, inputs, output, scalar in op_entries:
             self.add_op_entry(chain, inputs, output, scalar)
 
@@ -121,7 +123,7 @@ class AInfCategory:
         _merge(out, output, scalar, self.ring)
         if not out:
             del table[inputs]
-        self._mu_cache = None
+        self._mu_cache = self._contractions = self._arity = None
 
     def set_op_entry(self, chain, inputs, output, scalar):
         chain, inputs = tuple(chain), tuple(inputs)
@@ -133,7 +135,7 @@ class AInfCategory:
             out[output] = scalar
         if not out:
             del table[inputs]
-        self._mu_cache = None
+        self._mu_cache = self._contractions = self._arity = None
 
     def add_unit_entries(self):
         """Install strict-unit mu^2 entries for every designated plain unit."""
@@ -169,6 +171,36 @@ class AInfCategory:
             hit = self._mu_twisted(chain, inputs)
             cache[key] = hit
         return dict(hit)
+
+    def max_arity(self) -> int:
+        """The largest arity of an operation entry (0 without entries).  A
+        twisted mu^k on cones inserts twists into host operations of arity
+        at least k, so every mu^k above this arity is zero."""
+        if self._arity is None:
+            self._arity = max((len(c) - 1 for c, t in self.ops.items() if t),
+                              default=0)
+        return self._arity
+
+    def contraction(self, chain, inputs):
+        """The nonzero ``mu`` output on the label tuple ``inputs`` along the
+        object tuple ``chain``, or None, from an index filled on first use:
+        one ``mu`` call per distinct (chain, inputs), none for a run above
+        ``max_arity`` or into a zero hom.  The output is shared; callers must
+        not mutate it."""
+        index = self._contractions
+        if index is None:
+            index = self._contractions = {}
+        table = index.get(chain)
+        if table is None:
+            live = (len(chain) - 1 <= self.max_arity()
+                    and (chain[0], chain[-1]) in self.homs)
+            table = index[chain] = {} if live else False
+        if table is False:
+            return None
+        if inputs in table:
+            return table[inputs]
+        out = table[inputs] = self.mu(chain, inputs) or None
+        return out
 
     def mu_element(self, chain, elements):
         """Multilinear evaluation on label->scalar dicts, one per slot."""

@@ -134,10 +134,18 @@ class GradedMap:
             row = acc.setdefault(d, {}).setdefault(target.index_of(tgt_lab), {})
             j = source.index_of(src_lab)
             row[j] = ring.add(row.get(j, ring.zero()), ring.normalize(scalar))
+        return GradedMap.from_rows(source, target, degree, acc)
+
+    @staticmethod
+    def from_rows(source: GradedModule, target: GradedModule, degree: int,
+                  rows) -> "GradedMap":
+        """Build from sparse rows {source degree: {target index: {source
+        index: normalized scalar}}}."""
+        ring = source.ring
         blocks = {}
-        for d, rows in acc.items():
+        for d, block in rows.items():
             sparse = vectors(ring, source.rank(d)).sparse
-            blocks[d] = Matrix(ring, [sparse(rows.get(i, {}))
+            blocks[d] = Matrix(ring, [sparse(block.get(i, {}))
                                       for i in range(target.rank(d + degree))],
                                source.rank(d))
         return GradedMap(source, target, degree, blocks)

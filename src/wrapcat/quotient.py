@@ -4,13 +4,16 @@ The quotient of a strictly unital category by the subcategory of cones over
 chosen degree-0 classes is realized through bar-type hom complexes: chains
 through null objects of bounded length, with the differential assembled from
 all consecutive-run contractions.  Only H^0 is computed, so each bar complex
-holds only its chains of degree -1, 0 and 1.  H^0 ranks are reported per
-depth with a stabilization certificate, never a convergence claim.
+holds only its chains of degree -1, 0 and 1.  The words of null objects
+between the two ends, with their internal contractions, are built once per
+quotient and shared by its bars.  Every contraction is read from the
+extended category's index (``AInfCategory.contraction``), which evaluates
+each distinct run once, and no run longer than the largest operation arity
+is visited.  H^0 ranks are reported per depth with a stabilization
+certificate, never a convergence claim.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .ainf import AInfCategory, HCategory, check_ainf_relations, cone_of_class
 from .errors import (HypothesisFailed, NotClosedRepresentative, RelationFailure,
@@ -18,6 +21,142 @@ from .errors import (HypothesisFailed, NotClosedRepresentative, RelationFailure,
 from .linalg import (Complex, GradedMap, GradedModule, cohomology,
                      induced_cohomology_map, sequence_colimit)
 from .matrices import Matrix
+
+
+def _sign_exponent(before, run):
+    """The Koszul sign exponent of contracting labels of degrees ``run``
+    that follow labels of degrees ``before`` in a bar chain."""
+    return (sum(d - 1 for d in before)
+            + sum((len(run) - 1 - t) * d for t, d in enumerate(run)))
+
+
+class NullWords:
+    """The words b_1 -> .. -> b_k (1 <= k <= depth) of null objects joined
+    by basis labels that the bars of one quotient can use, built once and
+    shared by them.
+
+    A word is kept when, with a label of hom(x, b_1) and one of hom(b_k, y)
+    for some x in ``sources`` and y in ``targets``, its degree can make a
+    chain of degree ``degree`` - 1, ``degree`` or ``degree`` + 1.
+    ``groups`` lists the object tuples shortest first and in product order
+    of the nulls, each with its word ids in product order of the label
+    lists; ``words[id]`` is (objects, labels, label degrees, degree sum,
+    joined objects, joined labels each followed by "|").  The contractions
+    of runs inside a word (``inner``) and of runs through one end (``left``,
+    ``right``) are computed on first use and kept, so each is evaluated once
+    per quotient, not once per pair and chain.
+    """
+
+    def __init__(self, cat: AInfCategory, nulls, depth: int, degree: int,
+                 sources, targets):
+        self.cat = cat
+        self.groups = []
+        self.words = []
+        self.ids = {}       # (objects, labels) -> word id
+        self.arity = cat.max_arity()
+        self._inner, self._left, self._right = {}, {}, {}
+
+        def span(mods):
+            degs = [d for m in mods for d in m.degrees()]
+            return (min(degs), max(degs)) if degs else None
+        first = {b: span([cat.hom(x, b) for x in sources]) for b in nulls}
+        last = {b: span([cat.hom(b, y) for y in targets]) for b in nulls}
+        runs = [()]
+        for k in range(1, depth + 1):
+            runs = [r + (b,) for r in runs for b in nulls
+                    if not r or not cat.hom(r[-1], b).is_zero()]
+            for objs in runs:
+                f, g = first[objs[0]], last[objs[-1]]
+                if f is not None and g is not None:
+                    self._add_group(objs, degree - 1 + k - f[1] - g[1],
+                                    degree + 1 + k - f[0] - g[0])
+
+    def _add_group(self, objs, lo, hi):
+        """The labellings of ``objs`` with degree sum in [lo, hi], in product
+        order; a partial labelling is dropped once the degrees left to choose
+        cannot bring it into range."""
+        mods = [self.cat.hom(objs[i], objs[i + 1]) for i in range(len(objs) - 1)]
+        rest_min = [sum(min(m.degrees()) for m in mods[i:])
+                    for i in range(len(mods) + 1)]
+        rest_max = [sum(max(m.degrees()) for m in mods[i:])
+                    for i in range(len(mods) + 1)]
+        partial = [((), (), 0)]
+        for i, m in enumerate(mods):
+            partial = [(labs + (lab,), degs + (d,), t + d)
+                       for labs, degs, t in partial
+                       for d in m.degrees() for lab in m.labels(d)
+                       if lo - rest_max[i + 1] <= t + d <= hi - rest_min[i + 1]]
+        ids = []
+        joined = "|".join(objs)
+        for labs, degs, t in partial:
+            if lo <= t <= hi:
+                self.ids[(objs, labs)] = len(self.words)
+                ids.append(len(self.words))
+                self.words.append((objs, labs, degs, t, joined,
+                                   "".join(lab + "|" for lab in labs)))
+        if ids:
+            self.groups.append((objs, ids))
+
+    def inner(self, wid):
+        """The contractions of runs of the word's own labels, as (target
+        word id, sign exponent, scalar).  In a chain whose first label has
+        degree d_0 the sign exponent gains d_0 - 1."""
+        hit = self._inner.get(wid)
+        if hit is None:
+            objs, labels, degs = self.words[wid][:3]
+            hit = self._inner[wid] = []
+            for i in range(len(labels)):
+                for j in range(i, min(len(labels), i + self.arity)):
+                    out = self.cat.contraction(objs[i:j + 2], labels[i:j + 1])
+                    if out is None:
+                        continue
+                    exp = _sign_exponent(degs[:i], degs[i:j + 1])
+                    new_objs = objs[:i + 1] + objs[j + 1:]
+                    for mid, c in out.items():
+                        tw = self.ids[(new_objs,
+                                       labels[:i] + (mid,) + labels[j + 1:])]
+                        hit.append((tw, exp, c))
+        return hit
+
+    def left(self, x, l0, d0, wid):
+        """The contractions of runs from x through the first label ``l0``
+        (of degree ``d0``) and the first labels of the word, as (new first
+        label, target word id, sign exponent, scalar)."""
+        key = (x, l0, wid)
+        hit = self._left.get(key)
+        if hit is None:
+            objs, labels, degs = self.words[wid][:3]
+            degs = (d0,) + degs
+            hit = self._left[key] = []
+            for r in range(min(len(objs), self.arity)):
+                out = self.cat.contraction((x,) + objs[:r + 1], (l0,) + labels[:r])
+                if out is None:
+                    continue
+                exp = _sign_exponent((), degs[:r + 1])
+                tw = wid if r == 0 else self.ids[(objs[r:], labels[r:])]
+                hit.extend((mid, tw, exp, c) for mid, c in out.items())
+        return hit
+
+    def right(self, wid, lk, dk, y):
+        """The contractions of runs from the last labels of the word through
+        the last label ``lk`` (of degree ``dk``) to y, as (target word id,
+        new last label, sign exponent, scalar).  In a chain whose first
+        label has degree d_0 the sign exponent gains d_0 - 1."""
+        key = (wid, lk, y)
+        hit = self._right.get(key)
+        if hit is None:
+            objs, labels, degs = self.words[wid][:3]
+            k = len(objs)
+            hit = self._right[key] = []
+            for i in range(max(1, k + 1 - self.arity), k + 1):
+                out = self.cat.contraction(objs[i - 1:] + (y,),
+                                           labels[i - 1:] + (lk,))
+                if out is None:
+                    continue
+                exp = _sign_exponent(degs[:i - 1], degs[i - 1:] + (dk,))
+                tw = wid if i == k else self.ids[(objs[:i], labels[:i - 1])]
+                hit.extend((tw, mid, exp, c) for mid, c in out.items())
+        return hit
 
 
 class BarQuotient:
@@ -29,12 +168,17 @@ class BarQuotient:
     a chain sits in degree sum(ext degrees) - k.  Only chains of degree n-1,
     n and n+1 are built, and the differential only on degrees n-1 and n, so
     of the cohomology of ``complex`` only H^n is that of the bar complex.
-    The differential contracts consecutive runs through the category's
-    operations with the Koszul signs of the global convention.
+    A chain with k >= 1 nulls is a label of hom(X, b_1), a word of
+    ``words`` (a ``NullWords`` for these nulls, depth and degree with X
+    among its sources and Y among its targets; built for this pair alone
+    when not given) and a label of hom(b_k, Y).  The differential contracts
+    consecutive runs through the category's contraction index with the
+    Koszul signs of the global convention; runs inside a word and runs
+    through one end are evaluated once per quotient, not per chain.
     """
 
     def __init__(self, cat: AInfCategory, nulls, x, y, depth: int,
-                 degree: int = 0):
+                 degree: int = 0, words: NullWords = None):
         self.cat = cat
         self.ring = cat.ring
         self.nulls = tuple(nulls)
@@ -42,86 +186,102 @@ class BarQuotient:
         self.y = y
         self.depth = int(depth)
         self.degree = int(degree)
+        if words is None:
+            words = NullWords(cat, self.nulls, self.depth, self.degree,
+                              (x,), (y,))
         self.chains = []    # (objects tuple, labels tuple)
-        self._build_chains()
-        self.module = self._build_module()
-        self.differential = self._build_differential()
+        self._gens = []     # (name, degree) per chain
+        slot, sources = self._build_chains(words)
+        self.module = GradedModule.from_generators(self.ring, self._gens)
+        self.differential = self._build_differential(words, slot, sources)
         self.complex = Complex(self.module, self.differential)
 
-    # chain label encoding ----------------------------------------------------
+    def _build_chains(self, words: NullWords):
+        """Shortest first, then in the product order of the nulls and of the
+        label lists; chains are named "objects//labels", "|"-joined.
 
-    @staticmethod
-    def _encode(objects, labels):
-        return "|".join(objects) + "//" + "|".join(labels)
+        Returns the index of each chain in its degree, keyed by (label,) or
+        (first label, word id, last label), and the chains of degree at
+        most n as (degree, index, key, first degree, last degree)."""
+        x, y, n = self.x, self.y, self.degree
+        chains, gens = self.chains, self._gens
+        slot, count, sources = {}, {}, []
 
-    def _build_chains(self):
-        """Shortest first, then in the product order of the label lists; a
-        partial chain is dropped once the degrees left to choose cannot bring
-        it into the window."""
-        for k in range(self.depth + 1):
-            lo, hi = self.degree - 1 + k, self.degree + 1 + k
-            for mids in product(self.nulls, repeat=k):
-                objs = (self.x,) + mids + (self.y,)
-                mods = [self.cat.hom(objs[i], objs[i + 1]) for i in range(k + 1)]
-                if any(m.is_zero() for m in mods):
-                    continue
-                rest_min = [sum(min(m.degrees()) for m in mods[i:])
-                            for i in range(k + 2)]
-                rest_max = [sum(max(m.degrees()) for m in mods[i:])
-                            for i in range(k + 2)]
-                partial = [((), 0)]
-                for i, m in enumerate(mods):
-                    partial = [(labs + (lab,), t + d) for labs, t in partial
-                               for d in m.degrees() for lab in m.labels(d)
-                               if lo - rest_max[i + 1] <= t + d
-                               <= hi - rest_min[i + 1]]
-                self.chains.extend((objs, labels) for labels, _ in partial)
+        def add(objs, labels, name, d, key, d0=None, dk=None):
+            chains.append((objs, labels))
+            gens.append((name, d))
+            slot[key] = j = count.get(d, 0)
+            count[d] = j + 1
+            if d <= n:
+                sources.append((d, j, key, d0, dk))
 
-    def chain_degree(self, objs, labels):
-        total = 0
-        for i, lab in enumerate(labels):
-            total += self.cat.hom(objs[i], objs[i + 1]).degree_of(lab)
-        return total - (len(labels) - 1)
-
-    def _build_module(self) -> GradedModule:
-        gens = []
-        for objs, labels in self.chains:
-            gens.append((self._encode(objs, labels), self.chain_degree(objs, labels)))
-        return GradedModule.from_generators(self.ring, gens)
-
-    def _build_differential(self) -> GradedMap:
-        ring = self.ring
-        entries = []
-        for objs, labels in self.chains:
-            src_label = self._encode(objs, labels)
-            if self.module.degree_of(src_label) > self.degree:
+        direct = self.cat.hom(x, y)
+        for d in direct.degrees():
+            if n - 1 <= d <= n + 1:
+                for lab in direct.labels(d):
+                    add((x, y), (lab,), f"{x}|{y}//{lab}", d, (lab,))
+        for mids, ids in words.groups:
+            k = len(mids)
+            first, last = self.cat.hom(x, mids[0]), self.cat.hom(mids[-1], y)
+            if first.is_zero() or last.is_zero():
                 continue
-            k = len(labels) - 1
-            degs = [self.cat.hom(objs[i], objs[i + 1]).degree_of(labels[i])
-                    for i in range(k + 1)]
-            for i in range(k + 1):
-                for j in range(i, k + 1):
-                    run_chain = objs[i:j + 2]
-                    out = self.cat.mu(run_chain, labels[i:j + 1])
-                    if not out:
-                        continue
-                    exp = sum(d - 1 for d in degs[:i])
-                    exp += sum((j - l) * degs[l] for l in range(i, j + 1))
-                    sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
-                    new_objs = objs[:i + 1] + objs[j + 1:]
-                    for mid, c in out.items():
-                        new_labels = labels[:i] + (mid,) + labels[j + 1:]
-                        entries.append((src_label,
-                                        self._encode(new_objs, new_labels),
-                                        ring.mul(sgn, c)))
-        return GradedMap.from_entries(self.module, self.module, 1, entries)
+            lo, hi = n - 1 + k, n + 1 + k
+            objs = (x,) + mids + (y,)
+            head = f"{x}|{words.words[ids[0]][4]}|{y}//"
+            ends = [(lab, d) for d in last.degrees() for lab in last.labels(d)]
+            end_min, end_max = ends[0][1], ends[-1][1]
+            for d0 in first.degrees():
+                for l0 in first.labels(d0):
+                    for wid in ids:
+                        _, wl, _, wdeg, _, joined = words.words[wid]
+                        t = d0 + wdeg
+                        if t + end_max < lo or t + end_min > hi:
+                            continue
+                        name = head + l0 + "|" + joined
+                        for lk, dk in ends:
+                            if lo <= t + dk <= hi:
+                                add(objs, (l0,) + wl + (lk,), name + lk,
+                                    t + dk - k, (l0, wid, lk), d0, dk)
+        return slot, sources
+
+    def _build_differential(self, words: NullWords, slot, sources) -> GradedMap:
+        ring = self.ring
+        zero, add, neg = ring.zero(), ring.add, ring.neg
+        x, y = self.x, self.y
+        contract = self.cat.contraction
+        arity = self.cat.max_arity()
+        rows = {}   # source degree -> target index -> {source index: scalar}
+        for d, j, key, d0, dk in sources:
+            if len(key) == 1:
+                terms = [((mid,), 0, c) for mid, c in
+                         (contract((x, y), key) or {}).items()]
+            else:
+                l0, wid, lk = key
+                pre = d0 - 1
+                terms = [((l0, tw, lk), exp + pre, c)
+                         for tw, exp, c in words.inner(wid)]
+                terms += [((mid, tw, lk), exp, c)
+                          for mid, tw, exp, c in words.left(x, l0, d0, wid)]
+                terms += [((l0, tw, mid), exp + pre, c)
+                          for tw, mid, exp, c in words.right(wid, lk, dk, y)]
+                mids, wl, wdegs = words.words[wid][:3]
+                out = (contract((x,) + mids + (y,), (l0,) + wl + (lk,))
+                       if len(mids) + 1 <= arity else None)
+                if out:
+                    exp = _sign_exponent((), (d0,) + wdegs + (dk,))
+                    terms += [((mid,), exp, c) for mid, c in out.items()]
+            for target, exp, c in terms:
+                row = rows.setdefault(d, {}).setdefault(slot[target], {})
+                row[j] = add(row.get(j, zero), c if exp % 2 == 0 else neg(c))
+        return GradedMap.from_rows(self.module, self.module, 1, rows)
 
     def truncate(self, depth: int) -> "BarQuotient":
         """The depth-truncated subcomplex, reusing the computed differential.
 
-        Chains are enumerated shortest first, so in every degree the
-        truncated basis is a prefix of the full one and each truncated block
-        is the leading block of the full one.
+        Chains are enumerated shortest first, so the truncated chains are a
+        prefix of the full ones, in every degree the truncated basis is a
+        prefix of the full one and each truncated block is the leading block
+        of the full one.
         """
         sub = BarQuotient.__new__(BarQuotient)
         sub.cat = self.cat
@@ -130,8 +290,11 @@ class BarQuotient:
         sub.x, sub.y = self.x, self.y
         sub.depth = depth
         sub.degree = self.degree
-        sub.chains = [(o, l) for (o, l) in self.chains if len(l) - 1 <= depth]
-        sub.module = sub._build_module()
+        m = next((i for i, (_, labels) in enumerate(self.chains)
+                  if len(labels) - 1 > depth), len(self.chains))
+        sub.chains = self.chains[:m]
+        sub._gens = self._gens[:m]
+        sub.module = GradedModule.from_generators(sub.ring, sub._gens)
         blocks = {d: blk.leading(sub.module.rank(d + 1), sub.module.rank(d))
                   for d, blk in self.differential.blocks.items()}
         sub.differential = GradedMap(sub.module, sub.module, 1, blocks)
@@ -153,8 +316,11 @@ class TruncatedQuotient:
             (a, b) for a in self.objects for b in self.objects]
         self.bars = {}          # (x, y, d) -> BarQuotient
         self.homology = {}      # (x, y, d) -> DegreePresentation of H^0
+        words = NullWords(extended, self.nulls, self.depth, 0,
+                          {a for a, _ in self.pairs}, {b for _, b in self.pairs})
         for (a, b) in self.pairs:
-            bar = BarQuotient(extended, self.nulls, a, b, self.depth)
+            bar = BarQuotient(extended, self.nulls, a, b, self.depth,
+                              words=words)
             self.bars[(a, b, self.depth)] = bar
             self.homology[(a, b, self.depth)] = cohomology(
                 bar.complex, (0,)).degree(0)

@@ -106,6 +106,43 @@ def build_toyc() -> WeakFloerSetup:
                           oracle={"mode": "lexicographic"}, name="toyc")
 
 
+def build_toyc_chain(n) -> WeakFloerSetup:
+    """toyc's telescope one object longer per step: L0 <- L1 <- .. <- Ln
+    and K over F2, with CF(L0, K) = <a0>, CF(Li, K) = <bi, ei> for i >= 1,
+    one class c_{i..j-1} in CF(Lj, Li) for every j > i (named by its
+    steps, c0, c01, ..), composition of telescope classes, and
+    c_{i..j-1} . a0 = bj, . bi = bj, . ei = ej.  Every telescope class is
+    a continuation class.  n = 3 is toyc under the name toyc_3."""
+    ring = F2
+    one = ring.one()
+    lag = [f"L{i}" for i in range(n + 1)] + ["K"]
+
+    def c(i, j):
+        return "c" + "".join(str(t) for t in range(i, j))
+    steps = [(i, i + m) for m in range(1, n + 1) for i in range(n + 1 - m)]
+    cf = {(f"L{j}", f"L{i}"): _mod(ring, (c(i, j), 0)) for i, j in steps}
+    cf[("L0", "K")] = _mod(ring, ("a0", 0))
+    for i in range(1, n + 1):
+        cf[(f"L{i}", "K")] = _mod(ring, (f"b{i}", 0), (f"e{i}", 0))
+    ops = {}
+    for k in range(2, n + 1):
+        for j in range(k - 1, 0, -1):
+            for i in range(j - 1, -1, -1):
+                ops[(f"L{k}", f"L{j}", f"L{i}")] = [
+                    ((c(j, k), c(i, j)), c(i, k), one)]
+    for i, j in steps:
+        ends = [("a0", "b")] if i == 0 else [(f"b{i}", "b"), (f"e{i}", "e")]
+        ops[(f"L{j}", f"L{i}", "K")] = [((c(i, j), lab), f"{out}{j}", one)
+                                        for lab, out in ends]
+    continuation = [(f"L{j}", f"L{i}", {c(i, j): one}) for i, j in steps]
+    wrap_chains = {f"L{i}": [f"L{t}" for t in range(i, n + 1)]
+                   for i in range(n)}
+    return WeakFloerSetup(ring, lag, composable_mode="all-distinct", max_arity=3,
+                          cf=cf, profile="envelope", envelope_ops=ops,
+                          continuation=continuation, wrap_chains=wrap_chains,
+                          oracle={"mode": "lexicographic"}, name=f"toyc_{n}")
+
+
 def build_micro2datum() -> WeakFloerSetup:
     """Full-profile setup over Q with |D(A,B)| = 2: the two data give
     different differentials on CF(A,B) = <p, q; r>, compared by a swap alpha
@@ -231,11 +268,18 @@ ALL_BUILDERS = {
 
 
 def rational_fixture_doc(name):
-    """The setup document of a bundled F2 fixture re-coefficiented to Q:
-    every scalar of these fixtures is "1 mod 2", which becomes "1"."""
+    """The setup document of a bundled F2 fixture re-coefficiented to Q."""
+    return fixture_doc_over(name, Q)
+
+
+def fixture_doc_over(name, ring):
+    """The setup document of a bundled F2 fixture re-coefficiented to
+    ``ring``: every scalar of these fixtures is "1 mod 2", which becomes the
+    ring's one."""
     path = Path(setupfile.__file__).parent / "fixtures" / f"{name}.json"
     doc = json.loads(path.read_text())
     assert doc["coefficients"] == "F2"
-    text = json.dumps(dict(doc, coefficients="Q")).replace('"1 mod 2"', '"1"')
-    assert " mod " not in text
-    return json.loads(text)
+    text = json.dumps(dict(doc, coefficients=ring.token()))
+    assert text.count(" mod ") == text.count('"1 mod 2"')
+    return json.loads(text.replace(
+        '"1 mod 2"', json.dumps(ring.format_scalar(ring.one()))))

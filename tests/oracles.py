@@ -5,6 +5,7 @@ elimination and localization by zigzag-word saturation.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 # -- dense Gauss-Jordan elimination: the reference for the sparse kernel ----
@@ -111,6 +112,72 @@ def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
                           len(cols), p)
         return None if sol is None else sol[len(bounds):]
     return reps, project
+
+
+# -- per-run bar differential: the reference for the contraction index ------
+
+
+def reference_bar(cat, nulls, x, y, depth, degree=0):
+    """The degree window of the bar complex B(x, y) through ``nulls``, built
+    chain by chain: every word of nulls up to ``depth`` and every labelling
+    in product order, shortest first, kept when its degree lies in
+    [degree - 1, degree + 1]; then ``cat.mu`` on every consecutive run of
+    every chain of degree <= ``degree``.
+
+    Returns (chains, generators, blocks): chains as (objects, labels),
+    generators as (name, degree) in chain order, and the dense differential
+    blocks {d: rows} for d in (degree - 1, degree).
+    """
+    ring = cat.ring
+
+    def name(objs, labels):
+        return "|".join(objs) + "//" + "|".join(labels)
+
+    chains, gens = [], []
+    for k in range(depth + 1):
+        for mids in product(nulls, repeat=k):
+            objs = (x,) + mids + (y,)
+            mods = [cat.hom(objs[i], objs[i + 1]) for i in range(k + 1)]
+            labelled = [()]
+            for m in mods:
+                labelled = [labs + (lab,) for labs in labelled
+                            for d in m.degrees() for lab in m.labels(d)]
+            for labels in labelled:
+                deg = sum(mods[i].degree_of(lab)
+                          for i, lab in enumerate(labels)) - k
+                if degree - 1 <= deg <= degree + 1:
+                    chains.append((objs, labels))
+                    gens.append((name(objs, labels), deg))
+    where, ranks = {}, {}
+    for n, deg in gens:
+        where[n] = (deg, ranks.get(deg, 0))
+        ranks[deg] = ranks.get(deg, 0) + 1
+    acc = {}
+    for (objs, labels), (src, deg) in zip(chains, gens):
+        if deg > degree:
+            continue
+        k = len(labels) - 1
+        degs = [cat.hom(objs[i], objs[i + 1]).degree_of(labels[i])
+                for i in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                out = cat.mu(objs[i:j + 2], labels[i:j + 1])
+                exp = sum(d - 1 for d in degs[:i])
+                exp += sum((j - l) * degs[l] for l in range(i, j + 1))
+                sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
+                new_objs = objs[:i + 1] + objs[j + 1:]
+                for mid, c in out.items():
+                    tgt = name(new_objs, labels[:i] + (mid,) + labels[j + 1:])
+                    key = (src, tgt)
+                    acc[key] = ring.add(acc.get(key, ring.zero()),
+                                        ring.mul(sgn, c))
+    blocks = {d: [[ring.zero()] * ranks.get(d, 0)
+                  for _ in range(ranks.get(d + 1, 0))]
+              for d in (degree - 1, degree)}
+    for (src, tgt), v in acc.items():
+        d, j = where[src]
+        blocks[d][where[tgt][1]][j] = v
+    return chains, gens, blocks
 
 
 # -- zigzag-word localization oracle ------------------------------------------

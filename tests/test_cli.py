@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from fixture_builders import rational_fixture_doc
+from fixture_builders import build_toyc_chain, rational_fixture_doc
 from wrapcat import cli
+from wrapcat.ainf import AInfCategory
 from wrapcat.cli import main
 from wrapcat.matrices import Matrix
+from wrapcat.setupfile import canonical_json, setup_to_dict
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -105,6 +107,17 @@ class TestLocalize:
         for row in rows:
             assert row["stabilized"], row["pair"]
             assert row["h0_rank"] == table(*row["pair"]), row["pair"]
+
+    def test_toyc_chain_four_reaches_the_far_end(self, capsys, tmp_path):
+        # L0 <- .. <- L4: hom(L0, L4) becomes hom(L4, L4) after localizing,
+        # and the bars first see it through four cones
+        path = tmp_path / "toyc_4.json"
+        path.write_text(canonical_json(setup_to_dict(build_toyc_chain(4))))
+        _, rep = run_cli(capsys, "compute", str(path), "--what", "localize",
+                         "--depth", "4")
+        rows = {tuple(r["pair"]): r for r in rep["sections"]["quotient_h0"]}
+        assert len(rows) == 36
+        assert rows[("L0", "L4")]["h0_rank"] == 1
 
     def test_invalid_continuation_set_fails_before_cones(self, capsys):
         code, rep = run_cli(capsys, "compute", str(FIXTURES / "ore_break.json"),
@@ -241,3 +254,20 @@ class TestRepeatedCalls:
                             "--what", "dfcat")
         assert (code, rep["verdict"]) == (0, "pass")
         assert len(calls) < 100
+
+    def test_bar_contractions_evaluate_each_run_once(self, capsys,
+                                                      monkeypatch):
+        # toyc localize at depth 3 visits 17,209 consecutive runs of its bar
+        # chains, 454 of them distinct up to arity 2: evaluating per visit
+        # rather than per distinct run costs thousands of calls
+        calls = []
+        mu = AInfCategory.mu
+
+        def counted(self, chain, inputs):
+            calls.append(None)
+            return mu(self, chain, inputs)
+        monkeypatch.setattr(AInfCategory, "mu", counted)
+        code, rep = run_cli(capsys, "compute", str(FIXTURES / "toyc.json"),
+                            "--what", "localize", "--depth", "3")
+        assert (code, rep["sections"]["error"]) == (1, "NotStabilized")
+        assert len(calls) < 8000

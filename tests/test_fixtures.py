@@ -12,12 +12,21 @@ from wrapcat.setupfile import canonical_json, setup_to_dict
 FIXTURES = Path(setupfile.__file__).parent / "fixtures"
 NAMES = ["toyb", "toyc", "micro2datum", "toyb_break_permutation",
          "toyc_break_closure", "ore_break", "dsq_break", "micro2_break_beta"]
+# builders of a family of setups, one per argument, with no bundled file
+FAMILIES = ["toyc_chain"]
 
 
 def test_every_builder_is_covered():
     built = sorted(n[len("build_"):] for n in dir(fixture_builders)
                    if n.startswith("build_"))
-    assert built == sorted(NAMES)
+    assert built == sorted(NAMES + FAMILIES)
+
+
+def test_toyc_chain_three_is_toyc():
+    chain = setup_to_dict(fixture_builders.build_toyc_chain(3))
+    toyc = setup_to_dict(fixture_builders.build_toyc())
+    assert (chain.pop("name"), toyc.pop("name")) == ("toyc_3", "toyc")
+    assert canonical_json(chain) == canonical_json(toyc)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -2,17 +2,19 @@ import random
 
 import pytest
 
-from conv_fixtures_support import dg_path_cat
-from fixture_builders import build_toyb, build_toyc
-from oracles import dense_cohomology, random_path_instance
+from conv_fixtures_support import dg_path_cat, mu3_cat
+from fixture_builders import build_toyb, build_toyc, fixture_doc_over
+from oracles import dense_cohomology, random_path_instance, reference_bar
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category, cone
 from wrapcat.errors import HypothesisFailed, NotClosedRepresentative
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule, cohomology
 from wrapcat.localization import CSet, gz_localize
-from wrapcat.quotient import BarQuotient, hom_via_wrapping_colimit, localize_by_cones
+from wrapcat.quotient import (BarQuotient, TruncatedQuotient,
+                              hom_via_wrapping_colimit, localize_by_cones)
 from wrapcat.rings import CoefficientRing
+from wrapcat.setupfile import setup_from_dict
 from wrapcat.wrap import continuation_cset, generating_subset
 
 F2 = CoefficientRing.prime_field(2)
@@ -143,6 +145,108 @@ class TestDegreeWindows:
             checked += 1
             most_cones = max(most_cones, len(w))
         assert most_cones == 2
+
+
+def assert_matches_reference(bar):
+    """Chains, module labels and both differential blocks of ``bar`` are
+    those of the per-run reference."""
+    chains, gens, blocks = reference_bar(bar.cat, bar.nulls, bar.x, bar.y,
+                                         bar.depth, bar.degree)
+    assert bar.chains == chains
+    names = {}
+    for name, d in gens:
+        names.setdefault(d, []).append(name)
+    assert {d: list(bar.module.labels(d)) for d in bar.module.degrees()} == names
+    for d, rows in blocks.items():
+        assert bar.differential.block(d).data == tuple(map(tuple, rows))
+
+
+def check_against_reference(cat, nulls, objects, depth, windows):
+    """Every standalone window of every pair, and every bar of the quotient
+    (sharing one set of null words) at the depth and the depth below."""
+    for x in objects:
+        for y in objects:
+            for n in windows:
+                assert_matches_reference(
+                    BarQuotient(cat, nulls, x, y, depth, degree=n))
+    quo = TruncatedQuotient(cat, nulls, depth)
+    assert len(quo.bars) == len(objects) ** 2 * (2 if depth else 1)
+    for bar in quo.bars.values():
+        assert_matches_reference(bar)
+
+
+def fixture_cones(name, ring, depth):
+    """A bundled fixture over ``ring`` with the cones that ``compute --what
+    localize`` adjoins: (extended category, nulls, original objects)."""
+    setup = setup_from_dict(fixture_doc_over(name, ring))
+    env = canonical_envelope(setup)
+    h = cohomology_category(env, check_arity=0)
+    w = [(c.src, c.tgt, c.coords)
+         for c in generating_subset(h, continuation_cset(setup, h))]
+    quo, ext = localize_by_cones(env, h, w, depth, pairs=[],
+                                 check_relations=False)
+    return ext, quo.nulls, env.objects
+
+
+class TestContractionIndex:
+    """The indexed, word-sharing bar build against the per-run reference."""
+
+    @pytest.mark.parametrize("name,depth", [("toyb", 3), ("toyc", 2)])
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_fixtures(self, name, depth, ring, p):
+        # cone homs sit in degrees -1..1, so chains in -2 * depth - 1..1
+        ext, nulls, objects = fixture_cones(name, ring, depth)
+        check_against_reference(ext, nulls, objects, depth,
+                                range(-2 * depth - 2, 3))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_dg_path_cone(self, ring, p):
+        ext = cone(dg_path_cat(ring), "Cb", "o1", "o2", {"b": 1})
+        check_against_reference(ext, ["Cb"], ext.objects[:-1], 2,
+                                range(-2, 7))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_random_path_instances_with_cones(self, ring, p):
+        rng = random.Random(5)
+        checked, most_cones = 0, 0
+        while checked < 3:
+            inst = random_path_instance(rng, max_objects=4, max_edges=5)
+            if not inst.wrap_edges:
+                continue
+            cat = instance_to_category(inst, ring)
+            h = cohomology_category(cat, check_arity=0)
+            cset = wrap_cset(inst, h)
+            w = [(c.src, c.tgt, c.coords) for c in cset
+                 if not cset.is_identity(c)][:2]
+            quo, ext = localize_by_cones(cat, h, w, depth=2, pairs=[],
+                                         check_relations=False)
+            check_against_reference(ext, quo.nulls, cat.objects, 2,
+                                    range(-5, 2))
+            checked += 1
+            most_cones = max(most_cones, len(w))
+        assert most_cones == 2
+
+    def test_genuine_mu3_through_the_cone(self):
+        # mu^3(g1, g2, g3) = h is a run of three labels along p0, Cw, Cw, p3
+        # (g2 between the cone's summands): an arity bound of 2 drops it
+        ext = cone(mu3_cat(), "Cw", "p1", "p2", {"w": 1})
+        assert ext.max_arity() == 3
+        check_against_reference(ext, ["Cw"], ext.objects[:-1], 3,
+                                range(-4, 5))
+        bar = BarQuotient(ext, ["Cw"], "p0", "p3", 3, degree=0)
+        three = [(o, l) for o, l in bar.chains
+                 if len(l) == 3 and ext.contraction(o, l)]
+        assert three
+
+    def test_new_operation_entry_reaches_the_next_bar(self):
+        ext = cone(mu3_cat(), "Cw", "p1", "p2", {"w": 1})
+        before = BarQuotient(ext, ["Cw"], "p0", "p3", 2, degree=1)
+        # mu^3(g1, w, g3) = h makes the twisted mu^2 along p0, Cw, p3 nonzero
+        ext.add_op_entry(("p0", "p1", "p2", "p3"), ("g1", "w", "g3"), "h", 1)
+        after = BarQuotient(ext, ["Cw"], "p0", "p3", 2, degree=1)
+        assert after.chains == before.chains
+        assert after.differential.blocks != before.differential.blocks
+        assert_matches_reference(after)
 
 
 class TestWrappingColimit:

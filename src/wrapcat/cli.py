@@ -103,7 +103,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
         return rep
     col, env, hcat, cset = _prepare(setup)
     if what == "hw":
-        wdf = wrapped_df_category(setup, env, hcat, cset, depth=depth)
+        wdf = wrapped_df_category(setup, env, hcat, cset)
         rep.add("hw_table", wdf.hw_table())
         unstab = sorted(str(p) for p, s in wdf.stabilization.items() if not s)
         rep.add("unstabilized_pairs", unstab)
@@ -112,7 +112,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
             rep.add("error", "NotStabilized")
         return rep
     if what == "dfcat":
-        wdf = wrapped_df_category(setup, env, hcat, cset, depth=depth)
+        wdf = wrapped_df_category(setup, env, hcat, cset)
         rep.add("hw_table", wdf.hw_table())
         axioms = wdf.verify_category_axioms()
         locality = wdf.check_right_locality()
@@ -144,7 +144,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
             rep.add("error", "NotStabilized")
         return rep
     if what == "agree":
-        wdf = wrapped_df_category(setup, env, hcat, cset, depth=depth)
+        wdf = wrapped_df_category(setup, env, hcat, cset)
         ag = check_localization_agreement(setup, env, hcat, cset, depth=depth,
                                           wdf=wdf)
         rep.add("agreement", ag)
@@ -212,7 +212,9 @@ def main(argv=None):
     p_cmp.add_argument("file")
     p_cmp.add_argument("--what", choices=["hw", "dfcat", "localize", "agree"],
                        default="hw")
-    p_cmp.add_argument("--depth", type=int, default=4)
+    p_cmp.add_argument("--depth", type=int, default=4,
+                       help="longest chain of cones in the cone quotient "
+                            "(localize, agree); hw and dfcat do not read it")
     p_cmp.add_argument("--mode", choices=["strict", "finite"], default="finite")
     p_ent = sub.add_parser("entangle", help="build entanglement stages")
     p_ent.add_argument("file")

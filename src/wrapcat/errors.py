@@ -53,10 +53,6 @@ class NotClosedRepresentative(WrapcatError):
     pass
 
 
-class HypothesisFailed(WrapcatError):
-    pass
-
-
 class ValidationRequired(WrapcatError):
     pass
 
@@ -98,10 +94,6 @@ class NotAnInclusion(WrapcatError):
 
 
 class RestrictionMismatch(WrapcatError):
-    pass
-
-
-class NotStabilized(WrapcatError):
     pass
 
 

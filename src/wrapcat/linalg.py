@@ -1,5 +1,5 @@
 """Exact graded linear algebra over a field: graded modules, chain complexes,
-cohomology presentations, induced maps, sequence and diagram colimits.
+cohomology presentations, induced maps, diagram colimits.
 
 Cohomology presentations are canonical for a fixed basis order: each class
 representative is reduced against the echelon basis of the boundaries.  All
@@ -17,7 +17,7 @@ from .rings import CoefficientRing
 __all__ = [
     "GradedModule", "GradedMap", "Complex", "CohomologyPresentation", "HMap",
     "cohomology", "induced_cohomology_map", "compose_graded_maps",
-    "sequence_colimit", "diagram_colimit",
+    "diagram_colimit",
 ]
 
 
@@ -395,42 +395,6 @@ def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
             cols.append(tp.project(img))
         matrices[d] = Matrix.from_columns(src.module.ring, cols, tp.class_count)
     return HMap(src_h, tgt_h, f.degree, matrices)
-
-
-def sequence_colimit(modules, maps, stabilization_window: int = 2):
-    """Direct limit of a finite prefix M_0 -> M_1 -> ... -> M_{n-1}.
-
-    The cokernel of (shift - identity) on the direct sum collapses onto the
-    last term, so the colimit is presented on M_{n-1} with structure maps
-    given by composite transition maps.  ``stabilized`` is true iff the last
-    ``stabilization_window`` transition maps induce isomorphisms onto the
-    colimit.
-    """
-    modules = list(modules)
-    maps = list(maps)
-    if not modules:
-        raise EmptySequence("sequence_colimit of an empty sequence")
-    if len(maps) != len(modules) - 1:
-        raise ShapeMismatch("need exactly len(modules) - 1 transition maps")
-    for i, f in enumerate(maps):
-        if f.source != modules[i] or f.target != modules[i + 1]:
-            raise ShapeMismatch(f"transition {i} endpoints mismatch")
-        if f.degree != 0:
-            raise ShapeMismatch(f"transition {i} must have degree 0")
-    colim = modules[-1]
-    structure = [None] * len(modules)
-    structure[-1] = GradedMap.identity(colim)
-    for i in range(len(modules) - 2, -1, -1):
-        structure[i] = compose_graded_maps(maps[i], structure[i + 1])
-    window = max(0, int(stabilization_window))
-    if window == 0:
-        stabilized = True
-    elif len(maps) < window:
-        stabilized = False
-    else:
-        stabilized = all(structure[j].is_isomorphism()
-                         for j in range(len(maps) - window, len(maps)))
-    return colim, structure, stabilized
 
 
 class DiagramColimit:

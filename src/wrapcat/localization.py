@@ -248,8 +248,7 @@ def ore_complete(hcat: HCategory, cset: CSet, c: ContClass, k, d, g_coords):
 
 class SliceCategory:
     """The wrapping category of an object: continuation classes into it,
-    with factorization morphisms, a weakly terminal object and a chosen
-    cofinal chain (shortest factorization first, then lexicographic)."""
+    with factorization morphisms and the first weakly terminal object."""
 
     def __init__(self, hcat: HCategory, cset: CSet, obj):
         self.hcat = hcat
@@ -285,61 +284,9 @@ class SliceCategory:
                                if all((i, k) in self.morphisms for i in range(n))),
                               None)
 
-    def is_filtered(self):
-        """Nonempty, pairwise cocones, and parallel-morphism equalization."""
-        n = len(self.objects)
-        notes = []
-        for i in range(n):
-            for j in range(n):
-                if not any((i, k) in self.morphisms and (j, k) in self.morphisms
-                           for k in range(n)):
-                    notes.append({"kind": "no-cocone", "pair": [i, j]})
-        for (i, j), es in sorted(self.morphisms.items()):
-            if len(es) < 2:
-                continue
-            for a in range(len(es)):
-                for b in range(a + 1, len(es)):
-                    if not self._equalized(j, es[a], es[b]):
-                        notes.append({"kind": "unequalized", "pair": [i, j]})
-        return (not notes), notes
-
-    def _equalized(self, j, e1, e2):
-        for k in range(len(self.objects)):
-            for f in self.morphisms.get((j, k), []):
-                c1 = self.hcat.compose(f.src, f.tgt, e1.tgt, 0, f.coords, 0, e1.coords)
-                c2 = self.hcat.compose(f.src, f.tgt, e2.tgt, 0, f.coords, 0, e2.coords)
-                if tuple(c1) == tuple(c2):
-                    return True
-        return False
-
     def weakly_terminal_index(self):
         """The first object every object maps to, or None."""
         return self._terminal
-
-    def chain(self, depth: int):
-        """Cofinal chain of object indices with connecting morphisms.
-
-        [identity, t, t, ..] where t is the first weakly terminal object;
-        transitions: the canonically smallest connecting morphism, then
-        identity endomorphisms.  Raises NonCofinalPrefix when no weakly
-        terminal object exists.
-        """
-        t = self.weakly_terminal_index()
-        if t is None:
-            raise NonCofinalPrefix(
-                f"slice of {self.obj} has no weakly terminal object")
-        indices = [0]
-        morphs = []
-        if t != 0:
-            e = sorted(self.morphisms[(0, t)], key=lambda z: z.key())[0]
-            indices.append(t)
-            morphs.append(e)
-        eid = ContClass(self.objects[t].src, self.objects[t].src,
-                        self.hcat.identity_coords[self.objects[t].src])
-        while len(indices) < depth + 1:
-            indices.append(t)
-            morphs.append(eid)
-        return indices, morphs
 
 
 def h_graded_module(hcat: HCategory, x, y, tag=None) -> GradedModule:

@@ -16,10 +16,8 @@ certificate, never a convergence claim.
 from __future__ import annotations
 
 from .ainf import AInfCategory, HCategory, check_ainf_relations, cone_of_class
-from .errors import (HypothesisFailed, NotClosedRepresentative, RelationFailure,
-                     ShapeMismatch)
-from .linalg import (Complex, GradedMap, GradedModule, cohomology,
-                     induced_cohomology_map, sequence_colimit)
+from .errors import NotClosedRepresentative, RelationFailure
+from .linalg import Complex, GradedMap, GradedModule, cohomology
 from .matrices import Matrix
 
 
@@ -304,7 +302,9 @@ class BarQuotient:
 
 class TruncatedQuotient:
     """H^0 of the quotient for the chosen pairs of non-null objects, at the
-    depth and at the depth below it."""
+    depth and at the depth below it.  Only the H^0 presentations are kept:
+    each bar is dropped once reduced, so memory does not grow pair by
+    pair with the chains."""
 
     def __init__(self, extended: AInfCategory, nulls, depth: int, pairs=None):
         self.extended = extended
@@ -314,19 +314,16 @@ class TruncatedQuotient:
         self.objects = tuple(originals)
         self.pairs = list(pairs) if pairs is not None else [
             (a, b) for a in self.objects for b in self.objects]
-        self.bars = {}          # (x, y, d) -> BarQuotient
         self.homology = {}      # (x, y, d) -> DegreePresentation of H^0
         words = NullWords(extended, self.nulls, self.depth, 0,
                           {a for a, _ in self.pairs}, {b for _, b in self.pairs})
         for (a, b) in self.pairs:
             bar = BarQuotient(extended, self.nulls, a, b, self.depth,
                               words=words)
-            self.bars[(a, b, self.depth)] = bar
             self.homology[(a, b, self.depth)] = cohomology(
                 bar.complex, (0,)).degree(0)
             if self.depth >= 1:
                 sub = bar.truncate(self.depth - 1)
-                self.bars[(a, b, self.depth - 1)] = sub
                 self.homology[(a, b, self.depth - 1)] = cohomology(
                     sub.complex, (0,)).degree(0)
 
@@ -344,12 +341,12 @@ class TruncatedQuotient:
         """The comparison map H^0 hom(x, y) -> H^0 quotient(x, y) on class
         coordinates.  The degree-0 labels of hom(x, y) are the length-0
         chains, which come first in the bar's degree-0 basis, in that order."""
-        bar = self.bars[(x, y, self.depth)]
+        ring = self.extended.ring
         tgt = self.homology[(x, y, self.depth)]
         src = cohomology(self.extended.hom_complex(x, y), (0,)).degree(0)
-        pad = (bar.ring.zero(),) * (bar.module.rank(0) - src.module_rank)
+        pad = (ring.zero(),) * (tgt.module_rank - src.module_rank)
         cols = [tgt.project(rep + pad) for rep in src.reps]
-        return Matrix.from_columns(bar.ring, cols, tgt.class_count)
+        return Matrix.from_columns(ring, cols, tgt.class_count)
 
 
 def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
@@ -376,99 +373,3 @@ def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
         nulls.append(name)
     quo = TruncatedQuotient(ext, nulls, depth, pairs=pairs)
     return quo, ext
-
-
-def hom_via_wrapping_colimit(a: AInfCategory, w_classes, hcat: HCategory,
-                             chain_objects, chain_reps, target,
-                             stabilization_window: int = 2):
-    """Colimit of hom complexes along a telescope, with the quasi-isomorphism
-    hypothesis of the localized-hom comparison checked on the finite prefix.
-
-    ``chain_objects``: X_0, X_1, ..; ``chain_reps[i]``: closed degree-0
-    element of hom(X_{i+1}, X_i) as a label->scalar dict.  The telescope
-    hom(X_0, target) -> hom(X_1, target) -> .. sends u to
-    mu^2(chain_reps[i], u) along (X_{i+1}, X_i, target).
-
-    Each representative is checked, after dropping zero scalars, before any
-    transition map is built; a failure raises ``NotClosedRepresentative``
-    naming the step:
-
-    - support: every label lies in hom(X_{i+1}, X_i);
-    - degree: every label has degree 0;
-    - closedness: mu^1 of the representative vanishes.
-
-    Returns a dict with the colimit complex, its cohomology, the
-    stabilization flag and the hypothesis verdict.
-    """
-    ring = a.ring
-    if len(chain_reps) != len(chain_objects) - 1:
-        raise ShapeMismatch("need one connecting representative per step")
-    reps = []
-    for i, rep in enumerate(chain_reps):
-        pair = (chain_objects[i + 1], chain_objects[i])
-        mod = a.hom(*pair)
-        rep = {k: ring.normalize(v) for k, v in rep.items()
-               if not ring.is_zero(ring.normalize(v))}
-        for lab in rep:
-            if not mod.has_label(lab):
-                raise NotClosedRepresentative(
-                    f"chain representative {i}: label {lab!r} not in hom{pair}")
-            if mod.degree_of(lab) != 0:
-                raise NotClosedRepresentative(
-                    f"chain representative {i}: label {lab!r} in hom{pair} "
-                    f"has degree {mod.degree_of(lab)}, not 0")
-        if a.mu_element(pair, [rep]):
-            raise NotClosedRepresentative(
-                f"chain representative {i} in hom{pair} is not closed")
-        reps.append(rep)
-    chain_reps = reps
-
-    def transition_maps(k):
-        mods = [a.hom(xo, k) for xo in chain_objects]
-        maps = []
-        for i, rep in enumerate(chain_reps):
-            entries = []
-            src = mods[i]
-            chain = (chain_objects[i + 1], chain_objects[i], k)
-            for d in src.degrees():
-                for lab in src.labels(d):
-                    img = a.mu_element(chain, [dict(rep), {lab: ring.one()}])
-                    for out, v in img.items():
-                        entries.append((lab, out, v))
-            maps.append(GradedMap.from_entries(src, mods[i + 1], 0, entries))
-        return mods, maps
-
-    mods, maps = transition_maps(target)
-    colim_mod, structure, stabilized = sequence_colimit(mods, maps,
-                                                        stabilization_window)
-    colim_cx = a.hom_complex(chain_objects[-1], target)
-
-    hypothesis_failures = []
-    for n, (src, tgt, coords) in enumerate(w_classes):
-        rep = hcat.rep_dict(src, tgt, 0, coords)
-        last = chain_objects[-1]
-        entries = []
-        m_src = a.hom(last, src)
-        for d in m_src.degrees():
-            for lab in m_src.labels(d):
-                img = a.mu_element((last, src, tgt), [{lab: ring.one()}, dict(rep)])
-                for out, v in img.items():
-                    entries.append((lab, out, v))
-        post = GradedMap.from_entries(m_src, a.hom(last, tgt), 0, entries)
-        hm = induced_cohomology_map(post, a.hom_complex(last, src),
-                                    a.hom_complex(last, tgt))
-        if not hm.is_isomorphism():
-            hypothesis_failures.append(
-                {"class": n, "pair": [src, tgt],
-                 "reason": "colimit comparison along the prefix is not an "
-                           "isomorphism"})
-    if hypothesis_failures:
-        raise HypothesisFailed(str(hypothesis_failures[0]))
-    return {
-        "module": colim_mod,
-        "complex": colim_cx,
-        "cohomology": cohomology(colim_cx),
-        "structure_maps": structure,
-        "stabilized": stabilized,
-        "hypothesis_ok": True,
-    }

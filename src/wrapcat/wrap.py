@@ -5,18 +5,20 @@ Strict mode demands all six continuation-set conditions; finite-approximation
 mode waives the existence condition (v) at the outermost objects and the
 countable-cofinality condition (vi) beyond "a finite cofinal chain exists",
 always labelling waivers as such.
+
+HW(l, k) is the colimit of H(-, k) over the whole finite slice of l, which is
+exact for the data and does not depend on any depth.  A pair (l, k) is
+stabilized when l's wrapping chain is cofinal: every slice object maps to
+the chain's tail, whose H(tail, k) then has the colimit's ranks.
 """
 
 from __future__ import annotations
 
 from .ainf import AInfCategory, HCategory
-from .errors import (NonCofinalPrefix, NotAnInclusion, NotStabilized,
-                     RestrictionMismatch)
+from .errors import NonCofinalPrefix, NotAnInclusion, RestrictionMismatch
 from .floer import WeakFloerSetup
-from .linalg import sequence_colimit
 from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
-                           check_right_multiplicative_system, h_graded_module,
-                           h_transition_map)
+                           check_right_multiplicative_system)
 
 
 def continuation_cset(setup: WeakFloerSetup, hcat: HCategory) -> CSet:
@@ -84,27 +86,30 @@ def validate_continuation_system(setup: WeakFloerSetup, hcat: HCategory,
 
 class WrappingCategory:
     """The filtered category of continuation maps into one object, with a
-    deterministically chosen cofinal chain."""
+    deterministically chosen chain of its objects.
 
-    def __init__(self, hcat: HCategory, cset: CSet, obj, depth: int = 4,
-                 chain_hint=None):
-        self.hcat = hcat
-        self.cset = cset
+    The chain is the setup's hinted wrapping chain, or else the identity
+    followed by the first weakly terminal object.  It is certified cofinal
+    when every slice object maps to its tail; the HW colimit into any
+    target is then H(tail, target).
+    """
+
+    def __init__(self, hcat: HCategory, cset: CSet, obj, chain_hint=None):
         self.obj = obj
         self.slice = SliceCategory(hcat, cset, obj)
-        self.filtered, self.filtered_notes = self.slice.is_filtered()
         if chain_hint:
-            self.chain_indices, self.chain_morphisms = self._chain_from_hint(
-                chain_hint, depth)
+            self.chain_indices = self._chain_from_hint(chain_hint)
         else:
-            self.chain_indices, self.chain_morphisms = self.slice.chain(depth)
+            t = self.slice.weakly_terminal_index()
+            if t is None:
+                raise NonCofinalPrefix(
+                    f"slice of {obj} has no weakly terminal object")
+            self.chain_indices = [0] if t == 0 else [0, t]
         self.cofinal_certified = self._certify_chain()
 
-    def _chain_from_hint(self, sources, depth):
-        """Chain from a list of source Lagrangians (shortest-then-lex class
-        per step), truncated to the depth and padded by identity
-        endomorphisms."""
-        sources = list(sources)[:depth + 1]
+    def _chain_from_hint(self, sources):
+        """Slice indices of a list of source Lagrangians (the first class
+        from each), each step factoring through the next."""
         indices = []
         for src in sources:
             match = [i for i, c in enumerate(self.slice.objects) if c.src == src]
@@ -112,25 +117,15 @@ class WrappingCategory:
                 raise NonCofinalPrefix(
                     f"no continuation class {src} -> {self.obj} in the data")
             indices.append(match[0])
-        morphs = []
         for a, b in zip(indices, indices[1:]):
-            options = self.slice.morphisms.get((a, b), [])
-            if not options:
+            if (a, b) not in self.slice.morphisms:
                 raise NonCofinalPrefix(
                     f"no factorization morphism between chain steps "
                     f"{a} -> {b} over {self.obj}")
-            morphs.append(sorted(options, key=lambda e: e.key())[0])
-        last = indices[-1]
-        last_src = self.slice.objects[last].src
-        eid = ContClass(last_src, last_src, self.hcat.identity_coords[last_src])
-        while len(indices) < depth + 1:
-            indices.append(last)
-            morphs.append(eid)
-        return indices, morphs
+        return indices
 
     def _certify_chain(self):
-        """Whether every slice object maps into the chain tail (an honest
-        prefix is allowed: the colimit then carries a not-stabilized flag)."""
+        """Whether every slice object maps into the chain tail."""
         tail = self.chain_indices[-1]
         return all((i, tail) in self.slice.morphisms
                    for i in range(len(self.slice.objects)))
@@ -138,48 +133,37 @@ class WrappingCategory:
     def chain_sources(self):
         return [self.slice.objects[i].src for i in self.chain_indices]
 
-    def hw_module(self, target, window: int = 2):
-        """Sequence colimit of H(chain source, target) along the chain."""
-        mods = [h_graded_module(self.hcat, self.slice.objects[i].src, target,
-                                tag=f"{n}:{self.slice.objects[i].src}>{target}")
-                for n, i in enumerate(self.chain_indices)]
-        maps = []
-        for n, e in enumerate(self.chain_morphisms):
-            maps.append(h_transition_map(self.hcat, e, target,
-                                         mods[n], mods[n + 1]))
-        return sequence_colimit(mods, maps, window)
-
 
 class WrappedDFCategory:
-    """Objects are the Lagrangians; homs are the HW colimits with fraction
-    composition; per-pair stabilization certificates from the chosen chains."""
+    """Objects are the Lagrangians; homs are the HW colimits of the finite
+    slices with fraction composition.  A pair (l, k) is stabilized when
+    l's wrapping chain is certified cofinal; H(tail, k) must then have the
+    ranks of HW(l, k), or the chain is refused.  No depth is read."""
 
     def __init__(self, setup: WeakFloerSetup, env: AInfCategory, hcat: HCategory,
-                 cset: CSet, depth: int = 4, require_stabilized: bool = False):
+                 cset: CSet):
         self.setup = setup
         self.env = env
         self.hcat = hcat
         self.cset = cset
         self.frac = FractionCategory(hcat, cset, strict_system=True)
-        self.wrapping = {}
         self.stabilization = {}
         for l in hcat.objects:
-            hint = setup.wrap_chains.get(l)
-            self.wrapping[l] = WrappingCategory(hcat, cset, l, depth=depth,
-                                                chain_hint=hint)
-        for l in hcat.objects:
-            certified = self.wrapping[l].cofinal_certified
+            w = WrappingCategory(hcat, cset, l,
+                                 chain_hint=setup.wrap_chains.get(l))
+            tail = w.chain_sources()[-1]
             for k in hcat.objects:
-                colim, _, stab = self.wrapping[l].hw_module(k)
-                cross = self.frac.rank_map(l, k)
-                if certified and colim.rank_map() != cross:
-                    raise NonCofinalPrefix(
-                        f"chain colimit for ({l},{k}) disagrees with the slice "
-                        f"colimit: {colim.rank_map()} vs {cross}")
-                self.stabilization[(l, k)] = stab and certified
-        unstab = sorted(p for p, s in self.stabilization.items() if not s)
-        if require_stabilized and unstab:
-            raise NotStabilized(f"HW not stabilized for pairs: {unstab}")
+                if w.cofinal_certified:
+                    pres = hcat.pres(tail, k)
+                    ranks = {d: pres.rank(d) for d in pres.degrees()
+                             if pres.rank(d)}
+                    cross = self.frac.rank_map(l, k)
+                    if ranks != cross:
+                        raise NonCofinalPrefix(
+                            f"H({tail},{k}) at the tail of {l}'s chain "
+                            f"disagrees with the slice colimit: {ranks} vs "
+                            f"{cross}")
+                self.stabilization[(l, k)] = w.cofinal_certified
 
     def hw_rank_map(self, l, k):
         return self.frac.rank_map(l, k)
@@ -230,10 +214,8 @@ class WrappedDFCategory:
         return {"passed": not failures, "failures": failures}
 
 
-def wrapped_df_category(setup, env, hcat, cset, depth: int = 4,
-                        require_stabilized: bool = False) -> WrappedDFCategory:
-    return WrappedDFCategory(setup, env, hcat, cset, depth=depth,
-                             require_stabilized=require_stabilized)
+def wrapped_df_category(setup, env, hcat, cset) -> WrappedDFCategory:
+    return WrappedDFCategory(setup, env, hcat, cset)
 
 
 def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
@@ -247,7 +229,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
     from .quotient import localize_by_cones
 
     if wdf is None:
-        wdf = wrapped_df_category(setup, env, hcat, cset, depth=depth)
+        wdf = wrapped_df_category(setup, env, hcat, cset)
     gens = generating_subset(hcat, cset)
     w_classes = [(c.src, c.tgt, c.coords) for c in gens]
     objects = list(env.objects)
@@ -269,6 +251,9 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
                 if wdf.stabilized(a, b) and quo.h0_rank(a, b) != hw0 and d < depth:
                     still.append((a, b))
             else:
+                # a re-deepened pair whose rank moved: its earlier plateau
+                # is refuted, not certified
+                results.pop((a, b), None)
                 still.append((a, b))
         pending = still
         d += 1
@@ -324,8 +309,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
 
 
 def check_wawfs_morphism(src_setup: WeakFloerSetup, src_env, src_h, src_cset,
-                         tgt_setup: WeakFloerSetup, tgt_env, tgt_h, tgt_cset,
-                         depth: int = 4):
+                         tgt_setup: WeakFloerSetup, tgt_env, tgt_h, tgt_cset):
     """Morphism of weak setups: inclusion of the pre-categories, restriction
     condition on continuation sets, induced HW map on stabilized pairs."""
     src_objs = set(src_setup.lagrangians)
@@ -352,8 +336,8 @@ def check_wawfs_morphism(src_setup: WeakFloerSetup, src_env, src_h, src_cset,
     for c in src_cset:
         if not tgt_cset.contains(c.src, c.tgt, c.coords):
             raise RestrictionMismatch(f"source class {c!r} missing in target")
-    src_wdf = wrapped_df_category(src_setup, src_env, src_h, src_cset, depth=depth)
-    tgt_wdf = wrapped_df_category(tgt_setup, tgt_env, tgt_h, tgt_cset, depth=depth)
+    src_wdf = wrapped_df_category(src_setup, src_env, src_h, src_cset)
+    tgt_wdf = wrapped_df_category(tgt_setup, tgt_env, tgt_h, tgt_cset)
     rows = []
     passed = True
     for l in src_setup.lagrangians:

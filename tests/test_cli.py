@@ -25,6 +25,15 @@ def run_cli(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def fixture_path(name, tmp_path):
+    """A bundled fixture, or toyc_4 (``build_toyc_chain(4)``) written out."""
+    if name != "toyc_4":
+        return FIXTURES / f"{name}.json"
+    path = tmp_path / "toyc_4.json"
+    path.write_text(canonical_json(setup_to_dict(build_toyc_chain(4))))
+    return path
+
+
 def _dup_generator(doc):
     doc["hom"]["K,Kp"].append({"degree": 0, "name": "dp"})
 
@@ -111,10 +120,8 @@ class TestLocalize:
     def test_toyc_chain_four_reaches_the_far_end(self, capsys, tmp_path):
         # L0 <- .. <- L4: hom(L0, L4) becomes hom(L4, L4) after localizing,
         # and the bars first see it through four cones
-        path = tmp_path / "toyc_4.json"
-        path.write_text(canonical_json(setup_to_dict(build_toyc_chain(4))))
-        _, rep = run_cli(capsys, "compute", str(path), "--what", "localize",
-                         "--depth", "4")
+        _, rep = run_cli(capsys, "compute", str(fixture_path("toyc_4", tmp_path)),
+                         "--what", "localize", "--depth", "4")
         rows = {tuple(r["pair"]): r for r in rep["sections"]["quotient_h0"]}
         assert len(rows) == 36
         assert rows[("L0", "L4")]["h0_rank"] == 1
@@ -128,6 +135,59 @@ class TestLocalize:
         assert not cond["passed"]
         assert cond["failures"]["iii"]
         assert "quotient_h0" not in rep["sections"]
+
+
+class TestHWIgnoresDepth:
+    """HW ranks and flags come from the finite slices and the cofinality of
+    the wrapping chains, so no --depth moves a byte of hw or dfcat."""
+
+    @pytest.mark.parametrize("what", ["hw", "dfcat"])
+    @pytest.mark.parametrize("fixture",
+                             ["micro2datum", "toyb", "toyc", "toyc_4"])
+    def test_reports_identical_at_every_depth(self, capsys, tmp_path,
+                                              fixture, what):
+        path = str(fixture_path(fixture, tmp_path))
+        outs = []
+        for depth in (["--depth", "1"], [], ["--depth", "5"]):
+            code = main(["compute", path, "--what", what] + depth)
+            outs.append((code, capsys.readouterr().out))
+        assert outs[0][1]
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_toyc_hw_passes_at_the_default_depth(self, capsys):
+        code, rep = run_cli(capsys, "compute", str(FIXTURES / "toyc.json"),
+                            "--what", "hw")
+        assert (code, rep["verdict"]) == (0, "pass")
+        assert rep["sections"]["unstabilized_pairs"] == []
+        assert "error" not in rep["sections"]
+
+
+class TestAgreeComparesTheFarPair:
+    """Every HW pair is certified, so a quotient plateau that disagrees
+    with HW is re-deepened up to --depth."""
+
+    def agreement_rows(self, capsys, path):
+        code, rep = run_cli(capsys, "compute", str(path), "--what", "agree")
+        assert (code, rep["verdict"]) == (0, "pass")
+        return {tuple(r["pair"]): r for r in rep["sections"]["agreement"]["pairs"]}
+
+    def test_toyc(self, capsys):
+        # (L0, L3) reads H^0 0, 0, 1, 1 at depths 1-4: its depth-2 plateau
+        # disagrees with HW, so it is re-deepened and agrees at depth 4
+        far = self.agreement_rows(capsys, FIXTURES / "toyc.json")[("L0", "L3")]
+        assert (far["hw_stabilized"], far["quotient_h0"], far["depth"],
+                far["agree"]) == (True, 1, 4, True)
+
+    def test_toyc_4_refuted_plateau_is_not_reported(self, capsys, tmp_path):
+        # (L0, L4) reads 0 at depths 2 and 3 and 1 at depth 4: depth 4
+        # refutes the plateau and cannot certify 1, so no quotient rank is
+        # claimed for it
+        rows = self.agreement_rows(capsys, fixture_path("toyc_4", tmp_path))
+        assert (rows[("L0", "L3")]["depth"], rows[("L0", "L3")]["agree"]) == \
+            (4, True)
+        assert rows[("L0", "L4")] == {
+            "pair": ["L0", "L4"], "hw_h0": 1, "hw_stabilized": True,
+            "quotient_stabilized": False, "agree": None}
 
 
 class TestEntangleCompare:

@@ -9,7 +9,7 @@ from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
 from wrapcat.errors import EmptySequence, NotAComplex, NotChainMap, ShapeMismatch
 from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
                             compose_graded_maps, diagram_colimit,
-                            induced_cohomology_map, sequence_colimit)
+                            induced_cohomology_map)
 from wrapcat.matrices import Echelon, Matrix
 from wrapcat.rings import CoefficientRing
 
@@ -144,46 +144,6 @@ class TestComposition:
             compose_graded_maps(f, f)
 
 
-class TestSequenceColimit:
-    def test_constant_identity(self):
-        m = mod(F2, ("u", 0))
-        colim, _, stab = sequence_colimit([m, m, m], [GradedMap.identity(m)] * 2, 2)
-        assert colim == m and stab
-
-    def test_zero_maps_prefix(self):
-        ms = [mod(F2, (f"e{i}", 0)) for i in range(3)]
-        colim, _, stab = sequence_colimit(
-            ms, [GradedMap.zero(ms[0], ms[1]), GradedMap.zero(ms[1], ms[2])], 2)
-        assert colim.rank(0) == 1 and not stab
-
-    def test_toyc_shape(self):
-        ms = [GradedModule.from_generators(F2, [(f"g{i}{j}", 0) for j in range(r)])
-              for i, r in enumerate((1, 2, 2, 2))]
-        maps = [
-            GradedMap.from_entries(ms[0], ms[1], 0, [("g00", "g10", 1)]),
-            GradedMap.from_entries(ms[1], ms[2], 0,
-                                   [("g10", "g20", 1), ("g11", "g21", 1)]),
-            GradedMap.from_entries(ms[2], ms[3], 0,
-                                   [("g20", "g30", 1), ("g21", "g31", 1)]),
-        ]
-        colim, structure, stab = sequence_colimit(ms, maps, 2)
-        assert colim.rank(0) == 2 and stab
-
-    def test_extension_by_isomorphism_is_canonical(self):
-        ms = [mod(F2, ("a", 0)), mod(F2, ("b", 0))]
-        f = GradedMap.from_entries(ms[0], ms[1], 0, [("a", "b", 1)])
-        colim1, s1, _ = sequence_colimit(ms, [f], 0)
-        ext = mod(F2, ("c", 0))
-        g = GradedMap.from_entries(ms[1], ext, 0, [("b", "c", 1)])
-        colim2, s2, _ = sequence_colimit(ms + [ext], [f, g], 0)
-        assert colim1.rank_map() == colim2.rank_map()
-        assert compose_graded_maps(s1[0], g).block(0) == s2[0].block(0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySequence):
-            sequence_colimit([], [], 2)
-
-
 class TestDiagramColimit:
     def test_pushout_identification(self):
         a = mod(F2, ("a", 0))
@@ -232,6 +192,11 @@ class TestDiagramColimit:
             dc.project(0, 0, (1, 1))    # would spill into object 1
         with pytest.raises(ShapeMismatch):
             dc.project(0, 1, (1, 1, 1))     # runs past the last object
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptySequence):
+            diagram_colimit([], [])
+
 
 RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}
 

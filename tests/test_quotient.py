@@ -3,16 +3,16 @@ import random
 import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
-from fixture_builders import build_toyb, build_toyc, fixture_doc_over
+from fixture_builders import build_toyb, fixture_doc_over
 from oracles import dense_cohomology, random_path_instance, reference_bar
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category, cone
-from wrapcat.errors import HypothesisFailed, NotClosedRepresentative
+from wrapcat.errors import NotClosedRepresentative
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule, cohomology
 from wrapcat.localization import CSet, gz_localize
-from wrapcat.quotient import (BarQuotient, TruncatedQuotient,
-                              hom_via_wrapping_colimit, localize_by_cones)
+from wrapcat.quotient import (BarQuotient, NullWords, TruncatedQuotient,
+                              localize_by_cones)
 from wrapcat.rings import CoefficientRing
 from wrapcat.setupfile import setup_from_dict
 from wrapcat.wrap import continuation_cset, generating_subset
@@ -162,17 +162,24 @@ def assert_matches_reference(bar):
 
 
 def check_against_reference(cat, nulls, objects, depth, windows):
-    """Every standalone window of every pair, and every bar of the quotient
-    (sharing one set of null words) at the depth and the depth below."""
+    """Every standalone window of every pair, and every bar built as a
+    quotient builds it (sharing one set of null words) at the depth and,
+    truncated, the depth below, whose H^0 the quotient holds."""
     for x in objects:
         for y in objects:
             for n in windows:
                 assert_matches_reference(
                     BarQuotient(cat, nulls, x, y, depth, degree=n))
+    words = NullWords(cat, tuple(nulls), depth, 0, set(objects), set(objects))
     quo = TruncatedQuotient(cat, nulls, depth)
-    assert len(quo.bars) == len(objects) ** 2 * (2 if depth else 1)
-    for bar in quo.bars.values():
-        assert_matches_reference(bar)
+    assert len(quo.homology) == len(objects) ** 2 * (2 if depth else 1)
+    for x in objects:
+        for y in objects:
+            bar = BarQuotient(cat, nulls, x, y, depth, words=words)
+            for sub in [bar] + ([bar.truncate(depth - 1)] if depth else []):
+                assert_matches_reference(sub)
+                h0 = cohomology(sub.complex, (0,)).degree(0)
+                assert quo.homology[(x, y, sub.depth)].reps == h0.reps
 
 
 def fixture_cones(name, ring, depth):
@@ -247,51 +254,3 @@ class TestContractionIndex:
         assert after.chains == before.chains
         assert after.differential.blocks != before.differential.blocks
         assert_matches_reference(after)
-
-
-class TestWrappingColimit:
-    def test_constant_identity_chain(self):
-        env = canonical_envelope(build_toyb())
-        h = cohomology_category(env, check_arity=0)
-        res = hom_via_wrapping_colimit(env, [], h, ["L", "L", "L"],
-                                       [env.unit_of("L"), env.unit_of("L")], "K")
-        assert res["stabilized"]
-        assert res["cohomology"].rank(0) == h.pres("L", "K").rank(0)
-
-    def test_toyc_telescope_rank_two(self):
-        s = build_toyc()
-        env = canonical_envelope(s)
-        h = cohomology_category(env, check_arity=0)
-        cset = continuation_cset(s, h)
-        W = [(c.src, c.tgt, c.coords) for c in cset if not cset.is_identity(c)]
-        res = hom_via_wrapping_colimit(env, W, h,
-                                       ["L0", "L1", "L2", "L3"],
-                                       [{"c0": 1}, {"c1": 1}, {"c2": 1}], "K")
-        assert res["stabilized"] and res["hypothesis_ok"]
-        assert res["cohomology"].rank(0) == 2
-
-    def test_hypothesis_failure_named(self):
-        s = build_toyb()
-        env = canonical_envelope(s)
-        h = cohomology_category(env, check_arity=0)
-        # cp: L -> Lp dies after wrapping, so its colimit comparison is zero
-        W = [("L", "Lp", h.project_dict("L", "Lp", 0, {"cp": 1}))]
-        with pytest.raises(HypothesisFailed):
-            hom_via_wrapping_colimit(env, W, h, ["L", "Lp"], [{"c": 1}], "Kp")
-
-    def test_not_closed_chain_representative(self):
-        cat = dg_path_cat()
-        h = cohomology_category(cat, check_arity=0)
-        # e lives in hom(o1, o2), so it is no element of hom(o2, o1)
-        with pytest.raises(NotClosedRepresentative,
-                           match=r"'e'.*\('o2', 'o1'\)"):
-            hom_via_wrapping_colimit(cat, [], h, ["o1", "o2"],
-                                     [{"e": 1}], "o3")
-        # documented direction: e is in hom(o1, o2) but d(e) = f != 0
-        with pytest.raises(NotClosedRepresentative, match="not closed"):
-            hom_via_wrapping_colimit(cat, [], h, ["o2", "o1"],
-                                     [{"e": 1}], "o3")
-        # f is closed but of degree 1
-        with pytest.raises(NotClosedRepresentative, match="'f'.*degree 1"):
-            hom_via_wrapping_colimit(cat, [], h, ["o2", "o1"],
-                                     [{"f": 1}], "o3")

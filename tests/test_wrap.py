@@ -2,7 +2,8 @@ import pytest
 
 from fixture_builders import build_toyb, build_toyc
 from wrapcat.ainf import cohomology_category
-from wrapcat.errors import NotStabilized, RestrictionMismatch
+from wrapcat.cli import cmd_compute
+from wrapcat.errors import RestrictionMismatch
 from wrapcat.floer import WeakFloerSetup, canonical_envelope
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import CSet
@@ -58,37 +59,32 @@ class TestContinuationValidation:
 class TestWrappingCategory:
     def test_identities_only_single_object(self):
         s, env, h, _ = prepare(build_toyb)
-        w = WrappingCategory(h, CSet(h, []), "L", depth=2)
+        w = WrappingCategory(h, CSet(h, []), "L")
         assert len(w.slice.objects) == 1
 
     def test_toyb_slice_objects(self):
         s, env, h, cset = prepare(build_toyb)
-        w = WrappingCategory(h, cset, "L", depth=3)
+        w = WrappingCategory(h, cset, "L")
         sources = {c.src for c in w.slice.objects}
         assert sources == {"L", "Lp"}
         assert w.cofinal_certified
 
     def test_toyc_chain_linear(self):
         s, env, h, cset = prepare(build_toyc)
-        w = WrappingCategory(h, cset, "L0", depth=3,
-                             chain_hint=s.wrap_chains["L0"])
+        w = WrappingCategory(h, cset, "L0", chain_hint=s.wrap_chains["L0"])
         assert w.chain_sources() == ["L0", "L1", "L2", "L3"]
         assert w.cofinal_certified
 
     def test_hw_modules(self):
         s, env, h, cset = prepare(build_toyb)
-        w = WrappingCategory(h, cset, "L", depth=3)
-        colim, _, stab = w.hw_module("K")
-        assert colim.rank(0) == 1 and stab
+        assert wrapped_df_category(s, env, h, cset).hw_rank_map("L", "K")[0] == 1
         s2, env2, h2, cset2 = prepare(build_toyc)
-        w2 = WrappingCategory(h2, cset2, "L0", depth=3,
-                              chain_hint=s2.wrap_chains["L0"])
-        colim2, _, stab2 = w2.hw_module("K")
-        assert colim2.rank(0) == 2 and stab2
+        wdf2 = wrapped_df_category(s2, env2, h2, cset2)
+        assert wdf2.hw_rank_map("L0", "K")[0] == 2
 
     def test_identities_only_hw_equals_hf(self):
         s, env, h, _ = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, CSet(h, []), depth=2)
+        wdf = wrapped_df_category(s, env, h, CSet(h, []))
         for a in env.objects:
             for b in env.objects:
                 assert wdf.hw_rank_map(a, b) == \
@@ -99,7 +95,7 @@ class TestWrappingCategory:
 class TestWrappedDF:
     def test_toyb_table_and_axioms(self):
         s, env, h, cset = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, cset, depth=4)
+        wdf = wrapped_df_category(s, env, h, cset)
         for a in env.objects:
             for b in env.objects:
                 ranks = wdf.hw_rank_map(a, b)
@@ -111,16 +107,38 @@ class TestWrappedDF:
         assert wdf.check_canonical_functor()["passed"]
 
     def test_toyc_right_locality_on_stabilized(self):
+        # L0's chain L0 <- L1 <- L2 <- L3 is cofinal, so every pair is
+        # certified, (L0, L3) included, and right locality holds on all
         s, env, h, cset = prepare(build_toyc)
-        wdf = wrapped_df_category(s, env, h, cset, depth=4)
+        wdf = wrapped_df_category(s, env, h, cset)
+        assert all(wdf.stabilization.values())
+        assert wdf.stabilized("L0", "L3")
         assert wdf.check_right_locality()["passed"]
-        assert not wdf.stabilized("L0", "L3")
 
     def test_not_stabilized_error(self):
-        s, env, h, cset = prepare(build_toyc)
-        with pytest.raises(NotStabilized):
-            wrapped_df_category(s, env, h, cset, depth=4,
-                                require_stabilized=True)
+        # cut L0's chain at L1: L2 and L3 do not map to that tail, so the
+        # chain is no certificate and every (L0, k) is left unstabilized
+        s = build_toyc()
+        s.wrap_chains["L0"] = ["L0", "L1"]
+        rep = cmd_compute(s, what="hw")
+        assert not rep.passed
+        sections = rep.doc["sections"]
+        assert sections["error"] == "NotStabilized"
+        assert sections["unstabilized_pairs"] == sorted(
+            str(("L0", k)) for k in s.lagrangians)
+
+    def test_class_that_dies_after_wrapping_breaks_right_locality(self):
+        # cp: L -> Lp dies after wrapping into Kp, so post-composition with
+        # it is no bijection out of L: the localization refuses the class
+        s, env, h, _ = prepare(build_toyb)
+        classes = [(a, b, h.project_dict(a, b, 0, combo))
+                   for (a, b, combo) in s.continuation]
+        classes.append(("L", "Lp", h.project_dict("L", "Lp", 0, {"cp": 1})))
+        wdf = wrapped_df_category(s, env, h, CSet(h, classes))
+        loc = wdf.check_right_locality()
+        assert not loc["passed"]
+        assert {"class": "ContClass(L->Lp, [1])", "object": "L",
+                "degree": 0} in loc["failures"]
 
     def test_generating_subset(self):
         s, env, h, cset = prepare(build_toyc)
@@ -131,16 +149,16 @@ class TestWrappedDF:
 class TestAgreement:
     def test_toyb(self):
         s, env, h, cset = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, cset, depth=4)
-        ag = check_localization_agreement(s, env, h, cset, depth=4, wdf=wdf)
+        wdf = wrapped_df_category(s, env, h, cset)
+        ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
         assert ag["passed"]
         assert all(r["agree"] for r in ag["pairs"] if r["agree"] is not None)
         assert all(r["kernels_match"] for r in ag["comparison_maps"])
 
     def test_toyc(self):
         s, env, h, cset = prepare(build_toyc)
-        wdf = wrapped_df_category(s, env, h, cset, depth=4)
-        ag = check_localization_agreement(s, env, h, cset, depth=4, wdf=wdf)
+        wdf = wrapped_df_category(s, env, h, cset)
+        ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
         assert ag["passed"]
         compared = [r for r in ag["pairs"] if r["agree"] is not None]
         assert len(compared) >= 24
@@ -162,7 +180,7 @@ def extend_toyb_with_disjoint_pair():
 class TestSetupMorphisms:
     def test_identity_morphism(self):
         s, env, h, cset = prepare(build_toyb)
-        rep = check_wawfs_morphism(s, env, h, cset, s, env, h, cset, depth=3)
+        rep = check_wawfs_morphism(s, env, h, cset, s, env, h, cset)
         assert rep["passed"]
 
     def test_extension_by_disjoint_pair(self):
@@ -171,7 +189,7 @@ class TestSetupMorphisms:
         tenv = canonical_envelope(t)
         th = cohomology_category(tenv, check_arity=0)
         tcset = continuation_cset(t, th)
-        rep = check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset, depth=3)
+        rep = check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset)
         assert rep["passed"]
         assert rep["induced_hw"]
 
@@ -185,4 +203,4 @@ class TestSetupMorphisms:
         extra.append(("L", "K", th.project_dict("L", "K", 0, {"y": 1})))
         tcset = CSet(th, extra)
         with pytest.raises(RestrictionMismatch):
-            check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset, depth=3)
+            check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset)

@@ -47,6 +47,19 @@ def _twist_exponent(ext_args, host_args, out_block):
     return exp
 
 
+def check_entry_labels(homs, chain, inputs, output):
+    """Raise ShapeMismatch unless an operation entry on the object tuple
+    ``chain`` has one input per step, each a basis label of hom(chain_i,
+    chain_{i+1}), and its output is a basis label of hom(chain_0, chain_k).
+    ``homs`` maps object pairs to graded modules; a missing pair is zero."""
+    if len(inputs) != len(chain) - 1:
+        raise ShapeMismatch(f"op entry arity mismatch on chain {chain}")
+    for x, y, lab in [*zip(chain, chain[1:], inputs),
+                      (chain[0], chain[-1], output)]:
+        if (x, y) not in homs or not homs[(x, y)].has_label(lab):
+            raise ShapeMismatch(f"{lab!r} is not a generator of hom({x}, {y})")
+
+
 def _merge(acc, label, scalar, ring):
     v = ring.add(acc.get(label, ring.zero()), scalar)
     if ring.is_zero(v):
@@ -113,11 +126,10 @@ class AInfCategory:
     def add_op_entry(self, chain, inputs, output, scalar):
         chain = tuple(chain)
         inputs = tuple(inputs)
+        check_entry_labels(self.homs, chain, inputs, output)
         scalar = self.ring.normalize(scalar)
         if self.ring.is_zero(scalar):
             return
-        if len(inputs) != len(chain) - 1:
-            raise ShapeMismatch(f"op entry arity mismatch on chain {chain}")
         table = self.ops.setdefault(chain, {})
         out = table.setdefault(inputs, {})
         _merge(out, output, scalar, self.ring)
@@ -127,6 +139,7 @@ class AInfCategory:
 
     def set_op_entry(self, chain, inputs, output, scalar):
         chain, inputs = tuple(chain), tuple(inputs)
+        check_entry_labels(self.homs, chain, inputs, output)
         table = self.ops.setdefault(chain, {})
         out = table.setdefault(inputs, {})
         out.pop(output, None)
@@ -368,51 +381,78 @@ def _nonzero_adjacency(a: AInfCategory):
 
 
 def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
-    """Exhaustively verify the A-infinity relations up to ``max_arity``.
+    """Verify the A-infinity relations on every (chain, inputs) up to
+    ``max_arity``: every object chain with nonzero consecutive homs and
+    every basis input tuple along it.
 
-    Every object chain with nonzero consecutive homs and every basis input
-    tuple is evaluated; the report lists each violation with its chain, the
-    inputs and the exactly-formatted residual.
+    Only the support is evaluated.  Each nonzero mu^s entry with s at most
+    ``a.max_arity()`` (above it every mu^s is zero) is read once from the
+    contraction index, cone objects included.  Each nonzero inner-outer
+    composite is added into the residual of the one (chain, inputs) it
+    belongs to; every other tuple has residual zero.  ``checked`` still
+    counts every tuple, and the report lists each violation, in the order
+    of chain length, chain and inputs, with the exactly-formatted residual.
     """
     ring = a.ring
     adj = _nonzero_adjacency(a)
-    violations = []
+    labels = {p: [lab for d in m.degrees() for lab in m.labels(d)]
+              for p, m in a.homs.items()}
     checked = 0
-    for n in range(1, max_arity + 1):
-        chains = [(x,) for x in a.objects]
-        for _ in range(n):
-            chains = [c + (y,) for c in chains for y in adj.get(c[-1], ())]
+    weight = {x: 1 for x in a.objects}  # (chain, inputs) ending at x, per length
+    for _ in range(max_arity):
+        nxt = {}
+        for x, w in weight.items():
+            for y in adj.get(x, ()):
+                nxt[y] = nxt.get(y, 0) + w * len(labels[(x, y)])
+        weight = nxt
+        checked += sum(weight.values())
+    entries = []    # (chain, inputs, nonzero output)
+    chains = [(x,) for x in a.objects]
+    for _ in range(min(a.max_arity(), max_arity)):
+        chains = [c + (y,) for c in chains for y in adj.get(c[-1], ())]
         for chain in chains:
-            mods = [a.hom(chain[i], chain[i + 1]) for i in range(n)]
-            label_sets = []
-            for m in mods:
-                labs = []
-                for d in m.degrees():
-                    labs.extend(m.labels(d))
-                label_sets.append(labs)
-            for inputs in product(*label_sets):
-                degs = [mods[i].degree_of(inputs[i]) for i in range(n)]
-                total = {}
-                for r in range(n):
-                    for s in range(1, n - r + 1):
-                        t = n - r - s
-                        inner = a.mu(chain[r:r + s + 1], inputs[r:r + s])
-                        if not inner:
-                            continue
-                        exp = r + s * t + s * sum(degs[:r])
-                        sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
-                        outer_chain = chain[:r + 1] + chain[r + s:]
-                        for mid, c in inner.items():
-                            outer_inputs = inputs[:r] + (mid,) + inputs[r + s:]
-                            for lab, v in a.mu(outer_chain, outer_inputs).items():
-                                _merge(total, lab, ring.mul(sgn, ring.mul(c, v)),
-                                       ring)
-                checked += 1
-                if total:
-                    violations.append({
-                        "chain": list(chain), "inputs": list(inputs),
-                        "residual": {lab: ring.format_scalar(v)
-                                     for lab, v in sorted(total.items())}})
+            if (chain[0], chain[-1]) not in a.homs:
+                continue
+            for inputs in product(*[labels[p] for p in zip(chain, chain[1:])]):
+                out = a.contraction(chain, inputs)
+                if out:
+                    entries.append((chain, inputs, out))
+    slots = {}  # (object before, object after, label) -> [(slot, degrees before, entry)]
+    for entry in entries:
+        chain, inputs, _ = entry
+        before = 0
+        for r, lab in enumerate(inputs):
+            slots.setdefault((chain[r], chain[r + 1], lab), []).append(
+                (r, before, entry))
+            before += a.homs[(chain[r], chain[r + 1])].degree_of(lab)
+    residual = {}
+    for inner_chain, inner_inputs, inner in entries:
+        s = len(inner_inputs)
+        for mid, c in inner.items():
+            for r, before, (chain, inputs, outer) in slots.get(
+                    (inner_chain[0], inner_chain[-1], mid), ()):
+                n = len(inputs) - 1 + s
+                if n > max_arity:
+                    continue
+                key = (chain[:r + 1] + inner_chain[1:] + chain[r + 2:],
+                       inputs[:r] + inner_inputs + inputs[r + 1:])
+                sc = c if (r + s * (n - r - s) + s * before) % 2 == 0 else ring.neg(c)
+                total = residual.setdefault(key, {})
+                for lab, v in outer.items():
+                    _merge(total, lab, ring.mul(sc, v), ring)
+    order = {x: i for i, x in enumerate(a.objects)}
+
+    def position(key):
+        chain, inputs = key
+        return (len(inputs), order[chain[0]], chain[1:],
+                [labels[p].index(lab) for p, lab in zip(zip(chain, chain[1:]),
+                                                        inputs)])
+    violations = [{"chain": list(chain), "inputs": list(inputs),
+                   "residual": {lab: ring.format_scalar(v)
+                                for lab, v in sorted(total.items())}}
+                  for (chain, inputs), total in sorted(residual.items(),
+                                                       key=lambda kv: position(kv[0]))
+                  if total]
     return {"max_arity": max_arity, "checked": checked,
             "passed": not violations, "violations": violations}
 

@@ -17,7 +17,7 @@ from .floer import (canonical_envelope, choose_compatible_collection,
                     validate_setup)
 from .localization import check_right_multiplicative_system
 from .posets import DecoratedPoset
-from .quotient import localize_by_cones
+from .quotient import TruncatedQuotient, adjoin_cones
 from .report import Report
 from .setupfile import load_setup
 from .sss import (SimplexOracle, canonical_sss, check_bridge, entangle,
@@ -103,7 +103,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
         return rep
     col, env, hcat, cset = _prepare(setup)
     if what == "hw":
-        wdf = wrapped_df_category(setup, env, hcat, cset)
+        wdf = wrapped_df_category(setup, hcat, cset)
         rep.add("hw_table", wdf.hw_table())
         unstab = sorted(str(p) for p, s in wdf.stabilization.items() if not s)
         rep.add("unstabilized_pairs", unstab)
@@ -112,7 +112,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
             rep.add("error", "NotStabilized")
         return rep
     if what == "dfcat":
-        wdf = wrapped_df_category(setup, env, hcat, cset)
+        wdf = wrapped_df_category(setup, hcat, cset)
         rep.add("hw_table", wdf.hw_table())
         axioms = wdf.verify_category_axioms()
         locality = wdf.check_right_locality()
@@ -132,8 +132,8 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
         gens = generating_subset(hcat, cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
         pairs = [(a, b) for a in env.objects for b in env.objects]
-        quo, _ = localize_by_cones(env, hcat, w_classes, depth=depth,
-                                   pairs=pairs, check_relations=False)
+        ext, nulls = adjoin_cones(env, hcat, w_classes)
+        quo = TruncatedQuotient(ext, nulls, depth, pairs=pairs)
         rows = [{"pair": [a, b], "h0_rank": quo.h0_rank(a, b),
                  "stabilized": quo.stabilized(a, b)} for (a, b) in pairs]
         rep.add("quotient_h0", rows)
@@ -144,7 +144,7 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
             rep.add("error", "NotStabilized")
         return rep
     if what == "agree":
-        wdf = wrapped_df_category(setup, env, hcat, cset)
+        wdf = wrapped_df_category(setup, hcat, cset)
         ag = check_localization_agreement(setup, env, hcat, cset, depth=depth,
                                           wdf=wdf)
         rep.add("agreement", ag)

@@ -15,8 +15,8 @@ certificate, never a convergence claim.
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, HCategory, check_ainf_relations, cone_of_class
-from .errors import NotClosedRepresentative, RelationFailure
+from .ainf import AInfCategory, HCategory, cone_of_class
+from .errors import NotClosedRepresentative
 from .linalg import Complex, GradedMap, GradedModule, cohomology
 from .matrices import Matrix
 
@@ -349,18 +349,12 @@ class TruncatedQuotient:
         return Matrix.from_columns(ring, cols, tgt.class_count)
 
 
-def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
-                      pairs=None, check_relations=True):
-    """Adjoin cones of the canonical representatives of the degree-0 classes
-    in ``w_classes`` and assemble the depth-truncated quotient.
-
-    ``w_classes``: iterable of (src, tgt, coords) degree-0 classes of
-    ``hcat``.  Returns (TruncatedQuotient, extended category).
-    """
-    if check_relations:
-        rep = check_ainf_relations(a, 3)
-        if not rep["passed"]:
-            raise RelationFailure(f"relations fail: {rep['violations'][0]}")
+def adjoin_cones(a: AInfCategory, hcat: HCategory, w_classes):
+    """Extend ``a`` by the cones over the canonical representatives of the
+    degree-0 classes in ``w_classes``, (src, tgt, coords) classes of
+    ``hcat``.  Returns (extended category, cone names); the quotient at any
+    depth is ``TruncatedQuotient(extended, names, depth)``, and quotients
+    built on one extension share its contraction index."""
     ext = a
     nulls = []
     for n, (src, tgt, coords) in enumerate(w_classes):
@@ -371,5 +365,4 @@ def localize_by_cones(a: AInfCategory, hcat: HCategory, w_classes, depth: int,
         name = f"cone{n}[{src}>{tgt}]"
         ext = cone_of_class(ext, hcat, name, src, tgt, coords)
         nulls.append(name)
-    quo = TruncatedQuotient(ext, nulls, depth, pairs=pairs)
-    return quo, ext
+    return ext, tuple(nulls)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
+from .ainf import check_entry_labels
 from .errors import ParseError, SchemaError, WrapcatError
 from .floer import FloerDataSystem, WeakFloerSetup
 from .linalg import GradedModule
@@ -97,13 +98,15 @@ def setup_from_dict(doc) -> WeakFloerSetup:
     for i, entry in enumerate(_get(doc, "operations", list)):
         with _at(f"operations[{i}]"):
             scalar = ring.parse_scalar(str(entry["scalar"]))
-            envelope_ops.setdefault(tuple(entry["tuple"]), []).append(
-                (tuple(entry["inputs"]), entry["output"], scalar))
+            chain, inputs = tuple(entry["tuple"]), tuple(entry["inputs"])
+            check_entry_labels(cf, chain, inputs, entry["output"])
+            envelope_ops.setdefault(chain, []).append(
+                (inputs, entry["output"], scalar))
     data_system = None
     if doc.get("profile") == "full":
         raw = _get(doc, "floer_data", dict)
         with _at("floer_data"):
-            data_system = _data_system_from_dict(ring, raw)
+            data_system = _data_system_from_dict(ring, raw, cf)
     continuation = []
     for i, c in enumerate(_get(doc, "continuation", list)):
         with _at(f"continuation[{i}]"):
@@ -127,7 +130,7 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         oracle=_get(doc, "oracle", dict), name=doc.get("name", "setup"))
 
 
-def _data_system_from_dict(ring, raw) -> FloerDataSystem:
+def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
         ds.D[_pair_from_key(key)] = list(ids)
@@ -136,9 +139,13 @@ def _data_system_from_dict(ring, raw) -> FloerDataSystem:
         ds.restrictions[(_pair_from_key(t_key), _pair_from_key(sub_key))] = dict(table)
     for key, entries in sorted(raw.get("mu", {}).items()):
         t_key, datum = key.split("|")
-        ds.mu[(_pair_from_key(t_key), datum)] = [
-            (tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
-            for e in entries]
+        chain = _pair_from_key(t_key)
+        ops = [(tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
+               for e in entries]
+        with _at(f"mu {key!r}"):
+            for inputs, output, _ in ops:
+                check_entry_labels(cf, chain, inputs, output)
+        ds.mu[(chain, datum)] = ops
     for key, items in sorted(raw.get("Dprime", {}).items()):
         ds.Dprime[_pair_from_key(key)] = [(i["id"], tuple(i["pair"])) for i in items]
     for key, entries in sorted(raw.get("alpha", {}).items()):

@@ -14,11 +14,12 @@ the chain's tail, whose H(tail, k) then has the colimit's ranks.
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, HCategory
+from .ainf import HCategory
 from .errors import NonCofinalPrefix, NotAnInclusion, RestrictionMismatch
 from .floer import WeakFloerSetup
 from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
                            check_right_multiplicative_system)
+from .quotient import TruncatedQuotient, adjoin_cones
 
 
 def continuation_cset(setup: WeakFloerSetup, hcat: HCategory) -> CSet:
@@ -138,12 +139,10 @@ class WrappedDFCategory:
     """Objects are the Lagrangians; homs are the HW colimits of the finite
     slices with fraction composition.  A pair (l, k) is stabilized when
     l's wrapping chain is certified cofinal; H(tail, k) must then have the
-    ranks of HW(l, k), or the chain is refused.  No depth is read."""
+    ranks of HW(l, k), or the chain is refused.  No depth is read; of
+    ``setup`` only the wrapping chains are."""
 
-    def __init__(self, setup: WeakFloerSetup, env: AInfCategory, hcat: HCategory,
-                 cset: CSet):
-        self.setup = setup
-        self.env = env
+    def __init__(self, setup: WeakFloerSetup, hcat: HCategory, cset: CSet):
         self.hcat = hcat
         self.cset = cset
         self.frac = FractionCategory(hcat, cset, strict_system=True)
@@ -214,8 +213,8 @@ class WrappedDFCategory:
         return {"passed": not failures, "failures": failures}
 
 
-def wrapped_df_category(setup, env, hcat, cset) -> WrappedDFCategory:
-    return WrappedDFCategory(setup, env, hcat, cset)
+def wrapped_df_category(setup, hcat, cset) -> WrappedDFCategory:
+    return WrappedDFCategory(setup, hcat, cset)
 
 
 def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
@@ -224,28 +223,24 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
 
     H^0 ranks are compared exactly on pairs where the quotient certificate
     holds (with per-pair progressive deepening up to ``depth``), together
-    with the kernel of the comparison maps out of H^0 of the envelope.
+    with the kernel of the comparison maps out of H^0 of the envelope.  The
+    cones are adjoined once; the quotient at each depth reuses them.
     """
-    from .quotient import localize_by_cones
-
     if wdf is None:
-        wdf = wrapped_df_category(setup, env, hcat, cset)
+        wdf = wrapped_df_category(setup, hcat, cset)
     gens = generating_subset(hcat, cset)
-    w_classes = [(c.src, c.tgt, c.coords) for c in gens]
+    ext, nulls = adjoin_cones(env, hcat, [(c.src, c.tgt, c.coords) for c in gens])
     objects = list(env.objects)
     pending = [(a, b) for a in objects for b in objects]
-    results = {}
-    quos = {}
+    results = {}    # pair -> (H^0 rank, certifying depth, its quotient)
     d = 2
     while pending and d <= depth:
-        quo, _ = localize_by_cones(env, hcat, w_classes, depth=d,
-                                   pairs=pending, check_relations=False)
-        quos[d] = quo
+        quo = TruncatedQuotient(ext, nulls, d, pairs=pending)
         still = []
         for (a, b) in pending:
             if quo.stabilized(a, b):
                 hw0 = wdf.hw_rank_map(a, b).get(0, 0)
-                results[(a, b)] = (quo.h0_rank(a, b), d)
+                results[(a, b)] = (quo.h0_rank(a, b), d, quo)
                 # an early plateau disagreeing with a certified HW rank is
                 # re-deepened: the certificate is empirical, never a claim
                 if wdf.stabilized(a, b) and quo.h0_rank(a, b) != hw0 and d < depth:
@@ -265,7 +260,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
             entry = {"pair": [a, b], "hw_h0": hw0,
                      "hw_stabilized": wdf.stabilized(a, b)}
             if (a, b) in results:
-                q0, dst = results[(a, b)]
+                q0, dst, _ = results[(a, b)]
                 entry.update({"quotient_h0": q0, "depth": dst,
                               "quotient_stabilized": True})
                 if wdf.stabilized(a, b):
@@ -284,8 +279,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
         for b in objects:
             if (a, b) not in results:
                 continue
-            dloc = results[(a, b)][1]
-            quo = quos[dloc]
+            quo = results[(a, b)][2]
             try:
                 locmap = quo.localization_map(a, b)
             except KeyError:
@@ -308,8 +302,8 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
             "cone_classes": [repr(c) for c in gens]}
 
 
-def check_wawfs_morphism(src_setup: WeakFloerSetup, src_env, src_h, src_cset,
-                         tgt_setup: WeakFloerSetup, tgt_env, tgt_h, tgt_cset):
+def check_wawfs_morphism(src_setup: WeakFloerSetup, src_h, src_cset,
+                         tgt_setup: WeakFloerSetup, tgt_h, tgt_cset):
     """Morphism of weak setups: inclusion of the pre-categories, restriction
     condition on continuation sets, induced HW map on stabilized pairs."""
     src_objs = set(src_setup.lagrangians)
@@ -336,8 +330,8 @@ def check_wawfs_morphism(src_setup: WeakFloerSetup, src_env, src_h, src_cset,
     for c in src_cset:
         if not tgt_cset.contains(c.src, c.tgt, c.coords):
             raise RestrictionMismatch(f"source class {c!r} missing in target")
-    src_wdf = wrapped_df_category(src_setup, src_env, src_h, src_cset)
-    tgt_wdf = wrapped_df_category(tgt_setup, tgt_env, tgt_h, tgt_cset)
+    src_wdf = wrapped_df_category(src_setup, src_h, src_cset)
+    tgt_wdf = wrapped_df_category(tgt_setup, tgt_h, tgt_cset)
     rows = []
     passed = True
     for l in src_setup.lagrangians:

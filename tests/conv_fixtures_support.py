@@ -55,20 +55,21 @@ def dg_path_cat(ring=Q) -> AInfCategory:
     return cat
 
 
-def mu3_cat() -> AInfCategory:
+def mu3_cat(ring=Q) -> AInfCategory:
     """A genuine arity-3 operation on the chain p0..p3 (no nesting, so the
-    relations hold for any value); w is a second closed degree-0 morphism."""
+    relations hold for any value); w is a second closed degree-0 morphism.
+    Like ``dg_path_cat`` it exists over every field."""
     objs = ["p0", "p1", "p2", "p3"]
     homs = {}
     units = {}
     for o in objs:
-        homs[(o, o)] = GradedModule.from_generators(Q, [(f"1_{o}", 0)])
+        homs[(o, o)] = GradedModule.from_generators(ring, [(f"1_{o}", 0)])
         units[o] = {f"1_{o}": 1}
-    homs[("p0", "p1")] = GradedModule.from_generators(Q, [("g1", 1)])
-    homs[("p1", "p2")] = GradedModule.from_generators(Q, [("g2", 0), ("w", 0)])
-    homs[("p2", "p3")] = GradedModule.from_generators(Q, [("g3", 1)])
-    homs[("p0", "p3")] = GradedModule.from_generators(Q, [("h", 1)])
-    cat = AInfCategory(Q, objs, homs, units, name="mu3Q")
+    homs[("p0", "p1")] = GradedModule.from_generators(ring, [("g1", 1)])
+    homs[("p1", "p2")] = GradedModule.from_generators(ring, [("g2", 0), ("w", 0)])
+    homs[("p2", "p3")] = GradedModule.from_generators(ring, [("g3", 1)])
+    homs[("p0", "p3")] = GradedModule.from_generators(ring, [("h", 1)])
+    cat = AInfCategory(ring, objs, homs, units, name=f"mu3{ring.token()}")
     cat.add_op_entry(("p0", "p1", "p2", "p3"), ("g1", "g2", "g3"), "h", 1)
     cat.add_unit_entries()
     return cat

@@ -180,6 +180,75 @@ def reference_bar(cat, nulls, x, y, depth, degree=0):
     return chains, gens, blocks
 
 
+# -- exhaustive A-infinity relations: the reference for the support check ---
+
+
+def reference_relations(cat, max_arity=4):
+    """The report of ``ainf.check_ainf_relations`` by exhaustion: every
+    object chain with nonzero consecutive homs up to ``max_arity``, every
+    basis input tuple along it in product order, and ``cat.mu`` on every
+    (r, s) split of it."""
+    ring = cat.ring
+    adj = {x: sorted({y for (s, y), m in cat.homs.items()
+                      if s == x and not m.is_zero()}) for x in cat.objects}
+    violations = []
+    checked = 0
+    for n in range(1, max_arity + 1):
+        chains = [(x,) for x in cat.objects]
+        for _ in range(n):
+            chains = [c + (y,) for c in chains for y in adj.get(c[-1], ())]
+        for chain in chains:
+            mods = [cat.hom(chain[i], chain[i + 1]) for i in range(n)]
+            label_sets = [[lab for d in m.degrees() for lab in m.labels(d)]
+                          for m in mods]
+            for inputs in product(*label_sets):
+                degs = [mods[i].degree_of(inputs[i]) for i in range(n)]
+                total = {}
+                for r in range(n):
+                    for s in range(1, n - r + 1):
+                        t = n - r - s
+                        inner = cat.mu(chain[r:r + s + 1], inputs[r:r + s])
+                        exp = r + s * t + s * sum(degs[:r])
+                        sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
+                        outer_chain = chain[:r + 1] + chain[r + s:]
+                        for mid, c in inner.items():
+                            outer_inputs = inputs[:r] + (mid,) + inputs[r + s:]
+                            for lab, v in cat.mu(outer_chain,
+                                                 outer_inputs).items():
+                                total[lab] = ring.add(
+                                    total.get(lab, ring.zero()),
+                                    ring.mul(sgn, ring.mul(c, v)))
+                total = {lab: v for lab, v in total.items() if not ring.is_zero(v)}
+                checked += 1
+                if total:
+                    violations.append({
+                        "chain": list(chain), "inputs": list(inputs),
+                        "residual": {lab: ring.format_scalar(v)
+                                     for lab, v in sorted(total.items())}})
+    return {"max_arity": max_arity, "checked": checked,
+            "passed": not violations, "violations": violations}
+
+
+def nonzero_above_arity(cat, extra=2):
+    """The (chain, inputs) with a nonzero ``cat.mu`` among every basis tuple
+    along every chain of max_arity() + 1 .. max_arity() + ``extra`` steps
+    with nonzero consecutive homs."""
+    found = []
+    chains = [(x,) for x in cat.objects]
+    for k in range(1, cat.max_arity() + extra + 1):
+        chains = [c + (y,) for c in chains for y in cat.objects
+                  if not cat.hom(c[-1], y).is_zero()]
+        if k <= cat.max_arity():
+            continue
+        for chain in chains:
+            mods = [cat.hom(a, b) for a, b in zip(chain, chain[1:])]
+            for inputs in product(*[[lab for d in m.degrees()
+                                     for lab in m.labels(d)] for m in mods]):
+                if cat.mu(chain, inputs):
+                    found.append((chain, inputs))
+    return found
+
+
 # -- zigzag-word localization oracle ------------------------------------------
 
 

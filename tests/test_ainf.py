@@ -1,20 +1,31 @@
+import random
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
-from fixture_builders import build_toyb, build_toyc, rational_fixture_doc
+from fixture_builders import (build_toyb, build_toyc, fixture_doc_over,
+                              rational_fixture_doc)
+from oracles import random_path_instance, reference_relations
+from pathcat_support import instance_to_category
+from wrapcat import floer, setupfile
 from wrapcat.ainf import (AInfCategory, NaiveFunctor, check_ainf_relations,
                           check_quasi_equivalence, classify_unitality,
-                          cohomology_category)
-from wrapcat.errors import InvalidFunctor, RelationFailure
-from wrapcat.floer import canonical_envelope
+                          cohomology_category, cone_of_class)
+from wrapcat.errors import InvalidFunctor, RelationFailure, ShapeMismatch
+from wrapcat.floer import canonical_envelope, validate_setup
 from wrapcat.linalg import GradedModule
 from wrapcat.matrices import Matrix
 from wrapcat.rings import CoefficientRing
-from wrapcat.setupfile import setup_from_dict
+from wrapcat.setupfile import load_setup, setup_from_dict
 from wrapcat.wrap import continuation_cset
 
 F2 = CoefficientRing.prime_field(2)
+F3 = CoefficientRing.prime_field(3)
 Q = CoefficientRing.rationals()
+FIXTURES = Path(setupfile.__file__).parent / "fixtures"
 
 
 def associative_algebra_cat(ring):
@@ -54,6 +65,124 @@ class TestRelations:
 
     def test_mu3_category(self):
         assert check_ainf_relations(mu3_cat(), 4)["passed"]
+
+
+def random_case(ring, base, seed, n_mu3, with_cone, perturb):
+    """A small category over ``ring`` for the relation check: a dg path
+    category, the mu^3 category or a random path category (``base``), plus
+    ``n_mu3`` random mu^3 entries on its chains, then, if asked, the cone
+    over a random nonzero degree-0 class (``cone_of_class``) and a random
+    mu^2 entry moved by one."""
+    rng = random.Random(seed)
+    if base == "path":
+        cat = instance_to_category(
+            random_path_instance(rng, max_objects=3, max_edges=4), ring)
+    else:
+        cat = {"dg": dg_path_cat, "mu3": mu3_cat}[base](ring)
+
+    def labels(x, y):
+        mod = cat.hom(x, y)
+        return [lab for d in mod.degrees() for lab in mod.labels(d)]
+    runs = [(a, b, c, d) for a in cat.objects for b in cat.objects
+            for c in cat.objects for d in cat.objects
+            if labels(a, b) and labels(b, c) and labels(c, d) and labels(a, d)]
+    for _ in range(n_mu3 if runs else 0):
+        chain = rng.choice(runs)
+        cat.add_op_entry(chain, [rng.choice(labels(x, y))
+                                 for x, y in zip(chain, chain[1:])],
+                         rng.choice(labels(chain[0], chain[-1])),
+                         rng.choice([1, 2, -1]))
+    if with_cone:
+        h = cohomology_category(cat, check_arity=0)
+        x, y = rng.choice([p for p in h.nonzero_pairs()
+                           if h.class_count(*p, 0)])
+        coords = [ring.normalize(rng.choice([0, 1, 2, -1]))
+                  for _ in range(h.class_count(x, y, 0))]
+        if not any(coords):
+            coords[0] = ring.one()
+        cat = cone_of_class(cat, h, "cone", x, y, tuple(coords))
+    if perturb:
+        chain, inputs, out = rng.choice(
+            [(c, i, o) for c, t in cat.ops.items() if len(c) == 3
+             for i, outs in t.items() for o in outs])
+        cat.set_op_entry(chain, inputs, out,
+                         ring.add(cat.ops[chain][inputs][out], ring.one()))
+    return cat
+
+
+# (base, seed, mu^3 entries, cone, perturbation) that break a relation
+BROKEN = [("dg", 0, 0, True, True), ("dg", 1, 2, False, False),
+          ("mu3", 3, 1, True, True), ("path", 3, 1, True, True)]
+
+
+class TestSupportCheckMatchesReference:
+    """The support-driven check writes the report of the exhaustive loop
+    (``oracles.reference_relations``): the same tuple count, violations,
+    order and residuals at every limit."""
+
+    @staticmethod
+    def assert_matches(cat):
+        for limit in range(1, 5):
+            assert check_ainf_relations(cat, limit) == \
+                reference_relations(cat, limit)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ring=st.sampled_from([F2, F3, Q]),
+           base=st.sampled_from(["dg", "mu3", "path"]),
+           seed=st.integers(0, 2 ** 16), n_mu3=st.integers(0, 2),
+           with_cone=st.booleans(), perturb=st.booleans())
+    @example(ring=Q, base="mu3", seed=0, n_mu3=1, with_cone=True, perturb=True)
+    def test_random_categories(self, ring, base, seed, n_mu3, with_cone,
+                               perturb):
+        self.assert_matches(random_case(ring, base, seed, n_mu3, with_cone,
+                                        perturb))
+
+    @pytest.mark.parametrize("ring", [F2, F3, Q], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize("case", BROKEN,
+                             ids=[f"{c[0]}-{c[1]}" for c in BROKEN])
+    def test_broken_relations(self, ring, case):
+        cat = random_case(ring, *case)
+        assert not check_ainf_relations(cat, 4)["passed"]
+        self.assert_matches(cat)
+
+    @pytest.mark.parametrize("name,ring", [
+        (name, ring) for name in ("dsq_break", "ore_break", "toyb",
+                                  "toyb_break_permutation", "toyc",
+                                  "toyc_break_closure")
+        for ring in (F2, F3, Q)] + [("micro2datum", Q),
+                                    ("micro2_break_beta", Q)],
+        ids=lambda v: v if isinstance(v, str) else v.token())
+    def test_validate_families_of_bundled_fixtures(self, monkeypatch, name,
+                                                   ring):
+        if ring == F2 or name.startswith("micro2"):
+            setup = load_setup(FIXTURES / f"{name}.json")
+        else:
+            setup = setup_from_dict(fixture_doc_over(name, ring))
+        families = []
+
+        def check(cat, limit):
+            families.append(cat)
+            self.assert_matches(cat)
+            return check_ainf_relations(cat, limit)
+        monkeypatch.setattr(floer, "check_ainf_relations", check)
+        validate_setup(setup)
+        assert families
+
+
+class TestOperationEntries:
+    """An operation entry names generators of the homs along its chain."""
+
+    @pytest.mark.parametrize("inputs,output,fragment", [
+        (("g2", "g2", "g3"), "h", r"'g2' is not a generator of hom\(p0, p1\)"),
+        (("g1", "g2", "g3"), "g1", r"'g1' is not a generator of hom\(p0, p3\)"),
+        (("g1", "g2"), "h", "arity"),
+    ], ids=["input", "output", "arity"])
+    @pytest.mark.parametrize("setter", ["add_op_entry", "set_op_entry"])
+    def test_non_generator_is_refused(self, setter, inputs, output, fragment):
+        cat = mu3_cat()
+        with pytest.raises(ShapeMismatch, match=fragment):
+            getattr(cat, setter)(("p0", "p1", "p2", "p3"), inputs, output, 1)
+        assert cat.mu(("p0", "p1", "p2", "p3"), ("g1", "g2", "g3")) == {"h": 1}
 
 
 class TestUnitality:

@@ -62,21 +62,35 @@ def _undeclared_hom_end(doc):
     doc["hom"]["Q9,L"] = [{"degree": 0, "name": "q"}]
 
 
-# (edit of toyb.json, a fragment the error message must contain)
-MALFORMED = [(_dup_generator, "hom 'K,Kp'"), (_bad_degree, "hom 'K,Kp'"),
-             (_scalar_lagrangians, "lagrangians"),
-             (_op_without_output, "'output'"),
-             (_undeclared_continuation_source, "'NOPE'"),
-             (_integer_coefficients, "'Z'"),
-             (_undeclared_hom_end, "hom 'Q9,L'")]
+def _op_input_not_a_generator(doc):
+    # yp -> c: c is a generator of hom(Lp, L), not of hom(L, Kp)
+    doc["operations"][0]["inputs"][0] = "c"
+
+
+def _datum_output_not_a_generator(doc):
+    doc["floer_data"]["mu"]["A,B|d1"][0]["output"] = "zz"
+
+
+# (edit of a bundled fixture, a fragment the error message must contain,
+# the fixture)
+MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
+             (_bad_degree, "hom 'K,Kp'", "toyb"),
+             (_scalar_lagrangians, "lagrangians", "toyb"),
+             (_op_without_output, "'output'", "toyb"),
+             (_undeclared_continuation_source, "'NOPE'", "toyb"),
+             (_integer_coefficients, "'Z'", "toyb"),
+             (_undeclared_hom_end, "hom 'Q9,L'", "toyb"),
+             (_op_input_not_a_generator, "operations[0]: 'c'", "toyb"),
+             (_datum_output_not_a_generator, "mu 'A,B|d1': 'zz'",
+              "micro2datum")]
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("edit,fragment", MALFORMED,
-                             ids=[e.__name__.lstrip("_") for e, _ in MALFORMED])
+    @pytest.mark.parametrize("edit,fragment,fixture", MALFORMED,
+                             ids=[e.__name__.lstrip("_") for e, *_ in MALFORMED])
     def test_malformed_setup_is_an_input_error(self, capsys, tmp_path, edit,
-                                               fragment):
-        doc = json.loads((FIXTURES / "toyb.json").read_text())
+                                               fragment, fixture):
+        doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
         edit(doc)
         path = tmp_path / "setup.json"
         path.write_text(json.dumps(doc))

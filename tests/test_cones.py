@@ -10,6 +10,7 @@ import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
 from fixture_builders import build_toyb
+from oracles import nonzero_above_arity
 from wrapcat.ainf import (check_ainf_relations, classify_unitality,
                           cohomology_category, cone, cone_of_class)
 from wrapcat.errors import NotClosed, NotDegreeZero, ShapeMismatch
@@ -123,3 +124,34 @@ class TestConeSemantics:
         ext = cone(cat, "C", "o1", "o2", {"b": 1})
         with pytest.raises(ShapeMismatch):
             cone(ext, "CC", "C", "o2", {})
+
+
+def _toyb_cone():
+    env = canonical_envelope(build_toyb())
+    h = cohomology_category(env, check_arity=0)
+    return cone_of_class(env, h, "Cc", "Lp", "L",
+                         h.project_dict("Lp", "L", 0, {"c": 1}))
+
+
+# every cone extension built above
+CONES = {
+    "dg-Cb": lambda: cone(dg_path_cat(), "Cb", "o1", "o2", {"b": 1}),
+    "dg-Cid": lambda: cone(dg_path_cat(), "Cid", "o1", "o1", {"1_o1": 1}),
+    "mu3-Cg2": lambda: cone(mu3_cat(), "Cg2", "p1", "p2", {"g2": 1}),
+    "mu3-Cw": lambda: cone(mu3_cat(), "Cw", "p1", "p2", {"w": 1}),
+    "dg-double": lambda: cone(cone(dg_path_cat(), "C1", "o1", "o2", {"b": 1}),
+                              "C2", "o1", "o2", {"b": 1}),
+    "dg-zero": lambda: cone(dg_path_cat(), "C0", "o0", "o3", {}),
+    "toyb-Cc": _toyb_cone,
+}
+
+
+class TestArityBound:
+    """A twisted mu^k only inserts twists into host operations of arity at
+    least k, so above ``max_arity()`` every mu^k is zero; the contraction
+    index and the relation check skip those arities."""
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_no_operation_above_max_arity(self, name):
+        ext = CONES[name]()
+        assert nonzero_above_arity(ext) == []

@@ -4,7 +4,8 @@ import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
 from fixture_builders import build_toyb, fixture_doc_over
-from oracles import dense_cohomology, random_path_instance, reference_bar
+from oracles import (dense_cohomology, nonzero_above_arity,
+                     random_path_instance, reference_bar)
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category, cone
 from wrapcat.errors import NotClosedRepresentative
@@ -12,13 +13,14 @@ from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule, cohomology
 from wrapcat.localization import CSet, gz_localize
 from wrapcat.quotient import (BarQuotient, NullWords, TruncatedQuotient,
-                              localize_by_cones)
+                              adjoin_cones)
 from wrapcat.rings import CoefficientRing
 from wrapcat.setupfile import setup_from_dict
 from wrapcat.wrap import continuation_cset, generating_subset
 
 F2 = CoefficientRing.prime_field(2)
-RINGS = [(F2, 2), (CoefficientRing.prime_field(3), 3),
+F3 = CoefficientRing.prime_field(3)
+RINGS = [(F2, 2), (F3, 3),
          (CoefficientRing.rationals(), 0)]
 
 
@@ -35,7 +37,8 @@ class TestBarQuotient:
     def test_empty_w_preserves_h(self):
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env, check_arity=0)
-        quo, ext = localize_by_cones(env, h, [], depth=2, check_relations=False)
+        ext, nulls = adjoin_cones(env, h, [])
+        quo = TruncatedQuotient(ext, nulls, 2)
         for a in env.objects:
             for b in env.objects:
                 assert quo.h0_rank(a, b) == h.pres(a, b).rank(0)
@@ -48,7 +51,7 @@ class TestBarQuotient:
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env, check_arity=0)
         W = [("L", "L", h.identity_coords["L"])]
-        quo, ext = localize_by_cones(env, h, W, depth=2, check_relations=False)
+        quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
         for a in env.objects:
             for b in env.objects:
                 assert quo.h0_rank(a, b) == h.pres(a, b).rank(0)
@@ -57,7 +60,7 @@ class TestBarQuotient:
         cat = one_arrow()
         h = cohomology_category(cat)
         W = [("A", "B", h.project_dict("A", "B", 0, {"c": 1}))]
-        quo, ext = localize_by_cones(cat, h, W, depth=2, check_relations=False)
+        quo = TruncatedQuotient(*adjoin_cones(cat, h, W), 2)
         cset = CSet(h, W)
         frac = gz_localize(h, cset)
         for a in cat.objects:
@@ -79,7 +82,7 @@ class TestBarQuotient:
         cset = continuation_cset(s, h)
         frac = gz_localize(h, cset)
         W = [(c.src, c.tgt, c.coords) for c in generating_subset(h, cset)]
-        quo, _ = localize_by_cones(env, h, W, depth=2, check_relations=False)
+        quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
         for a in env.objects:
             for b in env.objects:
                 assert quo.stabilized(a, b)
@@ -89,8 +92,7 @@ class TestBarQuotient:
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env, check_arity=0)
         with pytest.raises(NotClosedRepresentative):
-            localize_by_cones(env, h, [("L", "K", ())], depth=1,
-                              check_relations=False)
+            adjoin_cones(env, h, [("L", "K", ())])
 
 
 WINDOWS = range(-8, 9)
@@ -117,6 +119,27 @@ def check_windows(cat, nulls, x, y, depth, p):
         assert list(pres.reps) == reps
 
 
+def random_cone_extensions(ring):
+    """Three small random path categories over ``ring``, each with the
+    cones over (up to) two of its wrapping classes, as (extended category,
+    nulls, original objects); one of them has two cones."""
+    # small draws: the dense oracle over Q is slow on large complexes
+    rng = random.Random(5)
+    out = []
+    while len(out) < 3:
+        inst = random_path_instance(rng, max_objects=4, max_edges=5)
+        if not inst.wrap_edges:
+            continue
+        cat = instance_to_category(inst, ring)
+        h = cohomology_category(cat, check_arity=0)
+        cset = wrap_cset(inst, h)
+        w = [(c.src, c.tgt, c.coords) for c in cset
+             if not cset.is_identity(c)][:2]
+        out.append((*adjoin_cones(cat, h, w), cat.objects))
+    assert max(len(nulls) for _, nulls, _ in out) == 2
+    return out
+
+
 class TestDegreeWindows:
     @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
     def test_dg_path_cone(self, ring, p):
@@ -125,26 +148,10 @@ class TestDegreeWindows:
 
     @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
     def test_random_path_instances_with_cones(self, ring, p):
-        # small draws: the dense oracle over Q is slow on large complexes
-        rng = random.Random(5)
-        checked, most_cones = 0, 0
-        while checked < 3:
-            inst = random_path_instance(rng, max_objects=4, max_edges=5)
-            if not inst.wrap_edges:
-                continue
-            cat = instance_to_category(inst, ring)
-            h = cohomology_category(cat, check_arity=0)
-            cset = wrap_cset(inst, h)
-            w = [(c.src, c.tgt, c.coords) for c in cset
-                 if not cset.is_identity(c)][:2]
-            quo, ext = localize_by_cones(cat, h, w, depth=2, pairs=[],
-                                         check_relations=False)
-            for x in cat.objects:
-                for y in cat.objects:
-                    check_windows(ext, quo.nulls, x, y, 2, p)
-            checked += 1
-            most_cones = max(most_cones, len(w))
-        assert most_cones == 2
+        for ext, nulls, objects in random_cone_extensions(ring):
+            for x in objects:
+                for y in objects:
+                    check_windows(ext, nulls, x, y, 2, p)
 
 
 def assert_matches_reference(bar):
@@ -182,7 +189,7 @@ def check_against_reference(cat, nulls, objects, depth, windows):
                 assert quo.homology[(x, y, sub.depth)].reps == h0.reps
 
 
-def fixture_cones(name, ring, depth):
+def fixture_cones(name, ring):
     """A bundled fixture over ``ring`` with the cones that ``compute --what
     localize`` adjoins: (extended category, nulls, original objects)."""
     setup = setup_from_dict(fixture_doc_over(name, ring))
@@ -190,9 +197,8 @@ def fixture_cones(name, ring, depth):
     h = cohomology_category(env, check_arity=0)
     w = [(c.src, c.tgt, c.coords)
          for c in generating_subset(h, continuation_cset(setup, h))]
-    quo, ext = localize_by_cones(env, h, w, depth, pairs=[],
-                                 check_relations=False)
-    return ext, quo.nulls, env.objects
+    ext, nulls = adjoin_cones(env, h, w)
+    return ext, nulls, env.objects
 
 
 class TestContractionIndex:
@@ -202,7 +208,7 @@ class TestContractionIndex:
     @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
     def test_fixtures(self, name, depth, ring, p):
         # cone homs sit in degrees -1..1, so chains in -2 * depth - 1..1
-        ext, nulls, objects = fixture_cones(name, ring, depth)
+        ext, nulls, objects = fixture_cones(name, ring)
         check_against_reference(ext, nulls, objects, depth,
                                 range(-2 * depth - 2, 3))
 
@@ -214,24 +220,8 @@ class TestContractionIndex:
 
     @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
     def test_random_path_instances_with_cones(self, ring, p):
-        rng = random.Random(5)
-        checked, most_cones = 0, 0
-        while checked < 3:
-            inst = random_path_instance(rng, max_objects=4, max_edges=5)
-            if not inst.wrap_edges:
-                continue
-            cat = instance_to_category(inst, ring)
-            h = cohomology_category(cat, check_arity=0)
-            cset = wrap_cset(inst, h)
-            w = [(c.src, c.tgt, c.coords) for c in cset
-                 if not cset.is_identity(c)][:2]
-            quo, ext = localize_by_cones(cat, h, w, depth=2, pairs=[],
-                                         check_relations=False)
-            check_against_reference(ext, quo.nulls, cat.objects, 2,
-                                    range(-5, 2))
-            checked += 1
-            most_cones = max(most_cones, len(w))
-        assert most_cones == 2
+        for ext, nulls, objects in random_cone_extensions(ring):
+            check_against_reference(ext, nulls, objects, 2, range(-5, 2))
 
     def test_genuine_mu3_through_the_cone(self):
         # mu^3(g1, g2, g3) = h is a run of three labels along p0, Cw, Cw, p3
@@ -254,3 +244,62 @@ class TestContractionIndex:
         assert after.chains == before.chains
         assert after.differential.blocks != before.differential.blocks
         assert_matches_reference(after)
+
+
+def _toyb_generating_cones():
+    ext, _, _ = fixture_cones("toyb", F3)
+    return ext
+
+
+def _toyc_generating_cones():
+    ext, _, _ = fixture_cones("toyc", F3)
+    return ext
+
+
+def _toyb_unit_cone():
+    env = canonical_envelope(build_toyb())
+    h = cohomology_category(env, check_arity=0)
+    return adjoin_cones(env, h, [("L", "L", h.identity_coords["L"])])[0]
+
+
+def _one_arrow_cone():
+    cat = one_arrow()
+    h = cohomology_category(cat)
+    return adjoin_cones(
+        cat, h, [("A", "B", h.project_dict("A", "B", 0, {"c": 1}))])[0]
+
+
+def _mu3_cone_with_new_entry():
+    ext = cone(mu3_cat(), "Cw", "p1", "p2", {"w": 1})
+    ext.add_op_entry(("p0", "p1", "p2", "p3"), ("g1", "w", "g3"), "h", 1)
+    return ext
+
+
+# the cone extensions built above; the fixtures' generating cones are
+# checked over F3, where signs can cancel, not over every ring
+CONES = {
+    "toyb-generating": _toyb_generating_cones,
+    "toyc-generating": _toyc_generating_cones,
+    "toyb-unit": _toyb_unit_cone,
+    "one-arrow": _one_arrow_cone,
+    "mu3-Cw": lambda: cone(mu3_cat(), "Cw", "p1", "p2", {"w": 1}),
+    "mu3-Cw-new-entry": _mu3_cone_with_new_entry,
+    **{f"dg-Cb-{ring.token()}":
+       (lambda ring=ring: cone(dg_path_cat(ring), "Cb", "o1", "o2", {"b": 1}))
+       for ring, _ in RINGS},
+}
+
+
+class TestArityBound:
+    """Above ``max_arity()`` every mu^k of these extensions is zero on
+    every basis tuple: the contraction index and the relation check skip
+    those arities."""
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_no_operation_above_max_arity(self, name):
+        assert nonzero_above_arity(CONES[name]()) == []
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_random_path_instances_with_cones(self, ring, p):
+        for ext, _, _ in random_cone_extensions(ring):
+            assert nonzero_above_arity(ext) == []

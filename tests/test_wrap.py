@@ -77,14 +77,14 @@ class TestWrappingCategory:
 
     def test_hw_modules(self):
         s, env, h, cset = prepare(build_toyb)
-        assert wrapped_df_category(s, env, h, cset).hw_rank_map("L", "K")[0] == 1
+        assert wrapped_df_category(s, h, cset).hw_rank_map("L", "K")[0] == 1
         s2, env2, h2, cset2 = prepare(build_toyc)
-        wdf2 = wrapped_df_category(s2, env2, h2, cset2)
+        wdf2 = wrapped_df_category(s2, h2, cset2)
         assert wdf2.hw_rank_map("L0", "K")[0] == 2
 
     def test_identities_only_hw_equals_hf(self):
         s, env, h, _ = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, CSet(h, []))
+        wdf = wrapped_df_category(s, h, CSet(h, []))
         for a in env.objects:
             for b in env.objects:
                 assert wdf.hw_rank_map(a, b) == \
@@ -95,7 +95,7 @@ class TestWrappingCategory:
 class TestWrappedDF:
     def test_toyb_table_and_axioms(self):
         s, env, h, cset = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, cset)
+        wdf = wrapped_df_category(s, h, cset)
         for a in env.objects:
             for b in env.objects:
                 ranks = wdf.hw_rank_map(a, b)
@@ -110,7 +110,7 @@ class TestWrappedDF:
         # L0's chain L0 <- L1 <- L2 <- L3 is cofinal, so every pair is
         # certified, (L0, L3) included, and right locality holds on all
         s, env, h, cset = prepare(build_toyc)
-        wdf = wrapped_df_category(s, env, h, cset)
+        wdf = wrapped_df_category(s, h, cset)
         assert all(wdf.stabilization.values())
         assert wdf.stabilized("L0", "L3")
         assert wdf.check_right_locality()["passed"]
@@ -134,7 +134,7 @@ class TestWrappedDF:
         classes = [(a, b, h.project_dict(a, b, 0, combo))
                    for (a, b, combo) in s.continuation]
         classes.append(("L", "Lp", h.project_dict("L", "Lp", 0, {"cp": 1})))
-        wdf = wrapped_df_category(s, env, h, CSet(h, classes))
+        wdf = wrapped_df_category(s, h, CSet(h, classes))
         loc = wdf.check_right_locality()
         assert not loc["passed"]
         assert {"class": "ContClass(L->Lp, [1])", "object": "L",
@@ -149,7 +149,7 @@ class TestWrappedDF:
 class TestAgreement:
     def test_toyb(self):
         s, env, h, cset = prepare(build_toyb)
-        wdf = wrapped_df_category(s, env, h, cset)
+        wdf = wrapped_df_category(s, h, cset)
         ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
         assert ag["passed"]
         assert all(r["agree"] for r in ag["pairs"] if r["agree"] is not None)
@@ -157,7 +157,7 @@ class TestAgreement:
 
     def test_toyc(self):
         s, env, h, cset = prepare(build_toyc)
-        wdf = wrapped_df_category(s, env, h, cset)
+        wdf = wrapped_df_category(s, h, cset)
         ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
         assert ag["passed"]
         compared = [r for r in ag["pairs"] if r["agree"] is not None]
@@ -180,7 +180,7 @@ def extend_toyb_with_disjoint_pair():
 class TestSetupMorphisms:
     def test_identity_morphism(self):
         s, env, h, cset = prepare(build_toyb)
-        rep = check_wawfs_morphism(s, env, h, cset, s, env, h, cset)
+        rep = check_wawfs_morphism(s, h, cset, s, h, cset)
         assert rep["passed"]
 
     def test_extension_by_disjoint_pair(self):
@@ -189,7 +189,7 @@ class TestSetupMorphisms:
         tenv = canonical_envelope(t)
         th = cohomology_category(tenv, check_arity=0)
         tcset = continuation_cset(t, th)
-        rep = check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset)
+        rep = check_wawfs_morphism(s, h, cset, t, th, tcset)
         assert rep["passed"]
         assert rep["induced_hw"]
 
@@ -203,4 +203,4 @@ class TestSetupMorphisms:
         extra.append(("L", "K", th.project_dict("L", "K", 0, {"y": 1})))
         tcset = CSet(th, extra)
         with pytest.raises(RestrictionMismatch):
-            check_wawfs_morphism(s, env, h, cset, t, tenv, th, tcset)
+            check_wawfs_morphism(s, h, cset, t, th, tcset)

@@ -1,6 +1,5 @@
 """Finite A-infinity categories: sparse operations, relation checking,
-unitality classification, cohomology categories, mapping cones and naive
-functors with quasi-equivalence testing.
+cohomology categories, mapping cones and naive functors.
 
 Sign convention (fixed globally, see README): operations mu^k have degree
 2-k and the A-infinity relations read, elementwise on basis inputs,
@@ -19,10 +18,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import (InvalidFunctor, NotClosed, NotDegreeZero, RelationFailure,
-                     ShapeMismatch)
+from .errors import InvalidFunctor, NotClosed, NotDegreeZero, ShapeMismatch
 from .linalg import (CohomologyPresentation, Complex, GradedMap, GradedModule,
-                     cohomology, induced_cohomology_map)
+                     cohomology)
 from .matrices import Matrix
 
 def _twist_exponent(ext_args, host_args, out_block):
@@ -457,126 +455,6 @@ def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
             "passed": not violations, "violations": violations}
 
 
-# -- unitality -------------------------------------------------------------------
-
-
-def _unit_is_strict(a: AInfCategory, x) -> bool:
-    ring = a.ring
-    unit = a.unit_of(x)
-    if not unit:
-        return False
-    mod_xx = a.hom(x, x)
-    for lab in unit:
-        if not mod_xx.has_label(lab) or mod_xx.degree_of(lab) != 0:
-            return False
-    if a.mu_element((x, x), [unit]):
-        return False
-    for (s, t), mod in sorted(a.homs.items()):
-        for d in mod.degrees():
-            for lab in mod.labels(d):
-                one = {lab: ring.one()}
-                if t == x and a.mu_element((s, x, x), [one, unit]) != one:
-                    return False
-                if s == x and a.mu_element((x, x, t), [unit, one]) != one:
-                    return False
-    unit_labels = set(unit)
-    for chain, table in a.ops.items():
-        if len(chain) - 1 < 3:
-            continue
-        for inputs, out in table.items():
-            if not out:
-                continue
-            for i, lab in enumerate(inputs):
-                if chain[i] == x and chain[i + 1] == x and lab in unit_labels:
-                    return False
-    return True
-
-
-def classify_unitality(a: AInfCategory):
-    """Classify each object and the category as strict / unital (witnessed) /
-    cohomological / non-unital.  The unital witness search solves exactly for
-    basis-indexed degree -1 homotopies; failure degrades to cohomological."""
-    per_object = {}
-    strict = {x: _unit_is_strict(a, x) for x in a.objects}
-    if all(strict.values()) and a.objects:
-        return {"global": "strict", "per_object": {x: "strict" for x in a.objects}}
-    try:
-        hcat = cohomology_category(a, check_arity=0)
-    except Exception:
-        hcat = None
-    for x in a.objects:
-        if strict[x]:
-            per_object[x] = "strict"
-        elif hcat is None or hcat.identity_coords.get(x) is None:
-            per_object[x] = "non-unital"
-        elif _unital_witness(a, hcat, x):
-            per_object[x] = "unital (witnessed)"
-        else:
-            per_object[x] = "cohomological (homotopy not found at this bound)"
-    order = ["non-unital", "cohomological (homotopy not found at this bound)",
-             "unital (witnessed)", "strict"]
-    worst = min((order.index(v) for v in per_object.values()), default=0)
-    return {"global": order[worst], "per_object": per_object}
-
-
-def _unital_witness(a: AInfCategory, hcat: "HCategory", x) -> bool:
-    ring = a.ring
-    e_coords = hcat.identity_coords.get(x)
-    if e_coords is None:
-        return False
-    e_dict = hcat.rep_dict(x, x, 0, e_coords)
-    for (s, t), mod in sorted(a.homs.items()):
-        sides = []
-        if s == x:
-            sides.append("left")
-        if t == x:
-            sides.append("right")
-        for side in sides:
-            entries = []
-            for d in mod.degrees():
-                for lab in mod.labels(d):
-                    one = {lab: ring.one()}
-                    if side == "left":
-                        img = a.mu_element((x, x, t), [e_dict, one])
-                    else:
-                        img = a.mu_element((s, x, x), [one, e_dict])
-                    for out, v in img.items():
-                        entries.append((lab, out, v))
-            L = GradedMap.from_entries(mod, mod, 0, entries)
-            target = L.add(GradedMap.identity(mod).scale(ring.normalize(-1)))
-            if not _homotopy_exists(a.hom_complex(s, t), target):
-                return False
-    return True
-
-
-def _homotopy_exists(cx: Complex, target: GradedMap) -> bool:
-    """Decide solvability of d h + h d = target for a degree -1 map h."""
-    ring = cx.module.ring
-    mod = cx.module
-    d = cx.differential
-    unknowns = []
-    for deg in mod.degrees():
-        for j in range(mod.rank(deg)):
-            for i in range(mod.rank(deg - 1)):
-                unknowns.append((deg, i, j))
-    if not unknowns:
-        return target.is_zero()
-    rows, rhs = [], []
-    for deg in mod.degrees():
-        below, above = d.block(deg - 1).data, d.block(deg).data
-        for i, target_row in enumerate(target.block(deg).data):
-            for j, t in enumerate(target_row):
-                row = [ring.zero()] * len(unknowns)
-                for idx, (hd, hi, hj) in enumerate(unknowns):
-                    if hd == deg and hj == j:
-                        row[idx] = ring.add(row[idx], below[i][hi])
-                    if hd == deg + 1 and hi == i:
-                        row[idx] = ring.add(row[idx], above[hj][j])
-                rows.append(row)
-                rhs.append(t)
-    return Matrix.from_rows(ring, rows, len(unknowns)).solve(tuple(rhs)) is not None
-
-
 def _coords_to_vector(ring, pres, coords):
     vec = [ring.zero()] * pres.module_rank
     for c, rep in zip(coords, pres.reps):
@@ -600,12 +478,7 @@ class HCategory:
     """Cohomology category: graded homs as canonical presentations, mu^2
     composition on representatives, identity classes and exact tables."""
 
-    def __init__(self, source: AInfCategory, check_arity: int = 3):
-        if check_arity:
-            rep = check_ainf_relations(source, check_arity)
-            if not rep["passed"]:
-                raise RelationFailure(
-                    f"A-infinity relations fail: {rep['violations'][0]}")
+    def __init__(self, source: AInfCategory):
         self.source = source
         self.ring = source.ring
         self.objects = source.objects
@@ -720,79 +593,8 @@ class HCategory:
                 self.ring, cols, self.class_count(x, z, d1 + d2))
         return m
 
-    def degree0_elements(self, x, y, cap=4096):
-        """Degree-0 classes to search over: all of them over a small finite
-        field, basis classes and their sum otherwise."""
-        ring = self.ring
-        n = self.class_count(x, y, 0)
-        if n == 0:
-            return []
-        if ring.kind == "Fp" and ring.p ** n <= cap:
-            vals = [tuple(ring.normalize(c) for c in v)
-                    for v in product(*([range(ring.p)] * n))]
-            return [v for v in vals if any(c != 0 for c in v)]
-        out = [self.basis_coords(x, y, 0, i) for i in range(n)]
-        if n > 1:
-            out.append(tuple(ring.one() for _ in range(n)))
-        return out
-
-    def nonzero_pairs(self):
-        return sorted(p for p, h in self.H.items() if h.total_class_count())
-
-    def verify_category_axioms(self):
-        """Exhaustive associativity and unitality on basis classes."""
-        failures = []
-        for x in self.objects:
-            if self.identity_coords.get(x) is None:
-                failures.append({"kind": "missing-identity", "object": x})
-        pairs = self.nonzero_pairs()
-        by_src = {}
-        for (p, q) in pairs:
-            by_src.setdefault(p, []).append(q)
-        for (x, y) in pairs:
-            for z in by_src.get(y, ()):
-                for w in by_src.get(z, ()):
-                    for d1 in self.pres(x, y).degrees():
-                        for d2 in self.pres(y, z).degrees():
-                            for d3 in self.pres(z, w).degrees():
-                                self._assoc_check(x, y, z, w, d1, d2, d3, failures)
-        for (x, y) in pairs:
-            ex, ey = self.identity_coords.get(x), self.identity_coords.get(y)
-            for d in self.pres(x, y).degrees():
-                for i in range(self.class_count(x, y, d)):
-                    u = self.basis_coords(x, y, d, i)
-                    if ex is not None and self.compose(x, x, y, 0, ex, d, u) != u:
-                        failures.append({"kind": "left-unit", "pair": [x, y],
-                                         "degree": d, "class": i})
-                    if ey is not None and self.compose(x, y, y, d, u, 0, ey) != u:
-                        failures.append({"kind": "right-unit", "pair": [x, y],
-                                         "degree": d, "class": i})
-        return {"passed": not failures, "failures": failures}
-
-    def _assoc_check(self, x, y, z, w, d1, d2, d3, failures):
-        n1, n2, n3 = (self.class_count(x, y, d1), self.class_count(y, z, d2),
-                      self.class_count(z, w, d3))
-        if 0 in (n1, n2, n3):
-            return
-        for i in range(n1):
-            u = self.basis_coords(x, y, d1, i)
-            for j in range(n2):
-                v = self.basis_coords(y, z, d2, j)
-                uv = self.compose(x, y, z, d1, u, d2, v)
-                for l in range(n3):
-                    t = self.basis_coords(z, w, d3, l)
-                    lhs = self.compose(x, z, w, d1 + d2, uv, d3, t)
-                    rhs = self.compose(x, y, w, d1, u, d2 + d3,
-                                       self.compose(y, z, w, d2, v, d3, t))
-                    if lhs != rhs:
-                        failures.append({"kind": "associativity",
-                                         "objects": [x, y, z, w],
-                                         "degrees": [d1, d2, d3],
-                                         "classes": [i, j, l]})
-
-
-def cohomology_category(a: AInfCategory, check_arity: int = 3) -> HCategory:
-    return HCategory(a, check_arity=check_arity)
+def cohomology_category(a: AInfCategory) -> HCategory:
+    return HCategory(a)
 
 
 # -- mapping cones ------------------------------------------------------------------
@@ -858,12 +660,11 @@ class NaiveFunctor:
     """Object map plus degree-0 chain maps on homs (first-order term only)."""
 
     def __init__(self, source: AInfCategory, target: AInfCategory,
-                 object_map, hom_maps, strict=True):
+                 object_map, hom_maps):
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
         self.hom_maps = dict(hom_maps)
-        self.strict = strict
 
     @staticmethod
     def inclusion(source: AInfCategory, target: AInfCategory,
@@ -895,8 +696,8 @@ class NaiveFunctor:
         return out
 
     def validate(self):
-        """Chain-map property of every hom map; strict functors must also
-        intertwine mu^2 exactly and send units to units."""
+        """Chain-map property of every hom map, mu^2 intertwined exactly and
+        units sent to units."""
         ring = self.source.ring
         for (p, q), fm in sorted(self.hom_maps.items()):
             fp, fq = self.object_map[p], self.object_map[q]
@@ -914,8 +715,6 @@ class NaiveFunctor:
                     if lhs != rhs:
                         raise InvalidFunctor(
                             f"hom map ({p},{q}) is not a chain map at {lab!r}")
-        if not self.strict:
-            return True
         for x in self.source.objects:
             fx = self.object_map[x]
             img = self.map_element(x, x, self.source.unit_of(x))
@@ -944,85 +743,3 @@ class NaiveFunctor:
                         if lhs != rhs:
                             raise InvalidFunctor(
                                 f"functor fails mu^2 on ({p},{q},{r}) at ({l1},{l2})")
-
-
-def induced_h_functor(F: NaiveFunctor, src_h: HCategory, tgt_h: HCategory):
-    """Per-pair maps on cohomology induced by a validated naive functor."""
-    out = {}
-    for (p, q), fm in sorted(F.hom_maps.items()):
-        fp, fq = F.object_map[p], F.object_map[q]
-        src_cx = src_h.complexes.get((p, q)) or Complex.with_zero_differential(
-            F.source.hom(p, q))
-        tgt_cx = tgt_h.complexes.get((fp, fq)) or Complex.with_zero_differential(
-            F.target.hom(fp, fq))
-        out[(p, q)] = induced_cohomology_map(fm, src_cx, tgt_cx,
-                                             src_h.pres(p, q), tgt_h.pres(fp, fq))
-    return out
-
-
-def check_quasi_equivalence(F: NaiveFunctor, src_h: HCategory = None,
-                            tgt_h: HCategory = None):
-    """Fully-faithful plus essentially-surjective report for a naive functor.
-
-    Essential surjectivity witnesses are mutually inverse degree-0 classes
-    found by exact linear solve against enumerable candidates.
-    """
-    F.validate()
-    src_h = src_h or cohomology_category(F.source)
-    tgt_h = tgt_h or cohomology_category(F.target)
-    hmaps = induced_h_functor(F, src_h, tgt_h)
-    ff_failures = []
-    for (p, q) in sorted(set(src_h.H) | set(F.hom_maps)):
-        hm = hmaps.get((p, q))
-        if hm is None:
-            if src_h.pres(p, q).total_class_count():
-                ff_failures.append({"pair": [p, q], "reason": "missing hom map"})
-            continue
-        if not hm.is_isomorphism():
-            ff_failures.append({"pair": [p, q], "reason": "not an H-isomorphism"})
-    image = sorted({F.object_map[x] for x in F.source.objects})
-    ess_failures, witnesses = [], {}
-    for yob in F.target.objects:
-        if yob in image:
-            witnesses[yob] = {"object": yob, "via": "image"}
-            continue
-        found = None
-        for xob in image:
-            w = find_h_isomorphism(tgt_h, xob, yob)
-            if w is not None:
-                found = {"object": xob, "forward": [tgt_h.ring.format_scalar(c)
-                                                    for c in w[0]],
-                         "backward": [tgt_h.ring.format_scalar(c) for c in w[1]]}
-                break
-        if found is None:
-            ess_failures.append({"object": yob})
-        else:
-            witnesses[yob] = found
-    return {"fully_faithful": not ff_failures,
-            "essentially_surjective": not ess_failures,
-            "passed": not ff_failures and not ess_failures,
-            "ff_failures": ff_failures, "ess_failures": ess_failures,
-            "witnesses": witnesses}
-
-
-def find_h_isomorphism(hcat: HCategory, x, y):
-    """Mutually inverse degree-0 classes (u: x->y, v: y->x), or None.
-
-    For each enumerable candidate u the two-sided inverse condition is a
-    linear system in v, solved exactly.
-    """
-    ring = hcat.ring
-    ex, ey = hcat.identity_coords.get(x), hcat.identity_coords.get(y)
-    if ex is None or ey is None:
-        return None
-    n = hcat.class_count(y, x, 0)
-    if n == 0:
-        return None
-    for u in hcat.degree0_elements(x, y):
-        pre = hcat.precompose_matrix(x, y, x, 0, u, 0)    # v -> (u then v)
-        post = hcat.postcompose_matrix(y, x, y, 0, u, 0)  # v -> (v then u)
-        rhs = list(ex) + list(ey)
-        v = Matrix(ring, pre.vecs + post.vecs, n).solve(tuple(rhs))
-        if v is not None:
-            return (u, tuple(v))
-    return None

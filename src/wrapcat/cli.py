@@ -30,7 +30,7 @@ from .wrap import (check_localization_agreement, continuation_cset,
 def _prepare(setup):
     col = choose_compatible_collection(setup)
     env = canonical_envelope(setup, col)
-    hcat = cohomology_category(env, check_arity=0)
+    hcat = cohomology_category(env)
     cset = continuation_cset(setup, hcat)
     return col, env, hcat, cset
 
@@ -198,6 +198,14 @@ def cmd_entangle(setup, level=1, compare=False):
     return rep
 
 
+def nonnegative(text):
+    """argparse type of --depth and --level: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wrapcat",
@@ -212,13 +220,13 @@ def main(argv=None):
     p_cmp.add_argument("file")
     p_cmp.add_argument("--what", choices=["hw", "dfcat", "localize", "agree"],
                        default="hw")
-    p_cmp.add_argument("--depth", type=int, default=4,
+    p_cmp.add_argument("--depth", type=nonnegative, default=4,
                        help="longest chain of cones in the cone quotient "
                             "(localize, agree); hw and dfcat do not read it")
     p_cmp.add_argument("--mode", choices=["strict", "finite"], default="finite")
     p_ent = sub.add_parser("entangle", help="build entanglement stages")
     p_ent.add_argument("file")
-    p_ent.add_argument("--level", type=int, default=1)
+    p_ent.add_argument("--level", type=nonnegative, default=1)
     p_ent.add_argument("--compare", action="store_true")
     for p in (p_val, p_cmp, p_ent):
         p.add_argument("--text", action="store_true",

@@ -17,15 +17,7 @@ class NotAComplex(WrapcatError):
     pass
 
 
-class NotChainMap(WrapcatError):
-    pass
-
-
 class EmptySequence(WrapcatError):
-    pass
-
-
-class RelationFailure(WrapcatError):
     pass
 
 
@@ -53,19 +45,7 @@ class NotClosedRepresentative(WrapcatError):
     pass
 
 
-class ValidationRequired(WrapcatError):
-    pass
-
-
 class NoSection(WrapcatError):
-    pass
-
-
-class CertificateMissing(WrapcatError):
-    pass
-
-
-class AlphaMissing(WrapcatError):
     pass
 
 
@@ -86,14 +66,6 @@ class NotCofinal(WrapcatError):
 
 
 class NotSufficientlyWrapped(WrapcatError):
-    pass
-
-
-class NotAnInclusion(WrapcatError):
-    pass
-
-
-class RestrictionMismatch(WrapcatError):
     pass
 
 

@@ -1,12 +1,11 @@
 """Weak abstract Floer setups: the axiomatic data model, exhaustive
-validators, compatible-collection choice, canonical envelopes and the
-Donaldson-Fukaya pre-category.
+validators, compatible-collection choice and canonical envelopes.
 
 Two input profiles: "envelope" carries a single chosen datum's worth of
 operations (enough for the wrapping computations); "full" carries the
 entire system of Floer-data sets with restriction maps, the alpha/beta/
-gamma coherence data and the diagonal section, enough for the
-independence certificates.
+gamma coherence data and the diagonal section, which the validators
+check against axioms (iv)-(ix).
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .ainf import AInfCategory, check_ainf_relations, _merge
-from .errors import (AlphaMissing, CertificateMissing, NoSection,
-                     ValidationRequired)
-from .linalg import (Complex, GradedMap, GradedModule, cohomology,
-                     induced_cohomology_map)
+from .errors import NoSection
+from .linalg import GradedMap, GradedModule
 
 
 def tuple_key(t):
@@ -498,15 +495,14 @@ def _envelope_for(s: WeakFloerSetup, datum_of) -> AInfCategory:
 # -- constructions --------------------------------------------------------------------
 
 
-def choose_compatible_collection(s: WeakFloerSetup, strategy="lexicographic",
-                                 seed=None) -> CompatibleCollection:
-    """Choose one datum per composable tuple, by induction on tuple length,
-    using the surjectivity sections for the inductive step."""
+def choose_compatible_collection(s: WeakFloerSetup) -> CompatibleCollection:
+    """Choose one datum per composable tuple, by induction on tuple length:
+    the first datum of each pair, then the surjectivity sections for the
+    inductive step."""
     if s.profile != "full" or s.data_system is None:
         delta = {t: None for t in s.all_tuples()}
         return CompatibleCollection(delta)
     ds = s.data_system
-    rotate = int(seed) if strategy == "seeded" and seed is not None else 0
     delta = {}
     for k in sorted(s.composable):
         for t in s.tuples(k):
@@ -514,7 +510,7 @@ def choose_compatible_collection(s: WeakFloerSetup, strategy="lexicographic",
             if not options:
                 raise NoSection(f"D({tuple_key(t)}) is empty")
             if k == 1:
-                delta[t] = options[rotate % len(options)]
+                delta[t] = options[0]
                 continue
             fam = {sub: delta[sub] for sub in subsequences(t, min_len=2)}
             key = family_key(fam)
@@ -526,196 +522,10 @@ def choose_compatible_collection(s: WeakFloerSetup, strategy="lexicographic",
     return CompatibleCollection(delta)
 
 
-def check_collection_compatible(s: WeakFloerSetup, col: CompatibleCollection):
-    if s.profile != "full" or s.data_system is None:
-        return True
-    for t in s.all_tuples():
-        if len(t) < 3:
-            continue
-        for sub in subsequences(t, min_len=2):
-            if s.data_system.restrict(t, sub, col.datum(t)) != col.datum(sub):
-                return False
-    return True
-
-
-def canonical_envelope(s: WeakFloerSetup, col: CompatibleCollection = None,
-                       validated=True) -> AInfCategory:
+def canonical_envelope(s: WeakFloerSetup,
+                       col: CompatibleCollection = None) -> AInfCategory:
     """The strictly unital envelope: CF homs on composable pairs, adjoined
     rank-1 units, zero elsewhere, operations from the chosen collection."""
-    if not validated:
-        raise ValidationRequired("validate the setup before building the envelope")
     if col is None:
         col = choose_compatible_collection(s)
     return _envelope_for(s, col.datum)
-
-
-# -- Donaldson-Fukaya pre-category -----------------------------------------------------
-
-
-class DFPreCategory:
-    """Homotopy classes of the CF complexes with the alpha-isomorphism
-    certificates between the data choices."""
-
-    def __init__(self, s: WeakFloerSetup):
-        if s.profile != "full" or s.data_system is None:
-            raise CertificateMissing("the DF pre-category needs the full profile")
-        self.setup = s
-        ds = s.data_system
-        ring = s.ring
-        self.h = {}            # (pair, datum) -> CohomologyPresentation
-        self.rep_datum = {}    # pair -> lex-first datum
-        self.alpha_iso = {}    # (pair, d1, d2) -> HMap
-        for pair in s.tuples(1):
-            mod = s.cf_module(*pair)
-            data = list(ds.D.get(pair, ()))
-            if not data:
-                raise CertificateMissing(f"D({tuple_key(pair)}) empty")
-            self.rep_datum[pair] = data[0]
-            for datum in data:
-                cx = Complex(mod, _pair_differential(s, pair, datum))
-                self.h[(pair, datum)] = cohomology(cx)
-            for d1 in data:
-                for d2 in data:
-                    dp = None
-                    for (dp_id, pr) in ds.Dprime.get(pair, ()):
-                        if pr == (d1, d2):
-                            dp = dp_id
-                            break
-                    if dp is None:
-                        raise CertificateMissing(
-                            f"no Dprime element over ({d1},{d2}) on "
-                            f"{tuple_key(pair)}")
-                    a_map = _entries_map(mod, mod, 0,
-                                         ds.alpha.get((pair, dp), ()))
-                    hmap = induced_cohomology_map(
-                        a_map, Complex(mod, _pair_differential(s, pair, d1)),
-                        Complex(mod, _pair_differential(s, pair, d2)),
-                        self.h[(pair, d1)], self.h[(pair, d2)])
-                    self.alpha_iso[(pair, d1, d2)] = hmap
-
-    def hF(self, l, k):
-        pair = (l, k)
-        if pair not in self.rep_datum:
-            return None
-        return self.h[(pair, self.rep_datum[pair])]
-
-    def alpha_certificates_pass(self):
-        return all(h.is_isomorphism() for h in self.alpha_iso.values())
-
-
-def df_precategory(s: WeakFloerSetup) -> DFPreCategory:
-    return DFPreCategory(s)
-
-
-def check_envelope_independence(s: WeakFloerSetup, col1: CompatibleCollection,
-                                col2: CompatibleCollection):
-    """Lemma-can certificates: the alpha-induced comparison between the two
-    envelopes' cohomologies is an isomorphism on every hom, functorial on
-    composable pairs, with the beta homotopy identities verified exactly."""
-    if s.profile != "full" or s.data_system is None:
-        raise AlphaMissing("independence certificates need the full profile")
-    ds = s.data_system
-    ring = s.ring
-    report = {"pairs": [], "functoriality": [], "beta": [], "passed": True}
-    hmaps = {}
-    for pair in s.tuples(1):
-        d1, d2 = col1.datum(pair), col2.datum(pair)
-        dp = None
-        for (dp_id, pr) in ds.Dprime.get(pair, ()):
-            if pr == (d1, d2):
-                dp = dp_id
-                break
-        if dp is None:
-            raise AlphaMissing(f"no alpha over ({d1},{d2}) on {tuple_key(pair)}")
-        mod = s.cf_module(*pair)
-        a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp), ()))
-        cx1 = Complex(mod, _pair_differential(s, pair, d1))
-        cx2 = Complex(mod, _pair_differential(s, pair, d2))
-        hmap = induced_cohomology_map(a_map, cx1, cx2)
-        iso = hmap.is_isomorphism()
-        hmaps[pair] = (hmap, a_map)
-        report["pairs"].append({"pair": list(pair), "alpha": dp, "iso": iso})
-        if not iso:
-            report["passed"] = False
-    # functoriality on composable triples at H level
-    for triple in s.tuples(2):
-        l0, l1, l2 = triple
-        ok = _functoriality_ok(s, col1, col2, triple, hmaps)
-        report["functoriality"].append({"triple": list(triple), "passed": ok})
-        if not ok:
-            report["passed"] = False
-    # beta certificates: over each pair and each Dsecond element whose
-    # boundary alpha data matches the two collections' comparison
-    for pair in s.tuples(1):
-        mod = s.cf_module(*pair)
-        for (ds_id, (ac, ab, bc)) in ds.Dsecond.get(pair, ()):
-            b_map = _entries_map(mod, mod, -1, ds.beta.get((pair, ds_id), ()))
-            defect = _beta_defect(s, pair, ac, ab, bc, b_map)
-            report["beta"].append({"pair": list(pair), "element": ds_id,
-                                   "passed": defect is None})
-            if defect is not None:
-                report["passed"] = False
-    return report
-
-
-def _functoriality_ok(s, col1, col2, triple, hmaps):
-    """H-level conjugation: alpha(mu2_delta1(x, y)) = mu2_delta2(alpha x, alpha y)
-    as maps on cohomology classes."""
-    ring = s.ring
-    l0, l1, l2 = triple
-    m01, m12, m02 = (s.cf_module(l0, l1), s.cf_module(l1, l2), s.cf_module(l0, l2))
-    mu1 = _mu2_table(s, triple, col1.datum(triple))
-    mu2t = _mu2_table(s, triple, col2.datum(triple))
-    h01 = cohomology(Complex(m01, _pair_differential(s, (l0, l1),
-                                                     col1.datum((l0, l1)))))
-    h12 = cohomology(Complex(m12, _pair_differential(s, (l1, l2),
-                                                     col1.datum((l1, l2)))))
-    h02_2 = cohomology(Complex(m02, _pair_differential(s, (l0, l2),
-                                                       col2.datum((l0, l2)))))
-    a01 = hmaps[(l0, l1)][1]
-    a12 = hmaps[(l1, l2)][1]
-    a02 = hmaps[(l0, l2)][1]
-
-    def apply_bilinear(table, xd, yd):
-        acc = {}
-        for lx, vx in xd.items():
-            for ly, vy in yd.items():
-                for o, vo in table.get((lx, ly), {}).items():
-                    _merge(acc, o, ring.mul(ring.mul(vx, vy), vo), ring)
-        return acc
-
-    for d1 in list(h01.by_degree):
-        p1 = h01.degree(d1)
-        for d2 in list(h12.by_degree):
-            p2 = h12.degree(d2)
-            for i in range(p1.class_count):
-                for j in range(p2.class_count):
-                    xd = {lab: v for lab, v in zip(m01.labels(d1), p1.reps[i])
-                          if v != 0}
-                    yd = {lab: v for lab, v in zip(m12.labels(d2), p2.reps[j])
-                          if v != 0}
-                    lhs_ch = {}
-                    for o, vo in apply_bilinear(mu1, xd, yd).items():
-                        for o2, va in a02.apply_label(o).items():
-                            _merge(lhs_ch, o2, ring.mul(vo, va), ring)
-                    ax = {}
-                    for lab, v in xd.items():
-                        for o, va in a01.apply_label(lab).items():
-                            _merge(ax, o, ring.mul(v, va), ring)
-                    ay = {}
-                    for lab, v in yd.items():
-                        for o, va in a12.apply_label(lab).items():
-                            _merge(ay, o, ring.mul(v, va), ring)
-                    rhs_ch = apply_bilinear(mu2t, ax, ay)
-                    pt = h02_2.degree(d1 + d2)
-                    if pt.class_count == 0:
-                        continue
-                    vec1 = [ring.zero()] * pt.module_rank
-                    for lab, v in lhs_ch.items():
-                        vec1[m02.index_of(lab)] = v
-                    vec2 = [ring.zero()] * pt.module_rank
-                    for lab, v in rhs_ch.items():
-                        vec2[m02.index_of(lab)] = v
-                    if pt.project(vec1) != pt.project(vec2):
-                        return False
-    return True

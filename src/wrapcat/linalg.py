@@ -1,5 +1,5 @@
 """Exact graded linear algebra over a field: graded modules, chain complexes,
-cohomology presentations, induced maps, diagram colimits.
+cohomology presentations, diagram colimits.
 
 Cohomology presentations are canonical for a fixed basis order: each class
 representative is reduced against the echelon basis of the boundaries.  All
@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (EmptySequence, NotAComplex, NotChainMap, ShapeMismatch)
+from .errors import EmptySequence, NotAComplex, ShapeMismatch
 from .matrices import Echelon, Matrix, vectors
 from .rings import CoefficientRing
 
 __all__ = [
-    "GradedModule", "GradedMap", "Complex", "CohomologyPresentation", "HMap",
-    "cohomology", "induced_cohomology_map", "compose_graded_maps",
-    "diagram_colimit",
+    "GradedModule", "GradedMap", "Complex", "CohomologyPresentation",
+    "cohomology", "compose_graded_maps", "diagram_colimit",
 ]
 
 
@@ -55,9 +54,6 @@ class GradedModule:
     def rank(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def total_rank(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
     def labels(self, d: int):
         return self.basis.get(d, ())
 
@@ -82,9 +78,6 @@ class GradedModule:
 
     def __repr__(self):
         return f"GradedModule({ {d: len(v) for d, v in self.basis.items()} })"
-
-    def rank_map(self):
-        return {d: len(v) for d, v in self.basis.items()}
 
 
 class GradedMap:
@@ -162,9 +155,6 @@ class GradedMap:
         tlabels = self.target.labels(d + self.degree)
         return {tlabels[i]: x for i, x in
                 self.block(d).column(self.source.index_of(label)).items()}
-
-    def apply_vector(self, d: int, vec):
-        return self.block(d).apply(vec)
 
     def add(self, other: "GradedMap") -> "GradedMap":
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
@@ -335,66 +325,6 @@ def cohomology(c: Complex, degrees=None) -> CohomologyPresentation:
             ring, d_out.cols, c.differential.block(d - 1).columns(),
             d_out.echelon().kernel(), True)
     return CohomologyPresentation(ring, c.module, by_degree)
-
-
-class HMap:
-    """Map of cohomology presentations, given degreewise on class coordinates."""
-
-    __slots__ = ("source", "target", "degree", "matrices")
-
-    def __init__(self, source: CohomologyPresentation, target: CohomologyPresentation,
-                 degree: int, matrices):
-        self.source = source
-        self.target = target
-        self.degree = int(degree)
-        self.matrices = {int(d): m for d, m in sorted(matrices.items())}
-
-    def matrix(self, d: int) -> Matrix:
-        if d in self.matrices:
-            return self.matrices[d]
-        return Matrix.zero(self.source.ring, self.target.rank(d + self.degree),
-                           self.source.rank(d))
-
-    def is_isomorphism(self) -> bool:
-        degs = set(self.source.degrees()) | set(d - self.degree for d in self.target.degrees())
-        return all(self.matrix(d).is_invertible() for d in degs)
-
-    def __eq__(self, other):
-        if not isinstance(other, HMap):
-            return False
-        if self.degree != other.degree:
-            return False
-        degs = set(self.matrices) | set(other.matrices)
-        return all(self.matrix(d) == other.matrix(d) for d in degs)
-
-
-def induced_cohomology_map(f: GradedMap, src: Complex, tgt: Complex,
-                           src_h: CohomologyPresentation = None,
-                           tgt_h: CohomologyPresentation = None) -> HMap:
-    """H-level map induced by a chain map; raises NotChainMap with a witness."""
-    if f.source != src.module or f.target != tgt.module:
-        raise ShapeMismatch("induced map endpoints mismatch")
-    for d in src.module.degrees():
-        lhs = tgt.differential.block(d + f.degree).mul(f.block(d))
-        rhs = f.block(d + 1).mul(src.differential.block(d))
-        j = lhs.add(rhs.scale(-1)).first_nonzero_column()
-        if j is not None:
-            lab = src.module.labels(d)[j]
-            raise NotChainMap(f"f fails to commute with d on {lab!r}")
-    src_h = src_h or cohomology(src)
-    tgt_h = tgt_h or cohomology(tgt)
-    matrices = {}
-    for d in src_h.by_degree:
-        sp = src_h.degree(d)
-        if sp.class_count == 0:
-            continue
-        tp = tgt_h.degree(d + f.degree)
-        cols = []
-        for rep in sp.reps:
-            img = f.apply_vector(d, rep)
-            cols.append(tp.project(img))
-        matrices[d] = Matrix.from_columns(src.module.ring, cols, tp.class_count)
-    return HMap(src_h, tgt_h, f.degree, matrices)
 
 
 class DiagramColimit:

@@ -311,7 +311,11 @@ def h_transition_map(hcat: HCategory, e: ContClass, target,
 
 class FractionCategory:
     """The localized category at H level: objects of the host, homs the
-    exact colimits over continuation slices, composition by right roofs."""
+    exact colimits over continuation slices, composition by right roofs.
+
+    ``strict_system`` False builds the slice colimits even when the Ore
+    conditions fail somewhere (the stage bridges flag the validation
+    separately); composition may then raise NonCofinalPrefix."""
 
     def __init__(self, hcat: HCategory, cset: CSet, strict_system: bool = True):
         self.hcat = hcat
@@ -493,14 +497,3 @@ class FractionCategory:
                         for d3 in sorted(self.colim(m, w).by_degree):
                             for t in range(self.class_count(m, w, d3)):
                                 yield (d1, i, d2, j, d3, t)
-
-
-def gz_localize(hcat: HCategory, cset: CSet,
-                strict_system: bool = True) -> FractionCategory:
-    """Fraction category of an HCategory at a validated continuation set.
-
-    ``strict_system`` False computes slice colimits even when the Ore
-    conditions fail somewhere (used by the bridge checks, which flag the
-    validation separately); composition may then raise NonCofinalPrefix.
-    """
-    return FractionCategory(hcat, cset, strict_system=strict_system)

@@ -130,6 +130,23 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         oracle=_get(doc, "oracle", dict), name=doc.get("name", "setup"))
 
 
+def _check_labels(cf, where, chain, ops):
+    """Raise a SchemaError naming ``where`` unless each (inputs, output,
+    scalar) of ``ops`` on the object tuple ``chain`` names generators."""
+    with _at(where):
+        for inputs, output, _ in ops:
+            check_entry_labels(cf, chain, inputs, output)
+
+
+def _pair_map(ring, cf, where, pair, entries):
+    """The (input, output, scalar) entries of an alpha or beta map on the
+    pair's CF module, each label checked to be a generator of it."""
+    ops = [(e["input"], e["output"], ring.parse_scalar(str(e["scalar"])))
+           for e in entries]
+    _check_labels(cf, where, pair, [((i,), o, v) for i, o, v in ops])
+    return ops
+
+
 def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
@@ -142,34 +159,32 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
         chain = _pair_from_key(t_key)
         ops = [(tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
                for e in entries]
-        with _at(f"mu {key!r}"):
-            for inputs, output, _ in ops:
-                check_entry_labels(cf, chain, inputs, output)
+        _check_labels(cf, f"mu {key!r}", chain, ops)
         ds.mu[(chain, datum)] = ops
     for key, items in sorted(raw.get("Dprime", {}).items()):
         ds.Dprime[_pair_from_key(key)] = [(i["id"], tuple(i["pair"])) for i in items]
     for key, entries in sorted(raw.get("alpha", {}).items()):
         pair_key, dp = key.split("|")
-        ds.alpha[(_pair_from_key(pair_key), dp)] = [
-            (e["input"], e["output"], ring.parse_scalar(str(e["scalar"])))
-            for e in entries]
+        pair = _pair_from_key(pair_key)
+        ds.alpha[(pair, dp)] = _pair_map(ring, cf, f"alpha {key!r}", pair, entries)
     for key, items in sorted(raw.get("Dsecond", {}).items()):
         ds.Dsecond[_pair_from_key(key)] = [(i["id"], tuple(i["triple"]))
                                            for i in items]
     for key, entries in sorted(raw.get("beta", {}).items()):
         pair_key, bid = key.split("|")
-        ds.beta[(_pair_from_key(pair_key), bid)] = [
-            (e["input"], e["output"], ring.parse_scalar(str(e["scalar"])))
-            for e in entries]
+        pair = _pair_from_key(pair_key)
+        ds.beta[(pair, bid)] = _pair_map(ring, cf, f"beta {key!r}", pair, entries)
     for key, items in sorted(raw.get("Dthird", {}).items()):
         t_key, i_str = key.split("|")
         ds.Dthird[(_pair_from_key(t_key), int(i_str))] = [
             (i["id"], i["datum"], i["datum_i"], i["dprime"]) for i in items]
     for key, entries in sorted(raw.get("gamma", {}).items()):
         t_key, i_str, gid = key.split("|")
-        ds.gamma[(_pair_from_key(t_key), int(i_str), gid)] = [
-            (tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
-            for e in entries]
+        triple = _pair_from_key(t_key)
+        ops = [(tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
+               for e in entries]
+        _check_labels(cf, f"gamma {key!r}", triple, ops)
+        ds.gamma[(triple, int(i_str), gid)] = ops
     for key, table in sorted(raw.get("f", {}).items()):
         ds.f[_pair_from_key(key)] = dict(table)
     for key, table in sorted(raw.get("sections", {}).items()):

@@ -39,9 +39,6 @@ class DecoratedSSSet:
     def dims(self):
         return sorted(self.simplices)
 
-    def edges(self):
-        return self.simplices.get(1, [])
-
     def stats(self):
         return {"vertices": len(self.vertices),
                 "simplices": {str(k): len(v) for k, v in
@@ -130,7 +127,7 @@ def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory
     """The localization of a stage: F_E, its H-category and C_E, with the
     right-multiplicative conditions left unchecked (the bridge and tau
     checks report their consequences instead)."""
-    hcat = cohomology_category(build_F_E(setup, E), check_arity=0)
+    hcat = cohomology_category(build_F_E(setup, E))
     return FractionCategory(hcat, sss_continuation_cset(setup, E, hcat),
                             strict_system=False)
 
@@ -367,7 +364,7 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     from .posets import build_O_P, poset_continuation_cset
     env = frac_E.hcat.source
     ocat = build_O_P(setup, P)
-    oh = cohomology_category(ocat, check_arity=0)
+    oh = cohomology_category(ocat)
     frac_P = FractionCategory(oh, poset_continuation_cset(setup, P, oh),
                               strict_system=False)
     wrapped = sufficiently_wrapped_report(setup, P, frac_P, frac_E)
@@ -420,4 +417,3 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
             report["passed"] = False
     report["wrapping"] = wrapped
     return report, iota
-

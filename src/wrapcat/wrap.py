@@ -1,5 +1,5 @@
 """Continuation systems, wrapping categories, HW colimits, the weak wrapped
-Donaldson-Fukaya category, localization agreement, and morphisms of setups.
+Donaldson-Fukaya category and localization agreement.
 
 Strict mode demands all six continuation-set conditions; finite-approximation
 mode waives the existence condition (v) at the outermost objects and the
@@ -15,7 +15,7 @@ the chain's tail, whose H(tail, k) then has the colimit's ranks.
 from __future__ import annotations
 
 from .ainf import HCategory
-from .errors import NonCofinalPrefix, NotAnInclusion, RestrictionMismatch
+from .errors import NonCofinalPrefix
 from .floer import WeakFloerSetup
 from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
                            check_right_multiplicative_system)
@@ -300,49 +300,3 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
                 passed = False
     return {"passed": passed, "pairs": rows, "comparison_maps": kernel_rows,
             "cone_classes": [repr(c) for c in gens]}
-
-
-def check_wawfs_morphism(src_setup: WeakFloerSetup, src_h, src_cset,
-                         tgt_setup: WeakFloerSetup, tgt_h, tgt_cset):
-    """Morphism of weak setups: inclusion of the pre-categories, restriction
-    condition on continuation sets, induced HW map on stabilized pairs."""
-    src_objs = set(src_setup.lagrangians)
-    if not src_objs <= set(tgt_setup.lagrangians):
-        raise NotAnInclusion("source Lagrangians are not a subset")
-    for k in sorted(src_setup.composable):
-        for t in src_setup.tuples(k):
-            if t not in tgt_setup.composable.get(k, ()):
-                raise NotAnInclusion(f"composable tuple {t} missing in target")
-    for (l, k) in src_setup.tuples(1):
-        if src_setup.cf_module(l, k) != tgt_setup.cf_module(l, k):
-            raise NotAnInclusion(f"CF({l},{k}) differs")
-    for t in src_setup.all_tuples():
-        if sorted(src_setup.mu_entries(t)) != sorted(tgt_setup.mu_entries(t)):
-            raise NotAnInclusion(f"operations differ on {t}")
-    # restriction condition on continuation classes
-    src_keys = {c.key() for c in src_cset}
-    for c in tgt_cset:
-        if c.src in src_objs and c.tgt in src_objs:
-            if ContClass(c.src, c.tgt, c.coords).key() not in src_keys:
-                raise RestrictionMismatch(
-                    f"target class {c!r} between source Lagrangians is not "
-                    f"in the source set")
-    for c in src_cset:
-        if not tgt_cset.contains(c.src, c.tgt, c.coords):
-            raise RestrictionMismatch(f"source class {c!r} missing in target")
-    src_wdf = wrapped_df_category(src_setup, src_h, src_cset)
-    tgt_wdf = wrapped_df_category(tgt_setup, tgt_h, tgt_cset)
-    rows = []
-    passed = True
-    for l in src_setup.lagrangians:
-        for k in src_setup.lagrangians:
-            if not (src_wdf.stabilized(l, k) and tgt_wdf.stabilized(l, k)):
-                continue
-            sr = src_wdf.hw_rank_map(l, k)
-            tr = tgt_wdf.hw_rank_map(l, k)
-            ok = (sr == tr)
-            rows.append({"pair": [l, k], "src_ranks": sr, "tgt_ranks": tr,
-                         "ranks_agree": ok})
-            if not ok:
-                passed = False
-    return {"passed": passed, "induced_hw": rows}

@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
 These deliberately avoid the library's own code paths: dense Gauss-Jordan
-elimination and localization by zigzag-word saturation.
+elimination and localization by zigzag-word saturation.  The strict-unit and
+H-category-axiom checkers evaluate the library's operations and composition
+on every basis element.
 """
 
 from fractions import Fraction
@@ -247,6 +249,92 @@ def nonzero_above_arity(cat, extra=2):
                 if cat.mu(chain, inputs):
                     found.append((chain, inputs))
     return found
+
+
+# -- strict units and H-level category axioms, by exhaustion ------------------
+
+
+def unit_is_strict(cat, x):
+    """Whether x's designated unit is a strict unit on the nose: closed, of
+    degree 0, a two-sided identity for mu^2 on every basis element, and
+    never an input of a nonzero higher operation."""
+    ring = cat.ring
+    unit = cat.unit_of(x)
+    if not unit:
+        return False
+    mod_xx = cat.hom(x, x)
+    if any(not mod_xx.has_label(lab) or mod_xx.degree_of(lab) != 0
+           for lab in unit):
+        return False
+    if cat.mu_element((x, x), [unit]):
+        return False
+    for (s, t), mod in sorted(cat.homs.items()):
+        for d in mod.degrees():
+            for lab in mod.labels(d):
+                one = {lab: ring.one()}
+                if t == x and cat.mu_element((s, x, x), [one, unit]) != one:
+                    return False
+                if s == x and cat.mu_element((x, x, t), [unit, one]) != one:
+                    return False
+    return not any(
+        out and chain[i] == chain[i + 1] == x and lab in unit
+        for chain, table in cat.ops.items() if len(chain) > 3
+        for inputs, out in table.items() for i, lab in enumerate(inputs))
+
+
+def nonzero_pairs(h):
+    """The object pairs of an H-category with a nonzero cohomology class."""
+    return sorted(p for p, pres in h.H.items() if pres.total_class_count())
+
+
+def verify_category_axioms(h):
+    """Associativity and unitality of an H-category's composition on every
+    triple and pair of basis classes: {"passed", "failures"}."""
+    failures = [{"kind": "missing-identity", "object": x}
+                for x in h.objects if h.identity_coords.get(x) is None]
+    pairs = nonzero_pairs(h)
+    targets = {}
+    for (p, q) in pairs:
+        targets.setdefault(p, []).append(q)
+    for (x, y) in pairs:
+        for z in targets.get(y, ()):
+            for w in targets.get(z, ()):
+                for d1 in h.pres(x, y).degrees():
+                    for d2 in h.pres(y, z).degrees():
+                        for d3 in h.pres(z, w).degrees():
+                            _assoc_check(h, (x, y, z, w), (d1, d2, d3), failures)
+    for (x, y) in pairs:
+        ex, ey = h.identity_coords.get(x), h.identity_coords.get(y)
+        for d in h.pres(x, y).degrees():
+            for i in range(h.class_count(x, y, d)):
+                u = h.basis_coords(x, y, d, i)
+                if ex is not None and h.compose(x, x, y, 0, ex, d, u) != u:
+                    failures.append({"kind": "left-unit", "pair": [x, y],
+                                     "degree": d, "class": i})
+                if ey is not None and h.compose(x, y, y, d, u, 0, ey) != u:
+                    failures.append({"kind": "right-unit", "pair": [x, y],
+                                     "degree": d, "class": i})
+    return {"passed": not failures, "failures": failures}
+
+
+def _assoc_check(h, objs, degs, failures):
+    x, y, z, w = objs
+    d1, d2, d3 = degs
+    for i in range(h.class_count(x, y, d1)):
+        u = h.basis_coords(x, y, d1, i)
+        for j in range(h.class_count(y, z, d2)):
+            v = h.basis_coords(y, z, d2, j)
+            uv = h.compose(x, y, z, d1, u, d2, v)
+            for l in range(h.class_count(z, w, d3)):
+                t = h.basis_coords(z, w, d3, l)
+                lhs = h.compose(x, z, w, d1 + d2, uv, d3, t)
+                rhs = h.compose(x, y, w, d1, u, d2 + d3,
+                                h.compose(y, z, w, d2, v, d3, t))
+                if lhs != rhs:
+                    failures.append({"kind": "associativity",
+                                     "objects": list(objs),
+                                     "degrees": list(degs),
+                                     "classes": [i, j, l]})
 
 
 # -- zigzag-word localization oracle ------------------------------------------

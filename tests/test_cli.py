@@ -67,8 +67,38 @@ def _op_input_not_a_generator(doc):
     doc["operations"][0]["inputs"][0] = "c"
 
 
+def _op_output_not_a_generator(doc):
+    doc["operations"][0]["output"] = "zz"
+
+
 def _datum_output_not_a_generator(doc):
     doc["floer_data"]["mu"]["A,B|d1"][0]["output"] = "zz"
+
+
+def _alpha_input_not_a_generator(doc):
+    doc["floer_data"]["alpha"]["A,B|a11"][0]["input"] = "zz"
+
+
+def _alpha_output_not_a_generator(doc):
+    doc["floer_data"]["alpha"]["A,B|a12"][1]["output"] = "zz"
+
+
+def _beta_input_not_a_generator(doc):
+    doc["floer_data"]["beta"]["A,B|s2"][0]["input"] = "zz"
+
+
+def _beta_output_not_a_generator(doc):
+    doc["floer_data"]["beta"]["A,B|s2"][0]["output"] = "zz"
+
+
+def _gamma_input_not_a_generator(doc):
+    doc["floer_data"]["gamma"]["A,B,A|0|g0"] = [
+        {"inputs": ["zz", "p"], "output": "p", "scalar": "1"}]
+
+
+def _gamma_wrong_arity(doc):
+    doc["floer_data"]["gamma"]["A,B,A|0|g0"] = [
+        {"inputs": ["p"], "output": "p", "scalar": "1"}]
 
 
 # (edit of a bundled fixture, a fragment the error message must contain,
@@ -81,7 +111,20 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_integer_coefficients, "'Z'", "toyb"),
              (_undeclared_hom_end, "hom 'Q9,L'", "toyb"),
              (_op_input_not_a_generator, "operations[0]: 'c'", "toyb"),
+             (_op_output_not_a_generator, "operations[0]: 'zz'", "toyb"),
              (_datum_output_not_a_generator, "mu 'A,B|d1': 'zz'",
+              "micro2datum"),
+             (_alpha_input_not_a_generator, "alpha 'A,B|a11': 'zz'",
+              "micro2datum"),
+             (_alpha_output_not_a_generator, "alpha 'A,B|a12': 'zz'",
+              "micro2datum"),
+             (_beta_input_not_a_generator, "beta 'A,B|s2': 'zz'",
+              "micro2datum"),
+             (_beta_output_not_a_generator, "beta 'A,B|s2': 'zz'",
+              "micro2datum"),
+             (_gamma_input_not_a_generator, "gamma 'A,B,A|0|g0': 'zz'",
+              "micro2datum"),
+             (_gamma_wrong_arity, "gamma 'A,B,A|0|g0': op entry arity",
               "micro2datum")]
 
 
@@ -263,6 +306,39 @@ class TestEntangleCompare:
             main(["entangle", str(FIXTURES / "toyb.json"), "--depth", "2"])
         assert exc.value.code == 2
         assert "--depth" in capsys.readouterr().err
+
+
+# a negative depth once ended localize in a KeyError and let agree pass
+# without comparing any pair; a negative level once passed as entangle:-1
+NEGATIVE_COUNTS = [("compute", "--what", "localize", "--depth", "-1"),
+                   ("compute", "--what", "agree", "--depth", "-1"),
+                   ("entangle", "--level", "-1"),
+                   ("compute", "--what", "hw", "--depth", "-1"),
+                   ("compute", "--what", "dfcat", "--depth", "-1")]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS,
+                         ids=["localize-depth", "agree-depth", "entangle-level",
+                              "hw-depth", "dfcat-depth"])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(FIXTURES / "toyb.json"), *argv[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: must be >= 0, not -1" in err
+
+
+@pytest.mark.parametrize("argv", [("compute", "--depth", "two"),
+                                  ("entangle", "--level", "1.5")],
+                         ids=["depth", "level"])
+def test_non_integer_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(FIXTURES / "toyb.json"), *argv[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[1]}: invalid nonnegative value: {argv[2]!r}" in err
 
 
 COMPUTE_ERRORS = [(fixture, what, "SystemInvalid")

@@ -10,9 +10,9 @@ import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
 from fixture_builders import build_toyb
-from oracles import nonzero_above_arity
-from wrapcat.ainf import (check_ainf_relations, classify_unitality,
-                          cohomology_category, cone, cone_of_class)
+from oracles import nonzero_above_arity, unit_is_strict
+from wrapcat.ainf import (check_ainf_relations, cohomology_category, cone,
+                          cone_of_class)
 from wrapcat.errors import NotClosed, NotDegreeZero, ShapeMismatch
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import Complex, GradedMap, GradedModule, cohomology
@@ -31,7 +31,7 @@ class TestConventionBattery:
         cat = dg_path_cat()
         ext = cone(cat, "Cid", "o1", "o1", {"1_o1": 1})
         assert check_ainf_relations(ext, 3)["passed"]
-        h = cohomology_category(ext, check_arity=0)
+        h = cohomology_category(ext)
         for t in ext.objects:
             assert h.pres("Cid", t).total_class_count() == 0
             assert h.pres(t, "Cid").total_class_count() == 0
@@ -46,11 +46,11 @@ class TestConventionBattery:
         ext = cone(cat, "C1", "o1", "o2", {"b": 1})
         ext2 = cone(ext, "C2", "o1", "o2", {"b": 1})
         assert check_ainf_relations(ext2, 3)["passed"]
-        assert classify_unitality(ext2)["global"] == "strict"
+        assert all(unit_is_strict(ext2, x) for x in ext2.objects)
 
     def test_cone_units_strict(self):
         ext = cone(dg_path_cat(), "Cb", "o1", "o2", {"b": 1})
-        assert classify_unitality(ext)["global"] == "strict"
+        assert all(unit_is_strict(ext, x) for x in ext.objects)
 
 
 class TestConeSemantics:
@@ -59,9 +59,9 @@ class TestConeSemantics:
         ext = cone(cat, "C0", "o0", "o3", {})
         assert check_ainf_relations(ext, 3)["passed"]
         # untwisted: hom(o1, C0) is the direct sum of the shifted homs
-        h = cohomology_category(ext, check_arity=0)
+        h = cohomology_category(ext)
         direct = {}
-        h_plain = cohomology_category(cat, check_arity=0)
+        h_plain = cohomology_category(cat)
         for d in (-2, -1, 0, 1, 2, 3):
             r = (h_plain.pres("o1", "o0").rank(d + 1)
                  + h_plain.pres("o1", "o3").rank(d))
@@ -72,11 +72,11 @@ class TestConeSemantics:
 
     def test_toyb_cone_of_continuation_acyclic_against_k(self):
         env = canonical_envelope(build_toyb())
-        h = cohomology_category(env, check_arity=0)
+        h = cohomology_category(env)
         ext = cone_of_class(env, h, "Cc", "Lp", "L",
                             h.project_dict("Lp", "L", 0, {"c": 1}))
         assert check_ainf_relations(ext, 4)["passed"]
-        hx = cohomology_category(ext, check_arity=0)
+        hx = cohomology_category(ext)
         # c is invertible after wrapping: hom(cone(c), K) is acyclic
         assert hx.pres("Cc", "K").total_class_count() == 0
         assert hx.pres("Cc", "Kp").total_class_count() == 0
@@ -86,7 +86,7 @@ class TestConeSemantics:
         # assembled independently of the cone machinery
         cat = dg_path_cat()
         ext = cone(cat, "Cb", "o1", "o2", {"b": 1})
-        hx = cohomology_category(ext, check_arity=0)
+        hx = cohomology_category(ext)
         for t in ("o3",):
             m1 = cat.hom("o1", t)
             m2 = cat.hom("o2", t)
@@ -128,7 +128,7 @@ class TestConeSemantics:
 
 def _toyb_cone():
     env = canonical_envelope(build_toyb())
-    h = cohomology_category(env, check_arity=0)
+    h = cohomology_category(env)
     return cone_of_class(env, h, "Cc", "Lp", "L",
                          h.project_dict("Lp", "L", 0, {"c": 1}))
 

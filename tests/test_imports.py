@@ -1,11 +1,13 @@
 """Every import in the wrapcat sources is used, and every function, class
-and method they define is referenced.
+and method they define is referenced by the wrapcat sources themselves.
 
 An import counts as used when the module reads it anywhere or lists it in
 ``__all__`` (a re-export).  A definition counts as referenced when a Name or
-Attribute in the wrapcat sources or the tests mentions it outside the
-definition itself; a method only through an Attribute, since a bare Name of
-the same spelling is some other variable.  No linter runs on this code, so
+Attribute mentions it outside the definition itself; a method only through
+an Attribute, since a bare Name of the same spelling is some other variable.
+Code that only the tests reach counts as dead, except the two serializers
+named in ``TEST_ONLY``.  The check goes by name, so a definition that shares
+its name with a referenced one escapes it.  No linter runs on this code, so
 this check keeps dead imports and dead code out.
 """
 
@@ -93,3 +95,26 @@ def test_no_unreferenced_definitions_in_wrapcat():
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {f"tests/{p.name}": p.read_text() for p in sorted(TESTS.glob("*.py"))}
     assert unreferenced_definitions(defining, tests) == []
+
+
+def test_checker_counts_no_test_as_a_reference():
+    lib = ("def helper():\n    pass\n\n"
+           "def entry():\n    return helper()\n\n"
+           "def tested_only():\n    pass\n")
+    test = "from lib import tested_only\ntested_only()\n"
+    assert unreferenced_definitions({"lib": lib}, {"test": test}) == [
+        ("lib", 4, "entry")]
+    assert unreferenced_definitions({"lib": lib}, {}) == [
+        ("lib", 4, "entry"), ("lib", 7, "tested_only")]
+
+
+# they serialize the setups that tests/fixture_builders.py builds; no command
+# writes a setup file
+TEST_ONLY = {("setupfile.py", "canonical_json"), ("setupfile.py", "setup_to_dict")}
+
+
+def test_no_definitions_only_tests_reach():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = {(fname, name) for fname, _, name in
+             unreferenced_definitions(defining, {})}
+    assert found == TEST_ONLY

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
                      row_walk_reduce)
-from wrapcat.errors import EmptySequence, NotAComplex, NotChainMap, ShapeMismatch
+from wrapcat.errors import EmptySequence, NotAComplex, ShapeMismatch
 from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
-                            compose_graded_maps, diagram_colimit,
-                            induced_cohomology_map)
+                            compose_graded_maps, diagram_colimit)
 from wrapcat.matrices import Echelon, Matrix
 from wrapcat.rings import CoefficientRing
 
@@ -61,53 +60,6 @@ class TestCohomology:
             H = cohomology(Complex(m, dmap))
             for d in m.degrees():
                 assert H.rank(d) <= m.rank(d)
-
-
-class TestInducedMaps:
-    def test_identity_induces_identity(self):
-        m = mod(F2, ("a", 0), ("b", 1))
-        cx = Complex.with_zero_differential(m)
-        hm = induced_cohomology_map(GradedMap.identity(m), cx, cx)
-        assert hm.is_isomorphism()
-
-    def test_inclusion_of_zero_into_acyclic(self):
-        zero = GradedModule.zero(F2)
-        m = mod(F2, ("x", 0), ("y", 1))
-        d = GradedMap.from_entries(m, m, 1, [("x", "y", 1)])
-        cx = Complex(m, d)
-        z = Complex.with_zero_differential(zero)
-        hm = induced_cohomology_map(GradedMap.zero(zero, m), z, cx)
-        assert hm.source.is_zero() and hm.target.is_zero()
-
-    def test_not_chain_map_witness(self):
-        m = mod(F2, ("x", 0), ("y", 1))
-        d = GradedMap.from_entries(m, m, 1, [("x", "y", 1)])
-        cx = Complex(m, d)
-        triv = Complex.with_zero_differential(m)
-        f = GradedMap.identity(m)
-        with pytest.raises(NotChainMap, match="on 'x'$"):
-            induced_cohomology_map(f, cx, triv)
-
-    def test_classes_missing_from_source_block_isomorphism(self):
-        src = mod(F2, ("x", 0), ("y", 1))
-        tgt = mod(F2, ("z", 0))
-        acyclic = Complex(src, GradedMap.from_entries(src, src, 1, [("x", "y", 1)]))
-        hm = induced_cohomology_map(GradedMap.zero(src, tgt), acyclic,
-                                    Complex.with_zero_differential(tgt))
-        assert not hm.is_isomorphism()
-
-    def test_homotopic_maps_agree_on_h(self):
-        # f = id, g = id + d h + h d for a chosen h: equal induced maps
-        m = mod(Q, ("p", 0), ("q", 1), ("r", 1), ("s", 2))
-        d = GradedMap.from_entries(m, m, 1, [("p", "q", 1), ("r", "s", 1)])
-        cx = Complex(m, d)
-        h = GradedMap.from_entries(m, m, -1, [("q", "p", 1)])
-        dh = compose_graded_maps(h, d)
-        hd = compose_graded_maps(d, h)
-        g = GradedMap.identity(m).add(dh).add(hd)
-        hm_f = induced_cohomology_map(GradedMap.identity(m), cx, cx)
-        hm_g = induced_cohomology_map(g, cx, cx)
-        assert hm_f == hm_g
 
 
 class TestComposition:
@@ -167,7 +119,8 @@ class TestDiagramColimit:
         f = GradedMap.from_entries(a, b, 0, [("a", "b", 3), ("a1", "b1", 1)])
         src, tgt = (diagram_colimit([a, b], [(0, 1, f)]) for _ in range(2))
         ident = src.map_to(tgt, lambda d, i, v: (i, v))
-        assert ident.source.rank_map() == {0: 1, 1: 1}
+        assert {d: ident.source.rank(d) for d in ident.source.degrees()} == \
+            {0: 1, 1: 1}
         assert ident.is_isomorphism()
         assert not src.map_to(tgt, lambda d, i, v: (i, [0] * len(v))).is_isomorphism()
         assert src.map_to(tgt, lambda d, i, v: None) is None

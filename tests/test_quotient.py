@@ -11,7 +11,7 @@ from wrapcat.ainf import AInfCategory, cohomology_category, cone
 from wrapcat.errors import NotClosedRepresentative
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule, cohomology
-from wrapcat.localization import CSet, gz_localize
+from wrapcat.localization import CSet, FractionCategory
 from wrapcat.quotient import (BarQuotient, NullWords, TruncatedQuotient,
                               adjoin_cones)
 from wrapcat.rings import CoefficientRing
@@ -36,7 +36,7 @@ def one_arrow():
 class TestBarQuotient:
     def test_empty_w_preserves_h(self):
         env = canonical_envelope(build_toyb())
-        h = cohomology_category(env, check_arity=0)
+        h = cohomology_category(env)
         ext, nulls = adjoin_cones(env, h, [])
         quo = TruncatedQuotient(ext, nulls, 2)
         for a in env.objects:
@@ -49,7 +49,7 @@ class TestBarQuotient:
 
     def test_unit_class_cone_keeps_h0(self):
         env = canonical_envelope(build_toyb())
-        h = cohomology_category(env, check_arity=0)
+        h = cohomology_category(env)
         W = [("L", "L", h.identity_coords["L"])]
         quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
         for a in env.objects:
@@ -62,7 +62,7 @@ class TestBarQuotient:
         W = [("A", "B", h.project_dict("A", "B", 0, {"c": 1}))]
         quo = TruncatedQuotient(*adjoin_cones(cat, h, W), 2)
         cset = CSet(h, W)
-        frac = gz_localize(h, cset)
+        frac = FractionCategory(h, cset)
         for a in cat.objects:
             for b in cat.objects:
                 assert quo.h0_rank(a, b) == frac.class_count(a, b, 0) == 1
@@ -78,9 +78,9 @@ class TestBarQuotient:
     def test_cross_oracle_toyb(self):
         s = build_toyb()
         env = canonical_envelope(s)
-        h = cohomology_category(env, check_arity=0)
+        h = cohomology_category(env)
         cset = continuation_cset(s, h)
-        frac = gz_localize(h, cset)
+        frac = FractionCategory(h, cset)
         W = [(c.src, c.tgt, c.coords) for c in generating_subset(h, cset)]
         quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
         for a in env.objects:
@@ -90,7 +90,7 @@ class TestBarQuotient:
 
     def test_not_closed_representative(self):
         env = canonical_envelope(build_toyb())
-        h = cohomology_category(env, check_arity=0)
+        h = cohomology_category(env)
         with pytest.raises(NotClosedRepresentative):
             adjoin_cones(env, h, [("L", "K", ())])
 
@@ -131,7 +131,7 @@ def random_cone_extensions(ring):
         if not inst.wrap_edges:
             continue
         cat = instance_to_category(inst, ring)
-        h = cohomology_category(cat, check_arity=0)
+        h = cohomology_category(cat)
         cset = wrap_cset(inst, h)
         w = [(c.src, c.tgt, c.coords) for c in cset
              if not cset.is_identity(c)][:2]
@@ -194,7 +194,7 @@ def fixture_cones(name, ring):
     localize`` adjoins: (extended category, nulls, original objects)."""
     setup = setup_from_dict(fixture_doc_over(name, ring))
     env = canonical_envelope(setup)
-    h = cohomology_category(env, check_arity=0)
+    h = cohomology_category(env)
     w = [(c.src, c.tgt, c.coords)
          for c in generating_subset(h, continuation_cset(setup, h))]
     ext, nulls = adjoin_cones(env, h, w)
@@ -258,7 +258,7 @@ def _toyc_generating_cones():
 
 def _toyb_unit_cone():
     env = canonical_envelope(build_toyb())
-    h = cohomology_category(env, check_arity=0)
+    h = cohomology_category(env)
     return adjoin_cones(env, h, [("L", "L", h.identity_coords["L"])])[0]
 
 

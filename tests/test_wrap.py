@@ -1,17 +1,13 @@
-import pytest
-
 from fixture_builders import build_toyb, build_toyc
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import cmd_compute
-from wrapcat.errors import RestrictionMismatch
-from wrapcat.floer import WeakFloerSetup, canonical_envelope
+from wrapcat.floer import WeakFloerSetup, canonical_envelope, validate_setup
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import CSet
 from wrapcat.rings import CoefficientRing
 from wrapcat.wrap import (WrappingCategory, check_localization_agreement,
-                          check_wawfs_morphism, continuation_cset,
-                          generating_subset, validate_continuation_system,
-                          wrapped_df_category)
+                          continuation_cset, generating_subset,
+                          validate_continuation_system, wrapped_df_category)
 
 F2 = CoefficientRing.prime_field(2)
 
@@ -19,7 +15,7 @@ F2 = CoefficientRing.prime_field(2)
 def prepare(build):
     s = build()
     env = canonical_envelope(s)
-    h = cohomology_category(env, check_arity=0)
+    h = cohomology_category(env)
     return s, env, h, continuation_cset(s, h)
 
 
@@ -146,6 +142,38 @@ class TestWrappedDF:
         assert gens == {("L1", "L0"), ("L2", "L1"), ("L3", "L2")}
 
 
+def extend_toyb_with_disjoint_pair():
+    s = build_toyb()
+    ring = s.ring
+    cf = dict(s.cf)
+    cf[("Np", "N")] = GradedModule.from_generators(ring, [("en", 0)])
+    return WeakFloerSetup(ring, list(s.lagrangians) + ["N", "Np"],
+                          composable_mode="all-distinct", max_arity=3, cf=cf,
+                          profile="envelope", envelope_ops=dict(s.envelope_ops),
+                          continuation=list(s.continuation)
+                          + [("Np", "N", {"en": ring.one()})],
+                          name="toyb_ext")
+
+
+class TestDisjointExtension:
+    def test_wrapped_homs_of_toyb_are_unchanged(self):
+        # adjoining a pair with no CF to or from toyb's objects leaves every
+        # HW among those objects as it was, and adds none across the two
+        t = extend_toyb_with_disjoint_pair()
+        assert validate_setup(t)["passed"]
+        s, _, h, cset = prepare(build_toyb)
+        _, _, th, tcset = prepare(lambda: t)
+        wdf = wrapped_df_category(s, h, cset)
+        twdf = wrapped_df_category(t, th, tcset)
+        for a in s.lagrangians:
+            for b in s.lagrangians:
+                assert twdf.hw_rank_map(a, b) == wdf.hw_rank_map(a, b)
+            for n in ("N", "Np"):
+                assert twdf.hw_rank_map(a, n) == twdf.hw_rank_map(n, a) == {}
+        assert twdf.hw_rank_map("Np", "N") == {0: 1}
+        assert twdf.verify_category_axioms()["passed"]
+
+
 class TestAgreement:
     def test_toyb(self):
         s, env, h, cset = prepare(build_toyb)
@@ -162,45 +190,3 @@ class TestAgreement:
         assert ag["passed"]
         compared = [r for r in ag["pairs"] if r["agree"] is not None]
         assert len(compared) >= 24
-
-
-def extend_toyb_with_disjoint_pair():
-    s = build_toyb()
-    ring = s.ring
-    lag = list(s.lagrangians) + ["N", "Np"]
-    cf = dict(s.cf)
-    cf[("Np", "N")] = GradedModule.from_generators(ring, [("en", 0)])
-    cont = list(s.continuation) + [("Np", "N", {"en": ring.one()})]
-    return WeakFloerSetup(ring, lag, composable_mode="all-distinct",
-                          max_arity=3, cf=cf, profile="envelope",
-                          envelope_ops=dict(s.envelope_ops),
-                          continuation=cont, name="toyb_ext")
-
-
-class TestSetupMorphisms:
-    def test_identity_morphism(self):
-        s, env, h, cset = prepare(build_toyb)
-        rep = check_wawfs_morphism(s, h, cset, s, h, cset)
-        assert rep["passed"]
-
-    def test_extension_by_disjoint_pair(self):
-        s, env, h, cset = prepare(build_toyb)
-        t = extend_toyb_with_disjoint_pair()
-        tenv = canonical_envelope(t)
-        th = cohomology_category(tenv, check_arity=0)
-        tcset = continuation_cset(t, th)
-        rep = check_wawfs_morphism(s, h, cset, t, th, tcset)
-        assert rep["passed"]
-        assert rep["induced_hw"]
-
-    def test_restriction_mismatch(self):
-        s, env, h, cset = prepare(build_toyb)
-        t = build_toyb()
-        tenv = canonical_envelope(t)
-        th = cohomology_category(tenv, check_arity=0)
-        extra = [(a, b, th.project_dict(a, b, 0, combo))
-                 for (a, b, combo) in t.continuation]
-        extra.append(("L", "K", th.project_dict("L", "K", 0, {"y": 1})))
-        tcset = CSet(th, extra)
-        with pytest.raises(RestrictionMismatch):
-            check_wawfs_morphism(s, h, cset, t, th, tcset)

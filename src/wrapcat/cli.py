@@ -20,8 +20,8 @@ from .posets import DecoratedPoset
 from .quotient import TruncatedQuotient, adjoin_cones
 from .report import Report
 from .setupfile import load_setup
-from .sss import (SimplexOracle, canonical_sss, check_bridge, entangle,
-                  localize_stage, tau_compare)
+from .sss import (canonical_sss, check_bridge, entangle, localize_stage,
+                  tau_compare)
 from .wrap import (check_localization_agreement, continuation_cset,
                    generating_subset, validate_continuation_system,
                    wrapped_df_category)
@@ -94,14 +94,21 @@ def cmd_validate(setup, mode="finite"):
     return rep
 
 
-def cmd_compute(setup, what="hw", depth=4, mode="finite"):
+def cmd_compute(setup, what="hw", depth=4):
+    """Every computation localizes at the continuation set, so each one
+    first checks it is a right multiplicative system."""
     rep = Report(f"compute:{what}", setup.name)
-    val = validate_setup(setup, mode=mode)
+    val = validate_setup(setup)
     if not val["passed"]:
         rep.add("validation", val)
         rep.set_verdict(False)
         return rep
     col, env, hcat, cset = _prepare(setup)
+    rms = check_right_multiplicative_system(hcat, cset)
+    if not rms["passed"]:
+        rep.add("continuation_conditions", rms)
+        rep.set_verdict(False)
+        return rep
     if what == "hw":
         wdf = wrapped_df_category(setup, hcat, cset)
         rep.add("hw_table", wdf.hw_table())
@@ -124,11 +131,6 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
                         and functor["passed"])
         return rep
     if what == "localize":
-        rms = check_right_multiplicative_system(hcat, cset)
-        if not rms["passed"]:
-            rep.add("continuation_conditions", rms)
-            rep.set_verdict(False)
-            return rep
         gens = generating_subset(hcat, cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
         pairs = [(a, b) for a in env.objects for b in env.objects]
@@ -156,15 +158,13 @@ def cmd_compute(setup, what="hw", depth=4, mode="finite"):
 def cmd_entangle(setup, level=1, compare=False):
     rep = Report(f"entangle:{level}", setup.name)
     col, env, hcat, cset = _prepare(setup)
-    oracle = SimplexOracle(setup)
     e_delta = canonical_sss(setup, col)
     stages = [("E_delta", e_delta)]
-    e0 = entangle(setup, [e_delta], 0, oracle, name="E0")
+    e0 = entangle(setup, [e_delta], 0, name="E0")
     stages.append(("E0", e0))
     for n in range(1, level + 1):
         blocks = [e0] * (n + 1)
-        stages.append((f"E{n}", entangle(setup, blocks, n, oracle,
-                                         name=f"E{n}")))
+        stages.append((f"E{n}", entangle(setup, blocks, n, name=f"E{n}")))
     rep.add("stages", {name: E.stats() for name, E in stages})
     passed = True
     if compare:
@@ -223,7 +223,6 @@ def main(argv=None):
     p_cmp.add_argument("--depth", type=nonnegative, default=4,
                        help="longest chain of cones in the cone quotient "
                             "(localize, agree); hw and dfcat do not read it")
-    p_cmp.add_argument("--mode", choices=["strict", "finite"], default="finite")
     p_ent = sub.add_parser("entangle", help="build entanglement stages")
     p_ent.add_argument("file")
     p_ent.add_argument("--level", type=nonnegative, default=1)
@@ -236,8 +235,7 @@ def main(argv=None):
         command, run = "validate", partial(cmd_validate, mode=args.mode)
     elif args.command == "compute":
         command = f"compute:{args.what}"
-        run = partial(cmd_compute, what=args.what, depth=args.depth,
-                      mode=args.mode)
+        run = partial(cmd_compute, what=args.what, depth=args.depth)
     else:
         command = f"entangle:{args.level}"
         run = partial(cmd_entangle, level=args.level, compare=args.compare)

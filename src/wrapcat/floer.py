@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .ainf import AInfCategory, check_ainf_relations, _merge
-from .errors import NoSection
+from .errors import DecorationInconsistent, NoSection
 from .linalg import GradedMap, GradedModule
 
 
@@ -248,12 +248,14 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
         for pair in s.tuples(1):
             mod = s.cf_module(*pair)
             for (dp_id, (d1, d2)) in ds.Dprime.get(pair, ()):
-                a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
+                a_map = GradedMap.from_entries(
+                    mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
                 err = _chain_map_defect(s, pair, d1, d2, a_map)
                 if err:
                     fails.append({"pair": list(pair), "alpha": dp_id, "defect": err})
             for (ds_id, (ac, ab, bc)) in ds.Dsecond.get(pair, ()):
-                b_map = _entries_map(mod, mod, -1, ds.beta.get((pair, ds_id), ()))
+                b_map = GradedMap.from_entries(
+                    mod, mod, -1, ds.beta.get((pair, ds_id), ()))
                 err = _beta_defect(s, pair, ac, ab, bc, b_map)
                 if err:
                     fails.append({"pair": list(pair), "beta": ds_id, "defect": err})
@@ -280,7 +282,8 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
                 if pr != (datum, datum):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "f does not hit the diagonal"})
-                a_map = _entries_map(mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
+                a_map = GradedMap.from_entries(
+                    mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
                 if a_map != GradedMap.identity(mod):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "alpha over f(datum) is not the identity"})
@@ -316,12 +319,6 @@ def _compatible_families(s: WeakFloerSetup, t):
     return out
 
 
-def _entries_map(src: GradedModule, tgt: GradedModule, degree, entries):
-    if degree == 0 and not entries and src == tgt:
-        return GradedMap.zero(src, tgt, 0)
-    return GradedMap.from_entries(src, tgt, degree, entries)
-
-
 def _pair_differential(s: WeakFloerSetup, pair, datum) -> GradedMap:
     mod = s.cf_module(*pair)
     entries = []
@@ -351,9 +348,9 @@ def _beta_defect(s, pair, ac, ab, bc, b_map: GradedMap):
     _, c3 = ds.dprime_pair(pair, bc)
     d_src = _pair_differential(s, pair, a1)
     d_tgt = _pair_differential(s, pair, c1)
-    alpha_ab = _entries_map(mod, mod, 0, ds.alpha.get((pair, ab), ()))
-    alpha_bc = _entries_map(mod, mod, 0, ds.alpha.get((pair, bc), ()))
-    alpha_ac = _entries_map(mod, mod, 0, ds.alpha.get((pair, ac), ()))
+    alpha_ab, alpha_bc, alpha_ac = (
+        GradedMap.from_entries(mod, mod, 0, ds.alpha.get((pair, dp), ()))
+        for dp in (ab, bc, ac))
     comp = compose_graded_maps(alpha_ab, alpha_bc)
     target = comp.add(alpha_ac.scale(s.ring.normalize(-1)))
     lhs = compose_graded_maps(b_map, d_tgt).add(compose_graded_maps(d_src, b_map))
@@ -379,8 +376,9 @@ def _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id):
         return out
 
     pair_of = {0: (l0, l1), 1: (l1, l2), 2: (l0, l2)}[i]
-    alpha = _entries_map(s.cf_module(*pair_of), s.cf_module(*pair_of), 0,
-                         ds.alpha.get((pair_of, dp_id), ()))
+    mod = s.cf_module(*pair_of)
+    alpha = GradedMap.from_entries(mod, mod, 0,
+                                   ds.alpha.get((pair_of, dp_id), ()))
     mu_a = _mu2_table(s, triple, datum)
     mu_b = _mu2_table(s, triple, datum_i)
     d01 = _pair_differential(s, (l0, l1), ds.restrict(triple, (l0, l1), datum))
@@ -456,6 +454,25 @@ def _mu2_table(s: WeakFloerSetup, triple, datum):
     for (inputs, out, scalar) in s.mu_entries(triple, datum):
         _merge(table.setdefault(tuple(inputs), {}), out, scalar, s.ring)
     return table
+
+
+def check_decoration(s: WeakFloerSetup, chain, lags, data):
+    """Raise DecorationInconsistent unless ``chain``, a tuple of objects over
+    the Lagrangian tuple ``lags``, is composable and, for a full-profile
+    setup, ``data`` ({chain: datum id}) decorates it and restricts its datum
+    to each of its subsequences as the setup's restriction maps do."""
+    if lags not in s.composable.get(len(chain) - 1, ()):
+        raise DecorationInconsistent(
+            f"chain {chain} maps to non-composable tuple {lags}")
+    if s.profile != "full" or s.data_system is None:
+        return
+    top = data.get(chain)
+    if top is None:
+        raise DecorationInconsistent(f"chain {chain} undecorated")
+    for sub, sub_l in zip(subsequences(chain), subsequences(lags)):
+        if data.get(sub) != s.data_system.restrict(lags, sub_l, top):
+            raise DecorationInconsistent(
+                f"decoration of {sub} incompatible with {chain}")
 
 
 def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,

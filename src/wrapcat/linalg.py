@@ -447,10 +447,9 @@ def _quotient_of_free(ring, dim, relations):
                          [units.unit(i) for i in range(dim)], False)
 
 
-def diagram_colimit(obj_modules, morphisms, ring=None) -> DiagramColimit:
+def diagram_colimit(obj_modules, morphisms) -> DiagramColimit:
     """Colimit of a finite diagram; morphisms are (src_idx, tgt_idx, GradedMap)."""
     obj_modules = list(obj_modules)
     if not obj_modules:
         raise EmptySequence("diagram_colimit of empty diagram")
-    ring = ring or obj_modules[0].ring
-    return DiagramColimit(ring, obj_modules, list(morphisms))
+    return DiagramColimit(obj_modules[0].ring, obj_modules, list(morphisms))

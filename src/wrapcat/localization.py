@@ -43,14 +43,13 @@ class ContClass:
 class CSet:
     """Finite set of continuation classes with canonical ordering."""
 
-    def __init__(self, hcat: HCategory, classes, add_units=True):
+    def __init__(self, hcat: HCategory, classes):
         self.hcat = hcat
         items = []
-        if add_units:
-            for x in hcat.objects:
-                e = hcat.identity_coords.get(x)
-                if e is not None:
-                    items.append(ContClass(x, x, e))
+        for x in hcat.objects:
+            e = hcat.identity_coords.get(x)
+            if e is not None:
+                items.append(ContClass(x, x, e))
         for c in classes:
             if not isinstance(c, ContClass):
                 c = ContClass(*c)
@@ -85,16 +84,10 @@ def _left_null_space(ring, m: Matrix) -> Matrix:
     return Matrix.from_rows(ring, m.transpose().kernel_basis(), m.rows)
 
 
-def _subspace_covers(ring, constraint: Matrix, space_dim: int, subspace=None):
-    """Whether ker(constraint) contains the given subspace (all of R^n if
-    ``subspace`` is None)."""
-    if subspace is None:
-        return constraint.is_zero() or constraint.rows == 0
-    for vec in subspace:
-        img = constraint.apply(vec)
-        if any(x != 0 for x in img):
-            return False
-    return True
+def _subspace_covers(constraint: Matrix, subspace):
+    """Whether ker(constraint) contains the span of ``subspace``."""
+    return all(not any(x != 0 for x in constraint.apply(vec))
+               for vec in subspace)
 
 
 def _enumerate_space(ring, basis):
@@ -210,7 +203,7 @@ def _check_equalization(hcat: HCategory, cset: CSet, c: ContClass, l, d):
         return True, None
     for cp in cset.with_target(l):
         pre = hcat.precompose_matrix(cp.src, l, k, 0, cp.coords, d)
-        if _subspace_covers(ring, pre, n, U):
+        if _subspace_covers(pre, U):
             return True, None
     if ring.kind == "Fp" and ring.p ** len(U) <= 4096:
         for u in _enumerate_space(ring, U):
@@ -289,14 +282,14 @@ class SliceCategory:
         return self._terminal
 
 
-def h_graded_module(hcat: HCategory, x, y, tag=None) -> GradedModule:
-    """Materialize H(x, y) as a graded module, one generator per class."""
+def h_graded_module(hcat: HCategory, x, y, tag) -> GradedModule:
+    """Materialize H(x, y) as a graded module, one generator per class,
+    labelled by ``tag``."""
     pres = hcat.pres(x, y)
     gens = []
-    name = tag or f"{x}>{y}"
     for d in pres.degrees():
         for i in range(pres.rank(d)):
-            gens.append((f"h[{name}]{d}:{i}", d))
+            gens.append((f"h[{tag}]{d}:{i}", d))
     return GradedModule.from_generators(hcat.ring, gens)
 
 
@@ -313,20 +306,16 @@ class FractionCategory:
     """The localized category at H level: objects of the host, homs the
     exact colimits over continuation slices, composition by right roofs.
 
-    ``strict_system`` False builds the slice colimits even when the Ore
-    conditions fail somewhere (the stage bridges flag the validation
-    separately); composition may then raise NonCofinalPrefix."""
+    The right-multiplicative-system conditions are not checked here: the
+    caller checks them (``check_right_multiplicative_system``) where it
+    needs them, and where they fail somewhere (the entanglement stages)
+    composition may raise NonCofinalPrefix."""
 
-    def __init__(self, hcat: HCategory, cset: CSet, strict_system: bool = True):
+    def __init__(self, hcat: HCategory, cset: CSet):
         self.hcat = hcat
         self.cset = cset
         self.ring = hcat.ring
         self.objects = hcat.objects
-        if strict_system:
-            validation = check_right_multiplicative_system(hcat, cset)
-            if not validation["passed"]:
-                raise SystemInvalid(f"right multiplicative system invalid: "
-                                    f"{validation['failures']}")
         self.slices = {x: SliceCategory(hcat, cset, x) for x in hcat.objects}
         self._colims = {}
 
@@ -340,7 +329,7 @@ class FractionCategory:
                     for i, c in enumerate(sl.objects)]
             morphs = [(i, j, h_transition_map(self.hcat, e, k, mods[i], mods[j]))
                       for (i, j), es in sorted(sl.morphisms.items()) for e in es]
-            self._colims[(l, k)] = diagram_colimit(mods, morphs, ring=self.ring)
+            self._colims[(l, k)] = diagram_colimit(mods, morphs)
         return self._colims[(l, k)]
 
     def rank_map(self, l, k):

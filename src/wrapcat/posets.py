@@ -8,9 +8,9 @@ colimit comparisons hold exactly on the supplied prefix.
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, HCategory
+from .ainf import AInfCategory
 from .errors import DecorationInconsistent, NotCofinal, NotTotallyOrdered
-from .floer import WeakFloerSetup, subsequences, unital_category
+from .floer import WeakFloerSetup, check_decoration, unital_category
 from .localization import CSet, ContClass, FractionCategory
 
 
@@ -68,23 +68,10 @@ class DecoratedPoset:
     def validate(self):
         """Chain decorations: Lagrangian tuples composable, data restriction
         compatible with the setup's restriction maps."""
-        s = self.setup
-        for k in range(1, s.max_arity + 1):
+        for k in range(1, self.setup.max_arity + 1):
             for chain in self.chains_desc(k):
-                lags = tuple(self.lag[p] for p in chain)
-                if lags not in s.composable.get(k, ()):
-                    raise DecorationInconsistent(
-                        f"chain {chain} maps to non-composable tuple {lags}")
-                if s.profile == "full" and s.data_system is not None:
-                    top = self.datum(chain)
-                    if top is None:
-                        raise DecorationInconsistent(f"chain {chain} undecorated")
-                    for sub, sub_l in zip(subsequences(chain),
-                                          subsequences(lags)):
-                        want = s.data_system.restrict(lags, sub_l, top)
-                        if self.datum(sub) != want:
-                            raise DecorationInconsistent(
-                                f"decoration of {sub} incompatible with {chain}")
+                check_decoration(self.setup, chain,
+                                 tuple(self.lag[p] for p in chain), self.data)
         return True
 
 
@@ -98,20 +85,6 @@ def build_O_P(setup: WeakFloerSetup, P: DecoratedPoset) -> AInfCategory:
               for chain in P.chains_desc(k)]
     return unital_category(setup, P.elements, P.lag, pairs, chains,
                            name=f"O_P[{setup.name}]")
-
-
-def poset_continuation_cset(setup: WeakFloerSetup, P: DecoratedPoset,
-                            hcat: HCategory) -> CSet:
-    """I_{P,C}: classes of H^0 O_P determined by the setup's continuation set
-    (all units included)."""
-    classes = []
-    for (src, tgt, combo) in setup.continuation:
-        for p in P.elements:
-            for q in P.elements:
-                if P.lt(q, p) and P.lag[p] == src and P.lag[q] == tgt:
-                    if hcat.class_count(p, q, 0):
-                        classes.append((p, q, hcat.project_dict(p, q, 0, combo)))
-    return CSet(hcat, classes)
 
 
 def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,

@@ -122,12 +122,22 @@ def setup_from_dict(doc) -> WeakFloerSetup:
                                       f"hom({src}, {tgt})")
                 combo[k] = ring.parse_scalar(str(v))
             continuation.append((src, tgt, combo))
-    return WeakFloerSetup(
+    oracle = _get(doc, "oracle", dict)
+    if oracle not in ({}, {"mode": "lexicographic"}):
+        raise SchemaError('oracle must be {"mode": "lexicographic"}, '
+                          f"not {oracle!r}")
+    setup = WeakFloerSetup(
         ring, lag, composable_mode=mode, composable_tuples=explicit,
         max_arity=max_arity, cf=cf, profile=doc["profile"],
         envelope_ops=envelope_ops, data_system=data_system,
         continuation=continuation, wrap_chains=_get(doc, "wrap_chains", dict),
-        oracle=_get(doc, "oracle", dict), name=doc.get("name", "setup"))
+        oracle=oracle, name=doc.get("name", "setup"))
+    pairs = setup.composable.get(1, ())
+    for i, (src, tgt, _) in enumerate(continuation):
+        if src == tgt or (src, tgt) not in pairs:
+            raise SchemaError(f"continuation[{i}]: ({src}, {tgt}) is not a "
+                              f"composable pair of distinct Lagrangians")
+    return setup
 
 
 def _check_labels(cf, where, chain, ops):
@@ -147,6 +157,18 @@ def _pair_map(ring, cf, where, pair, entries):
     return ops
 
 
+def _id_tuples(where, items, field, n):
+    """(id, ids) of each item, its ``field`` checked to hold ``n`` ids."""
+    out = []
+    for item in items:
+        ids = tuple(item[field])
+        if len(ids) != n:
+            raise SchemaError(f"{where}: {field} {list(ids)!r} does not have "
+                              f"{n} ids")
+        out.append((item["id"], ids))
+    return out
+
+
 def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
@@ -162,14 +184,21 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
         _check_labels(cf, f"mu {key!r}", chain, ops)
         ds.mu[(chain, datum)] = ops
     for key, items in sorted(raw.get("Dprime", {}).items()):
-        ds.Dprime[_pair_from_key(key)] = [(i["id"], tuple(i["pair"])) for i in items]
+        ds.Dprime[_pair_from_key(key)] = _id_tuples(f"Dprime {key!r}", items,
+                                                    "pair", 2)
     for key, entries in sorted(raw.get("alpha", {}).items()):
         pair_key, dp = key.split("|")
         pair = _pair_from_key(pair_key)
         ds.alpha[(pair, dp)] = _pair_map(ring, cf, f"alpha {key!r}", pair, entries)
     for key, items in sorted(raw.get("Dsecond", {}).items()):
-        ds.Dsecond[_pair_from_key(key)] = [(i["id"], tuple(i["triple"]))
-                                           for i in items]
+        pair = _pair_from_key(key)
+        prime_ids = {i for (i, _) in ds.Dprime.get(pair, ())}
+        ds.Dsecond[pair] = _id_tuples(f"Dsecond {key!r}", items, "triple", 3)
+        for (_, triple) in ds.Dsecond[pair]:
+            for dp in triple:
+                if dp not in prime_ids:
+                    raise SchemaError(f"Dsecond {key!r}: {dp!r} is not a "
+                                      f"Dprime id of {key!r}")
     for key, entries in sorted(raw.get("beta", {}).items()):
         pair_key, bid = key.split("|")
         pair = _pair_from_key(pair_key)

@@ -4,17 +4,18 @@ entanglement stages, the bridge checks and the comparison functor tau.
 Entanglement stages are finite: blocks are joined by mutually inverse edge
 pairs on composable cross pairs, higher simplices span tuples all of whose
 vertex pairs are edges and whose Lagrangian tuple is composable, and the
-added decorations come from an explicit deterministic oracle.
+added decorations are the first data compatible with their faces.
 """
 
 from __future__ import annotations
 
-from .ainf import AInfCategory, HCategory, NaiveFunctor, cohomology_category
+from .ainf import AInfCategory, NaiveFunctor, cohomology_category
 from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
                      OracleIncomplete)
-from .floer import WeakFloerSetup, subsequences, unital_category
+from .floer import WeakFloerSetup, check_decoration, unital_category
 from .localization import CSet, ContClass, FractionCategory
 from .posets import DecoratedPoset, sufficiently_wrapped_report
+from .wrap import continuation_cset
 
 
 class DecoratedSSSet:
@@ -46,33 +47,19 @@ class DecoratedSSSet:
                 "blocks": len(self.blocks)}
 
     def validate(self):
-        s = self.setup
-        full = s.profile == "full" and s.data_system is not None
         for k, simps in sorted(self.simplices.items()):
             faces = set(self.simplices.get(k - 1, ()))
             for simp in simps:
                 if len(set(simp)) != len(simp):
                     raise DecorationInconsistent(f"degenerate simplex {simp}")
-                lags = tuple(self.lag[v] for v in simp)
-                if lags not in s.composable.get(k, ()):
-                    raise DecorationInconsistent(
-                        f"simplex {simp} maps to non-composable {lags}")
                 if k >= 2:
                     for i in range(k + 1):
                         face = simp[:i] + simp[i + 1:]
                         if face not in faces:
                             raise DecorationInconsistent(
                                 f"face {face} of {simp} missing")
-                if full:
-                    top = self.data.get(simp)
-                    if top is None:
-                        raise DecorationInconsistent(f"simplex {simp} undecorated")
-                    for sub, sub_l in zip(subsequences(simp), subsequences(lags)):
-                        want = s.data_system.restrict(lags, sub_l, top)
-                        if self.data.get(sub) != want:
-                            raise DecorationInconsistent(
-                                f"decoration of {sub} incompatible "
-                                f"with {simp}")
+                check_decoration(self.setup, simp,
+                                 tuple(self.lag[v] for v in simp), self.data)
         return True
 
 
@@ -109,70 +96,32 @@ def build_F_E(setup: WeakFloerSetup, E: DecoratedSSSet) -> AInfCategory:
                            name=f"F[{E.name}]")
 
 
-def sss_continuation_cset(setup: WeakFloerSetup, E: DecoratedSSSet,
-                          hcat: HCategory) -> CSet:
-    """C_E: the continuation classes lifted to every vertex pair carrying
-    the corresponding Lagrangian pair."""
-    classes = []
-    for (src, tgt, combo) in setup.continuation:
-        for p in E.vertices:
-            for q in E.vertices:
-                if p != q and E.lag[p] == src and E.lag[q] == tgt:
-                    if hcat.class_count(p, q, 0):
-                        classes.append((p, q, hcat.project_dict(p, q, 0, combo)))
-    return CSet(hcat, classes)
-
-
 def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory:
     """The localization of a stage: F_E, its H-category and C_E, with the
     right-multiplicative conditions left unchecked (the bridge and tau
     checks report their consequences instead)."""
     hcat = cohomology_category(build_F_E(setup, E))
-    return FractionCategory(hcat, sss_continuation_cset(setup, E, hcat),
-                            strict_system=False)
+    return FractionCategory(hcat, continuation_cset(setup, hcat, E.lag))
 
 
-class SimplexOracle:
-    """Floer-datum choices for simplices added by entanglement.
-
-    "lexicographic" picks the first datum compatible with the already
-    chosen faces (for envelope-profile setups the unique datum); "refuse"
-    refuses everything; "table" replays a serialized log keyed by the
-    Lagrangian tuple.
-    """
-
-    def __init__(self, setup: WeakFloerSetup, spec=None):
-        self.setup = setup
-        self.spec = dict(spec or setup.oracle or {"mode": "lexicographic"})
-
-    def choose(self, lags, face_data):
-        mode = self.spec.get("mode", "lexicographic")
-        if mode == "refuse":
-            raise OracleIncomplete(f"oracle refused datum for {lags}")
-        if self.setup.profile == "envelope" or self.setup.data_system is None:
-            return None
-        ds = self.setup.data_system
-        if mode == "table":
-            key = ",".join(lags)
-            if key not in self.spec.get("entries", {}):
-                raise OracleIncomplete(f"oracle table missing {key}")
-            return self.spec["entries"][key]
-        for datum in ds.D.get(lags, ()):
-            ok = True
-            for sub_l, want in face_data.items():
-                if ds.restrict(lags, sub_l, datum) != want:
-                    ok = False
-                    break
-            if ok:
-                return datum
-        raise OracleIncomplete(f"no compatible datum for {lags}")
+def choose_datum(setup: WeakFloerSetup, lags, face_data):
+    """The Floer datum of a simplex added by entanglement: the first datum
+    of D(lags) that restricts to ``face_data`` ({face tuple: datum}) on the
+    already chosen faces; None for envelope-profile setups."""
+    ds = setup.data_system
+    if setup.profile == "envelope" or ds is None:
+        return None
+    for datum in ds.D.get(lags, ()):
+        if all(ds.restrict(lags, sub_l, datum) == want
+               for sub_l, want in face_data.items()):
+            return datum
+    raise OracleIncomplete(f"no compatible datum for {lags}")
 
 
 def entangle(setup: WeakFloerSetup, blocks, level: int,
-             oracle: SimplexOracle = None, name=None) -> DecoratedSSSet:
+             name=None) -> DecoratedSSSet:
     """Join the blocks along mutually inverse cross edges and span the higher
-    simplices; decorations for the added simplices come from the oracle."""
-    oracle = oracle or SimplexOracle(setup)
+    simplices; each added simplex is decorated by ``choose_datum``."""
     vertices = []
     lag = {}
     data = {}
@@ -205,7 +154,7 @@ def entangle(setup: WeakFloerSetup, blocks, level: int,
                 added_edges.append((p, q))
     for (p, q) in sorted(added_edges):
         lags = (lag[p], lag[q])
-        datum = oracle.choose(lags, {})
+        datum = choose_datum(setup, lags, {})
         simplices.setdefault(1, []).append((p, q))
         data[(p, q)] = datum
     # span higher simplices: tuples all of whose ordered pairs are edges
@@ -232,7 +181,7 @@ def entangle(setup: WeakFloerSetup, blocks, level: int,
                     face = cand[:idx] + cand[idx + 1:]
                     face_l = tuple(lag[u] for u in face)
                     face_data[face_l] = data.get(face)
-                datum = oracle.choose(lags, face_data)
+                datum = choose_datum(setup, lags, face_data)
                 new_level.append(cand)
                 data[cand] = datum
                 existing.add(cand)
@@ -361,12 +310,11 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     Raises NotSufficientlyWrapped naming an element with no verified
     wrapping sequence.
     """
-    from .posets import build_O_P, poset_continuation_cset
+    from .posets import build_O_P
     env = frac_E.hcat.source
     ocat = build_O_P(setup, P)
     oh = cohomology_category(ocat)
-    frac_P = FractionCategory(oh, poset_continuation_cset(setup, P, oh),
-                              strict_system=False)
+    frac_P = FractionCategory(oh, continuation_cset(setup, oh, P.lag))
     wrapped = sufficiently_wrapped_report(setup, P, frac_P, frac_E)
     for el, verdict in wrapped["elements"].items():
         if not verdict["passed"]:

@@ -22,12 +22,20 @@ from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
 from .quotient import TruncatedQuotient, adjoin_cones
 
 
-def continuation_cset(setup: WeakFloerSetup, hcat: HCategory) -> CSet:
-    """The setup's continuation classes (plus all units) as a CSet."""
-    classes = []
-    for (src, tgt, combo) in setup.continuation:
-        classes.append((src, tgt, hcat.project_dict(src, tgt, 0, combo)))
-    return CSet(hcat, classes)
+def continuation_cset(setup: WeakFloerSetup, hcat: HCategory,
+                      lag=None) -> CSet:
+    """The setup's continuation classes (plus all units) as a CSet.
+
+    Each entry (src, tgt, combo) is lifted to every pair (p, q) of
+    ``hcat``'s objects over (src, tgt) with nonzero H^0(p, q); ``lag`` maps
+    objects to Lagrangians and defaults to the identity (the envelope)."""
+    objects = hcat.objects
+    lag = lag or {x: x for x in objects}
+    return CSet(hcat, [(p, q, hcat.project_dict(p, q, 0, combo))
+                       for (src, tgt, combo) in setup.continuation
+                       for p in objects if lag[p] == src
+                       for q in objects
+                       if lag[q] == tgt and hcat.class_count(p, q, 0)])
 
 
 def generating_subset(hcat: HCategory, cset: CSet):
@@ -85,54 +93,35 @@ def validate_continuation_system(setup: WeakFloerSetup, hcat: HCategory,
     return report
 
 
-class WrappingCategory:
-    """The filtered category of continuation maps into one object, with a
-    deterministically chosen chain of its objects.
+def certified_tail(sl: SliceCategory, chain_hint=None):
+    """(slice index of the wrapping chain's tail, whether it is certified).
 
-    The chain is the setup's hinted wrapping chain, or else the identity
+    The chain is the hinted list of source Lagrangians (the first class
+    from each, each step factoring through the next), or else the identity
     followed by the first weakly terminal object.  It is certified cofinal
     when every slice object maps to its tail; the HW colimit into any
     target is then H(tail, target).
     """
-
-    def __init__(self, hcat: HCategory, cset: CSet, obj, chain_hint=None):
-        self.obj = obj
-        self.slice = SliceCategory(hcat, cset, obj)
-        if chain_hint:
-            self.chain_indices = self._chain_from_hint(chain_hint)
-        else:
-            t = self.slice.weakly_terminal_index()
-            if t is None:
-                raise NonCofinalPrefix(
-                    f"slice of {obj} has no weakly terminal object")
-            self.chain_indices = [0] if t == 0 else [0, t]
-        self.cofinal_certified = self._certify_chain()
-
-    def _chain_from_hint(self, sources):
-        """Slice indices of a list of source Lagrangians (the first class
-        from each), each step factoring through the next."""
+    if chain_hint:
         indices = []
-        for src in sources:
-            match = [i for i, c in enumerate(self.slice.objects) if c.src == src]
+        for src in chain_hint:
+            match = [i for i, c in enumerate(sl.objects) if c.src == src]
             if not match:
                 raise NonCofinalPrefix(
-                    f"no continuation class {src} -> {self.obj} in the data")
+                    f"no continuation class {src} -> {sl.obj} in the data")
             indices.append(match[0])
         for a, b in zip(indices, indices[1:]):
-            if (a, b) not in self.slice.morphisms:
+            if (a, b) not in sl.morphisms:
                 raise NonCofinalPrefix(
                     f"no factorization morphism between chain steps "
-                    f"{a} -> {b} over {self.obj}")
-        return indices
-
-    def _certify_chain(self):
-        """Whether every slice object maps into the chain tail."""
-        tail = self.chain_indices[-1]
-        return all((i, tail) in self.slice.morphisms
-                   for i in range(len(self.slice.objects)))
-
-    def chain_sources(self):
-        return [self.slice.objects[i].src for i in self.chain_indices]
+                    f"{a} -> {b} over {sl.obj}")
+        tail = indices[-1]
+    else:
+        tail = sl.weakly_terminal_index()
+        if tail is None:
+            raise NonCofinalPrefix(
+                f"slice of {sl.obj} has no weakly terminal object")
+    return tail, all((i, tail) in sl.morphisms for i in range(len(sl.objects)))
 
 
 class WrappedDFCategory:
@@ -145,14 +134,14 @@ class WrappedDFCategory:
     def __init__(self, setup: WeakFloerSetup, hcat: HCategory, cset: CSet):
         self.hcat = hcat
         self.cset = cset
-        self.frac = FractionCategory(hcat, cset, strict_system=True)
+        self.frac = FractionCategory(hcat, cset)
         self.stabilization = {}
         for l in hcat.objects:
-            w = WrappingCategory(hcat, cset, l,
-                                 chain_hint=setup.wrap_chains.get(l))
-            tail = w.chain_sources()[-1]
+            sl = self.frac.slices[l]
+            t, certified = certified_tail(sl, setup.wrap_chains.get(l))
+            tail = sl.objects[t].src
             for k in hcat.objects:
-                if w.cofinal_certified:
+                if certified:
                     pres = hcat.pres(tail, k)
                     ranks = {d: pres.rank(d) for d in pres.degrees()
                              if pres.rank(d)}
@@ -162,7 +151,7 @@ class WrappedDFCategory:
                             f"H({tail},{k}) at the tail of {l}'s chain "
                             f"disagrees with the slice colimit: {ranks} vs "
                             f"{cross}")
-                self.stabilization[(l, k)] = w.cofinal_certified
+                self.stabilization[(l, k)] = certified
 
     def hw_rank_map(self, l, k):
         return self.frac.rank_map(l, k)
@@ -274,16 +263,14 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
             else:
                 entry.update({"quotient_stabilized": False, "agree": None})
             rows.append(entry)
+    # a depth too shallow to certify any pair compares nothing: no pass
+    passed = passed and any(r["agree"] is not None for r in rows)
     kernel_rows = []
     for a in objects:
         for b in objects:
             if (a, b) not in results:
                 continue
-            quo = results[(a, b)][2]
-            try:
-                locmap = quo.localization_map(a, b)
-            except KeyError:
-                continue
+            locmap = results[(a, b)][2].localization_map(a, b)
             ring = hcat.ring
             n = hcat.class_count(a, b, 0)
             ker_match = True

@@ -101,6 +101,26 @@ def _gamma_wrong_arity(doc):
         {"inputs": ["p"], "output": "p", "scalar": "1"}]
 
 
+def _continuation_loop(doc):
+    # hom(L, L) is no CF module of the envelope, which has only the unit there
+    doc["hom"]["L,L"] = [{"degree": 0, "name": "zz"}]
+    doc["continuation"].append({"source": "L", "target": "L",
+                                "combo": {"zz": "1"}})
+
+
+def _dsecond_id_not_in_dprime(doc):
+    pairs = doc["floer_data"]["Dprime"]["A,B"]
+    pairs[:] = [p for p in pairs if p["id"] != "a12"]
+
+
+def _dprime_pair_of_one(doc):
+    doc["floer_data"]["Dprime"]["A,B"][1]["pair"] = ["d1"]
+
+
+def _oracle_table(doc):
+    doc["oracle"] = {"mode": "table", "entries": {}}
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -125,7 +145,14 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_gamma_input_not_a_generator, "gamma 'A,B,A|0|g0': 'zz'",
               "micro2datum"),
              (_gamma_wrong_arity, "gamma 'A,B,A|0|g0': op entry arity",
-              "micro2datum")]
+              "micro2datum"),
+             (_continuation_loop, "continuation[2]: (L, L) is not a "
+              "composable pair of distinct Lagrangians", "toyb"),
+             (_dsecond_id_not_in_dprime, "floer_data: Dsecond 'A,B': 'a12' "
+              "is not a Dprime id", "micro2datum"),
+             (_dprime_pair_of_one, "floer_data: Dprime 'A,B': pair ['d1'] "
+              "does not have 2 ids", "micro2datum"),
+             (_oracle_table, "oracle must be", "toyb")]
 
 
 class TestInputErrors:
@@ -341,26 +368,45 @@ def test_non_integer_count_is_a_usage_error(capsys, argv):
     assert f"argument {argv[1]}: invalid nonnegative value: {argv[2]!r}" in err
 
 
-COMPUTE_ERRORS = [(fixture, what, "SystemInvalid")
+# every computation localizes, so each refuses a continuation set that is
+# no right multiplicative system with the section localize writes
+COMPUTE_ERRORS = [(fixture, what)
                   for fixture in ("ore_break", "toyc_break_closure")
-                  for what in ("hw", "dfcat", "agree")]
+                  for what in ("hw", "dfcat", "agree", "localize")]
+FAILED_CONDITION = {"ore_break": "iii", "toyc_break_closure": "ii"}
 ENTANGLE_ERRORS = [("dsq_break", "NotAComplex"),
                    ("micro2datum", "DecorationInconsistent"),
                    ("micro2_break_beta", "DecorationInconsistent")]
 
 
+@pytest.mark.parametrize("fixture,what", COMPUTE_ERRORS)
+def test_invalid_continuation_set_fails_every_computation(capsys, fixture,
+                                                          what):
+    path = str(FIXTURES / f"{fixture}.json")
+    code, rep = run_cli(capsys, "compute", path, "--what", what)
+    _, localize = run_cli(capsys, "compute", path, "--what", "localize")
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert rep["command"] == f"compute:{what}"
+    assert list(rep["sections"]) == ["continuation_conditions"]
+    assert rep["sections"] == localize["sections"]
+    cond = rep["sections"]["continuation_conditions"]
+    assert not cond["passed"]
+    assert cond["failures"][FAILED_CONDITION[fixture]]
+
+
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_agree_that_compares_no_pair_fails(capsys, depth):
+    # no pair is certified below depth 2, so nothing is compared
+    code, rep = run_cli(capsys, "compute", str(FIXTURES / "toyb.json"),
+                        "--what", "agree", "--depth", depth)
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert all(r["agree"] is None
+               for r in rep["sections"]["agreement"]["pairs"])
+
+
 class TestEngineErrorsEndInReports:
     """An engine error ends in a failing report that names it, not a
     traceback."""
-
-    @pytest.mark.parametrize("fixture,what,error", COMPUTE_ERRORS)
-    def test_compute(self, capsys, fixture, what, error):
-        code, rep = run_cli(capsys, "compute", str(FIXTURES / f"{fixture}.json"),
-                            "--what", what)
-        assert (code, rep["verdict"], rep["sections"]["error"]["type"]) == \
-            (1, "fail", error)
-        assert rep["command"] == f"compute:{what}"
-        assert rep["fixture"] == fixture
 
     @pytest.mark.parametrize("fixture,error", ENTANGLE_ERRORS)
     def test_entangle(self, capsys, fixture, error):

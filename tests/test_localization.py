@@ -1,12 +1,9 @@
 import random
 
-import pytest
-
 from fixture_builders import build_toyb, build_toyc, build_ore_break
 from oracles import random_path_instance, zigzag_localization_ranks
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category
-from wrapcat.errors import SystemInvalid
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import (CSet, FractionCategory,
@@ -114,12 +111,14 @@ class TestFractionCategory:
                 assert frac.check_inverts(c)["passed"]
 
     def test_invalid_system_raises(self):
+        # the fraction category leaves the conditions to its caller: it
+        # builds on ore_break, and the check the caller runs fails
         s = build_ore_break()
         env = canonical_envelope(s)
         h = cohomology_category(env)
         cset = continuation_cset(s, h)
-        with pytest.raises(SystemInvalid):
-            FractionCategory(h, cset)
+        FractionCategory(h, cset)
+        assert not check_right_multiplicative_system(h, cset)["passed"]
 
     def test_roof_independence_exhaustive(self):
         # recompute one composition across every admissible Ore square and

@@ -1,11 +1,15 @@
+import pytest
+
 from fixture_builders import build_toyb, build_toyc
+from wrapcat import localization
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import cmd_compute
+from wrapcat.errors import NonCofinalPrefix
 from wrapcat.floer import WeakFloerSetup, canonical_envelope, validate_setup
 from wrapcat.linalg import GradedModule
-from wrapcat.localization import CSet
+from wrapcat.localization import CSet, SliceCategory
 from wrapcat.rings import CoefficientRing
-from wrapcat.wrap import (WrappingCategory, check_localization_agreement,
+from wrapcat.wrap import (certified_tail, check_localization_agreement,
                           continuation_cset, generating_subset,
                           validate_continuation_system, wrapped_df_category)
 
@@ -52,24 +56,43 @@ class TestContinuationValidation:
         assert rep["conditions"]["ii"]["failures"]
 
 
-class TestWrappingCategory:
+class TestCertifiedTail:
     def test_identities_only_single_object(self):
         s, env, h, _ = prepare(build_toyb)
-        w = WrappingCategory(h, CSet(h, []), "L")
-        assert len(w.slice.objects) == 1
+        sl = SliceCategory(h, CSet(h, []), "L")
+        assert len(sl.objects) == 1
+        assert certified_tail(sl) == (0, True)
 
     def test_toyb_slice_objects(self):
         s, env, h, cset = prepare(build_toyb)
-        w = WrappingCategory(h, cset, "L")
-        sources = {c.src for c in w.slice.objects}
-        assert sources == {"L", "Lp"}
-        assert w.cofinal_certified
+        sl = SliceCategory(h, cset, "L")
+        assert {c.src for c in sl.objects} == {"L", "Lp"}
+        t, certified = certified_tail(sl)
+        assert (sl.objects[t].src, certified) == ("Lp", True)
 
     def test_toyc_chain_linear(self):
         s, env, h, cset = prepare(build_toyc)
-        w = WrappingCategory(h, cset, "L0", chain_hint=s.wrap_chains["L0"])
-        assert w.chain_sources() == ["L0", "L1", "L2", "L3"]
-        assert w.cofinal_certified
+        sl = SliceCategory(h, cset, "L0")
+        t, certified = certified_tail(sl, s.wrap_chains["L0"])
+        assert (sl.objects[t].src, certified) == ("L3", True)
+
+    def test_hint_without_a_class_is_refused(self):
+        s, env, h, cset = prepare(build_toyc)
+        with pytest.raises(NonCofinalPrefix,
+                           match="no continuation class K -> L0 in the data"):
+            certified_tail(SliceCategory(h, cset, "L0"), ["L0", "K"])
+
+    def test_hw_builds_one_slice_per_object(self, monkeypatch):
+        built = []
+        init = SliceCategory.__init__
+
+        def counted(self, hcat, cset, obj):
+            built.append(obj)
+            init(self, hcat, cset, obj)
+        monkeypatch.setattr(localization.SliceCategory, "__init__", counted)
+        s = build_toyc()
+        assert cmd_compute(s, what="hw").passed
+        assert sorted(built) == sorted(s.lagrangians)
 
     def test_hw_modules(self):
         s, env, h, cset = prepare(build_toyb)

@@ -483,11 +483,8 @@ class HCategory:
         self.ring = source.ring
         self.objects = source.objects
         self.H = {}
-        self.complexes = {}
         for pair in source.hom_pairs():
-            cx = source.hom_complex(*pair)
-            self.complexes[pair] = cx
-            self.H[pair] = cohomology(cx)
+            self.H[pair] = cohomology(source.hom_complex(*pair))
         self.identity_coords = {}
         for x in self.objects:
             unit = source.unit_of(x)

@@ -133,11 +133,9 @@ def cmd_compute(setup, what="hw", depth=4):
     if what == "localize":
         gens = generating_subset(hcat, cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
-        pairs = [(a, b) for a in env.objects for b in env.objects]
-        ext, nulls = adjoin_cones(env, hcat, w_classes)
-        quo = TruncatedQuotient(ext, nulls, depth, pairs=pairs)
+        quo = TruncatedQuotient(*adjoin_cones(env, hcat, w_classes), depth)
         rows = [{"pair": [a, b], "h0_rank": quo.h0_rank(a, b),
-                 "stabilized": quo.stabilized(a, b)} for (a, b) in pairs]
+                 "stabilized": quo.stabilized(a, b)} for (a, b) in quo.pairs]
         rep.add("quotient_h0", rows)
         rep.add("cone_classes", [repr(c) for c in gens])
         unstab = [r["pair"] for r in rows if not r["stabilized"]]
@@ -147,8 +145,7 @@ def cmd_compute(setup, what="hw", depth=4):
         return rep
     if what == "agree":
         wdf = wrapped_df_category(setup, hcat, cset)
-        ag = check_localization_agreement(setup, env, hcat, cset, depth=depth,
-                                          wdf=wdf)
+        ag = check_localization_agreement(env, hcat, cset, wdf, depth=depth)
         rep.add("agreement", ag)
         rep.set_verdict(ag["passed"])
         return rep

@@ -9,8 +9,10 @@ between the two ends, with their internal contractions, are built once per
 quotient and shared by its bars.  Every contraction is read from the
 extended category's index (``AInfCategory.contraction``), which evaluates
 each distinct run once, and no run longer than the largest operation arity
-is visited.  H^0 ranks are reported per depth with a stabilization
-certificate, never a convergence claim.
+is visited.  H^0 ranks come by rank-nullity, each rank eliminating the rows
+of its block, and are reported per depth with a stabilization certificate,
+never a convergence claim; of the map H^0 hom(x, y) -> H^0 of the quotient
+only the classes it kills are kept, each a membership test in im d^-1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from .ainf import AInfCategory, HCategory, cone_of_class
 from .errors import NotClosedRepresentative
 from .linalg import Complex, GradedMap, GradedModule, cohomology
-from .matrices import Matrix
+from .matrices import Echelon
 
 
 def _sign_exponent(before, run):
@@ -300,53 +302,60 @@ class BarQuotient:
         return sub
 
 
+def _h0(bar: BarQuotient, cycles=()):
+    """(rank of H^0 of ``bar`` by rank-nullity, and per degree-0 cycle
+    whether it is a boundary).  The rows of [d^-1 | cycles] are eliminated,
+    the short side of a bar block: a cycle is a boundary when no combination
+    of rows that clears d^-1 leaves a nonzero entry in its column."""
+    d_in, m = bar.differential.block(-1), len(cycles)
+    n = d_in.cols
+    ech, live = Echelon(bar.ring, n + m), set()
+    for i, row in enumerate(d_in.vecs):
+        v = ech.reduce(ech.axpy(row, 1, ech.sparse(
+            {n + j: c[i] for j, c in enumerate(cycles) if i < len(c)})))
+        if v and ech.lead(v) >= n:
+            live.update(j for j, _ in ech.items(v))
+        ech.insert(v)
+    image = sum(p < n for p in ech.pivots)
+    return (bar.module.rank(0) - bar.differential.block(0).rank() - image,
+            [n + j not in live for j in range(m)])
+
+
 class TruncatedQuotient:
     """H^0 of the quotient for the chosen pairs of non-null objects, at the
-    depth and at the depth below it.  Only the H^0 presentations are kept:
-    each bar is dropped once reduced, so memory does not grow pair by
-    pair with the chains."""
+    depth and at the depth below it, by rank-nullity: dim C^0 - rank d^0 -
+    rank d^-1 of each bar, checked to be a complex.  ``killed[(x, y)]``
+    holds, per H^0 class of hom(x, y), whether it dies in the quotient: the
+    degree-0 labels of hom(x, y) are the length-0 chains, which come first
+    in the bar's degree-0 basis, so a class dies when its representative,
+    zero-padded, is a boundary.  Each bar is dropped once read, so memory
+    does not grow pair by pair with the chains."""
 
     def __init__(self, extended: AInfCategory, nulls, depth: int, pairs=None):
-        self.extended = extended
-        self.nulls = tuple(nulls)
-        self.depth = int(depth)
-        originals = [o for o in extended.objects if o not in set(nulls)]
-        self.objects = tuple(originals)
+        nulls = tuple(nulls)
+        objects = [o for o in extended.objects if o not in nulls]
         self.pairs = list(pairs) if pairs is not None else [
-            (a, b) for a in self.objects for b in self.objects]
-        self.homology = {}      # (x, y, d) -> DegreePresentation of H^0
-        words = NullWords(extended, self.nulls, self.depth, 0,
+            (a, b) for a in objects for b in objects]
+        self.ranks = {}     # (x, y) -> (H^0 rank at depth, at depth - 1)
+        self.killed = {}    # (x, y) -> per H^0 class of hom(x, y), dies or not
+        words = NullWords(extended, nulls, depth, 0,
                           {a for a, _ in self.pairs}, {b for _, b in self.pairs})
         for (a, b) in self.pairs:
-            bar = BarQuotient(extended, self.nulls, a, b, self.depth,
-                              words=words)
-            self.homology[(a, b, self.depth)] = cohomology(
-                bar.complex, (0,)).degree(0)
-            if self.depth >= 1:
-                sub = bar.truncate(self.depth - 1)
-                self.homology[(a, b, self.depth - 1)] = cohomology(
-                    sub.complex, (0,)).degree(0)
+            bar = BarQuotient(extended, nulls, a, b, depth, words=words)
+            bar.complex.check()
+            reps = cohomology(extended.hom_complex(a, b), (0,)).degree(0).reps
+            rank, self.killed[(a, b)] = _h0(bar, reps)
+            below = _h0(bar.truncate(depth - 1))[0] if depth else None
+            self.ranks[(a, b)] = (rank, below)
 
     def h0_rank(self, x, y):
-        return self.homology[(x, y, self.depth)].class_count
+        return self.ranks[(x, y)][0]
 
     def stabilized(self, x, y):
-        """H^0 rank equality at consecutive depths (the spec's certificate)."""
-        if self.depth == 0:
-            return False
-        return (self.homology[(x, y, self.depth)].class_count
-                == self.homology[(x, y, self.depth - 1)].class_count)
-
-    def localization_map(self, x, y) -> Matrix:
-        """The comparison map H^0 hom(x, y) -> H^0 quotient(x, y) on class
-        coordinates.  The degree-0 labels of hom(x, y) are the length-0
-        chains, which come first in the bar's degree-0 basis, in that order."""
-        ring = self.extended.ring
-        tgt = self.homology[(x, y, self.depth)]
-        src = cohomology(self.extended.hom_complex(x, y), (0,)).degree(0)
-        pad = (ring.zero(),) * (tgt.module_rank - src.module_rank)
-        cols = [tgt.project(rep + pad) for rep in src.reps]
-        return Matrix.from_columns(ring, cols, tgt.class_count)
+        """H^0 rank equality at consecutive depths (the spec's certificate);
+        never at depth 0, which has no depth below."""
+        rank, below = self.ranks[(x, y)]
+        return rank == below
 
 
 def adjoin_cones(a: AInfCategory, hcat: HCategory, w_classes):

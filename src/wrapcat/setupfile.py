@@ -204,9 +204,23 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
         pair = _pair_from_key(pair_key)
         ds.beta[(pair, bid)] = _pair_map(ring, cf, f"beta {key!r}", pair, entries)
     for key, items in sorted(raw.get("Dthird", {}).items()):
-        t_key, i_str = key.split("|")
-        ds.Dthird[(_pair_from_key(t_key), int(i_str))] = [
-            (i["id"], i["datum"], i["datum_i"], i["dprime"]) for i in items]
+        with _at(f"Dthird {key!r}"):
+            t_key, i_str = key.split("|")
+            triple, i = _pair_from_key(t_key), int(i_str)
+            if len(triple) != 3 or i not in (0, 1, 2):
+                raise SchemaError("key is not a triple and a slot 0, 1 or 2")
+            pair = (triple[:2], triple[1:], triple[::2])[i]
+            prime_ids = {dp for (dp, _) in ds.Dprime.get(pair, ())}
+            elems = [(e["id"], e["datum"], e["datum_i"], e["dprime"])
+                     for e in items]
+            for (_, datum, datum_i, dp) in elems:
+                for d in (datum, datum_i):
+                    if d not in ds.D.get(triple, ()):
+                        raise SchemaError(f"{d!r} is not in D({t_key})")
+                if dp not in prime_ids:
+                    raise SchemaError(f"{dp!r} is not a Dprime id of "
+                                      f"{','.join(pair)!r}")
+            ds.Dthird[(triple, i)] = elems
     for key, entries in sorted(raw.get("gamma", {}).items()):
         t_key, i_str, gid = key.split("|")
         triple = _pair_from_key(t_key)

@@ -206,8 +206,8 @@ def wrapped_df_category(setup, hcat, cset) -> WrappedDFCategory:
     return WrappedDFCategory(setup, hcat, cset)
 
 
-def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
-                                 wdf: WrappedDFCategory = None):
+def check_localization_agreement(env, hcat, cset, wdf: WrappedDFCategory,
+                                 depth: int = 4):
     """Compare the cone-quotient localization against the HW table.
 
     H^0 ranks are compared exactly on pairs where the quotient certificate
@@ -215,13 +215,10 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
     with the kernel of the comparison maps out of H^0 of the envelope.  The
     cones are adjoined once; the quotient at each depth reuses them.
     """
-    if wdf is None:
-        wdf = wrapped_df_category(setup, hcat, cset)
     gens = generating_subset(hcat, cset)
     ext, nulls = adjoin_cones(env, hcat, [(c.src, c.tgt, c.coords) for c in gens])
-    objects = list(env.objects)
-    pending = [(a, b) for a in objects for b in objects]
-    results = {}    # pair -> (H^0 rank, certifying depth, its quotient)
+    pending = pairs = [(a, b) for a in env.objects for b in env.objects]
+    results = {}    # pair -> (H^0 rank, certifying depth, killed classes)
     d = 2
     while pending and d <= depth:
         quo = TruncatedQuotient(ext, nulls, d, pairs=pending)
@@ -229,7 +226,7 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
         for (a, b) in pending:
             if quo.stabilized(a, b):
                 hw0 = wdf.hw_rank_map(a, b).get(0, 0)
-                results[(a, b)] = (quo.h0_rank(a, b), d, quo)
+                results[(a, b)] = (quo.h0_rank(a, b), d, quo.killed[(a, b)])
                 # an early plateau disagreeing with a certified HW rank is
                 # re-deepened: the certificate is empirical, never a claim
                 if wdf.stabilized(a, b) and quo.h0_rank(a, b) != hw0 and d < depth:
@@ -243,47 +240,33 @@ def check_localization_agreement(setup, env, hcat, cset, depth: int = 4,
         d += 1
     rows = []
     passed = True
-    for a in objects:
-        for b in objects:
-            hw0 = wdf.hw_rank_map(a, b).get(0, 0)
-            entry = {"pair": [a, b], "hw_h0": hw0,
-                     "hw_stabilized": wdf.stabilized(a, b)}
-            if (a, b) in results:
-                q0, dst, _ = results[(a, b)]
-                entry.update({"quotient_h0": q0, "depth": dst,
-                              "quotient_stabilized": True})
-                if wdf.stabilized(a, b):
-                    ok = (q0 == hw0)
-                    entry["agree"] = ok
-                    if not ok:
-                        passed = False
-                else:
-                    entry["agree"] = None
-                    entry["note"] = "HW not stabilized; not compared"
+    for (a, b) in pairs:
+        hw0 = wdf.hw_rank_map(a, b).get(0, 0)
+        entry = {"pair": [a, b], "hw_h0": hw0,
+                 "hw_stabilized": wdf.stabilized(a, b)}
+        if (a, b) in results:
+            q0, dst, _ = results[(a, b)]
+            entry.update({"quotient_h0": q0, "depth": dst,
+                          "quotient_stabilized": True})
+            if wdf.stabilized(a, b):
+                entry["agree"] = ok = (q0 == hw0)
+                passed = passed and ok
             else:
-                entry.update({"quotient_stabilized": False, "agree": None})
-            rows.append(entry)
+                entry["agree"] = None
+                entry["note"] = "HW not stabilized; not compared"
+        else:
+            entry.update({"quotient_stabilized": False, "agree": None})
+        rows.append(entry)
     # a depth too shallow to certify any pair compares nothing: no pass
     passed = passed and any(r["agree"] is not None for r in rows)
     kernel_rows = []
-    for a in objects:
-        for b in objects:
-            if (a, b) not in results:
-                continue
-            locmap = results[(a, b)][2].localization_map(a, b)
-            ring = hcat.ring
+    for (a, b) in pairs:
+        if (a, b) in results:
             n = hcat.class_count(a, b, 0)
-            ker_match = True
-            for i in range(n):
-                u = ring.unit_vector(n, i)
-                gz = wdf.frac.gamma(a, b, 0, u)
-                lz = locmap.apply(u)
-                gz_zero = not any(x != 0 for x in gz)
-                lz_zero = not any(x != 0 for x in lz)
-                if gz_zero != lz_zero:
-                    ker_match = False
-            kernel_rows.append({"pair": [a, b], "kernels_match": ker_match})
-            if not ker_match:
-                passed = False
+            match = all(dies == (not any(wdf.frac.gamma(
+                a, b, 0, hcat.ring.unit_vector(n, i))))
+                for i, dies in enumerate(results[(a, b)][2]))
+            kernel_rows.append({"pair": [a, b], "kernels_match": match})
+            passed = passed and match
     return {"passed": passed, "pairs": rows, "comparison_maps": kernel_rows,
             "cone_classes": [repr(c) for c in gens]}

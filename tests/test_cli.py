@@ -117,6 +117,29 @@ def _dprime_pair_of_one(doc):
     doc["floer_data"]["Dprime"]["A,B"][1]["pair"] = ["d1"]
 
 
+def _dthird(doc, key, datum="zz", dprime="a11"):
+    doc["floer_data"]["Dthird"] = {key: [{"id": "g0", "datum": datum,
+                                          "datum_i": datum,
+                                          "dprime": dprime}]}
+
+
+def _dthird_datum_not_in_d(doc):
+    _dthird(doc, "A,B,A|0")
+
+
+def _dthird_dprime_not_of_its_pair(doc):
+    doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+    _dthird(doc, "A,B,A|0", datum="t1", dprime="zz")
+
+
+def _dthird_slot_out_of_range(doc):
+    _dthird(doc, "A,B,A|5")
+
+
+def _dthird_key_of_a_pair(doc):
+    _dthird(doc, "A,B|0")
+
+
 def _oracle_table(doc):
     doc["oracle"] = {"mode": "table", "entries": {}}
 
@@ -152,6 +175,14 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "is not a Dprime id", "micro2datum"),
              (_dprime_pair_of_one, "floer_data: Dprime 'A,B': pair ['d1'] "
               "does not have 2 ids", "micro2datum"),
+             (_dthird_datum_not_in_d, "floer_data: Dthird 'A,B,A|0': 'zz' "
+              "is not in D(A,B,A)", "micro2datum"),
+             (_dthird_dprime_not_of_its_pair, "floer_data: Dthird 'A,B,A|0': "
+              "'zz' is not a Dprime id of 'A,B'", "micro2datum"),
+             (_dthird_slot_out_of_range, "floer_data: Dthird 'A,B,A|5': key "
+              "is not a triple", "micro2datum"),
+             (_dthird_key_of_a_pair, "floer_data: Dthird 'A,B|0': key is not "
+              "a triple", "micro2datum"),
              (_oracle_table, "oracle must be", "toyb")]
 
 
@@ -210,6 +241,17 @@ class TestLocalize:
         assert len(rows) == 36
         assert rows[("L0", "L4")]["h0_rank"] == 1
 
+    def test_toyc_chain_four_certifies_every_pair_at_depth_five(self, capsys,
+                                                              tmp_path):
+        code, rep = run_cli(capsys, "compute",
+                            str(fixture_path("toyc_4", tmp_path)),
+                            "--what", "localize", "--depth", "5")
+        assert (code, rep["verdict"]) == (0, "pass")
+        rows = {tuple(r["pair"]): r for r in rep["sections"]["quotient_h0"]}
+        assert len(rows) == 36
+        assert all(r["stabilized"] for r in rows.values())
+        assert rows[("L0", "L4")]["h0_rank"] == 1
+
     def test_invalid_continuation_set_fails_before_cones(self, capsys):
         code, rep = run_cli(capsys, "compute", str(FIXTURES / "ore_break.json"),
                             "--what", "localize")
@@ -250,8 +292,9 @@ class TestAgreeComparesTheFarPair:
     """Every HW pair is certified, so a quotient plateau that disagrees
     with HW is re-deepened up to --depth."""
 
-    def agreement_rows(self, capsys, path):
-        code, rep = run_cli(capsys, "compute", str(path), "--what", "agree")
+    def agreement_rows(self, capsys, path, *depth):
+        code, rep = run_cli(capsys, "compute", str(path), "--what", "agree",
+                            *depth)
         assert (code, rep["verdict"]) == (0, "pass")
         return {tuple(r["pair"]): r for r in rep["sections"]["agreement"]["pairs"]}
 
@@ -272,6 +315,11 @@ class TestAgreeComparesTheFarPair:
         assert rows[("L0", "L4")] == {
             "pair": ["L0", "L4"], "hw_h0": 1, "hw_stabilized": True,
             "quotient_stabilized": False, "agree": None}
+
+    def test_toyc_4_far_pair_agrees_at_depth_five(self, capsys, tmp_path):
+        far = self.agreement_rows(capsys, fixture_path("toyc_4", tmp_path),
+                                  "--depth", "5")[("L0", "L4")]
+        assert (far["depth"], far["quotient_h0"], far["agree"]) == (5, 1, True)
 
 
 class TestEntangleCompare:

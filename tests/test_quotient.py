@@ -171,7 +171,10 @@ def assert_matches_reference(bar):
 def check_against_reference(cat, nulls, objects, depth, windows):
     """Every standalone window of every pair, and every bar built as a
     quotient builds it (sharing one set of null words) at the depth and,
-    truncated, the depth below, whose H^0 the quotient holds."""
+    truncated, the depth below.  The quotient's rank-nullity H^0 ranks are
+    those of the bars' cohomology presentations, and a class of H^0 hom(x, y)
+    is killed exactly when the full bar's presentation projects its
+    zero-padded representative to zero."""
     for x in objects:
         for y in objects:
             for n in windows:
@@ -179,14 +182,21 @@ def check_against_reference(cat, nulls, objects, depth, windows):
                     BarQuotient(cat, nulls, x, y, depth, degree=n))
     words = NullWords(cat, tuple(nulls), depth, 0, set(objects), set(objects))
     quo = TruncatedQuotient(cat, nulls, depth)
-    assert len(quo.homology) == len(objects) ** 2 * (2 if depth else 1)
-    for x in objects:
-        for y in objects:
-            bar = BarQuotient(cat, nulls, x, y, depth, words=words)
-            for sub in [bar] + ([bar.truncate(depth - 1)] if depth else []):
-                assert_matches_reference(sub)
-                h0 = cohomology(sub.complex, (0,)).degree(0)
-                assert quo.homology[(x, y, sub.depth)].reps == h0.reps
+    pairs = {(x, y) for x in objects for y in objects}
+    assert set(quo.ranks) == set(quo.killed) == pairs
+    for x, y in sorted(pairs):
+        bar = BarQuotient(cat, nulls, x, y, depth, words=words)
+        subs = [bar] + ([bar.truncate(depth - 1)] if depth else [])
+        ranks = quo.ranks[(x, y)]
+        assert len(ranks) == 2 and (ranks[1] is None) == (depth == 0)
+        for sub, rank in zip(subs, ranks):
+            assert_matches_reference(sub)
+            assert rank == cohomology(sub.complex, (0,)).rank(0)
+        h0 = cohomology(bar.complex, (0,)).degree(0)
+        src = cohomology(cat.hom_complex(x, y), (0,)).degree(0)
+        pad = (cat.ring.zero(),) * (h0.module_rank - src.module_rank)
+        assert quo.killed[(x, y)] == [not any(h0.project(rep + pad))
+                                      for rep in src.reps]
 
 
 def fixture_cones(name, ring):

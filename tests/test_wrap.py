@@ -201,7 +201,7 @@ class TestAgreement:
     def test_toyb(self):
         s, env, h, cset = prepare(build_toyb)
         wdf = wrapped_df_category(s, h, cset)
-        ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
+        ag = check_localization_agreement(env, h, cset, wdf)
         assert ag["passed"]
         assert all(r["agree"] for r in ag["pairs"] if r["agree"] is not None)
         assert all(r["kernels_match"] for r in ag["comparison_maps"])
@@ -209,7 +209,7 @@ class TestAgreement:
     def test_toyc(self):
         s, env, h, cset = prepare(build_toyc)
         wdf = wrapped_df_category(s, h, cset)
-        ag = check_localization_agreement(s, env, h, cset, wdf=wdf)
+        ag = check_localization_agreement(env, h, cset, wdf)
         assert ag["passed"]
         compared = [r for r in ag["pairs"] if r["agree"] is not None]
         assert len(compared) >= 24

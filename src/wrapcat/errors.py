@@ -57,14 +57,6 @@ class OracleIncomplete(WrapcatError):
     pass
 
 
-class NotTotallyOrdered(WrapcatError):
-    pass
-
-
-class NotCofinal(WrapcatError):
-    pass
-
-
 class NotSufficientlyWrapped(WrapcatError):
     pass
 

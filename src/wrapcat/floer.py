@@ -502,10 +502,8 @@ def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,
 
 def _envelope_for(s: WeakFloerSetup, datum_of) -> AInfCategory:
     tuples = s.all_tuples()
-    # explicit composable tuples may name labels outside ``s.lagrangians``
-    lag = {l: l for t in [s.lagrangians, *tuples] for l in t}
     return unital_category(
-        s, s.lagrangians, lag, s.tuples(1),
+        s, s.lagrangians, {l: l for l in s.lagrangians}, s.tuples(1),
         [(t, datum_of(t) if datum_of else None) for t in tuples], name=s.name)
 
 

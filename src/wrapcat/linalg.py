@@ -167,9 +167,6 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree,
                          {d: blk.scale(c) for d, blk in self.blocks.items()})
 
-    def is_zero(self) -> bool:
-        return all(blk.is_zero() for blk in self.blocks.values())
-
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return False
@@ -285,12 +282,6 @@ class CohomologyPresentation:
 
     def rank(self, d: int) -> int:
         return self.degree(d).class_count
-
-    def total_class_count(self) -> int:
-        return sum(p.class_count for p in self.by_degree.values())
-
-    def is_zero(self) -> bool:
-        return self.total_class_count() == 0
 
 
 def _presentation(ring, dim, relations, candidates, reduce_reps):

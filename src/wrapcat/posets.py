@@ -1,15 +1,16 @@
 """Decorated posets: the poset-indexed category O_P and wrapping sequences.
 
 Finite-scale conventions (see the decisions ledger): a wrapping sequence is
-certified cofinal when it is a maximal chain of continuation classes (no
-upward extension by a decorated continuation step exists) and the defining
-colimit comparisons hold exactly on the supplied prefix.
+a maximal ascending chain of continuation steps.  ``wrapping_sequences``
+builds only such chains, so each is totally ordered and admits no upward
+continuation step by construction; it is certified cofinal when the
+defining colimit comparisons hold exactly on it (``certifies``).
 """
 
 from __future__ import annotations
 
 from .ainf import AInfCategory
-from .errors import DecorationInconsistent, NotCofinal, NotTotallyOrdered
+from .errors import DecorationInconsistent, NotSufficientlyWrapped
 from .floer import WeakFloerSetup, check_decoration, unital_category
 from .localization import CSet, ContClass, FractionCategory
 
@@ -87,63 +88,57 @@ def build_O_P(setup: WeakFloerSetup, P: DecoratedPoset) -> AInfCategory:
                            name=f"O_P[{setup.name}]")
 
 
-def verify_wrapping_sequence(setup: WeakFloerSetup, P: DecoratedPoset,
-                             frac_P: FractionCategory,
-                             frac_env: FractionCategory, seq):
-    """Certify a wrapping sequence p_0 < p_1 < ... in P.
+def wrapping_sequences(P: DecoratedPoset, icset: CSet, p):
+    """Each maximal ascending chain p = p_0 < p_1 < ... of P whose steps
+    carry non-identity continuation classes, with its step classes (the
+    first class p_{i+1} -> p_i of ``icset`` on each step).
+
+    So every sequence yielded is totally ordered and finite-scale cofinal:
+    no continuation step leads up from its top."""
+
+    def step(a, b):
+        return next((c for c in icset if c.src == b and c.tgt == a
+                     and not icset.is_identity(c)), None)
+
+    def grow(seq, steps):
+        exts = [(q, c) for q in sorted(P.elements) if P.lt(seq[-1], q)
+                for c in [step(seq[-1], q)] if c is not None]
+        if not exts:
+            yield seq, steps
+        for q, c in exts:
+            yield from grow(seq + [q], steps + [c])
+    yield from grow([p], [])
+
+
+def certifies(setup: WeakFloerSetup, P: DecoratedPoset,
+              frac_P: FractionCategory, frac_env: FractionCategory, seq,
+              steps) -> bool:
+    """Whether the wrapping sequence ``seq`` with step classes ``steps``
+    (``wrapping_sequences``) is certified.
 
     ``frac_P`` localizes H O_P at I_{P,C}; ``frac_env`` localizes the
     comparison category (H F_E at C_E), whose objects carry the Lagrangians.
 
-    Checks: total order; finite-scale cofinality (the chain of continuation
-    classes admits no upward extension); the defining isomorphism
-    colim_i H F(L_{p_i}, K) -> HW(L_{p_0}, K) for every Lagrangian K; and the
-    induced comparison colim_i H O_P(p_i, q) -> colim_i H W_P(p_i, q).  The
-    colimit along the sequence is presented on its last term, so each
-    comparison is the structure map of the localized hom out of p_0 at the
-    slice object of the composite continuation class.
+    The composite continuation class from the top into the base must lie in
+    the continuation set, and two comparisons must be isomorphisms: the
+    defining map colim_i H F(L_{p_i}, K) -> HW(L_{p_0}, K) for every
+    Lagrangian K, and the induced colim_i H O_P(p_i, q) -> colim_i H W_P(p_i,
+    q) for every q.  The colimit along the sequence is presented on its last
+    term, so each comparison is the structure map of the localized hom out of
+    p_0 at the slice object of the composite class.
     """
-    icset = frac_P.cset
-    seq = list(seq)
-    for a, b in zip(seq, seq[1:]):
-        if not P.lt(a, b):
-            raise NotTotallyOrdered(f"{a} < {b} fails in P")
-    # designated classes on consecutive pairs
-    steps = []
-    for a, b in zip(seq, seq[1:]):
-        cands = [c for c in icset if c.src == b and c.tgt == a
-                 and not icset.is_identity(c)]
-        if not cands:
-            raise NotCofinal(f"no continuation class on ({b} > {a})")
-        steps.append(cands[0])
-    # maximality: no upward extension by a continuation class
-    top = seq[-1]
-    for q in P.elements:
-        if P.lt(top, q):
-            if any(c.src == q and c.tgt == top and not icset.is_identity(c)
-                   for c in icset):
-                raise NotCofinal(
-                    f"sequence extendable upward by {q}; not cofinal")
-    report = {"sequence": list(seq), "hw_comparisons": [], "w_comparisons": []}
     base = P.lag[seq[0]]
     env_steps = [ContClass(P.lag[b], P.lag[a], c.coords)
-                 for c, (a, b) in zip(steps, zip(seq, seq[1:]))]
+                 for c, a, b in zip(steps, seq, seq[1:])]
     idx = _composite_index(frac_env, base, env_steps)
-    if idx is None:
-        raise NotCofinal(
-            f"composite continuation {P.lag[seq[-1]]} -> {base} "
-            f"is not in the continuation set")
-    for k_lag in setup.lagrangians:
-        ok = frac_env.colim(base, k_lag).structure_map(idx).is_isomorphism()
-        report["hw_comparisons"].append({"K": k_lag, "iso": ok})
+    if idx is None or not all(
+            frac_env.colim(base, k).structure_map(idx).is_isomorphism()
+            for k in setup.lagrangians):
+        return False
     idx = _composite_index(frac_P, seq[0], steps)
-    for q in P.elements:
-        ok = (idx is not None
-              and frac_P.colim(seq[0], q).structure_map(idx).is_isomorphism())
-        report["w_comparisons"].append({"q": q, "iso": ok})
-    report["passed"] = (all(r["iso"] for r in report["hw_comparisons"])
-                        and all(r["iso"] for r in report["w_comparisons"]))
-    return report
+    return idx is not None and all(
+        frac_P.colim(seq[0], q).structure_map(idx).is_isomorphism()
+        for q in P.elements)
 
 
 def _composite_index(frac, base, steps):
@@ -156,44 +151,11 @@ def _composite_index(frac, base, steps):
     return 0 if comp is None else frac._slice_index(base, comp)
 
 
-def sufficiently_wrapped_report(setup, P, frac_P, frac_env):
-    """Each element's maximal continuation chains, with certificates; an
-    element passes when some verified wrapping sequence starts at it."""
-    out = {"elements": {}, "passed": True}
+def check_sufficiently_wrapped(setup, P, frac_P, frac_env):
+    """Raise NotSufficientlyWrapped naming the first element, in sorted
+    order, on which no certified wrapping sequence starts."""
     for p in sorted(P.elements):
-        seqs = _maximal_chains_from(P, frac_P.cset, p)
-        verdict = None
-        for seq in seqs:
-            try:
-                rep = verify_wrapping_sequence(setup, P, frac_P, frac_env, seq)
-            except (NotCofinal, NotTotallyOrdered):
-                continue
-            if rep["passed"]:
-                verdict = {"sequence": rep["sequence"], "passed": True}
-                break
-        if verdict is None:
-            verdict = {"passed": False}
-            out["passed"] = False
-        out["elements"][p] = verdict
-    return out
-
-
-def _maximal_chains_from(P: DecoratedPoset, icset: CSet, p):
-    """Maximal ascending chains from p whose steps carry continuation classes."""
-    chains = []
-
-    def grow(chain):
-        top = chain[-1]
-        exts = []
-        for q in sorted(P.elements):
-            if P.lt(top, q) and any(c.src == q and c.tgt == top
-                                    and not icset.is_identity(c) for c in icset):
-                exts.append(q)
-        if not exts:
-            chains.append(list(chain))
-            return
-        for q in exts:
-            grow(chain + [q])
-    grow([p])
-    return chains
-
+        if not any(certifies(setup, P, frac_P, frac_env, seq, steps)
+                   for seq, steps in wrapping_sequences(P, frac_P.cset, p)):
+            raise NotSufficientlyWrapped(
+                f"element {p} lies on no verified wrapping sequence")

@@ -74,11 +74,18 @@ def setup_from_dict(doc) -> WeakFloerSetup:
     comp = _get(doc, "composable", dict)
     with _at("composable"):
         mode = comp.get("mode", "all-distinct")
+        if mode not in ("all-distinct", "explicit"):
+            raise SchemaError(f"unknown mode {mode!r}")
         max_arity = int(comp.get("max_arity", 3))
         explicit = None
         if mode == "explicit":
             explicit = {int(k): [tuple(t) for t in v]
                         for k, v in comp.get("tuples", {}).items()}
+            for k, ts in explicit.items():
+                for t in ts:
+                    if len(t) != k + 1 or not set(t) <= set(lag):
+                        raise SchemaError(f"{k}-tuple {list(t)!r} does not "
+                                          f"have {k + 1} declared Lagrangians")
     cf = {}
     for key, gens in sorted(_get(doc, "hom", dict).items()):
         with _at(f"hom {key!r}"):
@@ -137,7 +144,23 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         if src == tgt or (src, tgt) not in pairs:
             raise SchemaError(f"continuation[{i}]: ({src}, {tgt}) is not a "
                               f"composable pair of distinct Lagrangians")
+    if data_system is not None:
+        _check_data_keys(setup, raw)
     return setup
+
+
+def _check_data_keys(setup, raw):
+    """Raise a SchemaError naming the first floer_data table and key whose
+    tuple is not composable.  Each table is keyed by "tuple|..." and
+    restrictions by "tuple|subtuple", both of which must be composable."""
+    for table in ("D", "restrictions", "mu", "Dprime", "alpha", "Dsecond",
+                  "beta", "Dthird", "gamma", "f", "sections"):
+        for key in sorted(raw.get(table, {})):
+            parts = key.split("|")[:2 if table == "restrictions" else 1]
+            for t in map(_pair_from_key, parts):
+                if t not in setup.composable.get(len(t) - 1, ()):
+                    raise SchemaError(f"floer_data: {table} {key!r}: "
+                                      f"{','.join(t)} is not composable")
 
 
 def _check_labels(cf, where, chain, ops):

@@ -1,20 +1,25 @@
 """Decorated semisimplicial sets, the vertex-indexed categories F_E,
 entanglement stages, the bridge checks and the comparison functor tau.
 
-Entanglement stages are finite: blocks are joined by mutually inverse edge
-pairs on composable cross pairs, higher simplices span tuples all of whose
-vertex pairs are edges and whose Lagrangian tuple is composable, and the
-added decorations are the first data compatible with their faces.
+Every stage is built by one rule (``_span``): its k-simplices are the
+(k+1)-tuples of vertices whose Lagrangian tuple is composable.  E_delta has
+one vertex per Lagrangian, so its simplices are the composable tuples, and
+entangling one block gives the block back, so E0 is E_delta.  E_n joins
+n + 1 copies of E0; the simplices that cross blocks are decorated by the
+first data compatible with their faces.  Two copies of one Lagrangian are
+never joined: a composable tuple has distinct Lagrangians.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .ainf import AInfCategory, NaiveFunctor, cohomology_category
 from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
                      OracleIncomplete)
 from .floer import WeakFloerSetup, check_decoration, unital_category
 from .localization import CSet, ContClass, FractionCategory
-from .posets import DecoratedPoset, sufficiently_wrapped_report
+from .posets import DecoratedPoset, check_sufficiently_wrapped
 from .wrap import continuation_cset
 
 
@@ -36,9 +41,6 @@ class DecoratedSSSet:
                           for k, v in simplices.items() if v}
         self.data = dict(data or {})
         self.blocks = list(blocks) if blocks else [list(self.vertices)]
-
-    def dims(self):
-        return sorted(self.simplices)
 
     def stats(self):
         return {"vertices": len(self.vertices),
@@ -63,21 +65,25 @@ class DecoratedSSSet:
         return True
 
 
-def canonical_sss(setup: WeakFloerSetup, col=None, name=None) -> DecoratedSSSet:
-    """One vertex per Lagrangian, one k-simplex per composable tuple,
-    decorated by the chosen collection."""
-    from .floer import choose_compatible_collection
-    if col is None:
-        col = choose_compatible_collection(setup)
-    simplices = {}
-    data = {}
-    for k in sorted(setup.composable):
-        simplices[k] = list(setup.tuples(k))
-        for t in setup.tuples(k):
-            data[t] = col.datum(t)
-    out = DecoratedSSSet(setup, setup.lagrangians,
-                         {l: l for l in setup.lagrangians}, simplices, data,
-                         name=name or f"E_delta[{setup.name}]")
+def _span(setup: WeakFloerSetup, vertices, lag):
+    """The simplices of a stage: for each composable k-tuple of Lagrangians,
+    every (k+1)-tuple of vertices over it ({k: [simplex]})."""
+    over = {}
+    for v in vertices:
+        over.setdefault(lag[v], []).append(v)
+    return {k: [simp for t in setup.tuples(k)
+                for simp in product(*(over.get(l, ()) for l in t))]
+            for k in sorted(setup.composable)}
+
+
+def canonical_sss(setup: WeakFloerSetup, col) -> DecoratedSSSet:
+    """E_delta: one vertex per Lagrangian, one k-simplex per composable
+    tuple, decorated by the chosen collection ``col``."""
+    lag = {l: l for l in setup.lagrangians}
+    simplices = _span(setup, setup.lagrangians, lag)
+    data = {t: col.datum(t) for simps in simplices.values() for t in simps}
+    out = DecoratedSSSet(setup, setup.lagrangians, lag, simplices, data,
+                         name=f"E_delta[{setup.name}]")
     out.validate()
     return out
 
@@ -118,86 +124,40 @@ def choose_datum(setup: WeakFloerSetup, lags, face_data):
     raise OracleIncomplete(f"no compatible datum for {lags}")
 
 
-def entangle(setup: WeakFloerSetup, blocks, level: int,
-             name=None) -> DecoratedSSSet:
-    """Join the blocks along mutually inverse cross edges and span the higher
-    simplices; each added simplex is decorated by ``choose_datum``."""
-    vertices = []
-    lag = {}
+def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
+    """The stage E_n on n + 1 blocks: vertex v of block i is ``bi.v``, and
+    the simplices are those of ``_span``.  A simplex inside one block
+    keeps the block's datum; every other simplex gets ``choose_datum`` over
+    its faces (none for an edge), lower dimensions first."""
+    home = {f"b{i}.{v}": (i, v)
+            for i, block in enumerate(blocks) for v in block.vertices}
+    lag = {nv: blocks[i].lag[v] for nv, (i, v) in home.items()}
+    simplices = _span(setup, home, lag)
     data = {}
-    simplices = {}
-    block_sets = []
-    owner = {}
-    for bi, block in enumerate(blocks):
-        names = {}
-        for v in block.vertices:
-            nv = f"b{bi}.{v}" if len(blocks) > 1 else v
-            names[v] = nv
-            vertices.append(nv)
-            lag[nv] = block.lag[v]
-            owner[nv] = bi
-        block_sets.append([names[v] for v in block.vertices])
-        for k, simps in sorted(block.simplices.items()):
-            for simp in simps:
-                nsimp = tuple(names[v] for v in simp)
-                simplices.setdefault(k, []).append(nsimp)
-                data[nsimp] = block.data.get(simp)
-    edge_set = set(simplices.get(1, ()))
-    pairs1 = setup.composable.get(1, set())
-    added_edges = []
-    for p in sorted(vertices):
-        for q in sorted(vertices):
-            if owner[p] == owner[q] or p == q:
+    for k, simps in sorted(simplices.items()):
+        for simp in simps:
+            owners = {home[v][0] for v in simp}
+            if len(owners) == 1:
+                data[simp] = blocks[owners.pop()].data.get(
+                    tuple(home[v][1] for v in simp))
                 continue
-            if (lag[p], lag[q]) in pairs1 and (p, q) not in edge_set:
-                edge_set.add((p, q))
-                added_edges.append((p, q))
-    for (p, q) in sorted(added_edges):
-        lags = (lag[p], lag[q])
-        datum = choose_datum(setup, lags, {})
-        simplices.setdefault(1, []).append((p, q))
-        data[(p, q)] = datum
-    # span higher simplices: tuples all of whose ordered pairs are edges
-    max_k = max(setup.composable)
-    for k in range(2, max_k + 1):
-        prev = simplices.get(k - 1, [])
-        new_level = []
-        existing = set(simplices.get(k, ()))
-        for simp in sorted(set(prev)):
-            for v in sorted(vertices):
-                if v in simp:
-                    continue
-                cand = simp + (v,)
-                if cand in existing:
-                    continue
-                if not all((cand[i], cand[j]) in edge_set
-                           for i in range(k + 1) for j in range(i + 1, k + 1)):
-                    continue
-                lags = tuple(lag[u] for u in cand)
-                if lags not in setup.composable.get(k, set()):
-                    continue
-                face_data = {}
-                for idx in range(k + 1):
-                    face = cand[:idx] + cand[idx + 1:]
-                    face_l = tuple(lag[u] for u in face)
-                    face_data[face_l] = data.get(face)
-                datum = choose_datum(setup, lags, face_data)
-                new_level.append(cand)
-                data[cand] = datum
-                existing.add(cand)
-        if new_level:
-            simplices.setdefault(k, []).extend(new_level)
-    out = DecoratedSSSet(setup, vertices, lag, simplices, data,
-                         blocks=block_sets,
-                         name=name or f"E{level}[{setup.name}]")
+            lags = tuple(lag[v] for v in simp)
+            faces = {lags[:i] + lags[i + 1:]: data[simp[:i] + simp[i + 1:]]
+                     for i in range(k + 1)} if k >= 2 else {}
+            data[simp] = choose_datum(setup, lags, faces)
+    out = DecoratedSSSet(setup, home, lag, simplices, data,
+                         blocks=[[f"b{i}.{v}" for v in block.vertices]
+                                 for i, block in enumerate(blocks)],
+                         name=f"E{len(blocks) - 1}[{setup.name}]")
     out.validate()
     return out
 
 
 def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
                  frac_s: FractionCategory, frac_b: FractionCategory,
-                 inclusion=None):
-    """Bridge check for an inclusion of entanglement stages at H^0.
+                 inclusion):
+    """Bridge check for the inclusion of entanglement stages ``inclusion``
+    ({small vertex: big vertex}) at H^0.
 
     ``frac_s`` and ``frac_b`` are the stages' localizations
     (``localize_stage``).
@@ -206,54 +166,49 @@ def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
     colimits induced by the inclusion is an isomorphism.  Pairs of distinct
     vertices with equal Lagrangians are waived: their finite-scale localized
     homs carry loop classes that only infinite wrapping contracts (see the
-    ledger), and the growth is reported, not hidden.
+    ledger), and the number of waived pairs is reported, not hidden.
 
     (b) essential surjectivity: every added vertex is connected to an old
     vertex by a continuation class (inverted by the localization), and
     post-composition with the witness induces isomorphisms on the slice
     colimits out of every test vertex whose Lagrangian differs from the
     witness endpoints.
+
+    Returns the verdict, the waived count and the failures of (a) and (b).
     """
-    inclusion = inclusion or {v: v for v in E_small.vertices}
     for v, w in inclusion.items():
         if E_small.lag[v] != E_big.lag[w]:
             raise DecorationInconsistent(
                 f"inclusion sends {v} to {w} with a different Lagrangian")
-    report = {"hom_stability": [], "essential_surjectivity": [], "passed": True,
-              "waived_pairs": []}
+    waived = 0
+    hom_failures = []
     for p in E_small.vertices:
         for q in E_small.vertices:
-            pi, qi = inclusion[p], inclusion[q]
             if p != q and E_small.lag[p] == E_small.lag[q]:
-                report["waived_pairs"].append(
-                    {"pair": [p, q],
-                     "small_ranks": frac_s.rank_map(p, q),
-                     "big_ranks": frac_b.rank_map(pi, qi),
-                     "note": "duplicate-Lagrangian pair: finite-scale loop "
-                             "classes, waived"})
-                continue
-            ok = _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion)
-            report["hom_stability"].append({"pair": [p, q], "iso": ok})
-            if not ok:
-                report["passed"] = False
+                waived += 1
+            elif not _slice_colims_isomorphic(frac_s, frac_b, p, q,
+                                              inclusion[p], inclusion[q],
+                                              inclusion):
+                hom_failures.append({"pair": [p, q], "iso": False})
     old = sorted(set(inclusion.values()))
-    new = [w for w in E_big.vertices if w not in set(old)]
-    for w in new:
-        found = None
-        for u in old:
-            cls = _connecting_class(frac_b.cset, u, w)
-            if cls is not None and _witness_isomorphism(frac_b, cls,
-                                                        lag=E_big.lag):
-                found = {"old": u, "class": repr(cls),
-                         "direction": "old->new" if cls.src == u else "new->old"}
-                break
-        if found is None:
-            report["essential_surjectivity"].append({"vertex": w, "passed": False})
-            report["passed"] = False
-        else:
-            report["essential_surjectivity"].append({"vertex": w, "passed": True,
-                                                     "witness": found})
-    return report
+    surj_failures = [{"vertex": w, "passed": False} for w in E_big.vertices
+                     if w not in old
+                     and not _reached(frac_b, old, w, lag=E_big.lag)]
+    return {"passed": not (hom_failures or surj_failures),
+            "waived_pairs": waived,
+            "hom_stability_failures": hom_failures,
+            "essential_surjectivity_failures": surj_failures}
+
+
+def _reached(frac: FractionCategory, old, w, lag=None):
+    """Whether some vertex of ``old`` is joined to ``w`` by a continuation
+    class (the first non-identity u -> w, else the first w -> u) whose
+    post-composition is an isomorphism (``_witness_isomorphism``)."""
+    for u in old:
+        cls = _connecting_class(frac.cset, u, w)
+        if cls is not None and _witness_isomorphism(frac, cls, lag=lag):
+            return True
+    return False
 
 
 def _connecting_class(cset: CSet, u, w):
@@ -307,19 +262,16 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
     side, O_P with its continuation classes, is localized here once and
     shared with the wrapping-sequence certificates.
 
-    Raises NotSufficientlyWrapped naming an element with no verified
-    wrapping sequence.
+    Returns the verdict and the failures of both conditions.  Raises
+    NotSufficientlyWrapped naming an element with no certified wrapping
+    sequence, or with no vertex over its Lagrangian.
     """
     from .posets import build_O_P
     env = frac_E.hcat.source
     ocat = build_O_P(setup, P)
     oh = cohomology_category(ocat)
     frac_P = FractionCategory(oh, continuation_cset(setup, oh, P.lag))
-    wrapped = sufficiently_wrapped_report(setup, P, frac_P, frac_E)
-    for el, verdict in wrapped["elements"].items():
-        if not verdict["passed"]:
-            raise NotSufficientlyWrapped(
-                f"element {el} lies on no verified wrapping sequence")
+    check_sufficiently_wrapped(setup, P, frac_P, frac_E)
     # iota: strict chain-level functor p -> vertex of the same Lagrangian
     vertex_of = {}
     for p in P.elements:
@@ -335,33 +287,19 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
             return next(iter(unit))
         return lab
 
-    iota = NaiveFunctor.inclusion(ocat, env, object_map=vertex_of,
-                                  label_map=label_map)
-    iota.validate()
-    report = {"fully_faithful": [], "essential_surjectivity": [], "passed": True}
-    for p in P.elements:
-        for q in P.elements:
-            ok = _slice_colims_isomorphic(frac_P, frac_E, p, q, vertex_of[p],
-                                          vertex_of[q], vertex_of)
-            report["fully_faithful"].append({"pair": [p, q], "iso": ok})
-            if not ok:
-                report["passed"] = False
+    NaiveFunctor.inclusion(ocat, env, object_map=vertex_of,
+                           label_map=label_map).validate()
+    ff_failures = [{"pair": [p, q], "iso": False}
+                   for p in P.elements for q in P.elements
+                   if not _slice_colims_isomorphic(
+                       frac_P, frac_E, p, q, vertex_of[p], vertex_of[q],
+                       vertex_of)]
     reachable_lags = {P.lag[p] for p in P.elements}
-    for w in E.vertices:
-        if E.lag[w] in reachable_lags:
-            report["essential_surjectivity"].append({"vertex": w, "passed": True})
-            continue
-        witness = None
-        for u in sorted(vertex_of.values()):
-            cls = _connecting_class(frac_E.cset, u, w)
-            if cls is not None and _witness_isomorphism(frac_E, cls):
-                witness = repr(cls)
-                break
-        passed = witness is not None
-        report["essential_surjectivity"].append(
-            {"vertex": w, "passed": passed, "witness": witness,
-             "lagrangian": E.lag[w]})
-        if not passed:
-            report["passed"] = False
-    report["wrapping"] = wrapped
-    return report, iota
+    old = sorted(set(vertex_of.values()))
+    surj_failures = [{"vertex": w, "passed": False, "witness": None,
+                      "lagrangian": E.lag[w]} for w in E.vertices
+                     if E.lag[w] not in reachable_lags
+                     and not _reached(frac_E, old, w)]
+    return {"passed": not (ff_failures or surj_failures),
+            "fully_faithful_failures": ff_failures,
+            "essential_surjectivity_failures": surj_failures}

@@ -284,7 +284,7 @@ def unit_is_strict(cat, x):
 
 def nonzero_pairs(h):
     """The object pairs of an H-category with a nonzero cohomology class."""
-    return sorted(p for p, pres in h.H.items() if pres.total_class_count())
+    return sorted(p for p, pres in h.H.items() if pres.degrees())
 
 
 def verify_category_axioms(h):

@@ -144,6 +144,24 @@ def _oracle_table(doc):
     doc["oracle"] = {"mode": "table", "entries": {}}
 
 
+def _composable_mode_unknown(doc):
+    doc["composable"]["mode"] = "explicitly"
+
+
+def _composable_tuple(extra):
+    def edit(doc):
+        doc["composable"]["tuples"]["1"].append(extra)
+    edit.__name__ = f"_composable_1_tuple_{'_'.join(extra)}"
+    return edit
+
+
+def _datum_of_a_repeated_triple(doc):
+    # no triple is composable on micro2datum (max_arity 1), so its Dthird
+    # entry would pass axiom (viii) vacuously
+    doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+    _dthird(doc, "A,B,A|0", datum="t1")
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -183,7 +201,17 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "is not a triple", "micro2datum"),
              (_dthird_key_of_a_pair, "floer_data: Dthird 'A,B|0': key is not "
               "a triple", "micro2datum"),
-             (_oracle_table, "oracle must be", "toyb")]
+             (_oracle_table, "oracle must be", "toyb"),
+             (_composable_mode_unknown, "composable: unknown mode "
+              "'explicitly'", "toyb_break_permutation"),
+             (_composable_tuple(["L"]), "composable: 1-tuple ['L'] does not "
+              "have 2 declared Lagrangians", "toyb_break_permutation"),
+             (_composable_tuple(["L", "K", "Kp"]), "composable: 1-tuple ['L', "
+              "'K', 'Kp'] does not", "toyb_break_permutation"),
+             (_composable_tuple(["L", "Z"]), "composable: 1-tuple ['L', 'Z'] "
+              "does not", "toyb_break_permutation"),
+             (_datum_of_a_repeated_triple, "floer_data: D 'A,B,A': A,B,A is "
+              "not composable", "micro2datum")]
 
 
 class TestInputErrors:

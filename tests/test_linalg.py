@@ -25,7 +25,7 @@ class TestCohomology:
     def test_acyclic_identity_cone(self):
         m = mod(F2, ("x", 0), ("y", 1))
         d = GradedMap.from_entries(m, m, 1, [("x", "y", 1)])
-        assert cohomology(Complex(m, d)).is_zero()
+        assert cohomology(Complex(m, d)).degrees() == []
 
     def test_zero_differential(self):
         m = mod(Q, ("a", 0), ("b", 0), ("c", 1))
@@ -74,7 +74,7 @@ class TestComposition:
         n = mod(F3, ("b", 0))
         f = GradedMap.from_entries(m, n, 0, [("a", "b", 2)])
         z = GradedMap.zero(n, n)
-        assert compose_graded_maps(f, z).is_zero()
+        assert compose_graded_maps(f, z) == GradedMap.zero(m, n)
 
     def test_matrix_product_oracle(self):
         rng = random.Random(11)

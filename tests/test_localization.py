@@ -5,7 +5,7 @@ from oracles import random_path_instance, zigzag_localization_ranks
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category
 from wrapcat.floer import canonical_envelope
-from wrapcat.linalg import GradedModule
+from wrapcat.linalg import GradedMap, GradedModule
 from wrapcat.localization import (CSet, FractionCategory,
                                   check_right_multiplicative_system,
                                   ore_complete)
@@ -83,7 +83,7 @@ class TestFractionCategory:
         out_of_l = frac.postcomposition("L", c)
         for mod in (out_of_l.source, out_of_l.target):
             assert {d: mod.rank(d) for d in mod.degrees()} == {0: 1}
-        assert out_of_l.is_zero()
+        assert out_of_l == GradedMap.zero(out_of_l.source, out_of_l.target)
         assert not out_of_l.is_isomorphism()
 
     def test_one_arrow_category(self):

@@ -1,0 +1,111 @@
+"""The entanglement stages and the wrapping sequences of the bundled poset.
+
+Every stage follows one simplex rule: a k-simplex is a (k+1)-tuple of
+vertices whose Lagrangian tuple is composable.  On an all-distinct setup
+with N Lagrangians, E_n has (n + 1) N vertices and (n + 1)^(k+1) N (N - 1)
+.. (N - k) k-simplices: pick k + 1 distinct Lagrangians in order, then one
+of the n + 1 copies of each.
+"""
+
+from math import prod
+
+import pytest
+
+from fixture_builders import (build_micro2datum, build_toyb, build_toyc,
+                              build_toyc_chain)
+from wrapcat.ainf import cohomology_category
+from wrapcat.cli import _prepare, bundled_wrapped_poset
+from wrapcat.floer import choose_compatible_collection
+from wrapcat.posets import build_O_P, wrapping_sequences
+from wrapcat.sss import canonical_sss, entangle
+from wrapcat.wrap import continuation_cset
+
+BUILDERS = {"toyb": build_toyb, "toyc": build_toyc,
+            "toyc_4": lambda: build_toyc_chain(4)}
+
+
+def stage(setup, n):
+    """E_n of the setup: E_delta for n = 0, else n + 1 entangled copies."""
+    e_delta = canonical_sss(setup, choose_compatible_collection(setup))
+    return e_delta if n == 0 else entangle(setup, [e_delta] * (n + 1))
+
+
+def falling(x, m, step):
+    """x (x - step) .. (x - (m - 1) step)."""
+    return prod(x - i * step for i in range(m))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_stage_counts(name, n):
+    setup = BUILDERS[name]()
+    N = len(setup.lagrangians)
+    E = stage(setup, n)
+    assert len(E.vertices) == (n + 1) * N
+    for k in range(1, setup.max_arity + 1):
+        assert len(E.simplices.get(k, ())) == falling((n + 1) * N, k + 1,
+                                                      n + 1), k
+
+
+@pytest.mark.parametrize("build", [build_toyb, build_toyc, build_micro2datum])
+def test_one_block_entangles_to_itself(build):
+    setup = build()
+    e_delta = stage(setup, 0)
+    E = entangle(setup, [e_delta])
+
+    def strip(simp):
+        assert all(v.startswith("b0.") for v in simp)
+        return tuple(v[3:] for v in simp)
+    assert tuple(strip(E.vertices)) == e_delta.vertices
+    assert {k: [strip(s) for s in simps] for k, simps in E.simplices.items()} \
+        == e_delta.simplices
+    assert {strip(s): d for s, d in E.data.items()} == e_delta.data
+
+
+def test_no_simplex_holds_two_copies_of_a_lagrangian():
+    E = stage(build_toyc(), 1)
+    for simps in E.simplices.values():
+        for simp in simps:
+            lags = [E.lag[v] for v in simp]
+            assert len(set(lags)) == len(lags), simp
+    # (K, K) is not composable, so the two copies of K are not joined
+    assert ("b0.K", "b1.K") not in E.simplices[1]
+    assert ("b0.K", "b1.L0") in E.simplices[1]
+
+
+def test_full_profile_cross_simplices_take_the_first_datum():
+    # micro2datum's stages have edges only (max_arity 1), so each edge
+    # between blocks carries the first datum of D over its Lagrangians
+    setup = build_micro2datum()
+    e_delta = stage(setup, 0)
+    E = stage(setup, 1)
+    assert E.validate()
+    cross = [s for s in E.simplices[1] if s[0][:2] != s[1][:2]]
+    assert len(cross) == 2 * len(e_delta.simplices[1])
+    for simp in cross:
+        lags = tuple(E.lag[v] for v in simp)
+        assert E.data[simp] == setup.data_system.D[lags][0]
+
+
+@pytest.mark.parametrize("build", [build_toyb, build_toyc])
+def test_wrapping_sequences_are_cofinal_chains_by_construction(build):
+    setup = build()
+    _, _, hcat, cset = _prepare(setup)
+    P = bundled_wrapped_poset(setup, hcat, cset)
+    oh = cohomology_category(build_O_P(setup, P))
+    icset = continuation_cset(setup, oh, P.lag)
+    nonunits = [c for c in icset if not icset.is_identity(c)]
+    count = 0
+    for p in P.elements:
+        for seq, steps in wrapping_sequences(P, icset, p):
+            count += 1
+            assert seq[0] == p and len(steps) == len(seq) - 1
+            for a, b, c in zip(seq, seq[1:], steps):
+                assert P.lt(a, b)
+                assert c in nonunits and (c.src, c.tgt) == (b, a)
+            top = seq[-1]
+            assert not any(c.src == q and c.tgt == top for c in nonunits
+                           for q in P.elements if P.lt(top, q))
+    assert count >= len(P.elements)
+    assert any(len(seq) > 1 for p in P.elements
+               for seq, _ in wrapping_sequences(P, icset, p))

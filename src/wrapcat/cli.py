@@ -1,13 +1,37 @@
-"""Command-line entry point: validate / compute / entangle on setup files.
+"""wrapcat: exact finite-scale computations for weak wrapped Floer setups.
 
-Exit codes: 0 pass, 1 strict failure or mismatch, 2 input error; any other
-engine error ends in a failing report that names it.  Reports are emitted as
-canonical JSON (default) or a text table; bytes are stable across runs.
+usage: wrapcat validate FILE [--mode strict|finite] [--text]
+       wrapcat compute FILE [--what hw|dfcat|localize|agree] [--depth N]
+                            [--text]
+       wrapcat entangle FILE [--level N] [--compare] [--text]
+       wrapcat [COMMAND] -h|--help
+
+  validate   check the setup axioms and the continuation conditions
+  compute    a computation at the continuation set (default --what hw)
+  entangle   build the entanglement stages E_delta, E0, .., E_level
+
+  --mode     how the setup axioms are read (default finite)
+  --what     hw: HW colimits; dfcat: the fraction category and its axioms;
+             localize: H^0 of the cone quotient; agree: the two compared
+  --depth N  longest chain of cones in the cone quotient (localize, agree;
+             default 4); hw and dfcat do not read it
+  --level N  the last stage built (default 1)
+  --compare  also check the bridges between stages and tau
+  --text     a human-readable table instead of JSON
+
+Options come before or after FILE, as "--opt value" or "--opt=value", and
+a unique prefix names an option ("--dep 3").  The last of a repeated option
+wins, and every word after "--" is positional.  N is an integer >= 0.
+
+Exit codes: 0 pass; 1 strict failure or mismatch; 2 usage or input error,
+with nothing on stdout.  Any other engine error ends in a failing report
+that names it.  A report is canonical JSON, or a text table with --text;
+its bytes are stable across runs.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from functools import partial
 
@@ -15,7 +39,7 @@ from .ainf import cohomology_category
 from .errors import ParseError, SchemaError, WrapcatError
 from .floer import (canonical_envelope, choose_compatible_collection,
                     validate_setup)
-from .localization import check_right_multiplicative_system
+from .localization import FractionCategory, check_right_multiplicative_system
 from .posets import DecoratedPoset
 from .quotient import TruncatedQuotient, adjoin_cones
 from .report import Report
@@ -160,7 +184,9 @@ def cmd_entangle(setup, level=1, compare=False):
     rep.add("stages", {name: E.stats() for name, E in stages})
     passed = True
     if compare:
-        frac0 = localize_stage(setup, e_delta)
+        # F of E_delta is the canonical envelope, so its localization
+        # is the one of the setup's own continuation set
+        frac0 = FractionCategory(hcat, cset)
         fracs = [frac0, frac0] + [localize_stage(setup, E)
                                   for _, E in stages[2:]]
         bridges = {}
@@ -180,49 +206,138 @@ def cmd_entangle(setup, level=1, compare=False):
     return rep
 
 
+# command -> {option: default}.  A bool default marks a flag, an int default
+# a count read by ``nonnegative``, a str default an option of CHOICES.
+OPTIONS = {
+    "validate": {"mode": "finite", "text": False},
+    "compute": {"what": "hw", "depth": 4, "text": False},
+    "entangle": {"level": 1, "compare": False, "text": False},
+}
+CHOICES = {"mode": ("strict", "finite"),
+           "what": ("hw", "dfcat", "localize", "agree")}
+COMMANDS = {"validate": cmd_validate, "compute": cmd_compute,
+            "entangle": cmd_entangle}
+# a word that starts with "-" is still a value when it reads as a number
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def nonnegative(text):
-    """argparse type of --depth and --level: an integer >= 0."""
-    value = int(text)
+    """The value of --depth and --level: an integer >= 0.  The ValueError
+    says what is wrong with ``text``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid nonnegative value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+        raise ValueError(f"must be >= 0, not {value}")
     return value
 
 
+def _usage_error(prog, message):
+    sys.stderr.write(f"{prog}: error: {message}\n"
+                     "run 'wrapcat --help' for usage\n")
+    raise SystemExit(2)
+
+
+def _option(word, names):
+    """(name, value after "=" or None) of the option ``word`` spells: a long
+    name of ``names`` or a unique prefix of one, or -h; else None."""
+    flag, eq, value = word.partition("=")
+    hits = [n for n in names if f"--{n}" == flag]
+    if not hits and flag.startswith("--") and len(flag) > 2:
+        hits = [n for n in names if f"--{n}".startswith(flag)]
+    if flag == "-h":
+        hits = ["help"]
+    return (hits[0], value if eq else None) if len(hits) == 1 else None
+
+
+def _option_like(word):
+    """Whether ``word`` reads as an option even when no option has its name:
+    it starts with "-", is no "-", "--" or negative number, has no space."""
+    return (word.startswith("-") and word not in ("-", "--")
+            and " " not in word and not _NUMBER.match(word))
+
+
+def parse_args(argv):
+    """(command, FILE, {option: value}) of a command line, read by the
+    grammar in the module docstring.  -h or --help prints that text and
+    exits 0; a usage error exits 2 and writes only to stderr."""
+    command = path = None
+    prog, table, names, values, unknown = "wrapcat", {}, ["help"], {}, []
+    words, read_path = iter(argv), False
+    for word in words:
+        if word == "--" and command is not None:
+            # every later word is positional; this "--" is spent when FILE
+            # follows it or came just before it
+            rest = list(words)
+            if path is None and rest:
+                path = rest.pop(0)
+            elif not read_path:
+                unknown.append(word)
+            unknown += rest
+            break
+        read_path = False
+        hit = _option(word, names)
+        if hit is None:
+            if _option_like(word):
+                unknown.append(word)
+            elif command is None:
+                if word not in OPTIONS:
+                    _usage_error(prog, f"argument command: invalid choice: "
+                                 f"{word!r} (choose from "
+                                 f"{', '.join(map(repr, OPTIONS))})")
+                command, prog, table = word, f"wrapcat {word}", OPTIONS[word]
+                names, values = [*table, "help"], dict(table)
+            elif path is None:
+                path, read_path = word, True
+            else:
+                unknown.append(word)
+            continue
+        name, value = hit
+        if name == "help" or isinstance(table[name], bool):
+            if value is not None:
+                flag = "-h/--help" if name == "help" else f"--{name}"
+                _usage_error(prog, f"argument {flag}: ignored explicit "
+                             f"argument {value!r}")
+            if name == "help":
+                sys.stdout.write(__doc__)
+                raise SystemExit(0)
+            values[name] = True
+            continue
+        if value is None:
+            value = next(words, "--")
+            if value == "--" or _option(value, names) or _option_like(value):
+                _usage_error(prog, f"argument --{name}: expected one argument")
+        if name in CHOICES:
+            if value not in CHOICES[name]:
+                _usage_error(prog, f"argument --{name}: invalid choice: "
+                             f"{value!r} (choose from "
+                             f"{', '.join(map(repr, CHOICES[name]))})")
+            values[name] = value
+        else:
+            try:
+                values[name] = nonnegative(value)
+            except ValueError as exc:
+                _usage_error(prog, f"argument --{name}: {exc}")
+    if command is None:
+        _usage_error(prog, "the following arguments are required: command")
+    if path is None:
+        _usage_error(prog, "the following arguments are required: file")
+    if unknown:
+        _usage_error("wrapcat", f"unrecognized arguments: {' '.join(unknown)}")
+    return command, path, values
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="wrapcat",
-        description="Exact finite-scale computations for weak wrapped Floer "
-                    "setups: validation, wrapping colimits, localization, "
-                    "entanglement comparisons.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_val = sub.add_parser("validate", help="validate a setup file")
-    p_val.add_argument("file")
-    p_val.add_argument("--mode", choices=["strict", "finite"], default="finite")
-    p_cmp = sub.add_parser("compute", help="run a computation")
-    p_cmp.add_argument("file")
-    p_cmp.add_argument("--what", choices=["hw", "dfcat", "localize", "agree"],
-                       default="hw")
-    p_cmp.add_argument("--depth", type=nonnegative, default=4,
-                       help="longest chain of cones in the cone quotient "
-                            "(localize, agree); hw and dfcat do not read it")
-    p_ent = sub.add_parser("entangle", help="build entanglement stages")
-    p_ent.add_argument("file")
-    p_ent.add_argument("--level", type=nonnegative, default=1)
-    p_ent.add_argument("--compare", action="store_true")
-    for p in (p_val, p_cmp, p_ent):
-        p.add_argument("--text", action="store_true",
-                       help="human-readable table instead of JSON")
-    args = parser.parse_args(argv)
-    if args.command == "validate":
-        command, run = "validate", partial(cmd_validate, mode=args.mode)
-    elif args.command == "compute":
-        command = f"compute:{args.what}"
-        run = partial(cmd_compute, what=args.what, depth=args.depth)
-    else:
-        command = f"entangle:{args.level}"
-        run = partial(cmd_entangle, level=args.level, compare=args.compare)
+    command, path, opts = parse_args(sys.argv[1:] if argv is None else argv)
+    text = opts.pop("text")
+    run = partial(COMMANDS[command], **opts)
+    if command == "compute":
+        command = f"compute:{opts['what']}"
+    elif command == "entangle":
+        command = f"entangle:{opts['level']}"
     try:
-        setup = load_setup(args.file)
+        setup = load_setup(path)
         try:
             rep = run(setup)
         except (ParseError, SchemaError):
@@ -235,7 +350,7 @@ def main(argv=None):
     except (ParseError, SchemaError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    sys.stdout.write(rep.to_text() if args.text else rep.to_json())
+    sys.stdout.write(rep.to_text() if text else rep.to_json())
     return 0 if rep.passed else 1
 
 

@@ -318,6 +318,7 @@ class FractionCategory:
         self.objects = hcat.objects
         self.slices = {x: SliceCategory(hcat, cset, x) for x in hcat.objects}
         self._colims = {}
+        self._composites = {}   # compose arguments -> composite
 
     # -- hom access -------------------------------------------------------------
 
@@ -373,8 +374,15 @@ class FractionCategory:
         return t
 
     def compose(self, l, k, m, d1, coords1, d2, coords2):
-        """Composite of colimit elements via a deterministic Ore square."""
-        ring = self.ring
+        """Composite of colimit elements via a deterministic Ore square,
+        computed once per argument set."""
+        key = (l, k, m, d1, tuple(coords1), d2, tuple(coords2))
+        out = self._composites.get(key)
+        if out is None:
+            out = self._composites[key] = self._compose(*key)
+        return out
+
+    def _compose(self, l, k, m, d1, coords1, d2, coords2):
         t1 = self.tail_index(l)
         g = self.represent_at(l, k, d1, coords1, t1)
         if g is None:
@@ -419,7 +427,6 @@ class FractionCategory:
 
     def check_inverts(self, c: ContClass):
         """gamma(c) must be invertible; the inverse is the roof (c, id)."""
-        ring = self.ring
         img = self.gamma(c.src, c.tgt, 0,
                          tuple(c.coords))
         idx = self._slice_index(c.tgt, c)
@@ -431,8 +438,8 @@ class FractionCategory:
         right = self.compose(c.tgt, c.src, c.tgt, 0, inv, 0, img)
         ok = (left == self.identity(c.src) and right == self.identity(c.tgt))
         return {"passed": ok,
-                "left": [ring.format_scalar(x) for x in left],
-                "right": [ring.format_scalar(x) for x in right]}
+                "left": [self.ring.format_scalar(x) for x in left],
+                "right": [self.ring.format_scalar(x) for x in right]}
 
     def verify_axioms(self):
         """Associativity and unitality on all colimit basis classes."""

@@ -192,13 +192,32 @@ def _id_tuples(where, items, field, n):
     return out
 
 
+def _require_data(ds, t, ids):
+    """Raise a SchemaError naming the first of ``ids`` not in D(t)."""
+    for i in ids:
+        if i not in ds.D.get(t, ()):
+            raise SchemaError(f"{i!r} is not in D({','.join(t)})")
+
+
+def _require_dprime(ds, pair, ids):
+    """Raise a SchemaError naming the first of ``ids`` not a Dprime id of
+    the pair."""
+    prime_ids = {i for (i, _) in ds.Dprime.get(pair, ())}
+    for i in ids:
+        if i not in prime_ids:
+            raise SchemaError(f"{i!r} is not a Dprime id of {','.join(pair)!r}")
+
+
 def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
         ds.D[_pair_from_key(key)] = list(ids)
     for key, table in sorted(raw.get("restrictions", {}).items()):
-        t_key, sub_key = key.split("|")
-        ds.restrictions[(_pair_from_key(t_key), _pair_from_key(sub_key))] = dict(table)
+        with _at(f"restrictions {key!r}"):
+            t, sub = map(_pair_from_key, key.split("|"))
+            _require_data(ds, t, table)
+            _require_data(ds, sub, table.values())
+            ds.restrictions[(t, sub)] = dict(table)
     for key, entries in sorted(raw.get("mu", {}).items()):
         t_key, datum = key.split("|")
         chain = _pair_from_key(t_key)
@@ -215,13 +234,10 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
         ds.alpha[(pair, dp)] = _pair_map(ring, cf, f"alpha {key!r}", pair, entries)
     for key, items in sorted(raw.get("Dsecond", {}).items()):
         pair = _pair_from_key(key)
-        prime_ids = {i for (i, _) in ds.Dprime.get(pair, ())}
         ds.Dsecond[pair] = _id_tuples(f"Dsecond {key!r}", items, "triple", 3)
-        for (_, triple) in ds.Dsecond[pair]:
-            for dp in triple:
-                if dp not in prime_ids:
-                    raise SchemaError(f"Dsecond {key!r}: {dp!r} is not a "
-                                      f"Dprime id of {key!r}")
+        with _at(f"Dsecond {key!r}"):
+            for (_, triple) in ds.Dsecond[pair]:
+                _require_dprime(ds, pair, triple)
     for key, entries in sorted(raw.get("beta", {}).items()):
         pair_key, bid = key.split("|")
         pair = _pair_from_key(pair_key)
@@ -233,16 +249,11 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
             if len(triple) != 3 or i not in (0, 1, 2):
                 raise SchemaError("key is not a triple and a slot 0, 1 or 2")
             pair = (triple[:2], triple[1:], triple[::2])[i]
-            prime_ids = {dp for (dp, _) in ds.Dprime.get(pair, ())}
             elems = [(e["id"], e["datum"], e["datum_i"], e["dprime"])
                      for e in items]
             for (_, datum, datum_i, dp) in elems:
-                for d in (datum, datum_i):
-                    if d not in ds.D.get(triple, ()):
-                        raise SchemaError(f"{d!r} is not in D({t_key})")
-                if dp not in prime_ids:
-                    raise SchemaError(f"{dp!r} is not a Dprime id of "
-                                      f"{','.join(pair)!r}")
+                _require_data(ds, triple, (datum, datum_i))
+                _require_dprime(ds, pair, (dp,))
             ds.Dthird[(triple, i)] = elems
     for key, entries in sorted(raw.get("gamma", {}).items()):
         t_key, i_str, gid = key.split("|")
@@ -252,9 +263,16 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
         _check_labels(cf, f"gamma {key!r}", triple, ops)
         ds.gamma[(triple, int(i_str), gid)] = ops
     for key, table in sorted(raw.get("f", {}).items()):
-        ds.f[_pair_from_key(key)] = dict(table)
+        with _at(f"f {key!r}"):
+            pair = _pair_from_key(key)
+            _require_data(ds, pair, table)
+            _require_dprime(ds, pair, table.values())
+            ds.f[pair] = dict(table)
     for key, table in sorted(raw.get("sections", {}).items()):
-        ds.sections[_pair_from_key(key)] = dict(table)
+        with _at(f"sections {key!r}"):
+            t = _pair_from_key(key)
+            _require_data(ds, t, table.values())
+            ds.sections[t] = dict(table)
     return ds
 
 

@@ -110,16 +110,20 @@ def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory
     return FractionCategory(hcat, continuation_cset(setup, hcat, E.lag))
 
 
-def choose_datum(setup: WeakFloerSetup, lags, face_data):
-    """The Floer datum of a simplex added by entanglement: the first datum
-    of D(lags) that restricts to ``face_data`` ({face tuple: datum}) on the
-    already chosen faces; None for envelope-profile setups."""
+def choose_datum(setup: WeakFloerSetup, simp, lag, data):
+    """The Floer datum of a simplex ``simp`` added by entanglement: the first
+    datum of D(lags) that restricts, on each face of a simplex of dimension
+    >= 2, to the face's datum already chosen in ``data``; None for
+    envelope-profile setups.  ``lag`` maps vertices to Lagrangians."""
     ds = setup.data_system
     if setup.profile == "envelope" or ds is None:
         return None
+    lags = tuple(lag[v] for v in simp)
+    faces = {lags[:i] + lags[i + 1:]: data[simp[:i] + simp[i + 1:]]
+             for i in range(len(simp))} if len(simp) >= 3 else {}
     for datum in ds.D.get(lags, ()):
         if all(ds.restrict(lags, sub_l, datum) == want
-               for sub_l, want in face_data.items()):
+               for sub_l, want in faces.items()):
             return datum
     raise OracleIncomplete(f"no compatible datum for {lags}")
 
@@ -134,17 +138,14 @@ def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
     lag = {nv: blocks[i].lag[v] for nv, (i, v) in home.items()}
     simplices = _span(setup, home, lag)
     data = {}
-    for k, simps in sorted(simplices.items()):
+    for _, simps in sorted(simplices.items()):
         for simp in simps:
             owners = {home[v][0] for v in simp}
             if len(owners) == 1:
                 data[simp] = blocks[owners.pop()].data.get(
                     tuple(home[v][1] for v in simp))
                 continue
-            lags = tuple(lag[v] for v in simp)
-            faces = {lags[:i] + lags[i + 1:]: data[simp[:i] + simp[i + 1:]]
-                     for i in range(k + 1)} if k >= 2 else {}
-            data[simp] = choose_datum(setup, lags, faces)
+            data[simp] = choose_datum(setup, simp, lag, data)
     out = DecoratedSSSet(setup, home, lag, simplices, data,
                          blocks=[[f"b{i}.{v}" for v in block.vertices]
                                  for i, block in enumerate(blocks)],

@@ -5,6 +5,9 @@ change of the report's value encoding.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,6 +165,32 @@ def _datum_of_a_repeated_triple(doc):
     _dthird(doc, "A,B,A|0", datum="t1")
 
 
+def _f_key_not_in_d(doc):
+    doc["floer_data"]["f"]["A,B"]["zz"] = "a11"
+
+
+def _f_value_not_a_dprime_id(doc):
+    doc["floer_data"]["f"]["A,B"]["d1"] = "zz"
+
+
+def _restriction(doc, table):
+    doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+    doc["floer_data"]["restrictions"] = {"A,B,A|A,B": table}
+
+
+def _restriction_key_not_in_d(doc):
+    _restriction(doc, {"zz": "d1"})
+
+
+def _restriction_value_not_in_d(doc):
+    _restriction(doc, {"t1": "zz"})
+
+
+def _section_witness_not_in_d(doc):
+    doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+    doc["floer_data"]["sections"] = {"A,B,A": {"A,B=d1": "zz"}}
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -211,7 +240,17 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_composable_tuple(["L", "Z"]), "composable: 1-tuple ['L', 'Z'] "
               "does not", "toyb_break_permutation"),
              (_datum_of_a_repeated_triple, "floer_data: D 'A,B,A': A,B,A is "
-              "not composable", "micro2datum")]
+              "not composable", "micro2datum"),
+             (_f_key_not_in_d, "floer_data: f 'A,B': 'zz' is not in D(A,B)",
+              "micro2datum"),
+             (_f_value_not_a_dprime_id, "floer_data: f 'A,B': 'zz' is not a "
+              "Dprime id of 'A,B'", "micro2datum"),
+             (_restriction_key_not_in_d, "floer_data: restrictions "
+              "'A,B,A|A,B': 'zz' is not in D(A,B,A)", "micro2datum"),
+             (_restriction_value_not_in_d, "floer_data: restrictions "
+              "'A,B,A|A,B': 'zz' is not in D(A,B)", "micro2datum"),
+             (_section_witness_not_in_d, "floer_data: sections 'A,B,A': 'zz' "
+              "is not in D(A,B,A)", "micro2datum")]
 
 
 class TestInputErrors:
@@ -411,37 +450,139 @@ class TestEntangleCompare:
         assert "--depth" in capsys.readouterr().err
 
 
+def assert_usage_error(capsys, argv, fragment):
+    """main(argv) exits 2, writes nothing to stdout and names ``fragment``."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert fragment in err
+
+
+TOYB = str(FIXTURES / "toyb.json")
+
 # a negative depth once ended localize in a KeyError and let agree pass
-# without comparing any pair; a negative level once passed as entangle:-1
-NEGATIVE_COUNTS = [("compute", "--what", "localize", "--depth", "-1"),
-                   ("compute", "--what", "agree", "--depth", "-1"),
-                   ("entangle", "--level", "-1"),
-                   ("compute", "--what", "hw", "--depth", "-1"),
-                   ("compute", "--what", "dfcat", "--depth", "-1")]
+# without comparing any pair; a negative level once passed as entangle:-1.
+# (command line, the option the message names); FILE goes first, last or
+# in the middle, and an option is spelled whole, by a prefix or with "="
+NEGATIVE_COUNTS = [
+    (("compute", TOYB, "--what", "localize", "--depth", "-1"), "--depth"),
+    (("compute", TOYB, "--what", "agree", "--depth", "-1"), "--depth"),
+    (("entangle", TOYB, "--level", "-1"), "--level"),
+    (("compute", TOYB, "--what", "hw", "--depth", "-1"), "--depth"),
+    (("compute", TOYB, "--what", "dfcat", "--depth", "-1"), "--depth"),
+    (("compute", "--depth=-1", TOYB), "--depth"),
+    (("compute", "--dep", "-1", "--what", "hw", TOYB), "--depth"),
+    (("entangle", "--lev=-1", TOYB, "--compare"), "--level"),
+    (("compute", "--depth", "3", TOYB, "--depth", "-1"), "--depth")]
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_COUNTS,
+@pytest.mark.parametrize("argv,option", NEGATIVE_COUNTS,
                          ids=["localize-depth", "agree-depth", "entangle-level",
-                              "hw-depth", "dfcat-depth"])
-def test_negative_count_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], str(FIXTURES / "toyb.json"), *argv[1:]])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"argument {argv[-2]}: must be >= 0, not -1" in err
+                              "hw-depth", "dfcat-depth", "depth-equals",
+                              "depth-prefix", "level-prefix-equals",
+                              "depth-repeated"])
+def test_negative_count_is_a_usage_error(capsys, argv, option):
+    assert_usage_error(capsys, argv, f"argument {option}: must be >= 0, not -1")
 
 
-@pytest.mark.parametrize("argv", [("compute", "--depth", "two"),
-                                  ("entangle", "--level", "1.5")],
-                         ids=["depth", "level"])
-def test_non_integer_count_is_a_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv,option,value",
+                         [(("compute", TOYB, "--depth", "two"), "--depth", "two"),
+                          (("entangle", TOYB, "--level", "1.5"), "--level", "1.5"),
+                          (("compute", "--depth=3x", TOYB), "--depth", "3x"),
+                          (("entangle", "--le", "", TOYB), "--level", "")],
+                         ids=["depth", "level", "depth-equals", "level-prefix"])
+def test_non_integer_count_is_a_usage_error(capsys, argv, option, value):
+    assert_usage_error(capsys, argv,
+                       f"argument {option}: invalid nonnegative value: {value!r}")
+
+
+USAGE_ERRORS = [
+    (("compute",), "the following arguments are required: file"),
+    (("entangle", "--level", "2"), "the following arguments are required: file"),
+    ((), "the following arguments are required: command"),
+    (("localize", TOYB), "argument command: invalid choice: 'localize'"),
+    (("compute", TOYB, "--what", "bars"),
+     "argument --what: invalid choice: 'bars' (choose from 'hw', 'dfcat', "
+     "'localize', 'agree')"),
+    (("validate", "--mode=lenient", TOYB), "argument --mode: invalid choice"),
+    (("compute", TOYB, "--depth"), "argument --depth: expected one argument"),
+    (("compute", "--what", "--text", TOYB),
+     "argument --what: expected one argument"),
+    (("entangle", TOYB, "--compare=yes"),
+     "argument --compare: ignored explicit argument 'yes'"),
+    (("validate", TOYB, TOYB), f"unrecognized arguments: {TOYB}"),
+    (("validate", TOYB, "--what", "hw"), "unrecognized arguments: --what hw"),
+    (("--text", "validate", TOYB), "unrecognized arguments: --text"),
+    (("validate", TOYB, "--text", "--"), "unrecognized arguments: --")]
+
+
+@pytest.mark.parametrize("argv,fragment", USAGE_ERRORS,
+                         ids=["compute-no-file", "entangle-no-file",
+                              "no-command", "unknown-command", "unknown-what",
+                              "unknown-mode", "depth-without-value",
+                              "what-without-value", "flag-with-value",
+                              "two-files", "option-of-another-command",
+                              "option-before-command", "stray-separator"])
+def test_usage_error_exits_2_with_nothing_on_stdout(capsys, argv, fragment):
+    assert_usage_error(capsys, argv, fragment)
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he",),
+                                  ("validate", "-h"), ("compute", "--help"),
+                                  ("entangle", TOYB, "--level", "2", "-h"),
+                                  ("compute", "--h", "--depth", "-1", TOYB)],
+                         ids=["top-h", "top-help", "top-prefix", "validate",
+                              "compute", "entangle-after-file",
+                              "before-a-later-error"])
+def test_help_exits_0_with_the_grammar(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], str(FIXTURES / "toyb.json"), *argv[1:]])
-    assert exc.value.code == 2
+        main(list(argv))
+    assert exc.value.code == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert f"argument {argv[1]}: invalid nonnegative value: {argv[2]!r}" in err
+    assert out == cli.__doc__ and err == ""
+    assert "usage: wrapcat validate FILE" in out
+
+
+# spellings of one command line: option before or after FILE, "=" or a
+# separate value, a unique prefix, a repeated option (the last wins), "--"
+SPELLINGS = {
+    ("compute", TOYB, "--what", "dfcat"): [
+        ("compute", "--what", "dfcat", TOYB),
+        ("compute", TOYB, "--what=dfcat"),
+        ("compute", "--wh", "dfcat", TOYB, "--dep", "2"),
+        ("compute", "--what", "hw", TOYB, "--what", "dfcat"),
+        ("compute", "--what", "dfcat", "--", TOYB)],
+    ("entangle", TOYB, "--level", "0", "--text"): [
+        ("entangle", "--level=0", "--te", TOYB),
+        ("entangle", "--lev", "0", TOYB, "--text", "--text"),
+        ("entangle", "--level", "0", "--text", "--", TOYB),
+        ("entangle", "--level", "2", "--text", TOYB, "--level=0")],
+}
+
+
+@pytest.mark.parametrize("canonical", sorted(SPELLINGS))
+def test_every_spelling_runs_the_same_command(capsys, canonical):
+    want = (main(list(canonical)), capsys.readouterr().out)
+    assert want[1]
+    for argv in SPELLINGS[canonical]:
+        assert (main(list(argv)), capsys.readouterr().out) == want, argv
+
+
+def test_a_run_imports_no_argparse():
+    # building argparse parsers cost about 3 ms of a few-ms call, most of it
+    # gettext lookups and the locale import they trigger
+    code = ("import sys\n"
+            "from wrapcat.cli import main\n"
+            f"rc = main(['validate', {TOYB!r}])\n"
+            "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)),"
+            " file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stderr.split() == ["0", "[]"]
 
 
 # every computation localizes, so each refuses a continuation set that is

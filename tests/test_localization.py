@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 from fixture_builders import build_toyb, build_toyc, build_ore_break
 from oracles import random_path_instance, zigzag_localization_ranks
 from pathcat_support import instance_to_category, wrap_cset
+from wrapcat import localization
 from wrapcat.ainf import AInfCategory, cohomology_category
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedMap, GradedModule
@@ -20,6 +22,12 @@ def toyb_data():
     env = canonical_envelope(s)
     h = cohomology_category(env)
     return s, env, h, continuation_cset(s, h)
+
+
+def toyc_fractions():
+    s = build_toyc()
+    h = cohomology_category(canonical_envelope(s))
+    return FractionCategory(h, continuation_cset(s, h))
 
 
 class TestMultiplicativeSystem:
@@ -109,6 +117,38 @@ class TestFractionCategory:
         for c in cset:
             if not cset.is_identity(c):
                 assert frac.check_inverts(c)["passed"]
+
+    def test_memoized_composites_match_a_fresh_category(self):
+        # every composite verify_axioms asks for on toyc, nested ones too,
+        # recomputed on a category that has composed nothing before
+        frac = toyc_fractions()
+        assert frac.verify_axioms()["passed"]
+        fresh = FractionCategory(frac.hcat, frac.cset)
+        assert len(frac._composites) > 100
+        for args, composite in frac._composites.items():
+            assert fresh._compose(*args) == composite, args
+        assert not fresh._composites
+
+    def test_each_composite_reaches_the_ore_completion_once(self,
+                                                            monkeypatch):
+        # toyc's axiom check makes 1,762 compositions of 105 distinct
+        # argument sets; solving an Ore square per call costs 1,239 solves
+        frac = toyc_fractions()
+        computed, ore_calls = Counter(), []
+        compose, ore = FractionCategory._compose, localization.ore_complete
+
+        def counted_compose(self, *args):
+            computed[args] += 1
+            return compose(self, *args)
+
+        def counted_ore(*args):
+            ore_calls.append(args)
+            return ore(*args)
+        monkeypatch.setattr(FractionCategory, "_compose", counted_compose)
+        monkeypatch.setattr(localization, "ore_complete", counted_ore)
+        assert frac.verify_axioms()["passed"]
+        assert max(computed.values()) == 1
+        assert 0 < len(ore_calls) <= len(computed)
 
     def test_invalid_system_raises(self):
         # the fraction category leaves the conditions to its caller: it

@@ -8,16 +8,19 @@ of the n + 1 copies of each.
 """
 
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from fixture_builders import (build_micro2datum, build_toyb, build_toyc,
                               build_toyc_chain)
+from wrapcat import cli
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import _prepare, bundled_wrapped_poset
 from wrapcat.floer import choose_compatible_collection
 from wrapcat.posets import build_O_P, wrapping_sequences
-from wrapcat.sss import canonical_sss, entangle
+from wrapcat.setupfile import load_setup
+from wrapcat.sss import build_F_E, canonical_sss, entangle, localize_stage
 from wrapcat.wrap import continuation_cset
 
 BUILDERS = {"toyb": build_toyb, "toyc": build_toyc,
@@ -28,6 +31,12 @@ def stage(setup, n):
     """E_n of the setup: E_delta for n = 0, else n + 1 entangled copies."""
     e_delta = canonical_sss(setup, choose_compatible_collection(setup))
     return e_delta if n == 0 else entangle(setup, [e_delta] * (n + 1))
+
+
+# the bundled fixtures that load and build E_delta (badscalar is an input
+# error, and dsq_break's envelope is no complex)
+E_DELTA_FIXTURES = ["micro2_break_beta", "micro2datum", "ore_break", "toyb",
+                    "toyb_break_permutation", "toyc", "toyc_break_closure"]
 
 
 def falling(x, m, step):
@@ -109,3 +118,19 @@ def test_wrapping_sequences_are_cofinal_chains_by_construction(build):
     assert count >= len(P.elements)
     assert any(len(seq) > 1 for p in P.elements
                for seq, _ in wrapping_sequences(P, icset, p))
+
+
+@pytest.mark.parametrize("fixture", E_DELTA_FIXTURES)
+def test_f_of_e_delta_is_the_canonical_envelope(fixture):
+    # so entangle --compare localizes E_delta through the envelope it has
+    # already built
+    setup = load_setup(Path(cli.__file__).parent / "fixtures" / f"{fixture}.json")
+    col, env, hcat, cset = _prepare(setup)
+    e_delta = canonical_sss(setup, col)
+    F = build_F_E(setup, e_delta)
+    assert F.objects == env.objects
+    assert F.homs == env.homs
+    assert F.ops == env.ops
+    assert F.units == env.units
+    frac = localize_stage(setup, e_delta)
+    assert [c.key() for c in frac.cset] == [c.key() for c in cset]

@@ -445,12 +445,12 @@ def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
         return (len(inputs), order[chain[0]], chain[1:],
                 [labels[p].index(lab) for p, lab in zip(zip(chain, chain[1:]),
                                                         inputs)])
+    nonzero = sorted(((key, total) for key, total in residual.items() if total),
+                     key=lambda kv: position(kv[0]))
     violations = [{"chain": list(chain), "inputs": list(inputs),
                    "residual": {lab: ring.format_scalar(v)
                                 for lab, v in sorted(total.items())}}
-                  for (chain, inputs), total in sorted(residual.items(),
-                                                       key=lambda kv: position(kv[0]))
-                  if total]
+                  for (chain, inputs), total in nonzero]
     return {"max_arity": max_arity, "checked": checked,
             "passed": not violations, "violations": violations}
 

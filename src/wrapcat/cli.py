@@ -51,9 +51,20 @@ from .wrap import (check_localization_agreement, continuation_cset,
                    wrapped_df_category)
 
 
-def _prepare(setup):
+def _validated(setup, mode="finite"):
+    """The setup-axiom report and the canonical envelope of an
+    envelope-profile setup, whose relations it checks; a full-profile setup
+    is checked datum by datum, and its envelope is None here."""
+    env = None if setup.full else canonical_envelope(setup)
+    return validate_setup(setup, mode=mode, envelope=env), env
+
+
+def _prepare(setup, env=None):
+    """(collection, canonical envelope, H-category, continuation set); the
+    envelope is built unless ``env`` is it already."""
     col = choose_compatible_collection(setup)
-    env = canonical_envelope(setup, col)
+    if env is None:
+        env = canonical_envelope(setup, col)
     hcat = cohomology_category(env)
     cset = continuation_cset(setup, hcat)
     return col, env, hcat, cset
@@ -97,13 +108,12 @@ def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
 
 def cmd_validate(setup, mode="finite"):
     rep = Report("validate", setup.name)
-    res = validate_setup(setup, mode=mode)
+    res, env = _validated(setup, mode=mode)
     rep.add("setup_axioms", res)
     passed = res["passed"]
-    cont = None
     if passed:
         try:
-            col, env, hcat, cset = _prepare(setup)
+            col, env, hcat, cset = _prepare(setup, env)
             cont = validate_continuation_system(setup, hcat, cset, mode=mode)
             rep.add("continuation_conditions", cont)
             passed = passed and cont["passed"]
@@ -119,12 +129,12 @@ def cmd_compute(setup, what="hw", depth=4):
     """Every computation localizes at the continuation set, so each one
     first checks it is a right multiplicative system."""
     rep = Report(f"compute:{what}", setup.name)
-    val = validate_setup(setup)
+    val, env = _validated(setup)
     if not val["passed"]:
         rep.add("validation", val)
         rep.set_verdict(False)
         return rep
-    col, env, hcat, cset = _prepare(setup)
+    col, env, hcat, cset = _prepare(setup, env)
     rms = check_right_multiplicative_system(hcat, cset)
     if not rms["passed"]:
         rep.add("continuation_conditions", rms)

@@ -11,11 +11,12 @@ check against axioms (iv)-(ix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import combinations, permutations, product
 
 from .ainf import AInfCategory, check_ainf_relations, _merge
 from .errors import DecorationInconsistent, NoSection
-from .linalg import GradedMap, GradedModule
+from .linalg import GradedMap, GradedModule, compose_graded_maps
 
 
 def tuple_key(t):
@@ -94,6 +95,12 @@ class WeakFloerSetup:
             self.composable = {int(k): set(map(tuple, v))
                                for k, v in (composable_tuples or {}).items()}
 
+    @property
+    def full(self):
+        """Whether the setup carries a whole Floer-data system; otherwise
+        it carries one datum's operations (the envelope profile)."""
+        return self.profile == "full" and self.data_system is not None
+
     def tuples(self, k):
         return sorted(self.composable.get(k, ()))
 
@@ -110,9 +117,16 @@ class WeakFloerSetup:
     def mu_entries(self, t, datum=None):
         """Operation entries for a composable tuple and a datum (envelope
         profile carries exactly one datum's operations)."""
-        if self.profile == "envelope" or self.data_system is None:
+        if not self.full:
             return self.envelope_ops.get(t, [])
         return self.data_system.mu.get((t, datum), [])
+
+    def operation_tuples(self):
+        """The tuples some operation entry is given on, for any datum."""
+        if not self.full:
+            return {t for t, entries in self.envelope_ops.items() if entries}
+        return {t for (t, _), entries in self.data_system.mu.items()
+                if entries}
 
 
 @dataclass
@@ -128,9 +142,10 @@ class CompatibleCollection:
 # -- validators ---------------------------------------------------------------------
 
 
-def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
+def validate_setup(s: WeakFloerSetup, mode: str = "finite", envelope=None):
     """Per-axiom report.  The envelope profile checks (i)-(iii) and the
-    relations (vi) for the supplied datum; the full profile checks all of
+    relations (vi) for the supplied datum, on ``envelope`` when the caller
+    has built the canonical envelope already; the full profile checks all of
     (i)-(ix).  Strict mode additionally notes the finiteness reinterpretation
     of the countability axioms."""
     report = {"setup": s.name, "profile": s.profile, "mode": mode, "axioms": {}}
@@ -141,25 +156,15 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
 
     # (i) Lagrangian labels
     fails = []
-    if len(set(s.lagrangians)) != len(s.lagrangians):
+    distinct = len(set(s.lagrangians)) == len(s.lagrangians)
+    if not distinct:
         fails.append({"reason": "duplicate Lagrangian labels"})
     axiom("i-lagrangians", fails)
 
-    # (ii) closure: subsequences, permutations, pairwise distinct
-    fails = []
-    for k in sorted(s.composable):
-        for t in s.tuples(k):
-            if len(set(t)) != len(t):
-                fails.append({"tuple": list(t), "reason": "repeated Lagrangian"})
-            for sub in subsequences(t, min_len=2):
-                l = len(sub) - 1
-                if sub not in s.composable.get(l, ()):
-                    fails.append({"tuple": list(t), "missing-subsequence": list(sub)})
-            for perm in permutations(t):
-                if perm not in s.composable.get(k, ()):
-                    fails.append({"tuple": list(t), "missing-permutation": list(perm)})
-                    break
-    axiom("ii-composability", fails)
+    # (ii) closure: subsequences, permutations, pairwise distinct; the
+    # all-distinct tuples of distinct labels are generated closed
+    closed = s.composable_mode == "all-distinct" and distinct
+    axiom("ii-composability", [] if closed else _closure_failures(s))
 
     # (iii) CF modules for composable pairs
     fails, notes = [], []
@@ -170,16 +175,17 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
 
     # (vi) A-infinity relations of the operation families
     fails = []
-    if s.profile == "envelope" or s.data_system is None:
-        fails = _family_relation_failures(s, None)
+    if not s.full:
+        env = canonical_envelope(s) if envelope is None else envelope
+        fails = _relation_failures(env, max([*s.composable, 1]))
     else:
         for k in sorted(s.composable):
             for t in s.tuples(k):
                 for datum in s.data_system.D.get(t, ()):
-                    fails.extend(_family_relation_failures(s, (t, datum)))
+                    fails.extend(_family_relation_failures(s, t, datum))
     axiom("vi-relations", fails)
 
-    if s.profile == "full" and s.data_system is not None:
+    if s.full:
         ds = s.data_system
         # (iv) restriction functoriality
         fails = []
@@ -243,25 +249,28 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
                                               "missing-Dsecond-over": [ac, ab, bc]})
         axiom("vii-structure-surjectivity", fails)
 
-        # (viii) alpha chain maps, beta and gamma homotopy identities
+        # (viii) alpha chain maps, beta and gamma homotopy identities; each
+        # pair differential and alpha map is built once, here and for (ix)
+        diff = cache(partial(_pair_differential, s))
+        alpha = cache(partial(_alpha_map, s))
         fails = []
         for pair in s.tuples(1):
             mod = s.cf_module(*pair)
             for (dp_id, (d1, d2)) in ds.Dprime.get(pair, ()):
-                a_map = GradedMap.from_entries(
-                    mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
-                err = _chain_map_defect(s, pair, d1, d2, a_map)
+                err = _chain_map_defect(diff(pair, d1), diff(pair, d2),
+                                        alpha(pair, dp_id))
                 if err:
                     fails.append({"pair": list(pair), "alpha": dp_id, "defect": err})
             for (ds_id, (ac, ab, bc)) in ds.Dsecond.get(pair, ()):
                 b_map = GradedMap.from_entries(
                     mod, mod, -1, ds.beta.get((pair, ds_id), ()))
-                err = _beta_defect(s, pair, ac, ab, bc, b_map)
+                err = _beta_defect(s, diff, alpha, pair, ac, ab, bc, b_map)
                 if err:
                     fails.append({"pair": list(pair), "beta": ds_id, "defect": err})
         for (triple, i), elems in sorted(ds.Dthird.items()):
             for (g_id, datum, datum_i, dp_id) in elems:
-                err = _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id)
+                err = _gamma_defect(s, diff, alpha, triple, i, g_id, datum,
+                                    datum_i, dp_id)
                 if err:
                     fails.append({"triple": list(triple), "i": i, "gamma": g_id,
                                   "defect": err})
@@ -282,9 +291,7 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
                 if pr != (datum, datum):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "f does not hit the diagonal"})
-                a_map = GradedMap.from_entries(
-                    mod, mod, 0, ds.alpha.get((pair, dp_id), ()))
-                if a_map != GradedMap.identity(mod):
+                if alpha(pair, dp_id) != GradedMap.identity(mod):
                     fails.append({"pair": list(pair), "datum": datum,
                                   "reason": "alpha over f(datum) is not the identity"})
         axiom("ix-diagonal", fails)
@@ -294,6 +301,25 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite"):
                            "at desk scale"]
     report["passed"] = all(v["passed"] for v in report["axioms"].values())
     return report
+
+
+def _closure_failures(s: WeakFloerSetup):
+    """Axiom (ii) tuple by tuple: repeated labels, missing subsequences and
+    missing permutations."""
+    fails = []
+    for k in sorted(s.composable):
+        for t in s.tuples(k):
+            if len(set(t)) != len(t):
+                fails.append({"tuple": list(t), "reason": "repeated Lagrangian"})
+            for sub in subsequences(t, min_len=2):
+                l = len(sub) - 1
+                if sub not in s.composable.get(l, ()):
+                    fails.append({"tuple": list(t), "missing-subsequence": list(sub)})
+            for perm in permutations(t):
+                if perm not in s.composable.get(k, ()):
+                    fails.append({"tuple": list(t), "missing-permutation": list(perm)})
+                    break
+    return fails
 
 
 def _compatible_families(s: WeakFloerSetup, t):
@@ -327,10 +353,13 @@ def _pair_differential(s: WeakFloerSetup, pair, datum) -> GradedMap:
     return GradedMap.from_entries(mod, mod, 1, entries)
 
 
-def _chain_map_defect(s, pair, d1, d2, a_map: GradedMap):
-    dd1 = _pair_differential(s, pair, d1)
-    dd2 = _pair_differential(s, pair, d2)
-    from .linalg import compose_graded_maps
+def _alpha_map(s: WeakFloerSetup, pair, dp_id) -> GradedMap:
+    mod = s.cf_module(*pair)
+    return GradedMap.from_entries(mod, mod, 0,
+                                  s.data_system.alpha.get((pair, dp_id), ()))
+
+
+def _chain_map_defect(dd1: GradedMap, dd2: GradedMap, a_map: GradedMap):
     lhs = compose_graded_maps(dd1, a_map)
     rhs = compose_graded_maps(a_map, dd2)
     if lhs != rhs:
@@ -338,30 +367,25 @@ def _chain_map_defect(s, pair, d1, d2, a_map: GradedMap):
     return None
 
 
-def _beta_defect(s, pair, ac, ab, bc, b_map: GradedMap):
-    """d beta + beta d = alpha_bc . alpha_ab - alpha_ac, exactly."""
-    from .linalg import compose_graded_maps
+def _beta_defect(s, diff, alpha, pair, ac, ab, bc, b_map: GradedMap):
+    """d beta + beta d = alpha_bc . alpha_ab - alpha_ac, exactly.  ``diff``
+    and ``alpha`` give the pair differentials and alpha maps."""
     ds = s.data_system
-    mod = s.cf_module(*pair)
     a1, c1 = ds.dprime_pair(pair, ac)
-    a2, b2 = ds.dprime_pair(pair, ab)
-    _, c3 = ds.dprime_pair(pair, bc)
-    d_src = _pair_differential(s, pair, a1)
-    d_tgt = _pair_differential(s, pair, c1)
-    alpha_ab, alpha_bc, alpha_ac = (
-        GradedMap.from_entries(mod, mod, 0, ds.alpha.get((pair, dp), ()))
-        for dp in (ab, bc, ac))
-    comp = compose_graded_maps(alpha_ab, alpha_bc)
-    target = comp.add(alpha_ac.scale(s.ring.normalize(-1)))
+    d_src = diff(pair, a1)
+    d_tgt = diff(pair, c1)
+    comp = compose_graded_maps(alpha(pair, ab), alpha(pair, bc))
+    target = comp.add(alpha(pair, ac).scale(s.ring.normalize(-1)))
     lhs = compose_graded_maps(b_map, d_tgt).add(compose_graded_maps(d_src, b_map))
     if lhs != target:
         return "d beta + beta d differs from alpha.alpha - alpha"
     return None
 
 
-def _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id):
+def _gamma_defect(s, diff, alpha, triple, i, g_id, datum, datum_i, dp_id):
     """Chain-homotopy identity for gamma: between mu2 of one datum and the
-    alpha-twisted mu2 of another, checked elementwise on basis pairs."""
+    alpha-twisted mu2 of another, checked elementwise on basis pairs.
+    ``diff`` and ``alpha`` give the pair differentials and alpha maps."""
     ring = s.ring
     ds = s.data_system
     l0, l1, l2 = triple
@@ -376,34 +400,32 @@ def _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id):
         return out
 
     pair_of = {0: (l0, l1), 1: (l1, l2), 2: (l0, l2)}[i]
-    mod = s.cf_module(*pair_of)
-    alpha = GradedMap.from_entries(mod, mod, 0,
-                                   ds.alpha.get((pair_of, dp_id), ()))
+    a_map = alpha(pair_of, dp_id)
     mu_a = _mu2_table(s, triple, datum)
     mu_b = _mu2_table(s, triple, datum_i)
-    d01 = _pair_differential(s, (l0, l1), ds.restrict(triple, (l0, l1), datum))
-    d12 = _pair_differential(s, (l1, l2), ds.restrict(triple, (l1, l2), datum))
-    d02 = _pair_differential(s, (l0, l2), ds.restrict(triple, (l0, l2), datum))
+    d01 = diff((l0, l1), ds.restrict(triple, (l0, l1), datum))
+    d12 = diff((l1, l2), ds.restrict(triple, (l1, l2), datum))
+    d02 = diff((l0, l2), ds.restrict(triple, (l0, l2), datum))
     for dx in m01.degrees():
         for x in m01.labels(dx):
             for dy in m12.degrees():
                 for y in m12.labels(dy):
                     target = dict(mu_a.get((x, y), {}))
                     if i == 0:
-                        ax = alpha.apply_label(x)
+                        ax = a_map.apply_label(x)
                         for lx, vx in ax.items():
                             for o, vo in mu_b.get((lx, y), {}).items():
                                 _merge(target, o,
                                        ring.neg(ring.mul(vx, vo)), ring)
                     elif i == 1:
-                        ay = alpha.apply_label(y)
+                        ay = a_map.apply_label(y)
                         for ly, vy in ay.items():
                             for o, vo in mu_b.get((x, ly), {}).items():
                                 _merge(target, o,
                                        ring.neg(ring.mul(vy, vo)), ring)
                     else:
                         for o, vo in mu_b.get((x, y), {}).items():
-                            for o2, va in alpha.apply_label(o).items():
+                            for o2, va in a_map.apply_label(o).items():
                                 _merge(target, o2,
                                        ring.neg(ring.mul(vo, va)), ring)
                     lhs = {}
@@ -425,27 +447,19 @@ def _gamma_defect(s, triple, i, g_id, datum, datum_i, dp_id):
     return None
 
 
-def _family_relation_failures(s: WeakFloerSetup, top):
-    """A-infinity relations of one operation family, via the envelope check.
+def _family_relation_failures(s: WeakFloerSetup, t, datum):
+    """A-infinity relations of the operation family generated by restricting
+    ``datum`` of the tuple t to its subsequences."""
+    delta = {t: datum}
+    for sub in subsequences(t, min_len=2):
+        delta[sub] = s.data_system.restrict(t, sub, datum)
+    return _relation_failures(_envelope_for(s, delta.get), len(t) - 1)
 
-    For the envelope profile (top None) this checks the single supplied
-    family; for full profiles the family is generated by restricting the
-    top datum.
-    """
-    delta = None
-    if top is not None:
-        t, datum = top
-        delta = {}
-        delta[t] = datum
-        for sub in subsequences(t, min_len=2):
-            delta[sub] = s.data_system.restrict(t, sub, datum)
-        cat = _envelope_for(s, lambda tt: delta.get(tt))
-        arity = len(t) - 1
-    else:
-        cat = _envelope_for(s, None)
-        arity = max([k for k in s.composable] + [1])
-    rep = check_ainf_relations(cat, min(arity + 1, 4))
-    return rep["violations"]
+
+def _relation_failures(cat: AInfCategory, arity):
+    """The A-infinity relation violations of ``cat`` up to arity + 1 (at
+    most 4)."""
+    return check_ainf_relations(cat, min(arity + 1, 4))["violations"]
 
 
 def _mu2_table(s: WeakFloerSetup, triple, datum):
@@ -464,8 +478,13 @@ def check_decoration(s: WeakFloerSetup, chain, lags, data):
     if lags not in s.composable.get(len(chain) - 1, ()):
         raise DecorationInconsistent(
             f"chain {chain} maps to non-composable tuple {lags}")
-    if s.profile != "full" or s.data_system is None:
-        return
+    if s.full:
+        check_decoration_data(s, chain, lags, data)
+
+
+def check_decoration_data(s: WeakFloerSetup, chain, lags, data):
+    """The decoration half of ``check_decoration``, for a full-profile
+    setup and a chain already known to be composable."""
     top = data.get(chain)
     if top is None:
         raise DecorationInconsistent(f"chain {chain} undecorated")
@@ -514,7 +533,7 @@ def choose_compatible_collection(s: WeakFloerSetup) -> CompatibleCollection:
     """Choose one datum per composable tuple, by induction on tuple length:
     the first datum of each pair, then the surjectivity sections for the
     inductive step."""
-    if s.profile != "full" or s.data_system is None:
+    if not s.full:
         delta = {t: None for t in s.all_tuples()}
         return CompatibleCollection(delta)
     ds = s.data_system

@@ -20,21 +20,22 @@ from .matrices import Matrix
 class ContClass:
     """A degree-0 morphism class, stored by canonical coordinates."""
 
-    __slots__ = ("src", "tgt", "coords")
+    __slots__ = ("src", "tgt", "coords", "_key")
 
     def __init__(self, src, tgt, coords):
         self.src = src
         self.tgt = tgt
         self.coords = tuple(coords)
+        self._key = (src, tgt, tuple(str(c) for c in self.coords))
 
     def key(self):
-        return (self.src, self.tgt, tuple(str(c) for c in self.coords))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, ContClass) and self.key() == other.key()
+        return isinstance(other, ContClass) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"ContClass({self.src}->{self.tgt}, {list(self.coords)})"
@@ -56,10 +57,12 @@ class CSet:
             items.append(c)
         seen = set()
         self.classes = []
-        for c in sorted(items, key=lambda z: z.key()):
+        self._between = {}  # (src, tgt) -> [class], in canonical order
+        for c in sorted(items, key=ContClass.key):
             if c.key() not in seen and any(x != 0 for x in c.coords):
                 seen.add(c.key())
                 self.classes.append(c)
+                self._between.setdefault((c.src, c.tgt), []).append(c)
         self._keys = seen
 
     def __iter__(self):
@@ -73,6 +76,10 @@ class CSet:
 
     def with_target(self, tgt):
         return [c for c in self.classes if c.tgt == tgt]
+
+    def between(self, src, tgt):
+        """The classes src -> tgt, in canonical order."""
+        return self._between.get((src, tgt), ())
 
     def is_identity(self, c: ContClass) -> bool:
         return (c.src == c.tgt
@@ -263,9 +270,7 @@ class SliceCategory:
         self.morphisms = {}  # (i, j) -> [ContClass e: src_j -> src_i with e.c_i = c_j]
         for i, ci in enumerate(self.objects):
             for j, cj in enumerate(self.objects):
-                for e in cset.classes:
-                    if e.tgt != ci.src or e.src != cj.src:
-                        continue
+                for e in cset.between(cj.src, ci.src):
                     comp = hcat.compose(e.src, e.tgt, obj, 0, e.coords, 0, ci.coords)
                     if tuple(comp) == tuple(cj.coords):
                         self.morphisms.setdefault((i, j), []).append(e)

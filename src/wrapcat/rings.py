@@ -77,7 +77,7 @@ class CoefficientRing:
 
     def normalize(self, x):
         if self.kind == "Q":
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         return int(x) % self.p
 
     def add(self, a, b):

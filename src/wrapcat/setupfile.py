@@ -316,7 +316,7 @@ def setup_to_dict(s: WeakFloerSetup) -> dict:
         doc["wrap_chains"] = s.wrap_chains
     if s.oracle:
         doc["oracle"] = s.oracle
-    if s.profile == "full" and s.data_system is not None:
+    if s.full:
         doc["floer_data"] = _data_system_to_dict(ring, s.data_system)
     return doc
 

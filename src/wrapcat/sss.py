@@ -17,7 +17,8 @@ from itertools import product
 from .ainf import AInfCategory, NaiveFunctor, cohomology_category
 from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
                      OracleIncomplete)
-from .floer import WeakFloerSetup, check_decoration, unital_category
+from .floer import (WeakFloerSetup, check_decoration, check_decoration_data,
+                    unital_category)
 from .localization import CSet, ContClass, FractionCategory
 from .posets import DecoratedPoset, check_sufficiently_wrapped
 from .wrap import continuation_cset
@@ -64,14 +65,27 @@ class DecoratedSSSet:
                                  tuple(self.lag[v] for v in simp), self.data)
         return True
 
+    def check_decorations(self):
+        """The decoration half of ``validate``, for a stage spanned over a
+        validated E_delta (``entangle``): ``_span`` makes its faces and
+        Lagrangian tuples right, so only a full profile's data can fail."""
+        if self.setup.full:
+            for _, simps in sorted(self.simplices.items()):
+                for simp in simps:
+                    check_decoration_data(self.setup, simp,
+                                          tuple(self.lag[v] for v in simp),
+                                          self.data)
 
-def _span(setup: WeakFloerSetup, vertices, lag):
-    """The simplices of a stage: for each composable k-tuple of Lagrangians,
-    every (k+1)-tuple of vertices over it ({k: [simplex]})."""
+
+def _span(setup: WeakFloerSetup, vertices, lag, tuples=None):
+    """The simplices of a stage: for each composable k-tuple of Lagrangians
+    (of ``tuples`` only, when given), every (k+1)-tuple of vertices over it
+    ({k: [simplex]})."""
     over = {}
     for v in vertices:
         over.setdefault(lag[v], []).append(v)
     return {k: [simp for t in setup.tuples(k)
+                if tuples is None or t in tuples
                 for simp in product(*(over.get(l, ()) for l in t))]
             for k in sorted(setup.composable)}
 
@@ -91,13 +105,17 @@ def canonical_sss(setup: WeakFloerSetup, col) -> DecoratedSSSet:
 def build_F_E(setup: WeakFloerSetup, E: DecoratedSSSet) -> AInfCategory:
     """Strictly unital category on the vertices: hom(p, q) = CF(L_p, L_q)
     on composable Lagrangian pairs, units on the diagonal, zero otherwise;
-    operations decorated by the simplices.  E is validated where it is
-    built (``canonical_sss``, ``entangle``)."""
+    operations decorated by the simplices, of which only those over a
+    Lagrangian tuple that carries operations are read.  E is validated
+    where it is built (``canonical_sss``, ``entangle``), so its simplices
+    are those of ``_span``."""
     pairs1 = setup.composable.get(1, ())
     pairs = [(p, q) for p in E.vertices for q in E.vertices
              if p != q and (E.lag[p], E.lag[q]) in pairs1]
+    carried = _span(setup, E.vertices, E.lag, setup.operation_tuples())
     simplices = [(simp, E.data.get(simp))
-                 for _, simps in sorted(E.simplices.items()) for simp in simps]
+                 for _, simps in sorted(carried.items())
+                 for simp in sorted(simps)]
     return unital_category(setup, E.vertices, E.lag, pairs, simplices,
                            name=f"F[{E.name}]")
 
@@ -111,13 +129,11 @@ def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory
 
 
 def choose_datum(setup: WeakFloerSetup, simp, lag, data):
-    """The Floer datum of a simplex ``simp`` added by entanglement: the first
-    datum of D(lags) that restricts, on each face of a simplex of dimension
-    >= 2, to the face's datum already chosen in ``data``; None for
-    envelope-profile setups.  ``lag`` maps vertices to Lagrangians."""
+    """The Floer datum of a simplex ``simp`` added by entanglement to a
+    full-profile stage: the first datum of D(lags) that restricts, on each
+    face of a simplex of dimension >= 2, to the face's datum already chosen
+    in ``data``.  ``lag`` maps vertices to Lagrangians."""
     ds = setup.data_system
-    if setup.profile == "envelope" or ds is None:
-        return None
     lags = tuple(lag[v] for v in simp)
     faces = {lags[:i] + lags[i + 1:]: data[simp[:i] + simp[i + 1:]]
              for i in range(len(simp))} if len(simp) >= 3 else {}
@@ -132,13 +148,18 @@ def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
     """The stage E_n on n + 1 blocks: vertex v of block i is ``bi.v``, and
     the simplices are those of ``_span``.  A simplex inside one block
     keeps the block's datum; every other simplex gets ``choose_datum`` over
-    its faces (none for an edge), lower dimensions first."""
+    its faces (none for an edge), lower dimensions first.  An
+    envelope-profile stage decorates every simplex by None.  The blocks are
+    validated (E_delta), so only the decorations are checked here."""
     home = {f"b{i}.{v}": (i, v)
             for i, block in enumerate(blocks) for v in block.vertices}
     lag = {nv: blocks[i].lag[v] for nv, (i, v) in home.items()}
     simplices = _span(setup, home, lag)
     data = {}
     for _, simps in sorted(simplices.items()):
+        if not setup.full:
+            data.update(dict.fromkeys(simps))
+            continue
         for simp in simps:
             owners = {home[v][0] for v in simp}
             if len(owners) == 1:
@@ -150,7 +171,7 @@ def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
                          blocks=[[f"b{i}.{v}" for v in block.vertices]
                                  for i, block in enumerate(blocks)],
                          name=f"E{len(blocks) - 1}[{setup.name}]")
-    out.validate()
+    out.check_decorations()
     return out
 
 
@@ -175,21 +196,27 @@ def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
     colimits out of every test vertex whose Lagrangian differs from the
     witness endpoints.
 
+    The identity of a stage over one localization induces identities of
+    the slice colimits and adds no vertex, so it passes with no colimit
+    built.
+
     Returns the verdict, the waived count and the failures of (a) and (b).
     """
     for v, w in inclusion.items():
         if E_small.lag[v] != E_big.lag[w]:
             raise DecorationInconsistent(
                 f"inclusion sends {v} to {w} with a different Lagrangian")
+    identity = (E_small is E_big and frac_s is frac_b
+                and all(v == w for v, w in inclusion.items()))
     waived = 0
     hom_failures = []
     for p in E_small.vertices:
         for q in E_small.vertices:
             if p != q and E_small.lag[p] == E_small.lag[q]:
                 waived += 1
-            elif not _slice_colims_isomorphic(frac_s, frac_b, p, q,
-                                              inclusion[p], inclusion[q],
-                                              inclusion):
+            elif not identity and not _slice_colims_isomorphic(
+                    frac_s, frac_b, p, q, inclusion[p], inclusion[q],
+                    inclusion):
                 hom_failures.append({"pair": [p, q], "iso": False})
     old = sorted(set(inclusion.values()))
     surj_failures = [{"vertex": w, "passed": False} for w in E_big.vertices
@@ -215,8 +242,8 @@ def _reached(frac: FractionCategory, old, w, lag=None):
 def _connecting_class(cset: CSet, u, w):
     """The first non-identity class u -> w, else the first w -> u, else None."""
     for a, b in ((u, w), (w, u)):
-        for c in cset:
-            if c.src == a and c.tgt == b and not cset.is_identity(c):
+        for c in cset.between(a, b):
+            if not cset.is_identity(c):
                 return c
     return None
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fixture_builders import build_toyc_chain, rational_fixture_doc
-from wrapcat import cli
+from wrapcat import cli, floer
 from wrapcat.ainf import AInfCategory
 from wrapcat.cli import main
 from wrapcat.matrices import Matrix
@@ -667,6 +667,22 @@ class TestRepeatedCalls:
                             "--what", "dfcat")
         assert (code, rep["verdict"]) == (0, "pass")
         assert len(calls) < 100
+
+    @pytest.mark.parametrize("fixture", ["toyb", "toyc"])
+    def test_compute_builds_the_envelope_once(self, capsys, monkeypatch,
+                                              fixture):
+        # validation checks the relations on the envelope the command reads
+        builds = []
+        unital_category = floer.unital_category
+
+        def counted(*args, **kwargs):
+            builds.append(None)
+            return unital_category(*args, **kwargs)
+        monkeypatch.setattr(floer, "unital_category", counted)
+        code, rep = run_cli(capsys, "compute",
+                            str(FIXTURES / f"{fixture}.json"), "--what", "hw")
+        assert (code, rep["verdict"]) == (0, "pass")
+        assert len(builds) == 1
 
     def test_bar_contractions_evaluate_each_run_once(self, capsys,
                                                       monkeypatch):

@@ -1,14 +1,17 @@
+from itertools import permutations
+
 import pytest
 
 from fixture_builders import (build_dsq_break, build_micro2_break_beta,
                               build_micro2datum, build_toyb,
-                              build_toyb_break_permutation, build_toyc)
+                              build_toyb_break_permutation, build_toyc,
+                              build_toyc_chain)
 from oracles import unit_is_strict
 from wrapcat.ainf import check_ainf_relations, cohomology_category
 from wrapcat.errors import NoSection
 from wrapcat.floer import (CompatibleCollection, WeakFloerSetup,
                            canonical_envelope, choose_compatible_collection,
-                           validate_setup)
+                           subsequences, validate_setup)
 from wrapcat.rings import CoefficientRing
 
 F2 = CoefficientRing.prime_field(2)
@@ -29,10 +32,11 @@ class TestValidation:
         assert rep["axioms"]["ix-diagonal"]["passed"]
 
     def test_permutation_closure_failure_names_pair(self):
+        # explicit tuples are checked one by one
         rep = validate_setup(build_toyb_break_permutation())
         assert not rep["passed"]
-        fails = rep["axioms"]["ii-composability"]["failures"]
-        assert any("missing-permutation" in f for f in fails)
+        assert rep["axioms"]["ii-composability"]["failures"] == [
+            {"tuple": ["L", "K"], "missing-permutation": ["K", "L"]}]
 
     def test_dsq_break_fails_relations(self):
         rep = validate_setup(build_dsq_break())
@@ -59,6 +63,31 @@ class TestValidation:
     def test_strict_mode_notes_reinterpretation(self):
         rep = validate_setup(build_toyb(), mode="strict")
         assert any("finiteness" in n for n in rep.get("notes", []))
+
+    def test_repeated_labels_keep_the_closure_check(self):
+        # all-distinct tuples are closed by construction only over
+        # distinct labels
+        s = WeakFloerSetup(F2, ["A", "B", "A"], max_arity=2, name="repeated")
+        assert failures(s, "ii-composability") == [
+            {"tuple": ["A", "A"], "reason": "repeated Lagrangian"},
+            {"tuple": ["A", "A", "B"], "reason": "repeated Lagrangian"},
+            {"tuple": ["A", "B", "A"], "reason": "repeated Lagrangian"},
+            {"tuple": ["B", "A", "A"], "reason": "repeated Lagrangian"}]
+
+    @pytest.mark.parametrize("build", [build_toyb, build_toyc,
+                                       build_micro2datum,
+                                       lambda: build_toyc_chain(4)])
+    def test_all_distinct_tuples_are_closed(self, build):
+        # what lets validate_setup skip the closure loop in this mode
+        s = build()
+        assert s.composable_mode == "all-distinct"
+        for k in s.composable:
+            for t in s.composable[k]:
+                assert len(set(t)) == len(t)
+                assert all(sub in s.composable[len(sub) - 1]
+                           for sub in subsequences(t))
+                assert all(perm in s.composable[k] for perm in permutations(t))
+        assert failures(s, "ii-composability") == []
 
 
 class TestCompatibleCollections:

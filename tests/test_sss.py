@@ -7,6 +7,7 @@ with N Lagrangians, E_n has (n + 1) N vertices and (n + 1)^(k+1) N (N - 1)
 of the n + 1 copies of each.
 """
 
+from itertools import permutations
 from math import prod
 from pathlib import Path
 
@@ -17,10 +18,16 @@ from fixture_builders import (build_micro2datum, build_toyb, build_toyc,
 from wrapcat import cli
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import _prepare, bundled_wrapped_poset
-from wrapcat.floer import choose_compatible_collection
+from wrapcat.errors import DecorationInconsistent
+from wrapcat.floer import (FloerDataSystem, WeakFloerSetup,
+                           choose_compatible_collection, family_key,
+                           subsequences)
+from wrapcat.localization import FractionCategory
 from wrapcat.posets import build_O_P, wrapping_sequences
+from wrapcat.rings import CoefficientRing
 from wrapcat.setupfile import load_setup
-from wrapcat.sss import build_F_E, canonical_sss, entangle, localize_stage
+from wrapcat.sss import (build_F_E, canonical_sss, check_bridge, entangle,
+                         localize_stage)
 from wrapcat.wrap import continuation_cset
 
 BUILDERS = {"toyb": build_toyb, "toyc": build_toyc,
@@ -134,3 +141,63 @@ def test_f_of_e_delta_is_the_canonical_envelope(fixture):
     assert F.units == env.units
     frac = localize_stage(setup, e_delta)
     assert [c.key() for c in frac.cset] == [c.key() for c in cset]
+
+
+@pytest.mark.parametrize("build", [build_toyb, build_toyc])
+def test_identity_bridge_is_the_full_check(build):
+    # E_delta -> E0 is the identity of E_delta over one localization: it
+    # passes without building a colimit, with the result the full check
+    # gives when the two localizations are distinct objects
+    setup = build()
+    col, env, hcat, cset = _prepare(setup)
+    E = canonical_sss(setup, col)
+    frac = FractionCategory(hcat, cset)
+    identity = {v: v for v in E.vertices}
+    short = check_bridge(E, E, frac, frac, identity)
+    assert not frac._colims
+    full = check_bridge(E, E, frac, FractionCategory(hcat, cset), identity)
+    assert frac._colims
+    assert short == full
+    assert short["passed"]
+
+
+def triples_setup():
+    """A full-profile setup on three Lagrangians with zero CF modules: every
+    pair has the data p0 and p1, every triple t0 and t1, and t_i restricts
+    to p_i on each pair."""
+    lags = ("A", "B", "C")
+    triples = list(permutations(lags, 3))
+    ds = FloerDataSystem(
+        D={**{p: ["p0", "p1"] for p in permutations(lags, 2)},
+           **{t: ["t0", "t1"] for t in triples}},
+        restrictions={(t, sub): {"t0": "p0", "t1": "p1"}
+                      for t in triples for sub in subsequences(t)},
+        sections={t: {family_key({sub: f"p{i}" for sub in subsequences(t)}):
+                      f"t{i}" for i in (0, 1)} for t in triples})
+    return WeakFloerSetup(CoefficientRing.prime_field(2), lags, max_arity=2,
+                          profile="full", data_system=ds, name="triples")
+
+
+def test_entangled_stage_checks_its_decorations():
+    setup = triples_setup()
+    e_delta = stage(setup, 0)
+    E = entangle(setup, [e_delta] * 2)
+    assert {E.data[s] for s in E.simplices[2]} == {"t0"}
+    # a cross-block simplex whose datum does not restrict to its faces'
+    E.data[("b0.A", "b1.B", "b0.C")] = "t1"
+    with pytest.raises(DecorationInconsistent, match="incompatible"):
+        E.check_decorations()
+    with pytest.raises(DecorationInconsistent, match="incompatible"):
+        E.validate()
+    # a block decorated against its own faces
+    e_delta.data[("A", "B", "C")] = "t1"
+    with pytest.raises(DecorationInconsistent, match="incompatible"):
+        entangle(setup, [e_delta] * 2)
+
+
+def test_undecorated_full_profile_block_fails_to_entangle():
+    setup = build_micro2datum()
+    e_delta = stage(setup, 0)
+    e_delta.data[e_delta.simplices[1][0]] = None
+    with pytest.raises(DecorationInconsistent, match="undecorated"):
+        entangle(setup, [e_delta] * 2)

@@ -69,3 +69,10 @@ def test_traced_spans_see_the_entanglement_layer():
                       "spans")["spans"]
     assert {"sss.entangle", "sss.bridge", "sss.tau", "posets.build"} <= \
         set(spans)
+
+
+def test_traced_spans_see_validation_and_the_envelope():
+    # compute validates on the envelope it builds once: both layers keep
+    # their spans, so neither metric reads zero unnoticed
+    spans = run_child(["compute", TOYB, "--what", "hw"], "spans")["spans"]
+    assert {"floer.validate", "floer.envelope"} <= set(spans)

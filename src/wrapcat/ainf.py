@@ -93,7 +93,6 @@ class AInfCategory:
         self.block_info = {}   # pair -> {label: (src_summand, tgt_summand, host_label)}
         self.ops = {}          # chain -> {inputs: {output: scalar}}
         self._block_rev = None
-        self._mu_cache = None
         self._contractions = None   # run -> {inputs: output or None}, False if zero
         self._arity = None
         for chain, inputs, output, scalar in op_entries:
@@ -133,7 +132,7 @@ class AInfCategory:
         _merge(out, output, scalar, self.ring)
         if not out:
             del table[inputs]
-        self._mu_cache = self._contractions = self._arity = None
+        self._contractions = self._arity = None
 
     def set_op_entry(self, chain, inputs, output, scalar):
         chain, inputs = tuple(chain), tuple(inputs)
@@ -146,7 +145,7 @@ class AInfCategory:
             out[output] = scalar
         if not out:
             del table[inputs]
-        self._mu_cache = self._contractions = self._arity = None
+        self._contractions = self._arity = None
 
     def add_unit_entries(self):
         """Install strict-unit mu^2 entries for every designated plain unit."""
@@ -173,15 +172,7 @@ class AInfCategory:
         inputs = tuple(inputs)
         if not any(self.is_cone(x) for x in chain):
             return self.mu_plain(chain, inputs)
-        cache = self._mu_cache
-        if cache is None:
-            cache = self._mu_cache = {}
-        key = (chain, inputs)
-        hit = cache.get(key)
-        if hit is None:
-            hit = self._mu_twisted(chain, inputs)
-            cache[key] = hit
-        return dict(hit)
+        return self._mu_twisted(chain, inputs)
 
     def max_arity(self) -> int:
         """The largest arity of an operation entry (0 without entries).  A

@@ -70,6 +70,18 @@ def _prepare(setup, env=None):
     return col, env, hcat, cset
 
 
+def _prepare_valid(setup, rep):
+    """``_prepare`` on a setup whose axioms hold; on a setup whose axioms
+    fail, None, with the ``validation`` section and a failing verdict on
+    ``rep``."""
+    val, env = _validated(setup)
+    if not val["passed"]:
+        rep.add("validation", val)
+        rep.set_verdict(False)
+        return None
+    return _prepare(setup, env)
+
+
 def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
     """The bundled sufficiently wrapped poset: one chain per wrapping family
     (base below its wrapped stages), families stacked in sorted order."""
@@ -129,12 +141,10 @@ def cmd_compute(setup, what="hw", depth=4):
     """Every computation localizes at the continuation set, so each one
     first checks it is a right multiplicative system."""
     rep = Report(f"compute:{what}", setup.name)
-    val, env = _validated(setup)
-    if not val["passed"]:
-        rep.add("validation", val)
-        rep.set_verdict(False)
+    prepared = _prepare_valid(setup, rep)
+    if prepared is None:
         return rep
-    col, env, hcat, cset = _prepare(setup, env)
+    col, env, hcat, cset = prepared
     rms = check_right_multiplicative_system(hcat, cset)
     if not rms["passed"]:
         rep.add("continuation_conditions", rms)
@@ -184,8 +194,13 @@ def cmd_compute(setup, what="hw", depth=4):
 
 
 def cmd_entangle(setup, level=1, compare=False):
+    """The stages are built on a setup whose axioms hold; unlike compute,
+    the continuation set need not be a right multiplicative system."""
     rep = Report(f"entangle:{level}", setup.name)
-    col, env, hcat, cset = _prepare(setup)
+    prepared = _prepare_valid(setup, rep)
+    if prepared is None:
+        return rep
+    col, env, hcat, cset = prepared
     e_delta = canonical_sss(setup, col)
     # entangling one block gives the block back: E0 is E_delta
     stages = [("E_delta", e_delta), ("E0", e_delta)]

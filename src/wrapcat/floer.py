@@ -94,6 +94,7 @@ class WeakFloerSetup:
         else:
             self.composable = {int(k): set(map(tuple, v))
                                for k, v in (composable_tuples or {}).items()}
+        self._sorted = {k: tuple(sorted(v)) for k, v in self.composable.items()}
 
     @property
     def full(self):
@@ -102,7 +103,8 @@ class WeakFloerSetup:
         return self.profile == "full" and self.data_system is not None
 
     def tuples(self, k):
-        return sorted(self.composable.get(k, ()))
+        """The composable k-tuples, sorted once at construction."""
+        return self._sorted.get(k, ())
 
     def all_tuples(self):
         out = []

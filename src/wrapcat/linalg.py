@@ -49,7 +49,7 @@ class GradedModule:
         return GradedModule(ring, basis)
 
     def degrees(self):
-        return sorted(self.basis.keys())
+        return list(self.basis)
 
     def rank(self, d: int) -> int:
         return len(self.basis.get(d, ()))

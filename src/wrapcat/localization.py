@@ -5,10 +5,21 @@ HCategory.  Validation checks the four right-multiplicative-system
 conditions exhaustively (with witnesses); localization presents the
 fraction category's homs as exact colimits over the continuation slices,
 with roof composition through deterministically chosen Ore squares.
+
+Conditions (iii) and (iv) are one covering question: for a class c and a
+test object x, does a span of classes lie in the union of subspaces, one
+per class c' into x?  For the Ore condition (iii) the span is H^d(x, L) and
+the subspace of c' holds the g whose square c.g^w = g.c' is solvable, read
+from the same maps as ``ore_complete``; for (iv) the span is the kernel of
+post-composition with c and the subspace of c' holds the u with u.c' = 0.
+The question is answered at once when one subspace holds the whole span,
+by enumerating the span over F_p when p^dim <= 4096, and otherwise left
+open with a reason.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .ainf import HCategory
@@ -86,30 +97,10 @@ class CSet:
                 and tuple(c.coords) == tuple(self.hcat.identity_coords.get(c.src) or ()))
 
 
-def _left_null_space(ring, m: Matrix) -> Matrix:
-    """Rows spanning {y : y m = 0}."""
-    return Matrix.from_rows(ring, m.transpose().kernel_basis(), m.rows)
-
-
-def _subspace_covers(constraint: Matrix, subspace):
-    """Whether ker(constraint) contains the span of ``subspace``."""
-    return all(not any(x != 0 for x in constraint.apply(vec))
-               for vec in subspace)
-
-
-def _enumerate_space(ring, basis):
-    """All vectors in the span of ``basis`` over a small finite field."""
-    if not basis:
-        return [tuple()]
-    n = len(basis[0])
-    out = []
-    for coeffs in product(*([range(ring.p)] * len(basis))):
-        v = [ring.zero()] * n
-        for c, b in zip(coeffs, basis):
-            for i, x in enumerate(b):
-                v[i] = ring.add(v[i], ring.mul(c, x))
-        out.append(tuple(v))
-    return out
+# condition -> (witness key of an uncovered vector, reason when the span is
+# too large to enumerate)
+_WITNESS = {"iii": ("g", "no single completing class covers the hom space"),
+            "iv": ("difference", "no single class kills the equalizer kernel")}
 
 
 def check_right_multiplicative_system(hcat: HCategory, cset: CSet):
@@ -144,86 +135,82 @@ def check_right_multiplicative_system(hcat: HCategory, cset: CSet):
     for c in cset:
         if cset.is_identity(c):
             continue
-        lw, l = c.src, c.tgt
-        for k in hcat.objects:
-            for d in hcat.pres(k, l).degrees():
-                ok, witness = _check_ore_square(hcat, cset, c, k, d)
-                if not ok:
-                    failures["iii"].append({"class": repr(c), "object": k,
-                                            "degree": d, "witness": witness})
-    for c in cset:
-        if cset.is_identity(c):
-            continue
-        k, kp = c.src, c.tgt
-        for l in hcat.objects:
-            for d in hcat.pres(l, k).degrees():
-                ok, witness = _check_equalization(hcat, cset, c, l, d)
-                if not ok:
-                    failures["iv"].append({"class": repr(c), "object": l,
-                                           "degree": d, "witness": witness})
+        for x in hcat.objects:
+            for cond, d, basis, members in _covering_questions(hcat, cset, c, x):
+                covered, v = _covers(ring, basis, members)
+                if not covered:
+                    key, reason = _WITNESS[cond]
+                    failures[cond].append({
+                        "class": repr(c), "object": x, "degree": d,
+                        "witness": ({"reason": reason} if v is None else
+                                    {key: [ring.format_scalar(t) for t in v]})})
     passed = not any(failures.values())
     return {"passed": passed, "failures": failures, "warnings": warnings}
 
 
-def _check_ore_square(hcat: HCategory, cset: CSet, c: ContClass, k, d):
-    """Condition (iii) for the class c: L^w -> L, test object k, degree d."""
+def _covering_questions(hcat: HCategory, cset: CSet, c: ContClass, x):
+    """Conditions (iii) and (iv) for the class c at the test object x, as
+    (condition, degree, basis, membership tests, one per class c' into x):
+    the covering questions of the module docstring."""
     ring = hcat.ring
-    lw, l = c.src, c.tgt
-    n = hcat.class_count(k, l, d)
-    if n == 0:
-        return True, None
-    full_found = False
-    kernels = []
-    for cp in cset.with_target(k):
-        kw = cp.src
-        Q = hcat.postcompose_matrix(kw, lw, l, 0, c.coords, d)
-        P = hcat.precompose_matrix(kw, k, l, 0, cp.coords, d)
-        N = _left_null_space(ring, Q)
-        A = N.mul(P) if N.rows else Matrix.zero(ring, 0, n)
-        if A.rows == 0 or A.is_zero():
-            full_found = True
-            break
-        kernels.append((cp, A))
-    if full_found:
-        return True, None
-    if ring.kind == "Fp" and ring.p ** n <= 4096:
-        for coeffs in product(*([range(ring.p)] * n)):
-            g = tuple(ring.normalize(x) for x in coeffs)
-            if not any(x != 0 for x in g):
-                continue
-            if not any(all(x == 0 for x in A.apply(g)) for _, A in kernels):
-                return False, {"g": [ring.format_scalar(x) for x in g]}
-        return True, None
-    return False, {"reason": "no single completing class covers the hom space"}
+    for d in hcat.pres(x, c.tgt).degrees():
+        n = hcat.class_count(x, c.tgt, d)
+        yield ("iii", d, [ring.unit_vector(n, i) for i in range(n)],
+               (partial(_completes, Q, P)
+                for _, Q, P in _ore_maps(hcat, cset, c, x, d)))
+    for d in hcat.pres(x, c.src).degrees():
+        post = hcat.postcompose_matrix(x, c.src, c.tgt, 0, c.coords, d)
+        yield ("iv", d, post.kernel_basis(),
+               (partial(_kills, hcat.precompose_matrix(cp.src, x, c.src, 0,
+                                                       cp.coords, d))
+                for cp in cset.with_target(x)))
 
 
-def _check_equalization(hcat: HCategory, cset: CSet, c: ContClass, l, d):
-    """Condition (iv) for c: K -> K', test object l, degree d."""
-    ring = hcat.ring
-    k, kp = c.src, c.tgt
-    n = hcat.class_count(l, k, d)
-    if n == 0:
+def _completes(Q: Matrix, P: Matrix, g):
+    return Q.solve(P.apply(g)) is not None
+
+
+def _kills(pre: Matrix, u):
+    return not any(pre.apply(u))
+
+
+def _covers(ring, basis, members):
+    """Whether the span of ``basis`` lies in the union of the subspaces that
+    the tests ``members`` decide, read lazily: (True, None) when the span is
+    empty or one subspace holds the whole basis.  Otherwise, over F_p with
+    p^dim <= 4096, the span is enumerated in product order of coefficients:
+    (False, v) for the first v no test accepts, else (True, None).  Beyond
+    that, (False, None)."""
+    if not basis:
         return True, None
-    post = hcat.postcompose_matrix(l, k, kp, 0, c.coords, d)
-    U = post.kernel_basis()
-    if not U:
-        return True, None
-    for cp in cset.with_target(l):
-        pre = hcat.precompose_matrix(cp.src, l, k, 0, cp.coords, d)
-        if _subspace_covers(pre, U):
+    tested = []
+    for member in members:
+        if all(member(b) for b in basis):
             return True, None
-    if ring.kind == "Fp" and ring.p ** len(U) <= 4096:
-        for u in _enumerate_space(ring, U):
-            if not any(x != 0 for x in u):
-                continue
-            killed = any(all(x == 0 for x in
-                             hcat.precompose_matrix(cp.src, l, k, 0,
-                                                    cp.coords, d).apply(u))
-                         for cp in cset.with_target(l))
-            if not killed:
-                return False, {"difference": [ring.format_scalar(x) for x in u]}
-        return True, None
-    return False, {"reason": "no single class kills the equalizer kernel"}
+        tested.append(member)
+    if ring.kind != "Fp" or ring.p ** len(basis) > 4096:
+        return False, None
+    zero = (ring.zero(),) * len(basis[0])
+    for coeffs in product(range(ring.p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        v = zero
+        for a, b in zip(coeffs, basis):
+            v = tuple(ring.add(t, ring.mul(a, s)) for t, s in zip(v, b))
+        if not any(member(v) for member in tested):
+            return False, v
+    return True, None
+
+
+def _ore_maps(hcat: HCategory, cset: CSet, c: ContClass, k, d):
+    """(c', Q, P) for each class c': k^w -> k, in canonical order: Q
+    post-composes H^d(k^w, L^w) with c: L^w -> L, and P pre-composes
+    H^d(k, L) with c'.  The Ore squares c.g^w = g.c' of g in H^d(k, L) are
+    the solutions g^w of Q g^w = P g."""
+    lw, l = c.src, c.tgt
+    for cp in cset.with_target(k):
+        yield (cp, hcat.postcompose_matrix(cp.src, lw, l, 0, c.coords, d),
+               hcat.precompose_matrix(cp.src, k, l, 0, cp.coords, d))
 
 
 def ore_complete(hcat: HCategory, cset: CSet, c: ContClass, k, d, g_coords):
@@ -233,14 +220,8 @@ def ore_complete(hcat: HCategory, cset: CSet, c: ContClass, k, d, g_coords):
     H^d(src(c'), l); the first class in canonical order admitting an exact
     solution wins, and the solution is the canonical one.
     """
-    ring = hcat.ring
-    lw, l = c.src, c.tgt
-    for cp in cset.with_target(k):
-        kw = cp.src
-        Q = hcat.postcompose_matrix(kw, lw, l, 0, c.coords, d)
-        P = hcat.precompose_matrix(kw, k, l, 0, cp.coords, d)
-        rhs = P.apply(g_coords)
-        sol = Q.solve(rhs)
+    for cp, Q, P in _ore_maps(hcat, cset, c, k, d):
+        sol = Q.solve(P.apply(g_coords))
         if sol is not None:
             return cp, tuple(sol)
     return None, None

@@ -66,6 +66,9 @@ def setup_from_dict(doc) -> WeakFloerSetup:
     for key in ("coefficients", "lagrangians", "profile"):
         if key not in doc:
             raise SchemaError(f"missing top-level key {key!r}")
+    if doc["profile"] not in ("envelope", "full"):
+        raise SchemaError(f"profile must be 'envelope' or 'full', not "
+                          f"{doc['profile']!r}")
     with _at("coefficients"):
         ring = CoefficientRing.from_token(doc["coefficients"])
     lag = doc["lagrangians"]
@@ -110,7 +113,7 @@ def setup_from_dict(doc) -> WeakFloerSetup:
             envelope_ops.setdefault(chain, []).append(
                 (inputs, entry["output"], scalar))
     data_system = None
-    if doc.get("profile") == "full":
+    if doc["profile"] == "full":
         raw = _get(doc, "floer_data", dict)
         with _at("floer_data"):
             data_system = _data_system_from_dict(ring, raw, cf)

@@ -7,6 +7,7 @@ on every basis element.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 
@@ -131,6 +132,8 @@ def reference_bar(cat, nulls, x, y, depth, degree=0):
     blocks {d: rows} for d in (degree - 1, degree).
     """
     ring = cat.ring
+    # each distinct run is evaluated once; its output is only read
+    mu = lru_cache(maxsize=None)(cat.mu)
 
     def name(objs, labels):
         return "|".join(objs) + "//" + "|".join(labels)
@@ -163,7 +166,7 @@ def reference_bar(cat, nulls, x, y, depth, degree=0):
                 for i in range(k + 1)]
         for i in range(k + 1):
             for j in range(i, k + 1):
-                out = cat.mu(objs[i:j + 2], labels[i:j + 1])
+                out = mu(objs[i:j + 2], labels[i:j + 1])
                 exp = sum(d - 1 for d in degs[:i])
                 exp += sum((j - l) * degs[l] for l in range(i, j + 1))
                 sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
@@ -191,6 +194,8 @@ def reference_relations(cat, max_arity=4):
     basis input tuple along it in product order, and ``cat.mu`` on every
     (r, s) split of it."""
     ring = cat.ring
+    # each distinct (chain, inputs) is evaluated once; its output is only read
+    mu = lru_cache(maxsize=None)(cat.mu)
     adj = {x: sorted({y for (s, y), m in cat.homs.items()
                       if s == x and not m.is_zero()}) for x in cat.objects}
     violations = []
@@ -209,14 +214,14 @@ def reference_relations(cat, max_arity=4):
                 for r in range(n):
                     for s in range(1, n - r + 1):
                         t = n - r - s
-                        inner = cat.mu(chain[r:r + s + 1], inputs[r:r + s])
+                        inner = mu(chain[r:r + s + 1], inputs[r:r + s])
                         exp = r + s * t + s * sum(degs[:r])
                         sgn = ring.one() if exp % 2 == 0 else ring.normalize(-1)
                         outer_chain = chain[:r + 1] + chain[r + s:]
                         for mid, c in inner.items():
                             outer_inputs = inputs[:r] + (mid,) + inputs[r + s:]
-                            for lab, v in cat.mu(outer_chain,
-                                                 outer_inputs).items():
+                            for lab, v in mu(outer_chain,
+                                             outer_inputs).items():
                                 total[lab] = ring.add(
                                     total.get(lab, ring.zero()),
                                     ring.mul(sgn, ring.mul(c, v)))

@@ -191,6 +191,10 @@ def _section_witness_not_in_d(doc):
     doc["floer_data"]["sections"] = {"A,B,A": {"A,B=d1": "zz"}}
 
 
+def _unknown_profile(doc):
+    doc["profile"] = "banana"
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -250,7 +254,9 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_restriction_value_not_in_d, "floer_data: restrictions "
               "'A,B,A|A,B': 'zz' is not in D(A,B)", "micro2datum"),
              (_section_witness_not_in_d, "floer_data: sections 'A,B,A': 'zz' "
-              "is not in D(A,B,A)", "micro2datum")]
+              "is not in D(A,B,A)", "micro2datum"),
+             (_unknown_profile, "profile must be 'envelope' or 'full', not "
+              "'banana'", "toyb")]
 
 
 class TestInputErrors:
@@ -591,9 +597,7 @@ COMPUTE_ERRORS = [(fixture, what)
                   for fixture in ("ore_break", "toyc_break_closure")
                   for what in ("hw", "dfcat", "agree", "localize")]
 FAILED_CONDITION = {"ore_break": "iii", "toyc_break_closure": "ii"}
-ENTANGLE_ERRORS = [("dsq_break", "NotAComplex"),
-                   ("micro2datum", "DecorationInconsistent"),
-                   ("micro2_break_beta", "DecorationInconsistent")]
+ENTANGLE_ERRORS = [("micro2datum", "DecorationInconsistent")]
 
 
 @pytest.mark.parametrize("fixture,what", COMPUTE_ERRORS)
@@ -609,6 +613,56 @@ def test_invalid_continuation_set_fails_every_computation(capsys, fixture,
     cond = rep["sections"]["continuation_conditions"]
     assert not cond["passed"]
     assert cond["failures"][FAILED_CONDITION[fixture]]
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]],
+                         ids=["stages", "compare"])
+@pytest.mark.parametrize("fixture", ["dsq_break", "micro2_break_beta",
+                                     "toyb_break_permutation"])
+def test_entangle_refuses_a_setup_whose_axioms_fail(capsys, fixture, compare):
+    # the stages are built only on a setup that compute would accept
+    path = str(FIXTURES / f"{fixture}.json")
+    code, rep = run_cli(capsys, "entangle", path, *compare)
+    _, hw = run_cli(capsys, "compute", path)
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert list(rep["sections"]) == ["validation"]
+    assert rep["sections"] == hw["sections"]
+
+
+# the exit code of every bundled fixture under each command, in the order
+# of PINNED_COMMANDS: 0 is a passing report, 1 a failing one, 2 an input
+# error with nothing on stdout
+PINNED_COMMANDS = {"validate": ("validate",),
+                   "hw": ("compute", "--what", "hw"),
+                   "dfcat": ("compute", "--what", "dfcat"),
+                   "localize": ("compute", "--what", "localize"),
+                   "agree": ("compute", "--what", "agree"),
+                   "entangle": ("entangle", "--level", "1", "--compare")}
+PINNED_EXITS = {"badscalar": "222222", "dsq_break": "111111",
+                "micro2_break_beta": "111111", "micro2datum": "000001",
+                "ore_break": "111111", "toyb": "000000",
+                "toyb_break_permutation": "111111", "toyc": "000001",
+                "toyc_break_closure": "111111"}
+
+
+def test_pinned_exits_cover_every_bundled_fixture():
+    assert sorted(PINNED_EXITS) == sorted(p.stem
+                                          for p in FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", PINNED_COMMANDS)
+@pytest.mark.parametrize("fixture", sorted(PINNED_EXITS))
+def test_every_fixture_and_command_has_a_pinned_exit_and_verdict(
+        capsys, fixture, command):
+    name, *options = PINNED_COMMANDS[command]
+    code = main([name, str(FIXTURES / f"{fixture}.json"), *options])
+    out = capsys.readouterr().out
+    assert code == int(PINNED_EXITS[fixture][list(PINNED_COMMANDS)
+                                             .index(command)])
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.loads(out)["verdict"] == ("pass" if code == 0 else "fail")
 
 
 @pytest.mark.parametrize("depth", ["0", "1"])

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from fixture_builders import build_toyb, build_toyc, build_ore_break
 from oracles import random_path_instance, zigzag_localization_ranks
 from pathcat_support import instance_to_category, wrap_cset
@@ -70,6 +72,106 @@ class TestMultiplicativeSystem:
         cp2, gw2 = ore_complete(h, cset, c, "L", 0, g)
         assert cp1 == cp2 and gw1 == gw2 and cp1 is not None
 
+
+def three_line_category(ring, classes=3):
+    """Post-composition with c: K -> Kp kills H(L, K) = span(a, b), and each
+    class c_i: L_i -> L kills one line of it under precomposition: c_1 the
+    line of a, c_2 the line of b, c_3 the line of a + b.  A nilpotent n_i on
+    L_i kills z_i = u.c_i, so (iv) holds at every L_i.  The continuation
+    set holds c, every n_i and the first ``classes`` of the c_i."""
+    gens = {("K", "Kp"): ["c"], ("L", "K"): ["a", "b"]}
+    units = {x: {f"1{x}": 1} for x in ("K", "Kp", "L", "L1", "L2", "L3")}
+    for i in (1, 2, 3):
+        li = f"L{i}"
+        gens[(li, "L")] = [f"c{i}"]
+        gens[(li, "K")] = [f"z{i}"]
+        gens[(li, li)] = [f"1{li}", f"n{i}"]
+    homs = {pair: GradedModule.from_generators(ring, [(g, 0) for g in names])
+            for pair, names in gens.items()}
+    for x in ("K", "Kp", "L"):
+        homs[(x, x)] = GradedModule.from_generators(ring, [(f"1{x}", 0)])
+    cat = AInfCategory(ring, list(units), homs, units)
+    cat.add_unit_entries()
+    for i, kills in ((1, "a"), (2, "b"), (3, None)):
+        li = f"L{i}"
+        for u in ("a", "b"):
+            if u != kills:
+                cat.add_op_entry((li, "L", "K"), (f"c{i}", u), f"z{i}", 1)
+    h = cohomology_category(cat)
+
+    def cls(src, tgt, label):
+        return (src, tgt, h.project_dict(src, tgt, 0, {label: 1}))
+    cset = CSet(h, [cls("K", "Kp", "c")]
+                + [cls(f"L{i}", f"L{i}", f"n{i}") for i in (1, 2, 3)]
+                + [cls(f"L{i}", "L", f"c{i}") for i in range(1, classes + 1)])
+    return h, cset
+
+
+class TestCoveringConditions:
+    """Conditions (iii) and (iv) ask whether a span lies in the union of
+    subspaces, one per continuation class into the test object."""
+
+    def test_ore_break_pins_the_first_uncovered_g(self):
+        s = build_ore_break()
+        h = cohomology_category(canonical_envelope(s))
+        rep = check_right_multiplicative_system(h, continuation_cset(s, h))
+        assert rep["failures"]["iii"] == [{"class": "ContClass(Y->Z, [1])",
+                                           "object": "X", "degree": 0,
+                                           "witness": {"g": ["1 mod 2"]}}]
+        assert not rep["failures"]["iv"]
+
+    def test_union_of_lines_covers_by_enumeration(self):
+        h, cset = three_line_category(F2)
+        c = [x for x in cset if x.tgt == "Kp"][0]
+        post = h.postcompose_matrix("L", "K", "Kp", 0, c.coords, 0)
+        U = post.kernel_basis()
+        assert len(U) == 2
+        # no single class kills the kernel ...
+        for cp in cset.with_target("L"):
+            pre = h.precompose_matrix(cp.src, "L", "K", 0, cp.coords, 0)
+            assert any(any(x != 0 for x in pre.apply(u)) for u in U)
+        # ... but the three lines cover F2^2, so the system holds
+        rep = check_right_multiplicative_system(h, cset)
+        assert rep["passed"], rep["failures"]
+
+    def test_two_lines_leave_a_difference_uncovered(self):
+        h, cset = three_line_category(F2, classes=2)
+        rep = check_right_multiplicative_system(h, cset)
+        assert rep["failures"]["iv"] == [
+            {"class": "ContClass(K->Kp, [1])", "object": "L", "degree": 0,
+             "witness": {"difference": ["1 mod 2", "1 mod 2"]}}]
+        assert not rep["failures"]["iii"]
+
+    def test_over_q_an_uncovered_kernel_ends_in_the_reason(self):
+        h, cset = three_line_category(CoefficientRing.rationals())
+        c = [x for x in cset if x.tgt == "Kp"][0]
+        rep = check_right_multiplicative_system(h, cset)
+        assert rep["failures"]["iv"] == [
+            {"class": repr(c), "object": "L", "degree": 0,
+             "witness": {"reason": "no single class kills the equalizer "
+                                   "kernel"}}]
+
+    @pytest.mark.parametrize("ring", [F2, CoefficientRing.rationals()],
+                             ids=["F2", "Q"])
+    def test_empty_kernel_passes(self, ring):
+        # post-composition with c: A -> B is injective on H(A, A) and on
+        # H(X, A), so (iv) holds at X although X has no unit and so no
+        # class into it
+        homs = {("A", "A"): GradedModule.from_generators(ring, [("1A", 0)]),
+                ("B", "B"): GradedModule.from_generators(ring, [("1B", 0)]),
+                ("A", "B"): GradedModule.from_generators(ring, [("c", 0)]),
+                ("X", "A"): GradedModule.from_generators(ring, [("x", 0)]),
+                ("X", "B"): GradedModule.from_generators(ring, [("y", 0)])}
+        cat = AInfCategory(ring, ["A", "B", "X"], homs,
+                           {"A": {"1A": 1}, "B": {"1B": 1}})
+        cat.add_unit_entries()
+        cat.add_op_entry(("X", "A", "B"), ("x", "c"), "y", 1)
+        h = cohomology_category(cat)
+        cset = CSet(h, [("A", "B", h.project_dict("A", "B", 0, {"c": 1}))])
+        rep = check_right_multiplicative_system(h, cset)
+        assert rep["failures"]["i"] == [{"object": "X",
+                                         "reason": "unit class missing"}]
+        assert rep["failures"]["iv"] == []
 
 class TestFractionCategory:
     def test_identities_only_recovers_h(self):

@@ -1,8 +1,8 @@
 """Finite A-infinity categories: sparse operations, relation checking,
-cohomology categories, mapping cones and naive functors.
+cohomology categories and mapping cones.
 
-Sign convention (fixed globally, see README): operations mu^k have degree
-2-k and the A-infinity relations read, elementwise on basis inputs,
+Sign convention (fixed globally): operations mu^k have degree 2-k and the
+A-infinity relations read, elementwise on basis inputs,
 
     sum_{r+s+t=n} (-1)^(r + s*t + s*(|x_1|+...+|x_r|))
         mu^{r+1+t}(x_1, .., x_r, mu^s(x_{r+1}, ..), x_{r+s+1}, .., x_n) = 0.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import InvalidFunctor, NotClosed, NotDegreeZero, ShapeMismatch
+from .errors import NotClosed, NotDegreeZero, ShapeMismatch
 from .linalg import (CohomologyPresentation, Complex, GradedMap, GradedModule,
                      cohomology)
 from .matrices import Matrix
@@ -640,94 +640,3 @@ def cone_of_class(a: AInfCategory, hcat: HCategory, name, x, y, degree0_coords):
     """Cone over the canonical cycle representative of an H^0 class."""
     return cone(a, name, x, y, hcat.rep_dict(x, y, 0, degree0_coords))
 
-
-# -- naive functors -----------------------------------------------------------------
-
-
-class NaiveFunctor:
-    """Object map plus degree-0 chain maps on homs (first-order term only)."""
-
-    def __init__(self, source: AInfCategory, target: AInfCategory,
-                 object_map, hom_maps):
-        self.source = source
-        self.target = target
-        self.object_map = dict(object_map)
-        self.hom_maps = dict(hom_maps)
-
-    @staticmethod
-    def inclusion(source: AInfCategory, target: AInfCategory,
-                  object_map=None, label_map=None) -> "NaiveFunctor":
-        """Inclusion-style functor sending basis labels by name (or via
-        ``label_map(p, q, label)``)."""
-        omap = dict(object_map) if object_map else {x: x for x in source.objects}
-        hmaps = {}
-        for (p, q), mod in sorted(source.homs.items()):
-            tmod = target.hom(omap[p], omap[q])
-            entries = []
-            for d in mod.degrees():
-                for lab in mod.labels(d):
-                    tl = label_map(p, q, lab) if label_map else lab
-                    if tl is not None:
-                        entries.append((lab, tl, source.ring.one()))
-            hmaps[(p, q)] = GradedMap.from_entries(mod, tmod, 0, entries)
-        return NaiveFunctor(source, target, omap, hmaps)
-
-    def map_element(self, p, q, element):
-        fm = self.hom_maps.get((p, q))
-        if fm is None:
-            return {}
-        ring = self.source.ring
-        out = {}
-        for lab, s in element.items():
-            for tl, v in fm.apply_label(lab).items():
-                _merge(out, tl, ring.mul(s, v), ring)
-        return out
-
-    def validate(self):
-        """Chain-map property of every hom map, mu^2 intertwined exactly and
-        units sent to units."""
-        ring = self.source.ring
-        for (p, q), fm in sorted(self.hom_maps.items()):
-            fp, fq = self.object_map[p], self.object_map[q]
-            mod = self.source.hom(p, q)
-            if fm.source != mod or fm.target != self.target.hom(fp, fq):
-                raise InvalidFunctor(f"hom map ({p},{q}) endpoints mismatch")
-            if fm.degree != 0:
-                raise InvalidFunctor(f"hom map ({p},{q}) must have degree 0")
-            for d in mod.degrees():
-                for lab in mod.labels(d):
-                    one = {lab: ring.one()}
-                    lhs = self.map_element(p, q, self.source.mu((p, q), (lab,)))
-                    rhs = self.target.mu_element((fp, fq),
-                                                 [self.map_element(p, q, one)])
-                    if lhs != rhs:
-                        raise InvalidFunctor(
-                            f"hom map ({p},{q}) is not a chain map at {lab!r}")
-        for x in self.source.objects:
-            fx = self.object_map[x]
-            img = self.map_element(x, x, self.source.unit_of(x))
-            if img != self.target.unit_of(fx):
-                raise InvalidFunctor(f"unit of {x} not sent to unit of {fx}")
-        adj = _nonzero_adjacency(self.source)
-        for p in self.source.objects:
-            for q in adj.get(p, ()):
-                for r in adj.get(q, ()):
-                    self._check_mu2_square(p, q, r)
-        return True
-
-    def _check_mu2_square(self, p, q, r):
-        ring = self.source.ring
-        modpq, modqr = self.source.hom(p, q), self.source.hom(q, r)
-        fp, fq, fr = (self.object_map[p], self.object_map[q], self.object_map[r])
-        for d1 in modpq.degrees():
-            for l1 in modpq.labels(d1):
-                for d2 in modqr.degrees():
-                    for l2 in modqr.labels(d2):
-                        lhs = self.map_element(p, r, self.source.mu((p, q, r), (l1, l2)))
-                        rhs = self.target.mu_element(
-                            (fp, fq, fr),
-                            [self.map_element(p, q, {l1: ring.one()}),
-                             self.map_element(q, r, {l2: ring.one()})])
-                        if lhs != rhs:
-                            raise InvalidFunctor(
-                                f"functor fails mu^2 on ({p},{q},{r}) at ({l1},{l2})")

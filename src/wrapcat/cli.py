@@ -111,11 +111,7 @@ def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
         if l not in seen:
             order.append(l)
             seen.add(l)
-    elements = [f"p{i}" for i in range(len(order))]
-    less = [(elements[i], elements[j]) for i in range(len(order))
-            for j in range(i + 1, len(order))]
-    lag = {elements[i]: order[i] for i in range(len(order))}
-    return DecoratedPoset(setup, elements, less, lag)
+    return DecoratedPoset(setup, order)
 
 
 def cmd_validate(setup, mode="finite"):
@@ -224,7 +220,7 @@ def cmd_entangle(setup, level=1, compare=False):
             passed = passed and br["passed"]
         rep.add("bridges", bridges)
         P = bundled_wrapped_poset(setup, hcat, cset)
-        tau = tau_compare(setup, P, e_delta, frac0)
+        tau = tau_compare(setup, P, frac0)
         rep.add("tau", tau)
         passed = passed and tau["passed"]
     rep.set_verdict(passed)

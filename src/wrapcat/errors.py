@@ -29,10 +29,6 @@ class NotDegreeZero(WrapcatError):
     pass
 
 
-class InvalidFunctor(WrapcatError):
-    pass
-
-
 class SystemInvalid(WrapcatError):
     pass
 

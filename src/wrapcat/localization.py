@@ -107,8 +107,8 @@ def check_right_multiplicative_system(hcat: HCategory, cset: CSet):
     """Exhaustive check of conditions (i)-(iv); each failure carries a witness.
 
     Zero composites of continuation classes are exempt from the closure
-    condition and reported as warnings (see the decisions ledger): a class
-    set containing the zero class would collapse the localization.
+    condition and reported as warnings: a class set containing the zero
+    class would collapse the localization.
     """
     ring = hcat.ring
     failures = {"i": [], "ii": [], "iii": [], "iv": []}

@@ -1,67 +1,45 @@
 """Decorated posets: the poset-indexed category O_P and wrapping sequences.
 
-Finite-scale conventions (see the decisions ledger): a wrapping sequence is
-a maximal ascending chain of continuation steps.  ``wrapping_sequences``
-builds only such chains, so each is totally ordered and admits no upward
-continuation step by construction; it is certified cofinal when the
-defining colimit comparisons hold exactly on it (``certifies``).
+Finite-scale conventions: a wrapping sequence is a maximal ascending chain
+of continuation steps.  ``wrapping_sequences`` builds only such chains, so
+each is totally ordered and admits no upward continuation step by
+construction; it is certified cofinal when the defining colimit comparisons
+hold exactly on it (``certifies``).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .ainf import AInfCategory
-from .errors import DecorationInconsistent, NotSufficientlyWrapped
+from .errors import NotSufficientlyWrapped
 from .floer import WeakFloerSetup, check_decoration, unital_category
 from .localization import CSet, ContClass, FractionCategory
 
 
 class DecoratedPoset:
-    """Finite poset with a decoration of its descending chains.
+    """The finite chain p0 < p1 < .. over ordered Lagrangians, with a
+    decoration of its descending chains.
 
-    ``less`` holds the strict order as pairs (p, q) with p < q, transitively
-    closed.  ``lag`` maps elements to Lagrangians; ``data`` maps descending
-    chains (p_k > .. > p_0, as tuples) to Floer datum ids (None for
-    envelope-profile setups).
+    ``lag`` maps p_i to the i-th Lagrangian; ``data`` maps descending
+    chains (p_k > .. > p_0, as tuples) to Floer datum ids.  It starts
+    empty, so every chain reads None, as in envelope-profile setups.
     """
 
-    def __init__(self, setup: WeakFloerSetup, elements, less, lag, data=None):
+    def __init__(self, setup: WeakFloerSetup, lagrangians):
         self.setup = setup
-        self.elements = tuple(elements)
-        self.lag = dict(lag)
-        self.less = set()
-        pairs = set(map(tuple, less))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(pairs):
-                for (c, d) in list(pairs):
-                    if b == c and (a, d) not in pairs:
-                        pairs.add((a, d))
-                        changed = True
-        self.less = pairs
-        for (a, b) in pairs:
-            if (b, a) in pairs or a == b:
-                raise DecorationInconsistent(f"order relation has a cycle at {a}")
-        self.data = dict(data or {})
+        self.elements = tuple(f"p{i}" for i in range(len(lagrangians)))
+        self.lag = dict(zip(self.elements, lagrangians))
+        self._position = {p: i for i, p in enumerate(self.elements)}
+        self.data = {}
 
     def lt(self, a, b) -> bool:
-        return (a, b) in self.less
+        return self._position[a] < self._position[b]
 
     def chains_desc(self, length):
-        """Descending chains (p_k > ... > p_0) with length+1 elements."""
-        out = []
-
-        def grow(chain):
-            if len(chain) == length + 1:
-                out.append(tuple(chain))
-                return
-            for q in self.elements:
-                if self.lt(q, chain[-1]):
-                    grow(chain + [q])
-        for p in sorted(self.elements):
-            grow([p])
-        return sorted(out)
+        """Descending chains (p_k > ... > p_0) with length+1 elements, in
+        sorted order."""
+        return sorted(combinations(reversed(self.elements), length + 1))
 
     def datum(self, chain):
         return self.data.get(tuple(chain))

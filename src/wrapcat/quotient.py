@@ -12,7 +12,8 @@ each distinct run once, and no run longer than the largest operation arity
 is visited.  H^0 ranks come by rank-nullity, each rank eliminating the rows
 of its block, and are reported per depth with a stabilization certificate,
 never a convergence claim; of the map H^0 hom(x, y) -> H^0 of the quotient
-only the classes it kills are kept, each a membership test in im d^-1.
+only the subspace it kills is kept, read off the same elimination as the
+rank of d^-1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from .ainf import AInfCategory, HCategory, cone_of_class
 from .errors import NotClosedRepresentative
 from .linalg import Complex, GradedMap, GradedModule, cohomology
-from .matrices import Echelon
+from .matrices import Echelon, Matrix, vectors
 
 
 def _sign_exponent(before, run):
@@ -303,33 +304,38 @@ class BarQuotient:
 
 
 def _h0(bar: BarQuotient, cycles=()):
-    """(rank of H^0 of ``bar`` by rank-nullity, and per degree-0 cycle
-    whether it is a boundary).  The rows of [d^-1 | cycles] are eliminated,
-    the short side of a bar block: a cycle is a boundary when no combination
-    of rows that clears d^-1 leaves a nonzero entry in its column."""
+    """(rank of H^0 of ``bar`` by rank-nullity, and a Matrix whose kernel is
+    the space of combinations of the degree-0 ``cycles`` that are
+    boundaries).  The rows of [d^-1 | cycles] are eliminated, the short side
+    of a bar block.  The echelon rows whose pivot lies in the cycle columns
+    are the combinations of rows that clear d^-1, so their cycle parts span
+    the functionals that vanish on the image of d^-1: a combination of the
+    cycles is a boundary exactly when each of them kills it."""
     d_in, m = bar.differential.block(-1), len(cycles)
     n = d_in.cols
-    ech, live = Echelon(bar.ring, n + m), set()
+    ech, dual = Echelon(bar.ring, n + m), []
     for i, row in enumerate(d_in.vecs):
         v = ech.reduce(ech.axpy(row, 1, ech.sparse(
             {n + j: c[i] for j, c in enumerate(cycles) if i < len(c)})))
         if v and ech.lead(v) >= n:
-            live.update(j for j, _ in ech.items(v))
+            dual.append({j - n: c for j, c in ech.items(v)})
         ech.insert(v)
     image = sum(p < n for p in ech.pivots)
+    space = vectors(bar.ring, m)
     return (bar.module.rank(0) - bar.differential.block(0).rank() - image,
-            [n + j not in live for j in range(m)])
+            Matrix(bar.ring, [space.sparse(e) for e in dual], m))
 
 
 class TruncatedQuotient:
     """H^0 of the quotient for the chosen pairs of non-null objects, at the
     depth and at the depth below it, by rank-nullity: dim C^0 - rank d^0 -
-    rank d^-1 of each bar, checked to be a complex.  ``killed[(x, y)]``
-    holds, per H^0 class of hom(x, y), whether it dies in the quotient: the
-    degree-0 labels of hom(x, y) are the length-0 chains, which come first
-    in the bar's degree-0 basis, so a class dies when its representative,
-    zero-padded, is a boundary.  Each bar is dropped once read, so memory
-    does not grow pair by pair with the chains."""
+    rank d^-1 of each bar, checked to be a complex.  ``killed[(x, y)]`` is
+    a Matrix whose kernel, in the class coordinates of H^0 hom(x, y), is the
+    subspace that dies in the quotient: the degree-0 labels of hom(x, y) are
+    the length-0 chains, which come first in the bar's degree-0 basis, so a
+    class dies when its representative, zero-padded, is a boundary.  Each
+    bar is dropped once read, so memory does not grow pair by pair with the
+    chains."""
 
     def __init__(self, extended: AInfCategory, nulls, depth: int, pairs=None):
         nulls = tuple(nulls)
@@ -337,7 +343,7 @@ class TruncatedQuotient:
         self.pairs = list(pairs) if pairs is not None else [
             (a, b) for a in objects for b in objects]
         self.ranks = {}     # (x, y) -> (H^0 rank at depth, at depth - 1)
-        self.killed = {}    # (x, y) -> per H^0 class of hom(x, y), dies or not
+        self.killed = {}    # (x, y) -> Matrix whose kernel dies
         words = NullWords(extended, nulls, depth, 0,
                           {a for a, _ in self.pairs}, {b for _, b in self.pairs})
         for (a, b) in self.pairs:

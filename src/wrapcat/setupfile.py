@@ -132,6 +132,14 @@ def setup_from_dict(doc) -> WeakFloerSetup:
                                       f"hom({src}, {tgt})")
                 combo[k] = ring.parse_scalar(str(v))
             continuation.append((src, tgt, combo))
+    wrap_chains = _get(doc, "wrap_chains", dict)
+    for key, chain in sorted(wrap_chains.items()):
+        with _at(f"wrap_chains {key!r}"):
+            if key not in lag:
+                raise SchemaError(f"{key!r} is not a declared Lagrangian")
+            if not (isinstance(chain, list) and all(x in lag for x in chain)):
+                raise SchemaError(f"{chain!r} is not an array of declared "
+                                  f"Lagrangians")
     oracle = _get(doc, "oracle", dict)
     if oracle not in ({}, {"mode": "lexicographic"}):
         raise SchemaError('oracle must be {"mode": "lexicographic"}, '
@@ -140,7 +148,7 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         ring, lag, composable_mode=mode, composable_tuples=explicit,
         max_arity=max_arity, cf=cf, profile=doc["profile"],
         envelope_ops=envelope_ops, data_system=data_system,
-        continuation=continuation, wrap_chains=_get(doc, "wrap_chains", dict),
+        continuation=continuation, wrap_chains=wrap_chains,
         oracle=oracle, name=doc.get("name", "setup"))
     pairs = setup.composable.get(1, ())
     for i, (src, tgt, _) in enumerate(continuation):

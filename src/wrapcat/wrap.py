@@ -19,6 +19,7 @@ from .errors import NonCofinalPrefix
 from .floer import WeakFloerSetup
 from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
                            check_right_multiplicative_system)
+from .matrices import Matrix
 from .quotient import TruncatedQuotient, adjoin_cones
 
 
@@ -59,7 +60,9 @@ def validate_continuation_system(setup: WeakFloerSetup, hcat: HCategory,
 
     (vi) is interpreted as "a finite cofinal chain exists in the given data";
     the reinterpretation is logged in the verdict, and in strict mode the gap
-    is noted rather than resolved.
+    is noted rather than resolved.  The chain is the one HW reads
+    (``certified_tail``): the object's ``wrap_chains`` hint, whose refusal
+    is the failure reason, or else its weakly terminal object.
     """
     base = check_right_multiplicative_system(hcat, cset)
     report = {"mode": mode, "conditions": {}, "waivers": [],
@@ -82,9 +85,16 @@ def validate_continuation_system(setup: WeakFloerSetup, hcat: HCategory,
                                       "note": "finite-approximation waiver"})
     vi_fails = []
     for l in hcat.objects:
-        sl = SliceCategory(hcat, cset, l)
-        if sl.weakly_terminal_index() is None:
-            vi_fails.append({"object": l, "reason": "no finite cofinal chain"})
+        hint = setup.wrap_chains.get(l)
+        reason = "no finite cofinal chain"
+        try:
+            if certified_tail(SliceCategory(hcat, cset, l), hint)[1]:
+                reason = None
+        except NonCofinalPrefix as exc:
+            if hint:
+                reason = str(exc)
+        if reason:
+            vi_fails.append({"object": l, "reason": reason})
     report["conditions"]["vi"] = {
         "passed": not vi_fails, "failures": vi_fails,
         "note": "cofinal countability reinterpreted as the existence of a "
@@ -212,13 +222,14 @@ def check_localization_agreement(env, hcat, cset, wdf: WrappedDFCategory,
 
     H^0 ranks are compared exactly on pairs where the quotient certificate
     holds (with per-pair progressive deepening up to ``depth``), together
-    with the kernel of the comparison maps out of H^0 of the envelope.  The
-    cones are adjoined once; the quotient at each depth reuses them.
+    with the kernels of the two maps out of H^0 of the envelope, into the
+    quotient and into HW, compared as subspaces.  The cones are adjoined
+    once; the quotient at each depth reuses them.
     """
     gens = generating_subset(hcat, cset)
     ext, nulls = adjoin_cones(env, hcat, [(c.src, c.tgt, c.coords) for c in gens])
     pending = pairs = [(a, b) for a in env.objects for b in env.objects]
-    results = {}    # pair -> (H^0 rank, certifying depth, killed classes)
+    results = {}    # pair -> (H^0 rank, certifying depth, killed subspace)
     d = 2
     while pending and d <= depth:
         quo = TruncatedQuotient(ext, nulls, d, pairs=pending)
@@ -263,9 +274,10 @@ def check_localization_agreement(env, hcat, cset, wdf: WrappedDFCategory,
     for (a, b) in pairs:
         if (a, b) in results:
             n = hcat.class_count(a, b, 0)
-            match = all(dies == (not any(wdf.frac.gamma(
-                a, b, 0, hcat.ring.unit_vector(n, i))))
-                for i, dies in enumerate(results[(a, b)][2]))
+            gamma = Matrix.from_columns(hcat.ring, [
+                wdf.frac.gamma(a, b, 0, hcat.ring.unit_vector(n, i))
+                for i in range(n)], wdf.frac.class_count(a, b, 0))
+            match = results[(a, b)][2].kernel_basis() == gamma.kernel_basis()
             kernel_rows.append({"pair": [a, b], "kernels_match": match})
             passed = passed and match
     return {"passed": passed, "pairs": rows, "comparison_maps": kernel_rows,

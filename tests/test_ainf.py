@@ -13,9 +13,9 @@ from oracles import (nonzero_pairs, random_path_instance, reference_relations,
                      unit_is_strict, verify_category_axioms)
 from pathcat_support import instance_to_category
 from wrapcat import floer, setupfile
-from wrapcat.ainf import (AInfCategory, NaiveFunctor, check_ainf_relations,
+from wrapcat.ainf import (AInfCategory, check_ainf_relations,
                           cohomology_category, cone_of_class)
-from wrapcat.errors import InvalidFunctor, ShapeMismatch
+from wrapcat.errors import ShapeMismatch
 from wrapcat.floer import canonical_envelope, validate_setup
 from wrapcat.linalg import GradedModule
 from wrapcat.matrices import Matrix
@@ -267,29 +267,3 @@ class TestHCategory:
         assert h.precompose_matrix(x, y, k, 0, list(u), d) is pre
         assert len(h._matrices) == built
 
-
-class TestNaiveFunctor:
-    def test_identity_functor_is_valid(self):
-        env = canonical_envelope(build_toyb())
-        F = NaiveFunctor.inclusion(env, env)
-        assert F.validate()
-        assert F.map_element("Lp", "K", {"x": 1}) == {"x": 1}
-
-    def test_inclusion_of_a_full_subcategory_is_valid(self):
-        env = canonical_envelope(build_toyb())
-        sub = AInfCategory(F2, ["L", "Lp"], {
-            (a, b): env.hom(a, b) for a in ("L", "Lp") for b in ("L", "Lp")
-            if not env.hom(a, b).is_zero()},
-            {x: env.unit_of(x) for x in ("L", "Lp")})
-        sub.add_unit_entries()
-        assert NaiveFunctor.inclusion(sub, env).validate()
-
-    def test_invalid_functor_raises(self):
-        env = canonical_envelope(build_toyb())
-        F = NaiveFunctor.inclusion(env, env)
-        bad = dict(F.hom_maps)
-        from wrapcat.linalg import GradedMap
-        bad[("Lp", "L")] = GradedMap.zero(env.hom("Lp", "L"), env.hom("Lp", "L"))
-        G = NaiveFunctor(env, env, F.object_map, bad)
-        with pytest.raises(InvalidFunctor):
-            G.validate()

@@ -195,6 +195,18 @@ def _unknown_profile(doc):
     doc["profile"] = "banana"
 
 
+def _wrap_chain_not_an_array(doc):
+    doc["wrap_chains"]["L0"] = 5
+
+
+def _wrap_chain_of_an_undeclared_lagrangian(doc):
+    doc["wrap_chains"]["Z"] = ["Z"]
+
+
+def _wrap_chain_through_an_undeclared_lagrangian(doc):
+    doc["wrap_chains"]["L0"] = ["L0", "Z"]
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -256,7 +268,14 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_section_witness_not_in_d, "floer_data: sections 'A,B,A': 'zz' "
               "is not in D(A,B,A)", "micro2datum"),
              (_unknown_profile, "profile must be 'envelope' or 'full', not "
-              "'banana'", "toyb")]
+              "'banana'", "toyb"),
+             (_wrap_chain_not_an_array, "wrap_chains 'L0': 5 is not an array "
+              "of declared Lagrangians", "toyc"),
+             (_wrap_chain_of_an_undeclared_lagrangian, "wrap_chains 'Z': 'Z' "
+              "is not a declared Lagrangian", "toyc"),
+             (_wrap_chain_through_an_undeclared_lagrangian, "wrap_chains "
+              "'L0': ['L0', 'Z'] is not an array of declared Lagrangians",
+              "toyc")]
 
 
 class TestInputErrors:

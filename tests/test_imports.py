@@ -1,5 +1,6 @@
-"""Every import in the wrapcat sources is used, and every function, class
-and method they define is referenced by the wrapcat sources themselves.
+"""Every import in the wrapcat sources is used and stands at module level,
+and every function, class and method they define is referenced by the
+wrapcat sources themselves.
 
 An import counts as used when the module reads it anywhere or lists it in
 ``__all__`` (a re-export).  A definition counts as referenced when a Name or
@@ -48,6 +49,27 @@ def test_checker_sees_unused_and_reexported_names():
 
 def test_no_unused_imports_in_wrapcat():
     found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def nested_imports(source):
+    """Line of each import that is not a statement of the module body."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in top]
+
+
+def test_checker_sees_nested_imports():
+    src = ("import os\nfrom x import a\n\ndef f():\n    import sys\n"
+           "    if a:\n        from y import b\n\nclass C:\n    import z\n")
+    assert sorted(nested_imports(src)) == [5, 7, 10]
+
+
+def test_imports_at_module_level_only_in_wrapcat():
+    found = {path.name: nested_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 

@@ -1,9 +1,10 @@
 import random
+from functools import partial
 
 import pytest
 
 from conv_fixtures_support import dg_path_cat, mu3_cat
-from fixture_builders import build_toyb, fixture_doc_over
+from fixture_builders import build_toyb, build_toyc_chain, fixture_doc_over
 from oracles import (dense_cohomology, nonzero_above_arity,
                      random_path_instance, reference_bar)
 from pathcat_support import instance_to_category, wrap_cset
@@ -12,6 +13,7 @@ from wrapcat.errors import NotClosedRepresentative
 from wrapcat.floer import canonical_envelope
 from wrapcat.linalg import GradedModule, cohomology
 from wrapcat.localization import CSet, FractionCategory
+from wrapcat.matrices import Matrix
 from wrapcat.quotient import (BarQuotient, NullWords, TruncatedQuotient,
                               adjoin_cones)
 from wrapcat.rings import CoefficientRing
@@ -75,14 +77,20 @@ class TestBarQuotient:
             assert bar.module.rank(n)
             bar.complex.check()  # raises NotAComplex on failure
 
-    def test_cross_oracle_toyb(self):
-        s = build_toyb()
+    # toyc_n: L0 <- .. <- Ln, whose far pair the bars first certify through
+    # n cones, at depth n + 1
+    @pytest.mark.parametrize("build,depth", [
+        (build_toyb, 2),
+        *((partial(build_toyc_chain, n), n + 1) for n in (2, 3, 4))],
+        ids=["toyb", "toyc_2", "toyc_3", "toyc_4"])
+    def test_cross_oracle(self, build, depth):
+        s = build()
         env = canonical_envelope(s)
         h = cohomology_category(env)
         cset = continuation_cset(s, h)
         frac = FractionCategory(h, cset)
         W = [(c.src, c.tgt, c.coords) for c in generating_subset(h, cset)]
-        quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
+        quo = TruncatedQuotient(*adjoin_cones(env, h, W), depth)
         for a in env.objects:
             for b in env.objects:
                 assert quo.stabilized(a, b)
@@ -172,9 +180,9 @@ def check_against_reference(cat, nulls, objects, depth, windows):
     """Every standalone window of every pair, and every bar built as a
     quotient builds it (sharing one set of null words) at the depth and,
     truncated, the depth below.  The quotient's rank-nullity H^0 ranks are
-    those of the bars' cohomology presentations, and a class of H^0 hom(x, y)
-    is killed exactly when the full bar's presentation projects its
-    zero-padded representative to zero."""
+    those of the bars' cohomology presentations, and the subspace of
+    H^0 hom(x, y) that the quotient kills is the kernel of the full bar's
+    presentation on the zero-padded representatives."""
     for x in objects:
         for y in objects:
             for n in windows:
@@ -195,8 +203,10 @@ def check_against_reference(cat, nulls, objects, depth, windows):
         h0 = cohomology(bar.complex, (0,)).degree(0)
         src = cohomology(cat.hom_complex(x, y), (0,)).degree(0)
         pad = (cat.ring.zero(),) * (h0.module_rank - src.module_rank)
-        assert quo.killed[(x, y)] == [not any(h0.project(rep + pad))
-                                      for rep in src.reps]
+        projection = Matrix.from_columns(
+            cat.ring, [h0.project(rep + pad) for rep in src.reps],
+            h0.class_count)
+        assert quo.killed[(x, y)].kernel_basis() == projection.kernel_basis()
 
 
 def fixture_cones(name, ring):

@@ -7,6 +7,7 @@ with N Lagrangians, E_n has (n + 1) N vertices and (n + 1)^(k+1) N (N - 1)
 of the n + 1 copies of each.
 """
 
+from functools import partial
 from itertools import permutations
 from math import prod
 from pathlib import Path
@@ -22,6 +23,7 @@ from wrapcat.errors import DecorationInconsistent
 from wrapcat.floer import (FloerDataSystem, WeakFloerSetup,
                            choose_compatible_collection, family_key,
                            subsequences)
+from wrapcat.linalg import GradedModule
 from wrapcat.localization import FractionCategory
 from wrapcat.posets import build_O_P, wrapping_sequences
 from wrapcat.rings import CoefficientRing
@@ -141,6 +143,55 @@ def test_f_of_e_delta_is_the_canonical_envelope(fixture):
     assert F.units == env.units
     frac = localize_stage(setup, e_delta)
     assert [c.key() for c in frac.cset] == [c.key() for c in cset]
+
+
+def _bundled(name):
+    return lambda: load_setup(
+        Path(cli.__file__).parent / "fixtures" / f"{name}.json")
+
+
+# the bundled fixtures whose entangle --compare reaches tau, and toyc_n
+TAU_SETUPS = {**{name: _bundled(name) for name in
+                 ("toyb", "toyc", "toyc_break_closure", "ore_break")},
+              **{f"toyc_{n}": partial(build_toyc_chain, n) for n in (2, 3, 4)}}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_SETUPS))
+def test_iota_is_the_envelope_under_the_object_map(name):
+    # so tau_compare reads iota: O_P -> F(E_delta) as its object map
+    # p -> P.lag[p] alone: every label goes to itself and 1@p to 1@P.lag[p]
+    setup = TAU_SETUPS[name]()
+    _, env, hcat, cset = _prepare(setup)
+    P = bundled_wrapped_poset(setup, hcat, cset)
+    ocat = build_O_P(setup, P)
+    lag = P.lag
+    position = {lag[p]: i for i, p in enumerate(P.elements)}
+
+    def image(x, y, label):
+        return f"1@{lag[x]}" if x == y else label
+
+    def unit_module(x):
+        return GradedModule.from_generators(setup.ring, [(f"1@{x}", 0)])
+    for p in P.elements:
+        assert ocat.unit_of(p) == {f"1@{p}": setup.ring.one()}
+        assert env.unit_of(lag[p]) == {f"1@{lag[p]}": setup.ring.one()}
+        assert ocat.hom(p, p) == unit_module(p)
+        assert env.hom(lag[p], lag[p]) == unit_module(lag[p])
+        for q in P.elements:
+            if P.lt(q, p):
+                assert ocat.hom(p, q) == env.hom(lag[p], lag[q])
+            elif p != q:
+                assert ocat.hom(p, q).is_zero()
+    mapped = {
+        tuple(lag[x] for x in chain):
+        {tuple(map(image, chain, chain[1:], inputs)):
+         {image(chain[0], chain[-1], out): s for out, s in outs.items()}
+         for inputs, outs in table.items()}
+        for chain, table in ocat.ops.items()}
+    descending = {chain: table for chain, table in env.ops.items()
+                  if all(position[a] >= position[b]
+                         for a, b in zip(chain, chain[1:]))}
+    assert mapped == descending
 
 
 @pytest.mark.parametrize("build", [build_toyb, build_toyc])

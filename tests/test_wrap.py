@@ -39,6 +39,18 @@ class TestContinuationValidation:
         assert rep["passed"]
         assert len(rep["waivers"]) == 2
 
+    # L0's chain cut at L1 is no certificate, the chain for which hw reports
+    # NotStabilized (TestWrappedDF); a hint through K is refused outright
+    @pytest.mark.parametrize("hint,reason", [
+        (["L0", "L1"], "no finite cofinal chain"),
+        (["L0", "K"], "no continuation class K -> L0 in the data")])
+    def test_vi_reads_the_hinted_chain(self, hint, reason):
+        s = build_toyc()
+        s.wrap_chains["L0"] = hint
+        _, _, h, cset = prepare(lambda: s)
+        vi = validate_continuation_system(s, h, cset)["conditions"]["vi"]
+        assert vi["failures"] == [{"object": "L0", "reason": reason}]
+
     def test_toyc_strict_v_fails_at_top(self):
         s, env, h, cset = prepare(build_toyc)
         rep = validate_continuation_system(s, h, cset, "strict")
@@ -213,3 +225,21 @@ class TestAgreement:
         assert ag["passed"]
         compared = [r for r in ag["pairs"] if r["agree"] is not None]
         assert len(compared) >= 24
+
+    def test_kernels_are_compared_as_subspaces(self, monkeypatch):
+        # over F2 the quotient of toyc kills no class of H^0(L3, K), of rank
+        # 2; a gamma that sends both basis classes u1, u2 to one class kills
+        # u1 + u2 alone, which no test on basis classes sees
+        s, env, h, cset = prepare(build_toyc)
+        wdf = wrapped_df_category(s, h, cset)
+        gamma = wdf.frac.gamma
+
+        def merged(l, k, d, coords):
+            if (l, k, d) == ("L3", "K", 0):
+                return (sum(coords) % 2, 0)
+            return gamma(l, k, d, coords)
+        monkeypatch.setattr(wdf.frac, "gamma", merged)
+        ag = check_localization_agreement(env, h, cset, wdf)
+        assert not ag["passed"]
+        assert [r["pair"] for r in ag["comparison_maps"]
+                if not r["kernels_match"]] == [["L3", "K"]]

@@ -23,27 +23,6 @@ from .linalg import (CohomologyPresentation, Complex, GradedMap, GradedModule,
                      cohomology)
 from .matrices import Matrix
 
-def _twist_exponent(ext_args, host_args, out_block):
-    """Suspension sign exponent for one twisted evaluation pattern.
-
-    ``ext_args``: (u, v, e) per extended input (e = extended degree).
-    ``host_args``: (u, v, h) per host argument in order, twist components
-    included as (1, 0, 0).  ``out_block``: (m0, mk, h_out) of the output.
-
-    The exponent is the bar-translation bookkeeping of the extended and host
-    evaluations (position-weighted degrees) plus the source-summand shifts of
-    the extended inputs.  Among the gauge-equivalent conventions satisfying
-    the A-infinity relations this is the one whose diagonal cone unit is a
-    strict unit on the nose; both facts are verified exhaustively in
-    tests/test_cones.py.
-    """
-    k = len(ext_args)
-    K = len(host_args)
-    exp = sum((k - 1 - i) * e for i, (_, _, e) in enumerate(ext_args))
-    exp += sum((K - 1 - j) * h for j, (_, _, h) in enumerate(host_args))
-    exp += sum(u for (u, _, _) in ext_args)
-    return exp
-
 
 def check_entry_labels(homs, chain, inputs, output):
     """Raise ShapeMismatch unless an operation entry on the object tuple
@@ -85,6 +64,7 @@ class AInfCategory:
         self.name = name
         self.objects = tuple(objects)
         self.homs = {}
+        self._zero = GradedModule.zero(ring)    # every missing hom
         for pair, mod in homs.items():
             if mod is not None and not mod.is_zero():
                 self.homs[pair] = mod
@@ -101,8 +81,7 @@ class AInfCategory:
     # -- structure access ----------------------------------------------------
 
     def hom(self, x, y) -> GradedModule:
-        mod = self.homs.get((x, y))
-        return mod if mod is not None else GradedModule.zero(self.ring)
+        return self.homs.get((x, y), self._zero)
 
     def hom_pairs(self):
         return sorted(self.homs.keys())
@@ -199,9 +178,9 @@ class AInfCategory:
             table = index[chain] = {} if live else False
         if table is False:
             return None
-        if inputs in table:
-            return table[inputs]
-        out = table[inputs] = self.mu(chain, inputs) or None
+        out = table.get(inputs, False)
+        if out is False:
+            out = table[inputs] = self.mu(chain, inputs) or None
         return out
 
     def mu_element(self, chain, elements):
@@ -234,94 +213,95 @@ class AInfCategory:
         shifted to the unshifted summand).  Interior gaps are forced; the two
         boundary gaps can branch into distinct output blocks.
         """
-        ring = self.ring
         k = len(inputs)
         if k == 0:
             return {}
         binfo = [self._block_of((chain[i], chain[i + 1]), inputs[i]) for i in range(k)]
-        ext_degs = [self.homs[(chain[i], chain[i + 1])].degree_of(inputs[i])
-                    for i in range(k)]
+        cones = self.cone_data
         options = []
         for g in range(k + 1):
-            obj = chain[g]
+            cone = chain[g] in cones
             arrive = binfo[g - 1][1] if g > 0 else None
             depart = binfo[g][0] if g < k else None
             if g == 0:
-                slot = [0]
-                if self.is_cone(obj) and depart == 1:
-                    slot.append(1)
+                slot = (0, 1) if cone and depart == 1 else (0,)
             elif g == k:
-                slot = [0]
-                if self.is_cone(obj) and arrive == 0:
-                    slot.append(1)
+                slot = (0, 1) if cone and arrive == 0 else (0,)
+            elif arrive == depart:
+                slot = (0,)
+            elif cone and arrive == 0 and depart == 1:
+                slot = (1,)
             else:
-                if not self.is_cone(obj):
-                    slot = [0] if arrive == depart else []
-                elif arrive == depart:
-                    slot = [0]
-                elif arrive == 0 and depart == 1:
-                    slot = [1]
-                else:
-                    slot = []
-            if not slot:
                 return {}
             options.append(slot)
+        ext_degs = [self.homs[(chain[i], chain[i + 1])].degree_of(inputs[i])
+                    for i in range(k)]
+        summands = [self.summands(x) for x in chain]
+        patterns = list(product(*options))
+        if len(patterns) == 1:
+            return self._eval_pattern(chain, binfo, ext_degs, summands,
+                                      patterns[0])
+        ring = self.ring
         total = {}
-        for pattern in product(*options):
-            for lab, v in self._eval_pattern(chain, inputs, binfo, ext_degs,
+        for pattern in patterns:
+            for lab, v in self._eval_pattern(chain, binfo, ext_degs, summands,
                                              pattern).items():
                 _merge(total, lab, v, ring)
         return total
 
-    def _eval_pattern(self, chain, inputs, binfo, ext_degs, pattern):
-        ring = self.ring
-        k = len(inputs)
-        host_chain = []
-        host_slots = []
-        ext_args = []   # (u, v, e) per extended input
-        host_args = []  # (u, v, h) per host argument, twists included
+    def _eval_pattern(self, chain, binfo, ext_degs, summands, pattern):
+        """The host operation of one twist pattern, decorated back into the
+        cone blocks; nothing when the host object tuple carries no operation
+        entry.
+
+        The sign exponent is the bar-translation bookkeeping of the extended
+        and the host evaluation (each argument's degree weighted by the
+        number of arguments after it; a twist has host degree 0) plus the
+        source-summand shifts of the extended inputs.  Among the
+        gauge-equivalent conventions satisfying the A-infinity relations this
+        is the one whose diagonal cone unit is a strict unit on the nose;
+        both facts are verified exhaustively in tests/test_cones.py.
+        """
+        k = len(binfo)
+        cones = self.cone_data
         if pattern[0]:
-            cx, cy, fd, _ = self.cone_data[chain[0]]
-            host_chain.extend([cx, cy])
-            host_slots.append(fd)
-            host_args.append((1, 0, 0))
-            start_summand = 0
+            cx, cy, _, _ = cones[chain[0]]
+            host_chain = [cx, cy]
         else:
-            dep = binfo[0][0]
-            host_chain.append(self.summands(chain[0])[dep][0])
-            start_summand = dep
+            host_chain = [summands[0][binfo[0][0]][0]]
         for i in range(k):
-            si, ti, host_label = binfo[i]
-            u = self.summands(chain[i])[si][1]
-            v = self.summands(chain[i + 1])[ti][1]
-            h = ext_degs[i] - u + v
-            host_slots.append({host_label: ring.one()})
-            ext_args.append((u, v, ext_degs[i]))
-            host_args.append((u, v, h))
-            host_chain.append(self.summands(chain[i + 1])[ti][0])
+            host_chain.append(summands[i + 1][binfo[i][1]][0])
             if pattern[i + 1]:
-                _, cy, fd, _ = self.cone_data[chain[i + 1]]
-                host_slots.append(fd)
-                host_args.append((1, 0, 0))
-                host_chain.append(cy)
-        end_summand = 1 if pattern[k] else binfo[k - 1][1]
-        m0 = self.summands(chain[0])[start_summand][1] if self.is_cone(chain[0]) else 0
-        mk = self.summands(chain[-1])[end_summand][1] if self.is_cone(chain[-1]) else 0
-        h_out = sum(a[2] for a in host_args) + 2 - len(host_args)
-        exponent = _twist_exponent(ext_args, host_args, (m0, mk, h_out))
-        sign = ring.one() if exponent % 2 == 0 else ring.normalize(-1)
+                host_chain.append(cones[chain[i + 1]][1])
+        table = self.ops.get(tuple(host_chain))
+        if not table:
+            return {}
+        # per host argument, its (label, scalar) choices: one label of
+        # scalar 1 (None) for an input, the cone morphism's for a twist
+        slots = [sorted(cones[chain[0]][2].items())] if pattern[0] else []
+        last = len(host_chain) - 2  # weight of the first host argument
+        pos, exp = pattern[0], 0
+        for i, (si, ti, host_label) in enumerate(binfo):
+            u, v, e = summands[i][si][1], summands[i + 1][ti][1], ext_degs[i]
+            exp += (k - 1 - i) * e + (last - pos) * (e - u + v) + u
+            slots.append(((host_label, None),))
+            pos += 1
+            if pattern[i + 1]:
+                slots.append(sorted(cones[chain[i + 1]][2].items()))
+                pos += 1
+        ring = self.ring
+        sign = ring.one() if exp % 2 == 0 else ring.normalize(-1)
+        start = 0 if pattern[0] else binfo[0][0]
+        end = 1 if pattern[k] else binfo[k - 1][1]
+        pair = (chain[0], chain[-1])
         total = {}
-        out_pair = (chain[0], chain[-1])
-        for combo in product(*[sorted(s.items()) for s in host_slots]):
+        for combo in product(*slots):
             coeff = sign
-            labels = []
-            for lab, s in combo:
-                coeff = ring.mul(coeff, s)
-                labels.append(lab)
-            if ring.is_zero(coeff):
-                continue
-            for lab, v in self.mu_plain(tuple(host_chain), tuple(labels)).items():
-                out_label = self._decorate(out_pair, start_summand, end_summand, lab)
+            for _, c in combo:
+                if c is not None:
+                    coeff = ring.mul(coeff, c)
+            for lab, v in table.get(tuple(lab for lab, _ in combo), {}).items():
+                out_label = self._decorate(pair, start, end, lab)
                 if out_label is not None:
                     _merge(total, out_label, ring.mul(coeff, v), ring)
         return total

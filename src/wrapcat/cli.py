@@ -170,7 +170,8 @@ def cmd_compute(setup, what="hw", depth=4):
     if what == "localize":
         gens = generating_subset(hcat, cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
-        quo = TruncatedQuotient(*adjoin_cones(env, hcat, w_classes), depth)
+        ext, nulls = adjoin_cones(env, hcat, w_classes)
+        quo = TruncatedQuotient(ext, nulls, depth, hcat)
         rows = [{"pair": [a, b], "h0_rank": quo.h0_rank(a, b),
                  "stabilized": quo.stabilized(a, b)} for (a, b) in quo.pairs]
         rep.add("quotient_h0", rows)

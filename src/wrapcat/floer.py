@@ -10,7 +10,6 @@ check against axioms (iv)-(ix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, permutations, product
 
@@ -33,22 +32,32 @@ def subsequences(t, min_len=2):
     return out
 
 
-@dataclass
 class FloerDataSystem:
     """Full-profile data: D sets with restriction maps, operations per datum,
-    the alpha/beta/gamma coherence data and the diagonal map f."""
+    the alpha/beta/gamma coherence data and the diagonal map f.  Each table
+    is a keyword argument, empty when not given:
 
-    D: dict = field(default_factory=dict)             # tuple -> [datum ids]
-    restrictions: dict = field(default_factory=dict)  # (tuple, subtuple) -> {id: id}
-    mu: dict = field(default_factory=dict)            # (tuple, id) -> [(inputs, output, scalar)]
-    Dprime: dict = field(default_factory=dict)        # pair -> [(id, (d1, d2))]
-    alpha: dict = field(default_factory=dict)         # (pair, dp_id) -> [(in, out, scalar)]
-    Dsecond: dict = field(default_factory=dict)       # pair -> [(id, (ac, ab, bc))]
-    beta: dict = field(default_factory=dict)          # (pair, ds_id) -> [(in, out, scalar)]
-    Dthird: dict = field(default_factory=dict)        # (triple, i) -> [(id, datum, datum_i, dp)]
-    gamma: dict = field(default_factory=dict)         # (triple, i, id) -> [((in1, in2), out, scalar)]
-    f: dict = field(default_factory=dict)             # pair -> {datum: dp_id}
-    sections: dict = field(default_factory=dict)      # tuple -> {family_key: datum}
+    - ``D``: tuple -> [datum ids]
+    - ``restrictions``: (tuple, subtuple) -> {id: id}
+    - ``mu``: (tuple, id) -> [(inputs, output, scalar)]
+    - ``Dprime``: pair -> [(id, (d1, d2))]
+    - ``alpha``: (pair, dp_id) -> [(in, out, scalar)]
+    - ``Dsecond``: pair -> [(id, (ac, ab, bc))]
+    - ``beta``: (pair, ds_id) -> [(in, out, scalar)]
+    - ``Dthird``: (triple, i) -> [(id, datum, datum_i, dp)]
+    - ``gamma``: (triple, i, id) -> [((in1, in2), out, scalar)]
+    - ``f``: pair -> {datum: dp_id}
+    - ``sections``: tuple -> {family_key: datum}
+    """
+
+    __slots__ = ("D", "restrictions", "mu", "Dprime", "alpha", "Dsecond",
+                 "beta", "Dthird", "gamma", "f", "sections")
+
+    def __init__(self, **tables):
+        for name in self.__slots__:
+            setattr(self, name, tables.pop(name, {}))
+        if tables:
+            raise TypeError(f"unknown Floer data tables {sorted(tables)}")
 
     def restrict(self, t, sub, datum):
         if t == sub:
@@ -131,11 +140,13 @@ class WeakFloerSetup:
                 if entries}
 
 
-@dataclass
 class CompatibleCollection:
     """A restriction-coherent choice of one datum per composable tuple."""
 
-    delta: dict  # tuple -> datum id
+    __slots__ = ("delta",)
+
+    def __init__(self, delta):
+        self.delta = delta  # tuple -> datum id
 
     def datum(self, t):
         return self.delta.get(t)

@@ -8,8 +8,6 @@ operations are deterministic pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptySequence, NotAComplex, ShapeMismatch
 from .matrices import Echelon, Matrix, vectors
 from .rings import CoefficientRing
@@ -115,33 +113,24 @@ class GradedMap:
     @staticmethod
     def from_entries(source: GradedModule, target: GradedModule, degree: int,
                      entries) -> "GradedMap":
-        """Build from (source_label, target_label, scalar) triples."""
+        """Build from (source_label, target_label, scalar) triples; entries
+        at the same position add up."""
         ring = source.ring
-        acc = {}    # degree -> target index -> {source index: scalar}
+        acc = {}    # source degree -> [(target index, source index, 0, scalar)]
         for src_lab, tgt_lab, scalar in entries:
             d = source.degree_of(src_lab)
             dt = target.degree_of(tgt_lab)
             if dt != d + degree:
                 raise ShapeMismatch(
                     f"entry {src_lab}->{tgt_lab} violates degree {degree}")
-            row = acc.setdefault(d, {}).setdefault(target.index_of(tgt_lab), {})
-            j = source.index_of(src_lab)
-            row[j] = ring.add(row.get(j, ring.zero()), ring.normalize(scalar))
-        return GradedMap.from_rows(source, target, degree, acc)
-
-    @staticmethod
-    def from_rows(source: GradedModule, target: GradedModule, degree: int,
-                  rows) -> "GradedMap":
-        """Build from sparse rows {source degree: {target index: {source
-        index: normalized scalar}}}."""
-        ring = source.ring
-        blocks = {}
-        for d, block in rows.items():
-            sparse = vectors(ring, source.rank(d)).sparse
-            blocks[d] = Matrix(ring, [sparse(block.get(i, {}))
-                                      for i in range(target.rank(d + degree))],
-                               source.rank(d))
-        return GradedMap(source, target, degree, blocks)
+            c = ring.normalize(scalar)
+            if c:
+                acc.setdefault(d, []).append(
+                    (target.index_of(tgt_lab), source.index_of(src_lab), 0, c))
+        return GradedMap(source, target, degree, {
+            d: Matrix.from_entries(ring, es, target.rank(d + degree),
+                                   source.rank(d))
+            for d, es in acc.items()})
 
     def block(self, d: int) -> Matrix:
         if d in self.blocks:
@@ -190,18 +179,18 @@ def compose_graded_maps(f: GradedMap, g: GradedMap) -> GradedMap:
     return GradedMap(f.source, g.target, degree, blocks)
 
 
-@dataclass(frozen=True)
 class Complex:
     """Graded module with a square-zero differential of degree +1."""
 
-    module: GradedModule
-    differential: GradedMap
+    __slots__ = ("module", "differential")
 
-    def __post_init__(self):
-        if self.differential.source != self.module or self.differential.target != self.module:
+    def __init__(self, module: GradedModule, differential: GradedMap):
+        if differential.source != module or differential.target != module:
             raise ShapeMismatch("differential endpoints must equal the module")
-        if self.differential.degree != 1:
+        if differential.degree != 1:
             raise ShapeMismatch("differential must have degree +1")
+        self.module = module
+        self.differential = differential
 
     def check(self):
         """Raise NotAComplex with the first offending basis element if d*d != 0."""

@@ -1,13 +1,14 @@
 """Exact matrices over a coefficient field, and the one elimination kernel.
 
 A ``Matrix`` stores its rows as sparse vectors in ``Echelon``'s vector form
-(bitsets over F2, ``{index: scalar}`` dicts over Q and F_p); dense rows
+(bitsets over F2, ``{index: scalar}`` dicts over Q and F_p).  Dense rows
 come in only through ``Matrix.from_rows`` and ``Matrix.from_columns`` and go
-out only through the read-only ``data`` view.  Every elimination (rank,
-reduced row echelon form, kernel, solve) goes through ``Echelon``, an
-incremental sparse echelon basis.  A ``Matrix`` is immutable, so ``solve``
-keeps its factorization (the RREF of ``[A | I]``) on the matrix: the first
-right-hand side eliminates, every later one costs a sparse product.
+out only through the read-only ``data`` view; scattered entries come in
+through ``Matrix.from_entries``.  Every elimination (rank, reduced row
+echelon form, kernel, solve) goes through ``Echelon``, an incremental sparse
+echelon basis.  A ``Matrix`` is immutable, so ``solve`` keeps its
+factorization (the RREF of ``[A | I]``) on the matrix: the first right-hand
+side eliminates, every later one costs a sparse product.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ _SPACES = {}    # (characteristic, n) -> Echelon; the characteristic names the f
 
 def vectors(ring: CoefficientRing, n: int) -> "Echelon":
     """The shared, never filled ``Echelon`` of length-n vectors over
-    ``ring``, for its vector methods (pack, unpack, sparse, items, axpy)."""
+    ``ring``, for its vector methods (pack, unpack, sparse, gather, clip,
+    items, axpy)."""
     space = _SPACES.get((ring.p, n))
     if space is None:
         space = _SPACES[(ring.p, n)] = Echelon(ring, n)
@@ -52,6 +54,13 @@ class Matrix:
             raise ShapeMismatch("ragged matrix rows")
         space = vectors(ring, n)
         return Matrix(ring, [space.pack(row) for row in rows], n)
+
+    @staticmethod
+    def from_entries(ring: CoefficientRing, entries, rows: int,
+                     cols: int) -> "Matrix":
+        """From (row, column, sign exponent e, scalar c) entries, each adding
+        (-1)^e c at its position; every c a nonzero field element."""
+        return Matrix(ring, vectors(ring, cols).gather(entries, rows), cols)
 
     @staticmethod
     def from_columns(ring: CoefficientRing, cols, rows: int) -> "Matrix":
@@ -86,10 +95,8 @@ class Matrix:
 
     def leading(self, rows: int, cols: int) -> "Matrix":
         """The leading ``rows`` x ``cols`` block."""
-        space = vectors(self.ring, cols)
-        return Matrix(self.ring, [
-            space.sparse({j: x for j, x in space.items(v) if j < cols})
-            for v in self.vecs[:rows]], cols)
+        clip = vectors(self.ring, cols).clip
+        return Matrix(self.ring, [clip(v) for v in self.vecs[:rows]], cols)
 
     def first_nonzero_column(self):
         """The lowest index of a nonzero column; None for a zero matrix."""
@@ -345,6 +352,19 @@ class _BitEchelon(Echelon):
     def sparse(self, entries):
         return sum(1 << i for i, x in entries.items() if x)
 
+    def gather(self, entries, rows):
+        """The ``rows`` vectors whose row i sums (-1)^e c at index j over
+        the entries (i, j, e, c); each scalar c is a nonzero field element,
+        so over F2 it is 1 and the sign drops out."""
+        out = [0] * rows
+        for i, j, _, _ in entries:
+            out[i] ^= 1 << j
+        return out
+
+    def clip(self, v):
+        """v without its coordinates from n on."""
+        return v & ((1 << self.n) - 1)
+
     def items(self, v):
         while v:
             low = v & -v
@@ -379,6 +399,23 @@ class _DictEchelon(Echelon):
 
     def sparse(self, entries):
         return {i: x for i, x in entries.items() if x}
+
+    def gather(self, entries, rows):
+        """The ``rows`` vectors whose row i sums (-1)^e c at index j over
+        the entries (i, j, e, c), each c a nonzero field element."""
+        acc = [{} for _ in range(rows)]
+        for i, j, e, c in entries:
+            row = acc[i]
+            row[j] = row.get(j, 0) - c if e & 1 else row.get(j, 0) + c
+        p = self.ring.p     # 0 over Q, where sums of Fractions stay exact
+        if p:
+            return [{j: y for j, x in row.items() if (y := x % p)} for row in acc]
+        return [{j: x for j, x in row.items() if x} for row in acc]
+
+    def clip(self, v):
+        """v without its coordinates from n on."""
+        n = self.n
+        return {j: x for j, x in v.items() if j < n}
 
     def items(self, v):
         return v.items()

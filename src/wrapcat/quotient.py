@@ -9,26 +9,34 @@ between the two ends, with their internal contractions, are built once per
 quotient and shared by its bars.  Every contraction is read from the
 extended category's index (``AInfCategory.contraction``), which evaluates
 each distinct run once, and no run longer than the largest operation arity
-is visited.  H^0 ranks come by rank-nullity, each rank eliminating the rows
-of its block, and are reported per depth with a stabilization certificate,
-never a convergence claim; of the map H^0 hom(x, y) -> H^0 of the quotient
-only the subspace it kills is kept, read off the same elimination as the
-rank of d^-1.
+is visited.  Each block of the differential is written straight in
+``Echelon``'s vector form (bitsets over F2, ``{index: scalar}`` dicts
+otherwise): its terms are collected as (target, source, sign exponent,
+scalar) entries and summed into rows once, by the field's vector space.
+H^0 ranks come by rank-nullity, each rank eliminating the rows of its
+block, and are reported per depth with a stabilization certificate, never a
+convergence claim; of the map H^0 hom(x, y) -> H^0 of the quotient only the
+subspace it kills is kept, read off the same elimination as the rank of
+d^-1, with the degree-0 representatives of the H-category.
 """
 
 from __future__ import annotations
 
 from .ainf import AInfCategory, HCategory, cone_of_class
 from .errors import NotClosedRepresentative
-from .linalg import Complex, GradedMap, GradedModule, cohomology
+from .linalg import Complex, GradedMap, GradedModule
 from .matrices import Echelon, Matrix, vectors
 
 
 def _sign_exponent(before, run):
     """The Koszul sign exponent of contracting labels of degrees ``run``
-    that follow labels of degrees ``before`` in a bar chain."""
-    return (sum(d - 1 for d in before)
-            + sum((len(run) - 1 - t) * d for t, d in enumerate(run)))
+    that follow labels of degrees ``before`` in a bar chain:
+    sum(d - 1 for d in before) + sum((len(run) - 1 - t) * run[t])."""
+    exp, weight = sum(before) - len(before), len(run)
+    for d in run:
+        weight -= 1
+        exp += weight * d
+    return exp
 
 
 class NullWords:
@@ -192,9 +200,10 @@ class BarQuotient:
                               (x,), (y,))
         self.chains = []    # (objects tuple, labels tuple)
         self._gens = []     # (name, degree) per chain
-        slot, sources = self._build_chains(words)
+        slot, direct, groups = self._build_chains(words)
         self.module = GradedModule.from_generators(self.ring, self._gens)
-        self.differential = self._build_differential(words, slot, sources)
+        self.differential = self._build_differential(words, slot, direct,
+                                                     groups)
         self.complex = Complex(self.module, self.differential)
 
     def _build_chains(self, words: NullWords):
@@ -203,24 +212,27 @@ class BarQuotient:
 
         Returns the index of each chain in its degree, keyed by (label,) or
         (first label, word id, last label), and the chains of degree at
-        most n as (degree, index, key, first degree, last degree)."""
+        most n: the direct ones as (degree, index, label) and the others
+        grouped by first label and word, as (first label, its degree, word
+        id, [(degree, index, last label, its degree)])."""
         x, y, n = self.x, self.y, self.degree
         chains, gens = self.chains, self._gens
-        slot, count, sources = {}, {}, []
+        slot, count, direct, groups = {}, {n - 1: 0, n: 0, n + 1: 0}, [], []
 
-        def add(objs, labels, name, d, key, d0=None, dk=None):
+        def add(objs, labels, name, d, key):
             chains.append((objs, labels))
             gens.append((name, d))
-            slot[key] = j = count.get(d, 0)
+            slot[key] = j = count[d]
             count[d] = j + 1
-            if d <= n:
-                sources.append((d, j, key, d0, dk))
+            return j
 
-        direct = self.cat.hom(x, y)
-        for d in direct.degrees():
+        xy = self.cat.hom(x, y)
+        for d in xy.degrees():
             if n - 1 <= d <= n + 1:
-                for lab in direct.labels(d):
-                    add((x, y), (lab,), f"{x}|{y}//{lab}", d, (lab,))
+                for lab in xy.labels(d):
+                    j = add((x, y), (lab,), f"{x}|{y}//{lab}", d, (lab,))
+                    if d <= n:
+                        direct.append((d, j, lab))
         for mids, ids in words.groups:
             k = len(mids)
             first, last = self.cat.hom(x, mids[0]), self.cat.hom(mids[-1], y)
@@ -239,42 +251,62 @@ class BarQuotient:
                         if t + end_max < lo or t + end_min > hi:
                             continue
                         name = head + l0 + "|" + joined
+                        labels = (l0,) + wl
+                        tails = []
                         for lk, dk in ends:
                             if lo <= t + dk <= hi:
-                                add(objs, (l0,) + wl + (lk,), name + lk,
-                                    t + dk - k, (l0, wid, lk), d0, dk)
-        return slot, sources
+                                d = t + dk - k
+                                j = add(objs, labels + (lk,), name + lk, d,
+                                        (l0, wid, lk))
+                                if d <= n:
+                                    tails.append((d, j, lk, dk))
+                        if tails:
+                            groups.append((l0, d0, wid, tails))
+        return slot, direct, groups
 
-    def _build_differential(self, words: NullWords, slot, sources) -> GradedMap:
-        ring = self.ring
-        zero, add, neg = ring.zero(), ring.add, ring.neg
+    def _build_differential(self, words: NullWords, slot, direct,
+                            groups) -> GradedMap:
+        """The blocks of d on degrees n - 1 and n, written straight in
+        ``Echelon``'s vector form.
+
+        Each term of d(chain) is one entry (target index, source index,
+        Koszul sign exponent, scalar) of its source degree's block: runs
+        inside the word and through the first label are read from ``words``
+        once per (first label, word), runs through the last label once per
+        chain, and the whole chain is contracted when it is short enough.
+        ``Matrix.from_entries`` then sums each block's entries into rows,
+        so the sign stays a parity until a field other than F2 applies it.
+        """
         x, y = self.x, self.y
         contract = self.cat.contraction
         arity = self.cat.max_arity()
-        rows = {}   # source degree -> target index -> {source index: scalar}
-        for d, j, key, d0, dk in sources:
-            if len(key) == 1:
-                terms = [((mid,), 0, c) for mid, c in
-                         (contract((x, y), key) or {}).items()]
-            else:
-                l0, wid, lk = key
-                pre = d0 - 1
-                terms = [((l0, tw, lk), exp + pre, c)
-                         for tw, exp, c in words.inner(wid)]
-                terms += [((mid, tw, lk), exp, c)
-                          for mid, tw, exp, c in words.left(x, l0, d0, wid)]
-                terms += [((l0, tw, mid), exp + pre, c)
-                          for tw, mid, exp, c in words.right(wid, lk, dk, y)]
-                mids, wl, wdegs = words.words[wid][:3]
-                out = (contract((x,) + mids + (y,), (l0,) + wl + (lk,))
-                       if len(mids) + 1 <= arity else None)
-                if out:
-                    exp = _sign_exponent((), (d0,) + wdegs + (dk,))
-                    terms += [((mid,), exp, c) for mid, c in out.items()]
-            for target, exp, c in terms:
-                row = rows.setdefault(d, {}).setdefault(slot[target], {})
-                row[j] = add(row.get(j, zero), c if exp % 2 == 0 else neg(c))
-        return GradedMap.from_rows(self.module, self.module, 1, rows)
+        entries = {d: [] for d in (self.degree - 1, self.degree)}
+        for d, j, lab in direct:
+            out = contract((x, y), (lab,))
+            if out:
+                entries[d] += [(slot[(mid,)], j, 0, c) for mid, c in out.items()]
+        for l0, d0, wid, tails in groups:
+            pre = d0 - 1
+            # the runs that keep the last label: (new first label, word, sign
+            # exponent, scalar)
+            heads = [(l0, tw, e + pre, c) for tw, e, c in words.inner(wid)]
+            heads += words.left(x, l0, d0, wid)
+            mids, wl, wdegs = words.words[wid][:3]
+            whole = len(mids) < arity
+            for d, j, lk, dk in tails:
+                out = entries[d]
+                out += [(slot[(h, tw, lk)], j, e, c) for h, tw, e, c in heads]
+                out += [(slot[(l0, tw, mid)], j, e + pre, c)
+                        for tw, mid, e, c in words.right(wid, lk, dk, y)]
+                if whole:
+                    run = contract((x,) + mids + (y,), (l0,) + wl + (lk,))
+                    if run:
+                        e = _sign_exponent((), (d0,) + wdegs + (dk,))
+                        out += [(slot[(mid,)], j, e, c) for mid, c in run.items()]
+        module, ring = self.module, self.ring
+        return GradedMap(module, module, 1, {
+            d: Matrix.from_entries(ring, es, module.rank(d + 1), module.rank(d))
+            for d, es in entries.items() if es})
 
     def truncate(self, depth: int) -> "BarQuotient":
         """The depth-truncated subcomplex, reusing the computed differential.
@@ -315,8 +347,11 @@ def _h0(bar: BarQuotient, cycles=()):
     n = d_in.cols
     ech, dual = Echelon(bar.ring, n + m), []
     for i, row in enumerate(d_in.vecs):
-        v = ech.reduce(ech.axpy(row, 1, ech.sparse(
-            {n + j: c[i] for j, c in enumerate(cycles) if i < len(c)})))
+        # the cycles live on the length-0 chains, first in degree 0
+        if cycles and i < len(cycles[0]):
+            row = ech.axpy(row, 1, ech.sparse(
+                {n + j: c[i] for j, c in enumerate(cycles)}))
+        v = ech.reduce(row)
         if v and ech.lead(v) >= n:
             dual.append({j - n: c for j, c in ech.items(v)})
         ech.insert(v)
@@ -333,11 +368,14 @@ class TruncatedQuotient:
     a Matrix whose kernel, in the class coordinates of H^0 hom(x, y), is the
     subspace that dies in the quotient: the degree-0 labels of hom(x, y) are
     the length-0 chains, which come first in the bar's degree-0 basis, so a
-    class dies when its representative, zero-padded, is a boundary.  Each
-    bar is dropped once read, so memory does not grow pair by pair with the
-    chains."""
+    class dies when its representative, zero-padded, is a boundary.  The
+    representatives are those of ``hcat``, the H-category of the category
+    the cones extend, whose homs between non-null objects ``extended``
+    keeps.  Each bar is dropped once read, so memory does not grow pair by
+    pair with the chains."""
 
-    def __init__(self, extended: AInfCategory, nulls, depth: int, pairs=None):
+    def __init__(self, extended: AInfCategory, nulls, depth: int,
+                 hcat: HCategory, pairs=None):
         nulls = tuple(nulls)
         objects = [o for o in extended.objects if o not in nulls]
         self.pairs = list(pairs) if pairs is not None else [
@@ -349,7 +387,7 @@ class TruncatedQuotient:
         for (a, b) in self.pairs:
             bar = BarQuotient(extended, nulls, a, b, depth, words=words)
             bar.complex.check()
-            reps = cohomology(extended.hom_complex(a, b), (0,)).degree(0).reps
+            reps = hcat.pres(a, b).degree(0).reps
             rank, self.killed[(a, b)] = _h0(bar, reps)
             below = _h0(bar.truncate(depth - 1))[0] if depth else None
             self.ranks[(a, b)] = (rank, below)
@@ -368,8 +406,8 @@ def adjoin_cones(a: AInfCategory, hcat: HCategory, w_classes):
     """Extend ``a`` by the cones over the canonical representatives of the
     degree-0 classes in ``w_classes``, (src, tgt, coords) classes of
     ``hcat``.  Returns (extended category, cone names); the quotient at any
-    depth is ``TruncatedQuotient(extended, names, depth)``, and quotients
-    built on one extension share its contraction index."""
+    depth is ``TruncatedQuotient(extended, names, depth, hcat)``, and
+    quotients built on one extension share its contraction index."""
     ext = a
     nulls = []
     for n, (src, tgt, coords) in enumerate(w_classes):

@@ -8,7 +8,6 @@ elimination in the engine is Gaussian elimination (``matrices.Echelon``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -25,18 +24,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CoefficientRing:
-    """Q or F_p (p prime), with exact scalar arithmetic."""
+    """Q or F_p (p prime), with exact scalar arithmetic.  Two rings are
+    equal when they are the same field."""
 
-    kind: str  # "Q" | "Fp"
-    p: int = 0
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "Fp"):
-            raise SchemaError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Fp" and not _is_prime(self.p):
-            raise SchemaError(f"characteristic {self.p} is not prime")
+    def __init__(self, kind: str, p: int = 0):
+        if kind not in ("Q", "Fp"):
+            raise SchemaError(f"unknown ring kind {kind!r}")
+        if kind == "Fp" and not _is_prime(p):
+            raise SchemaError(f"characteristic {p} is not prime")
+        self.kind = kind    # "Q" | "Fp"
+        self.p = p
+
+    def __eq__(self, other):
+        return (isinstance(other, CoefficientRing)
+                and (self.kind, self.p) == (other.kind, other.p))
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return f"CoefficientRing(kind={self.kind!r}, p={self.p!r})"
 
     # -- constructors ------------------------------------------------------
 

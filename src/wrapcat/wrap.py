@@ -232,7 +232,7 @@ def check_localization_agreement(env, hcat, cset, wdf: WrappedDFCategory,
     results = {}    # pair -> (H^0 rank, certifying depth, killed subspace)
     d = 2
     while pending and d <= depth:
-        quo = TruncatedQuotient(ext, nulls, d, pairs=pending)
+        quo = TruncatedQuotient(ext, nulls, d, hcat, pairs=pending)
         still = []
         for (a, b) in pending:
             if quo.stabilized(a, b):

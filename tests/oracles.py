@@ -7,7 +7,7 @@ on every basis element.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 
@@ -117,6 +117,138 @@ def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
     return reps, project
 
 
+# -- twisted operations on cones: the reference for AInfCategory.mu ---------
+
+
+def _merge(acc, label, scalar, ring):
+    v = ring.add(acc.get(label, ring.zero()), scalar)
+    if ring.is_zero(v):
+        acc.pop(label, None)
+    else:
+        acc[label] = v
+
+
+def _summands(cat, x):
+    if x in cat.cone_data:
+        cx, cy, _, _ = cat.cone_data[x]
+        return ((cx, 1), (cy, 0))
+    return ((x, 0),)
+
+
+def _block_of(cat, pair, label):
+    info = cat.block_info.get(pair)
+    if info is None:
+        return (0, 0, label)
+    return info[label]
+
+
+def _decorate(cat, pair, si, ti, host_label):
+    info = cat.block_info.get(pair)
+    if info is None:
+        return host_label if (si, ti) == (0, 0) else None
+    for lab, block in info.items():
+        if block == (si, ti, host_label):
+            return lab
+    return None
+
+
+def reference_mu(cat, chain, inputs):
+    """``cat.mu`` on a tuple of basis labels, evaluated the direct way that
+    the engine must match: the plain operation table on chains without cone
+    objects; on the others, every pattern of twist insertions (the cone's
+    morphism between its summands) at the gaps of the chain, each pattern's
+    host operation evaluated on every combination of the twists' labels
+    with its suspension sign, and the outputs decorated back into the cone
+    blocks."""
+    ring = cat.ring
+    chain, inputs = tuple(chain), tuple(inputs)
+    if not any(x in cat.cone_data for x in chain):
+        return dict(cat.ops.get(chain, {}).get(inputs, {}))
+    k = len(inputs)
+    if k == 0:
+        return {}
+    binfo = [_block_of(cat, (chain[i], chain[i + 1]), inputs[i])
+             for i in range(k)]
+    ext_degs = [cat.homs[(chain[i], chain[i + 1])].degree_of(inputs[i])
+                for i in range(k)]
+    options = []
+    for g in range(k + 1):
+        cone = chain[g] in cat.cone_data
+        arrive = binfo[g - 1][1] if g > 0 else None
+        depart = binfo[g][0] if g < k else None
+        if g == 0:
+            slot = [0, 1] if cone and depart == 1 else [0]
+        elif g == k:
+            slot = [0, 1] if cone and arrive == 0 else [0]
+        elif not cone:
+            slot = [0] if arrive == depart else []
+        elif arrive == depart:
+            slot = [0]
+        elif arrive == 0 and depart == 1:
+            slot = [1]
+        else:
+            slot = []
+        if not slot:
+            return {}
+        options.append(slot)
+    total = {}
+    for pattern in product(*options):
+        for lab, v in _reference_pattern(cat, chain, inputs, binfo, ext_degs,
+                                         pattern).items():
+            _merge(total, lab, v, ring)
+    return total
+
+
+def _reference_pattern(cat, chain, inputs, binfo, ext_degs, pattern):
+    ring = cat.ring
+    k = len(inputs)
+    host_chain, host_slots = [], []
+    ext_args, host_args = [], []    # (u, v, degree) per input, twists in host
+    if pattern[0]:
+        cx, cy, fd, _ = cat.cone_data[chain[0]]
+        host_chain += [cx, cy]
+        host_slots.append(fd)
+        host_args.append((1, 0, 0))
+        start = 0
+    else:
+        start = binfo[0][0]
+        host_chain.append(_summands(cat, chain[0])[start][0])
+    for i in range(k):
+        si, ti, host_label = binfo[i]
+        u = _summands(cat, chain[i])[si][1]
+        v = _summands(cat, chain[i + 1])[ti][1]
+        host_slots.append({host_label: ring.one()})
+        ext_args.append((u, v, ext_degs[i]))
+        host_args.append((u, v, ext_degs[i] - u + v))
+        host_chain.append(_summands(cat, chain[i + 1])[ti][0])
+        if pattern[i + 1]:
+            _, cy, fd, _ = cat.cone_data[chain[i + 1]]
+            host_slots.append(fd)
+            host_args.append((1, 0, 0))
+            host_chain.append(cy)
+    end = 1 if pattern[k] else binfo[k - 1][1]
+    n_ext, n_host = len(ext_args), len(host_args)
+    exp = sum((n_ext - 1 - i) * e for i, (_, _, e) in enumerate(ext_args))
+    exp += sum((n_host - 1 - j) * h for j, (_, _, h) in enumerate(host_args))
+    exp += sum(u for u, _, _ in ext_args)
+    sign = ring.one() if exp % 2 == 0 else ring.normalize(-1)
+    total = {}
+    table = cat.ops.get(tuple(host_chain), {})
+    for combo in product(*[sorted(s.items()) for s in host_slots]):
+        coeff = sign
+        labels = []
+        for lab, s in combo:
+            coeff = ring.mul(coeff, s)
+            labels.append(lab)
+        if ring.is_zero(coeff):
+            continue
+        for lab, v in dict(table.get(tuple(labels), {})).items():
+            out = _decorate(cat, (chain[0], chain[-1]), start, end, lab)
+            if out is not None:
+                _merge(total, out, ring.mul(coeff, v), ring)
+    return total
+
+
 # -- per-run bar differential: the reference for the contraction index ------
 
 
@@ -124,8 +256,8 @@ def reference_bar(cat, nulls, x, y, depth, degree=0):
     """The degree window of the bar complex B(x, y) through ``nulls``, built
     chain by chain: every word of nulls up to ``depth`` and every labelling
     in product order, shortest first, kept when its degree lies in
-    [degree - 1, degree + 1]; then ``cat.mu`` on every consecutive run of
-    every chain of degree <= ``degree``.
+    [degree - 1, degree + 1]; then ``reference_mu`` on every consecutive
+    run of every chain of degree <= ``degree``.
 
     Returns (chains, generators, blocks): chains as (objects, labels),
     generators as (name, degree) in chain order, and the dense differential
@@ -133,7 +265,7 @@ def reference_bar(cat, nulls, x, y, depth, degree=0):
     """
     ring = cat.ring
     # each distinct run is evaluated once; its output is only read
-    mu = lru_cache(maxsize=None)(cat.mu)
+    mu = lru_cache(maxsize=None)(partial(reference_mu, cat))
 
     def name(objs, labels):
         return "|".join(objs) + "//" + "|".join(labels)

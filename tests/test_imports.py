@@ -9,10 +9,15 @@ an Attribute, since a bare Name of the same spelling is some other variable.
 Code that only the tests reach counts as dead, except the two serializers
 named in ``TEST_ONLY``.  The check goes by name, so a definition that shares
 its name with a referenced one escapes it.  No linter runs on this code, so
-this check keeps dead imports and dead code out.
+this check keeps dead imports and dead code out.  A fresh ``import
+wrapcat.cli`` is also kept clear of the modules that once came in with
+``dataclasses``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from wrapcat import cli
@@ -140,3 +145,20 @@ def test_no_definitions_only_tests_reach():
     found = {(fname, name) for fname, _, name in
              unreferenced_definitions(defining, {})}
     assert found == TEST_ONLY
+
+
+# ``dataclasses`` pulls in ``inspect``, which pulls in ``ast`` and ``dis``:
+# about a tenth of a fresh ``import wrapcat.cli``, paid by every CLI call
+HEAVY = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_cli_import_loads_no_heavy_module():
+    """In a fresh interpreter started with -S, so that no site hook of the
+    environment can import them first, ``import wrapcat.cli`` loads none
+    of HEAVY."""
+    code = ("import sys, wrapcat.cli; "
+            f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from conv_fixtures_support import dg_path_cat, mu3_cat
 from fixture_builders import build_toyb, build_toyc_chain, fixture_doc_over
 from oracles import (dense_cohomology, nonzero_above_arity,
-                     random_path_instance, reference_bar)
+                     random_path_instance, reference_bar, reference_mu)
 from pathcat_support import instance_to_category, wrap_cset
 from wrapcat.ainf import AInfCategory, cohomology_category, cone
 from wrapcat.errors import NotClosedRepresentative
@@ -40,7 +40,7 @@ class TestBarQuotient:
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env)
         ext, nulls = adjoin_cones(env, h, [])
-        quo = TruncatedQuotient(ext, nulls, 2)
+        quo = TruncatedQuotient(ext, nulls, 2, h)
         for a in env.objects:
             for b in env.objects:
                 assert quo.h0_rank(a, b) == h.pres(a, b).rank(0)
@@ -53,7 +53,7 @@ class TestBarQuotient:
         env = canonical_envelope(build_toyb())
         h = cohomology_category(env)
         W = [("L", "L", h.identity_coords["L"])]
-        quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2)
+        quo = TruncatedQuotient(*adjoin_cones(env, h, W), 2, h)
         for a in env.objects:
             for b in env.objects:
                 assert quo.h0_rank(a, b) == h.pres(a, b).rank(0)
@@ -62,7 +62,7 @@ class TestBarQuotient:
         cat = one_arrow()
         h = cohomology_category(cat)
         W = [("A", "B", h.project_dict("A", "B", 0, {"c": 1}))]
-        quo = TruncatedQuotient(*adjoin_cones(cat, h, W), 2)
+        quo = TruncatedQuotient(*adjoin_cones(cat, h, W), 2, h)
         cset = CSet(h, W)
         frac = FractionCategory(h, cset)
         for a in cat.objects:
@@ -90,7 +90,7 @@ class TestBarQuotient:
         cset = continuation_cset(s, h)
         frac = FractionCategory(h, cset)
         W = [(c.src, c.tgt, c.coords) for c in generating_subset(h, cset)]
-        quo = TruncatedQuotient(*adjoin_cones(env, h, W), depth)
+        quo = TruncatedQuotient(*adjoin_cones(env, h, W), depth, h)
         for a in env.objects:
             for b in env.objects:
                 assert quo.stabilized(a, b)
@@ -182,14 +182,17 @@ def check_against_reference(cat, nulls, objects, depth, windows):
     truncated, the depth below.  The quotient's rank-nullity H^0 ranks are
     those of the bars' cohomology presentations, and the subspace of
     H^0 hom(x, y) that the quotient kills is the kernel of the full bar's
-    presentation on the zero-padded representatives."""
+    presentation on the zero-padded representatives.  The quotient reads
+    its representatives from the H-category of ``cat``, which agrees with
+    that of the category the cones extend on the pairs of ``objects``."""
     for x in objects:
         for y in objects:
             for n in windows:
                 assert_matches_reference(
                     BarQuotient(cat, nulls, x, y, depth, degree=n))
     words = NullWords(cat, tuple(nulls), depth, 0, set(objects), set(objects))
-    quo = TruncatedQuotient(cat, nulls, depth)
+    hcat = cohomology_category(cat)
+    quo = TruncatedQuotient(cat, nulls, depth, hcat)
     pairs = {(x, y) for x in objects for y in objects}
     assert set(quo.ranks) == set(quo.killed) == pairs
     for x, y in sorted(pairs):
@@ -202,6 +205,7 @@ def check_against_reference(cat, nulls, objects, depth, windows):
             assert rank == cohomology(sub.complex, (0,)).rank(0)
         h0 = cohomology(bar.complex, (0,)).degree(0)
         src = cohomology(cat.hom_complex(x, y), (0,)).degree(0)
+        assert hcat.pres(x, y).degree(0).reps == src.reps
         pad = (cat.ring.zero(),) * (h0.module_rank - src.module_rank)
         projection = Matrix.from_columns(
             cat.ring, [h0.project(rep + pad) for rep in src.reps],
@@ -264,6 +268,59 @@ class TestContractionIndex:
         assert after.chains == before.chains
         assert after.differential.blocks != before.differential.blocks
         assert_matches_reference(after)
+
+
+def check_mu_against_reference(cat, nulls, objects, depth, windows):
+    """``cat.mu`` equals ``reference_mu`` on every (chain, inputs) on which
+    the bars of every pair of ``objects`` in the degree ``windows`` evaluate
+    it, and some of those chains run through a cone."""
+    reached, mu = set(), cat.mu
+
+    def recording(chain, inputs):
+        reached.add((tuple(chain), tuple(inputs)))
+        return mu(chain, inputs)
+    cat.mu = recording
+    try:
+        for n in windows:
+            words = NullWords(cat, tuple(nulls), depth, n, set(objects),
+                              set(objects))
+            for x in objects:
+                for y in objects:
+                    BarQuotient(cat, nulls, x, y, depth, degree=n, words=words)
+    finally:
+        del cat.mu
+    assert any(o in nulls for chain, _ in reached for o in chain)
+    for chain, inputs in sorted(reached):
+        assert cat.mu(chain, inputs) == reference_mu(cat, chain, inputs), \
+            (chain, inputs)
+
+
+class TestTwistedMu:
+    """Twisted operations on cones against the direct evaluation of
+    ``oracles.reference_mu``, on everything the bars reach."""
+
+    @pytest.mark.parametrize("name,depth", [("toyb", 4), ("toyc", 3)])
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_fixtures(self, name, depth, ring, p):
+        ext, nulls, objects = fixture_cones(name, ring)
+        check_mu_against_reference(ext, nulls, objects, depth, (0,))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_dg_path_cone(self, ring, p):
+        ext = cone(dg_path_cat(ring), "Cb", "o1", "o2", {"b": 1})
+        check_mu_against_reference(ext, ["Cb"], ext.objects[:-1], 2,
+                                   range(-2, 7))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_mu3_cone(self, ring, p):
+        ext = cone(mu3_cat(ring), "Cw", "p1", "p2", {"w": 1})
+        check_mu_against_reference(ext, ["Cw"], ext.objects[:-1], 3,
+                                   range(-4, 5))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_random_path_instances_with_cones(self, ring, p):
+        for ext, nulls, objects in random_cone_extensions(ring):
+            check_mu_against_reference(ext, nulls, objects, 2, range(-5, 2))
 
 
 def _toyb_generating_cones():

@@ -214,8 +214,9 @@ def cmd_entangle(setup, level=1, compare=False):
         bridges = {}
         for (na, Ea), (nb, Eb), fa, fb in zip(stages, stages[1:], fracs,
                                               fracs[1:]):
-            # E0 -> E1 is the first stage with more than one block
-            inc = {v: f"b0.{v}" if nb == "E1" else v for v in Ea.vertices}
+            # the first blocks of Eb are those of Ea, renamed by entangle
+            inc = {v: w for ba, bb in zip(Ea.blocks, Eb.blocks)
+                   for v, w in zip(ba, bb)}
             br = check_bridge(Ea, Eb, fa, fb, inc)
             bridges[f"{na}->{nb}"] = br
             passed = passed and br["passed"]

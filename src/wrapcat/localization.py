@@ -79,9 +79,6 @@ class CSet:
     def __iter__(self):
         return iter(self.classes)
 
-    def __len__(self):
-        return len(self.classes)
-
     def contains(self, src, tgt, coords) -> bool:
         return ContClass(src, tgt, coords).key() in self._keys
 

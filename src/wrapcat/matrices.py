@@ -381,9 +381,6 @@ class _BitEchelon(Echelon):
         """v + c.w"""
         return v ^ w if c % 2 else v
 
-    def monic(self, v, p):
-        return v
-
 
 class _DictEchelon(Echelon):
     """Q and F_p for odd p: a vector is {index: nonzero scalar}."""

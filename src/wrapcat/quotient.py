@@ -4,20 +4,22 @@ The quotient of a strictly unital category by the subcategory of cones over
 chosen degree-0 classes is realized through bar-type hom complexes: chains
 through null objects of bounded length, with the differential assembled from
 all consecutive-run contractions.  Only H^0 is computed, so each bar complex
-holds only its chains of degree -1, 0 and 1.  The words of null objects
-between the two ends, with their internal contractions, are built once per
-quotient and shared by its bars.  Every contraction is read from the
-extended category's index (``AInfCategory.contraction``), which evaluates
-each distinct run once, and no run longer than the largest operation arity
-is visited.  Each block of the differential is written straight in
-``Echelon``'s vector form (bitsets over F2, ``{index: scalar}`` dicts
-otherwise): its terms are collected as (target, source, sign exponent,
-scalar) entries and summed into rows once, by the field's vector space.
-H^0 ranks come by rank-nullity, each rank eliminating the rows of its
-block, and are reported per depth with a stabilization certificate, never a
-convergence claim; of the map H^0 hom(x, y) -> H^0 of the quotient only the
-subspace it kills is kept, read off the same elimination as the rank of
-d^-1, with the degree-0 representatives of the H-category.
+holds only its chains of degree -1, 0 and 1.  Each chain, an (objects,
+labels) pair of tuples, is its own basis label; no chain is named.  The
+words of null objects between the two ends, with their internal
+contractions, are built once per quotient and shared by its bars.  Every
+contraction is read from the extended category's index
+(``AInfCategory.contraction``), which evaluates each distinct run once, and
+no run longer than the largest operation arity is visited.  Each block of
+the differential is written straight in ``Echelon``'s vector form (bitsets
+over F2, ``{index: scalar}`` dicts otherwise): its terms are collected as
+(target, source, sign exponent, scalar) entries and summed into rows once,
+by the field's vector space.  H^0 ranks come by rank-nullity, each rank
+eliminating the rows of its block, and are reported per depth with a
+stabilization certificate, never a convergence claim; of the map
+H^0 hom(x, y) -> H^0 of the quotient only the subspace it kills is kept,
+read off the same elimination as the rank of d^-1, with the degree-0
+representatives of the H-category.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ class NullWords:
     chain of degree ``degree`` - 1, ``degree`` or ``degree`` + 1.
     ``groups`` lists the object tuples shortest first and in product order
     of the nulls, each with its word ids in product order of the label
-    lists; ``words[id]`` is (objects, labels, label degrees, degree sum,
-    joined objects, joined labels each followed by "|").  The contractions
-    of runs inside a word (``inner``) and of runs through one end (``left``,
-    ``right``) are computed on first use and kept, so each is evaluated once
-    per quotient, not once per pair and chain.
+    lists; ``words[id]`` is (objects, labels, label degrees, degree sum).
+    The contractions of runs inside a word (``inner``) and of runs through
+    one end (``left``, ``right``) are computed on first use and kept, so
+    each is evaluated once per quotient, not once per pair and chain.
     """
 
     def __init__(self, cat: AInfCategory, nulls, depth: int, degree: int,
@@ -96,13 +97,11 @@ class NullWords:
                        for d in m.degrees() for lab in m.labels(d)
                        if lo - rest_max[i + 1] <= t + d <= hi - rest_min[i + 1]]
         ids = []
-        joined = "|".join(objs)
         for labs, degs, t in partial:
             if lo <= t <= hi:
                 self.ids[(objs, labs)] = len(self.words)
                 ids.append(len(self.words))
-                self.words.append((objs, labs, degs, t, joined,
-                                   "".join(lab + "|" for lab in labs)))
+                self.words.append((objs, labs, degs, t))
         if ids:
             self.groups.append((objs, ids))
 
@@ -172,11 +171,13 @@ class BarQuotient:
     """Bar-type hom complex between two objects through null objects, in the
     three degrees around ``degree`` (n) that its cohomology H^n needs.
 
-    Chains are tuples (x_0, .., x_k) with x_l a basis label of
-    hom(O_l, O_{l+1}) along X = O_0, b_1, .., b_k, Y = O_{k+1}, nulls b_i;
-    a chain sits in degree sum(ext degrees) - k.  Only chains of degree n-1,
-    n and n+1 are built, and the differential only on degrees n-1 and n, so
-    of the cohomology of ``complex`` only H^n is that of the bar complex.
+    Chains are pairs ((O_0, .., O_{k+1}), (x_0, .., x_k)) with x_l a basis
+    label of hom(O_l, O_{l+1}) along X = O_0, b_1, .., b_k, Y = O_{k+1},
+    nulls b_i; a chain sits in degree sum(ext degrees) - k, and the chains
+    of each degree, in ``chains`` order, are the basis of ``module``.  Only
+    chains of degree n-1, n and n+1 are built, and the differential only on
+    degrees n-1 and n, so of the cohomology of ``complex`` only H^n is that
+    of the bar complex.
     A chain with k >= 1 nulls is a label of hom(X, b_1), a word of
     ``words`` (a ``NullWords`` for these nulls, depth and degree with X
     among its sources and Y among its targets; built for this pair alone
@@ -199,38 +200,38 @@ class BarQuotient:
             words = NullWords(cat, self.nulls, self.depth, self.degree,
                               (x,), (y,))
         self.chains = []    # (objects tuple, labels tuple)
-        self._gens = []     # (name, degree) per chain
-        slot, direct, groups = self._build_chains(words)
-        self.module = GradedModule.from_generators(self.ring, self._gens)
+        basis, slot, direct, groups = self._build_chains(words)
+        self.module = GradedModule(self.ring, basis)
         self.differential = self._build_differential(words, slot, direct,
                                                      groups)
         self.complex = Complex(self.module, self.differential)
 
     def _build_chains(self, words: NullWords):
         """Shortest first, then in the product order of the nulls and of the
-        label lists; chains are named "objects//labels", "|"-joined.
+        label lists; each chain is its own basis label.
 
-        Returns the index of each chain in its degree, keyed by (label,) or
-        (first label, word id, last label), and the chains of degree at
-        most n: the direct ones as (degree, index, label) and the others
-        grouped by first label and word, as (first label, its degree, word
-        id, [(degree, index, last label, its degree)])."""
+        Returns the chains of each degree, the index of each chain in its
+        degree, keyed by (label,) or (first label, word id, last label), and
+        the chains of degree at most n: the direct ones as (degree, index,
+        label) and the others grouped by first label and word, as (first
+        label, its degree, word id, [(degree, index, last label, its
+        degree)])."""
         x, y, n = self.x, self.y, self.degree
-        chains, gens = self.chains, self._gens
-        slot, count, direct, groups = {}, {n - 1: 0, n: 0, n + 1: 0}, [], []
+        chains = self.chains
+        basis, slot, direct, groups = {n - 1: [], n: [], n + 1: []}, {}, [], []
 
-        def add(objs, labels, name, d, key):
-            chains.append((objs, labels))
-            gens.append((name, d))
-            slot[key] = j = count[d]
-            count[d] = j + 1
+        def add(objs, labels, d, key):
+            chain = (objs, labels)
+            chains.append(chain)
+            slot[key] = j = len(basis[d])
+            basis[d].append(chain)
             return j
 
         xy = self.cat.hom(x, y)
         for d in xy.degrees():
             if n - 1 <= d <= n + 1:
                 for lab in xy.labels(d):
-                    j = add((x, y), (lab,), f"{x}|{y}//{lab}", d, (lab,))
+                    j = add((x, y), (lab,), d, (lab,))
                     if d <= n:
                         direct.append((d, j, lab))
         for mids, ids in words.groups:
@@ -240,29 +241,26 @@ class BarQuotient:
                 continue
             lo, hi = n - 1 + k, n + 1 + k
             objs = (x,) + mids + (y,)
-            head = f"{x}|{words.words[ids[0]][4]}|{y}//"
             ends = [(lab, d) for d in last.degrees() for lab in last.labels(d)]
             end_min, end_max = ends[0][1], ends[-1][1]
             for d0 in first.degrees():
                 for l0 in first.labels(d0):
                     for wid in ids:
-                        _, wl, _, wdeg, _, joined = words.words[wid]
+                        _, wl, _, wdeg = words.words[wid]
                         t = d0 + wdeg
                         if t + end_max < lo or t + end_min > hi:
                             continue
-                        name = head + l0 + "|" + joined
                         labels = (l0,) + wl
                         tails = []
                         for lk, dk in ends:
                             if lo <= t + dk <= hi:
                                 d = t + dk - k
-                                j = add(objs, labels + (lk,), name + lk, d,
-                                        (l0, wid, lk))
+                                j = add(objs, labels + (lk,), d, (l0, wid, lk))
                                 if d <= n:
                                     tails.append((d, j, lk, dk))
                         if tails:
                             groups.append((l0, d0, wid, tails))
-        return slot, direct, groups
+        return basis, slot, direct, groups
 
     def _build_differential(self, words: NullWords, slot, direct,
                             groups) -> GradedMap:
@@ -316,18 +314,15 @@ class BarQuotient:
         prefix of the full one and each truncated block is the leading block
         of the full one.
         """
+        def kept(chains):
+            return chains[:next((i for i, (_, labels) in enumerate(chains)
+                                 if len(labels) - 1 > depth), len(chains))]
         sub = BarQuotient.__new__(BarQuotient)
-        sub.cat = self.cat
-        sub.ring = self.ring
-        sub.nulls = self.nulls
-        sub.x, sub.y = self.x, self.y
+        vars(sub).update(vars(self))
         sub.depth = depth
-        sub.degree = self.degree
-        m = next((i for i, (_, labels) in enumerate(self.chains)
-                  if len(labels) - 1 > depth), len(self.chains))
-        sub.chains = self.chains[:m]
-        sub._gens = self._gens[:m]
-        sub.module = GradedModule.from_generators(sub.ring, sub._gens)
+        sub.chains = kept(self.chains)
+        sub.module = GradedModule(sub.ring, {
+            d: kept(chains) for d, chains in self.module.basis.items()})
         blocks = {d: blk.leading(sub.module.rank(d + 1), sub.module.rank(d))
                   for d, blk in self.differential.blocks.items()}
         sub.differential = GradedMap(sub.module, sub.module, 1, blocks)

@@ -155,9 +155,19 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         if src == tgt or (src, tgt) not in pairs:
             raise SchemaError(f"continuation[{i}]: ({src}, {tgt}) is not a "
                               f"composable pair of distinct Lagrangians")
+    for pair in sorted(cf):
+        _check_composable(setup, f"hom {','.join(pair)!r}", pair)
+    for i, entry in enumerate(doc.get("operations", [])):
+        _check_composable(setup, f"operations[{i}]", tuple(entry["tuple"]))
     if data_system is not None:
         _check_data_keys(setup, raw)
     return setup
+
+
+def _check_composable(setup, where, t):
+    """Raise a SchemaError naming ``where`` unless ``t`` is composable."""
+    if t not in setup.composable.get(len(t) - 1, ()):
+        raise SchemaError(f"{where}: {','.join(t)} is not composable")
 
 
 def _check_data_keys(setup, raw):
@@ -169,9 +179,7 @@ def _check_data_keys(setup, raw):
         for key in sorted(raw.get(table, {})):
             parts = key.split("|")[:2 if table == "restrictions" else 1]
             for t in map(_pair_from_key, parts):
-                if t not in setup.composable.get(len(t) - 1, ()):
-                    raise SchemaError(f"floer_data: {table} {key!r}: "
-                                      f"{','.join(t)} is not composable")
+                _check_composable(setup, f"floer_data: {table} {key!r}", t)
 
 
 def _check_labels(cf, where, chain, ops):

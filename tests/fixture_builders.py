@@ -1,4 +1,5 @@
-"""Programmatic constructions of the bundled fixtures.
+"""Programmatic constructions of the bundled fixtures, and of the small
+full-profile setups the tests share.
 
 The JSON files under src/wrapcat/fixtures are generated from these builders
 (canonical serialization); tests cross-check the files against the builders
@@ -6,10 +7,12 @@ byte for byte.
 """
 
 import json
+from itertools import permutations
 from pathlib import Path
 
 from wrapcat import setupfile
-from wrapcat.floer import FloerDataSystem, WeakFloerSetup
+from wrapcat.floer import (FloerDataSystem, WeakFloerSetup, family_key,
+                           subsequences)
 from wrapcat.linalg import GradedModule
 from wrapcat.rings import CoefficientRing
 
@@ -265,6 +268,24 @@ ALL_BUILDERS = {
     "dsq_break": build_dsq_break,
     "micro2_break_beta": build_micro2_break_beta,
 }
+
+
+def build_triples(n=2) -> WeakFloerSetup:
+    """A full-profile setup on three Lagrangians with zero CF modules: every
+    pair has the data p0 .. p(n-1), every triple t0 .. t(n-1), and t_i
+    restricts to p_i on each pair.  Only a family that takes one p_i on
+    every pair has a section witness, t_i."""
+    lags = ("A", "B", "C")
+    triples = list(permutations(lags, 3))
+    ds = FloerDataSystem(
+        D={**{p: [f"p{i}" for i in range(n)] for p in permutations(lags, 2)},
+           **{t: [f"t{i}" for i in range(n)] for t in triples}},
+        restrictions={(t, sub): {f"t{i}": f"p{i}" for i in range(n)}
+                      for t in triples for sub in subsequences(t)},
+        sections={t: {family_key({sub: f"p{i}" for sub in subsequences(t)}):
+                      f"t{i}" for i in range(n)} for t in triples})
+    return WeakFloerSetup(F2, lags, max_arity=2, profile="full",
+                          data_system=ds, name="triples")
 
 
 def rational_fixture_doc(name):

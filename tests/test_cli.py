@@ -191,6 +191,16 @@ def _section_witness_not_in_d(doc):
     doc["floer_data"]["sections"] = {"A,B,A": {"A,B=d1": "zz"}}
 
 
+def _hom_of_a_loop(doc):
+    doc["hom"]["L,L"] = [{"name": "e", "degree": 0}]
+
+
+def _op_above_max_arity(doc):
+    # max_arity 1: no triple is composable, so the entry would be dropped
+    doc["operations"].append({"inputs": ["cp", "x"], "output": "y",
+                              "scalar": "1 mod 2", "tuple": ["L", "Lp", "K"]})
+
+
 def _unknown_profile(doc):
     doc["profile"] = "banana"
 
@@ -267,6 +277,9 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "'A,B,A|A,B': 'zz' is not in D(A,B)", "micro2datum"),
              (_section_witness_not_in_d, "floer_data: sections 'A,B,A': 'zz' "
               "is not in D(A,B,A)", "micro2datum"),
+             (_hom_of_a_loop, "hom 'L,L': L,L is not composable", "toyb"),
+             (_op_above_max_arity, "operations[0]: L,Lp,K is not composable",
+              "toyb_break_permutation"),
              (_unknown_profile, "profile must be 'envelope' or 'full', not "
               "'banana'", "toyb"),
              (_wrap_chain_not_an_array, "wrap_chains 'L0': 5 is not an array "

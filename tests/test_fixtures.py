@@ -13,7 +13,7 @@ FIXTURES = Path(setupfile.__file__).parent / "fixtures"
 NAMES = ["toyb", "toyc", "micro2datum", "toyb_break_permutation",
          "toyc_break_closure", "ore_break", "dsq_break", "micro2_break_beta"]
 # builders of a family of setups, one per argument, with no bundled file
-FAMILIES = ["toyc_chain"]
+FAMILIES = ["toyc_chain", "triples"]
 
 
 def test_every_builder_is_covered():

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -5,16 +6,19 @@ import pytest
 from fixture_builders import (build_dsq_break, build_micro2_break_beta,
                               build_micro2datum, build_toyb,
                               build_toyb_break_permutation, build_toyc,
-                              build_toyc_chain)
+                              build_toyc_chain, build_triples)
 from oracles import unit_is_strict
 from wrapcat.ainf import check_ainf_relations, cohomology_category
 from wrapcat.errors import NoSection
-from wrapcat.floer import (CompatibleCollection, WeakFloerSetup,
-                           canonical_envelope, choose_compatible_collection,
-                           subsequences, validate_setup)
+from wrapcat.floer import (CompatibleCollection, FloerDataSystem,
+                           WeakFloerSetup, canonical_envelope,
+                           choose_compatible_collection, subsequences,
+                           validate_setup)
+from wrapcat.linalg import GradedModule
 from wrapcat.rings import CoefficientRing
 
 F2 = CoefficientRing.prime_field(2)
+Q = CoefficientRing.rationals()
 
 
 class TestValidation:
@@ -191,3 +195,49 @@ class TestIndependenceAxioms:
         assert failures(m2, "ix-diagonal") == [
             {"pair": ["A", "B"], "datum": "d1",
              "reason": "alpha over f(datum) is not the identity"}]
+
+
+class TestFullProfileTriples:
+    """Axioms (v) and (viii) on setups with composable triples."""
+
+    def test_mixed_families_have_no_section_witness(self):
+        # each triple's pairs carry p0 or p1: 8 families, of which only
+        # the all-p0 and all-p1 ones have a witness
+        fails = failures(build_triples(), "v-contractibility")
+        assert {f["reason"] for f in fails} == {"no section witness"}
+        assert Counter(tuple(f["tuple"]) for f in fails) == {
+            t: 6 for t in permutations("ABC")}
+
+    def test_one_datum_per_pair_is_contractible(self):
+        assert failures(build_triples(1), "v-contractibility") == []
+
+    @staticmethod
+    def gamma_setup(mu2_of_t1=True):
+        """CF(A,B) = <x>, CF(B,C) = <y>, CF(A,C) = <z> in degree 0 over Q,
+        (A, B, C) the one composable triple, with data t0 and t1 whose mu^2
+        sends (x, y) to z, and one Dthird element over the pair (A, B):
+        gamma g0 = 0 between t0 and t1, through an identity alpha a."""
+        one = Q.one()
+        mu2 = [(("x", "y"), "z", one)]
+        cf = {pair: GradedModule.from_generators(Q, [(gen, 0)])
+              for pair, gen in [(("A", "B"), "x"), (("B", "C"), "y"),
+                                (("A", "C"), "z")]}
+        ds = FloerDataSystem(
+            D={("A", "B", "C"): ["t0", "t1"]},
+            mu={(("A", "B", "C"), "t0"): mu2,
+                (("A", "B", "C"), "t1"): mu2 if mu2_of_t1 else []},
+            alpha={(("A", "B"), "a"): [("x", "x", one)]},
+            Dthird={(("A", "B", "C"), 0): [("g0", "t0", "t1", "a")]})
+        return WeakFloerSetup(
+            Q, ["A", "B", "C"], composable_mode="explicit", max_arity=2,
+            composable_tuples={1: list(cf), 2: [("A", "B", "C")]}, cf=cf,
+            profile="full", data_system=ds, name="gamma")
+
+    def test_zero_gamma_between_equal_mu2_passes_viii(self):
+        assert failures(self.gamma_setup(), "viii-homotopy-data") == []
+
+    def test_zero_gamma_against_a_missing_mu2_fails_viii(self):
+        assert failures(self.gamma_setup(mu2_of_t1=False),
+                        "viii-homotopy-data") == [
+            {"triple": ["A", "B", "C"], "i": 0, "gamma": "g0",
+             "defect": "gamma identity fails on (x,y)"}]

@@ -163,15 +163,16 @@ class TestDegreeWindows:
 
 
 def assert_matches_reference(bar):
-    """Chains, module labels and both differential blocks of ``bar`` are
-    those of the per-run reference."""
+    """Chains and both differential blocks of ``bar`` are those of the
+    per-run reference, and the basis of each degree is the reference's
+    chains of that degree, in chain order."""
     chains, gens, blocks = reference_bar(bar.cat, bar.nulls, bar.x, bar.y,
                                          bar.depth, bar.degree)
     assert bar.chains == chains
-    names = {}
-    for name, d in gens:
-        names.setdefault(d, []).append(name)
-    assert {d: list(bar.module.labels(d)) for d in bar.module.degrees()} == names
+    basis = {}
+    for chain, (_, d) in zip(chains, gens):
+        basis.setdefault(d, []).append(chain)
+    assert {d: list(bar.module.labels(d)) for d in bar.module.degrees()} == basis
     for d, rows in blocks.items():
         assert bar.differential.block(d).data == tuple(map(tuple, rows))
 

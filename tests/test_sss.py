@@ -8,25 +8,21 @@ of the n + 1 copies of each.
 """
 
 from functools import partial
-from itertools import permutations
 from math import prod
 from pathlib import Path
 
 import pytest
 
 from fixture_builders import (build_micro2datum, build_toyb, build_toyc,
-                              build_toyc_chain)
+                              build_toyc_chain, build_triples)
 from wrapcat import cli
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import _prepare, bundled_wrapped_poset
 from wrapcat.errors import DecorationInconsistent
-from wrapcat.floer import (FloerDataSystem, WeakFloerSetup,
-                           choose_compatible_collection, family_key,
-                           subsequences)
+from wrapcat.floer import choose_compatible_collection
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import FractionCategory
 from wrapcat.posets import build_O_P, wrapping_sequences
-from wrapcat.rings import CoefficientRing
 from wrapcat.setupfile import load_setup
 from wrapcat.sss import (build_F_E, canonical_sss, check_bridge, entangle,
                          localize_stage)
@@ -212,25 +208,8 @@ def test_identity_bridge_is_the_full_check(build):
     assert short["passed"]
 
 
-def triples_setup():
-    """A full-profile setup on three Lagrangians with zero CF modules: every
-    pair has the data p0 and p1, every triple t0 and t1, and t_i restricts
-    to p_i on each pair."""
-    lags = ("A", "B", "C")
-    triples = list(permutations(lags, 3))
-    ds = FloerDataSystem(
-        D={**{p: ["p0", "p1"] for p in permutations(lags, 2)},
-           **{t: ["t0", "t1"] for t in triples}},
-        restrictions={(t, sub): {"t0": "p0", "t1": "p1"}
-                      for t in triples for sub in subsequences(t)},
-        sections={t: {family_key({sub: f"p{i}" for sub in subsequences(t)}):
-                      f"t{i}" for i in (0, 1)} for t in triples})
-    return WeakFloerSetup(CoefficientRing.prime_field(2), lags, max_arity=2,
-                          profile="full", data_system=ds, name="triples")
-
-
 def test_entangled_stage_checks_its_decorations():
-    setup = triples_setup()
+    setup = build_triples()
     e_delta = stage(setup, 0)
     E = entangle(setup, [e_delta] * 2)
     assert {E.data[s] for s in E.simplices[2]} == {"t0"}

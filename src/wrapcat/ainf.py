@@ -426,14 +426,6 @@ def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
             "passed": not violations, "violations": violations}
 
 
-def _coords_to_vector(ring, pres, coords):
-    vec = [ring.zero()] * pres.module_rank
-    for c, rep in zip(coords, pres.reps):
-        for i, r in enumerate(rep):
-            vec[i] = ring.add(vec[i], ring.mul(c, r))
-    return tuple(vec)
-
-
 def _vector_to_dict(mod: GradedModule, degree, vec):
     out = {}
     for lab, v in zip(mod.labels(degree), vec):
@@ -456,35 +448,30 @@ class HCategory:
         self.H = {}
         for pair in source.hom_pairs():
             self.H[pair] = cohomology(source.hom_complex(*pair))
+        self._zero = CohomologyPresentation(self.ring, {})  # every missing hom
         self.identity_coords = {}
         for x in self.objects:
             unit = source.unit_of(x)
-            pres = self.pres(x, x).degree(0)
-            if not unit or pres.class_count == 0:
-                self.identity_coords[x] = None
-                continue
-            mod = source.hom(x, x)
-            vec = [self.ring.zero()] * pres.module_rank
-            for lab, s in unit.items():
-                vec[mod.index_of(lab)] = s
-            self.identity_coords[x] = pres.project(vec)
+            self.identity_coords[x] = (
+                self.project_dict(x, x, 0, unit)
+                if unit and self.class_count(x, x, 0) else None)
         self._table = {}
         self._matrices = {}     # ("pre" | "post", x, y, z, d, coords, d') -> Matrix
 
     def pres(self, x, y) -> CohomologyPresentation:
-        if (x, y) in self.H:
-            return self.H[(x, y)]
-        return CohomologyPresentation(self.ring, GradedModule.zero(self.ring), {})
+        return self.H.get((x, y), self._zero)
 
     def class_count(self, x, y, d) -> int:
         return self.pres(x, y).rank(d)
 
-    def rep_vector(self, x, y, d, coords):
-        return _coords_to_vector(self.ring, self.pres(x, y).degree(d), coords)
-
     def rep_dict(self, x, y, d, coords):
-        return _vector_to_dict(self.source.hom(x, y), d,
-                               self.rep_vector(x, y, d, coords))
+        """The representative cycle of a class as a label->scalar dict."""
+        ring, pres = self.ring, self.pres(x, y).degree(d)
+        vec = [ring.zero()] * pres.module_rank
+        for c, rep in zip(coords, pres.reps):
+            for i, r in enumerate(rep):
+                vec[i] = ring.add(vec[i], ring.mul(c, r))
+        return _vector_to_dict(self.source.hom(x, y), d, vec)
 
     def project_dict(self, x, y, d, element):
         """Class coordinates of a cycle given as a label->scalar dict."""
@@ -521,22 +508,16 @@ class HCategory:
         return tuple(out)
 
     def _build_table(self, x, y, z, d1, d2):
-        ring = self.ring
         p1 = self.pres(x, y).degree(d1)
         p2 = self.pres(y, z).degree(d2)
-        pt = self.pres(x, z).degree(d1 + d2)
-        mod_xy, mod_yz, mod_xz = (self.source.hom(x, y), self.source.hom(y, z),
-                                  self.source.hom(x, z))
+        mod_xy, mod_yz = self.source.hom(x, y), self.source.hom(y, z)
         table = {}
         for i in range(p1.class_count):
             u = _vector_to_dict(mod_xy, d1, p1.reps[i])
             for j in range(p2.class_count):
                 v = _vector_to_dict(mod_yz, d2, p2.reps[j])
-                w = self.source.mu_element((x, y, z), [u, v])
-                vec = [ring.zero()] * pt.module_rank
-                for lab, s in w.items():
-                    vec[mod_xz.index_of(lab)] = s
-                table[(i, j)] = pt.project(vec)
+                table[(i, j)] = self.project_dict(
+                    x, z, d1 + d2, self.source.mu_element((x, y, z), [u, v]))
         return table
 
     def postcompose_matrix(self, x, y, z, d2, v_coords, d1) -> Matrix:

@@ -17,10 +17,6 @@ class NotAComplex(WrapcatError):
     pass
 
 
-class EmptySequence(WrapcatError):
-    pass
-
-
 class NotClosed(WrapcatError):
     pass
 

@@ -96,10 +96,10 @@ class WeakFloerSetup:
         self.wrap_chains = dict(wrap_chains or {})
         self.oracle = dict(oracle or {})
         if composable_mode == "all-distinct":
-            self.composable = {}
-            for k in range(1, self.max_arity + 1):
-                self.composable[k] = set(
-                    t for t in permutations(self.lagrangians, k + 1))
+            # no tuple of distinct Lagrangians is longer than the setup
+            top = min(self.max_arity, len(self.lagrangians) - 1)
+            self.composable = {k: set(permutations(self.lagrangians, k + 1))
+                               for k in range(1, top + 1)}
         else:
             self.composable = {int(k): set(map(tuple, v))
                                for k, v in (composable_tuples or {}).items()}
@@ -186,11 +186,14 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite", envelope=None):
             notes.append({"pair": [l, k], "note": "absent CF treated as zero"})
     axiom("iii-cf-modules", fails, notes)
 
-    # (vi) A-infinity relations of the operation families
+    # (vi) A-infinity relations of the operation families, in all-distinct
+    # mode up to the declared arity even beyond the longest tuple
     fails = []
     if not s.full:
         env = canonical_envelope(s) if envelope is None else envelope
-        fails = _relation_failures(env, max([*s.composable, 1]))
+        fails = _relation_failures(
+            env, s.max_arity if s.composable_mode == "all-distinct"
+            else max([*s.composable, 1]))
     else:
         for k in sorted(s.composable):
             for t in s.tuples(k):

@@ -1,6 +1,10 @@
 """Exact graded linear algebra over a field: graded modules, chain complexes,
 cohomology presentations, diagram colimits.
 
+A graded object is anything with a ``ring``, ``rank(d)`` and ``degrees()``
+(the degrees of nonzero rank, ascending): a labelled ``GradedModule`` or an
+unlabelled ``CohomologyPresentation``, of which ``DiagramColimit`` is one.
+
 Cohomology presentations are canonical for a fixed basis order: each class
 representative is reduced against the echelon basis of the boundaries.  All
 operations are deterministic pure functions.
@@ -8,13 +12,13 @@ operations are deterministic pure functions.
 
 from __future__ import annotations
 
-from .errors import EmptySequence, NotAComplex, ShapeMismatch
+from .errors import NotAComplex, ShapeMismatch
 from .matrices import Echelon, Matrix, vectors
 from .rings import CoefficientRing
 
 __all__ = [
     "GradedModule", "GradedMap", "Complex", "CohomologyPresentation",
-    "cohomology", "compose_graded_maps", "diagram_colimit",
+    "DiagramColimit", "cohomology", "compose_graded_maps",
 ]
 
 
@@ -79,15 +83,18 @@ class GradedModule:
 
 
 class GradedMap:
-    """Degree-homogeneous map between graded modules, stored blockwise.
+    """Degree-homogeneous map between graded objects (``ring``,
+    ``rank(d)``, ``degrees()``), stored blockwise.
 
     ``blocks[d]`` sends the degree-d part of the source into degree
-    ``d + self.degree`` of the target; missing blocks are zero.
+    ``d + self.degree`` of the target; missing blocks are zero.  Only
+    ``from_entries`` and ``apply_label`` read basis labels, so they need
+    labelled ``GradedModule`` ends.
     """
 
     __slots__ = ("source", "target", "degree", "blocks")
 
-    def __init__(self, source: GradedModule, target: GradedModule, degree: int, blocks):
+    def __init__(self, source, target, degree: int, blocks):
         self.source = source
         self.target = target
         self.degree = int(degree)
@@ -101,11 +108,11 @@ class GradedMap:
                 self.blocks[int(d)] = blk
 
     @staticmethod
-    def zero(source: GradedModule, target: GradedModule, degree: int = 0) -> "GradedMap":
+    def zero(source, target, degree: int = 0) -> "GradedMap":
         return GradedMap(source, target, degree, {})
 
     @staticmethod
-    def identity(module: GradedModule) -> "GradedMap":
+    def identity(module) -> "GradedMap":
         return GradedMap(module, module, 0,
                          {d: Matrix.identity(module.ring, module.rank(d))
                           for d in module.degrees()})
@@ -252,25 +259,35 @@ class DegreePresentation:
 
 
 class CohomologyPresentation:
-    """Graded cohomology with canonical representatives and projections."""
+    """Graded quotient with canonical representatives and projections, one
+    ``DegreePresentation`` per degree; a degree without one is zero.
 
-    __slots__ = ("ring", "module", "by_degree")
+    A graded object (``ring``, ``rank(d)``, ``degrees()``) whose rank in
+    degree d is the class count there, so graded maps and colimits join
+    presentations as they join modules.  It has no basis labels: a map
+    built with ``from_entries`` or read with ``apply_label`` needs a
+    labelled ``GradedModule``."""
 
-    def __init__(self, ring, module, by_degree):
+    __slots__ = ("ring", "by_degree")
+
+    def __init__(self, ring, by_degree):
         self.ring = ring
-        self.module = module
         self.by_degree = dict(sorted(by_degree.items()))
 
     def degree(self, d: int) -> DegreePresentation:
         if d in self.by_degree:
             return self.by_degree[d]
-        return DegreePresentation(self.ring, self.module.rank(d), ())
+        return DegreePresentation(self.ring, 0, ())
 
     def degrees(self):
         return [d for d, pres in self.by_degree.items() if pres.class_count]
 
     def rank(self, d: int) -> int:
         return self.degree(d).class_count
+
+    def rank_map(self):
+        """{degree: rank} over the degrees of nonzero rank."""
+        return {d: self.rank(d) for d in self.degrees()}
 
 
 def _presentation(ring, dim, relations, candidates, reduce_reps):
@@ -304,38 +321,34 @@ def cohomology(c: Complex, degrees=None) -> CohomologyPresentation:
         by_degree[d] = _presentation(
             ring, d_out.cols, c.differential.block(d - 1).columns(),
             d_out.echelon().kernel(), True)
-    return CohomologyPresentation(ring, c.module, by_degree)
+    return CohomologyPresentation(ring, by_degree)
 
 
-class DiagramColimit:
-    """Colimit of a finite diagram of graded modules, as an exact quotient.
+class DiagramColimit(CohomologyPresentation):
+    """Colimit of a finite diagram of graded objects (``ring``, ``rank(d)``,
+    ``degrees()``), as an exact quotient.
 
-    Presented per degree by a quotient of the direct sum of all object
-    modules; representatives are chosen standard basis vectors.
-    ``structure_map(i)`` embeds object ``i``.
+    Presented per degree by a quotient of the direct sum of all objects;
+    representatives are chosen standard basis vectors.  The colimit is
+    itself a graded object: ``structure_map(i)`` embeds object ``i`` into
+    it, and ``map_to`` maps it to another colimit.  The empty diagram has
+    the zero colimit.
     """
 
-    __slots__ = ("ring", "objects", "offsets", "dims", "by_degree", "module",
-                 "_structure")
+    __slots__ = ("objects", "offsets", "dims", "_structure")
 
-    def __init__(self, ring, obj_modules, morphisms):
-        """morphisms: iterable of (src_index, tgt_index, GradedMap)."""
-        self.ring = ring
-        self.objects = list(obj_modules)
+    def __init__(self, ring, objects, morphisms):
+        """morphisms: a list of (src_index, tgt_index, GradedMap)."""
+        self.objects = list(objects)
         self._structure = {}    # object index -> structure map, built once
-        degrees = sorted({d for m in self.objects for d in m.degrees()})
-        self.offsets = {}
-        self.dims = {}
-        for d in degrees:
+        self.offsets, self.dims, by_degree = {}, {}, {}
+        for d in sorted({d for m in self.objects for d in m.degrees()}):
             offs, total = [], 0
             for m in self.objects:
                 offs.append(total)
                 total += m.rank(d)
-            self.offsets[d] = offs
-            self.dims[d] = total
-        self.by_degree = {}
-        for d in degrees:
-            offs, sparse = self.offsets[d], vectors(ring, self.dims[d]).sparse
+            self.offsets[d], self.dims[d] = offs, total
+            sparse = vectors(ring, total).sparse
             relations = []      # f(v) - v for each basis vector v
             for (si, ti, f) in morphisms:
                 blk = f.block(d)
@@ -345,24 +358,8 @@ class DiagramColimit:
                         k = offs[ti] + i
                         rel[k] = ring.add(rel.get(k, ring.zero()), x)
                     relations.append(sparse(rel))
-            self.by_degree[d] = _quotient_of_free(ring, self.dims[d], relations)
-        gens = []
-        for d in degrees:
-            pres = self.by_degree[d]
-            for i in range(pres.class_count):
-                gens.append((f"colim:{d}:{i}", d))
-        self.module = GradedModule.from_generators(ring, gens)
-
-    def degree(self, d):
-        if d in self.by_degree:
-            return self.by_degree[d]
-        return DegreePresentation(self.ring, 0, ())
-
-    def rank(self, d):
-        return self.degree(d).class_count
-
-    def rank_map(self):
-        return {d: p.class_count for d, p in self.by_degree.items() if p.class_count}
+            by_degree[d] = _quotient_of_free(ring, total, relations)
+        super().__init__(ring, by_degree)
 
     def project(self, d, obj_index, vec):
         """Class coordinates of a vector sitting in object ``obj_index``."""
@@ -388,7 +385,7 @@ class DiagramColimit:
             cols = [pres.project_sparse(units.unit(off + j))
                     for j in range(src.rank(d))]
             blocks[d] = Matrix.from_columns(self.ring, cols, pres.class_count)
-        self._structure[obj_index] = GradedMap(src, self.module, 0, blocks)
+        self._structure[obj_index] = GradedMap(src, self, 0, blocks)
         return self._structure[obj_index]
 
     def map_to(self, target: "DiagramColimit", levelwise):
@@ -417,7 +414,7 @@ class DiagramColimit:
                            for a, b in zip(acc, target.project(d, *image))]
                 cols.append(acc)
             blocks[d] = Matrix.from_columns(ring, cols, target.rank(d))
-        return GradedMap(self.module, target.module, 0, blocks)
+        return GradedMap(self, target, 0, blocks)
 
 
 def _quotient_of_free(ring, dim, relations):
@@ -425,11 +422,3 @@ def _quotient_of_free(ring, dim, relations):
     units = vectors(ring, dim)
     return _presentation(ring, dim, relations,
                          [units.unit(i) for i in range(dim)], False)
-
-
-def diagram_colimit(obj_modules, morphisms) -> DiagramColimit:
-    """Colimit of a finite diagram; morphisms are (src_idx, tgt_idx, GradedMap)."""
-    obj_modules = list(obj_modules)
-    if not obj_modules:
-        raise EmptySequence("diagram_colimit of empty diagram")
-    return DiagramColimit(obj_modules[0].ring, obj_modules, list(morphisms))

@@ -24,7 +24,7 @@ from itertools import product
 
 from .ainf import HCategory
 from .errors import NonCofinalPrefix, SystemInvalid
-from .linalg import GradedMap, GradedModule, diagram_colimit
+from .linalg import DiagramColimit, GradedMap
 from .matrices import Matrix
 
 
@@ -265,26 +265,6 @@ class SliceCategory:
         return self._terminal
 
 
-def h_graded_module(hcat: HCategory, x, y, tag) -> GradedModule:
-    """Materialize H(x, y) as a graded module, one generator per class,
-    labelled by ``tag``."""
-    pres = hcat.pres(x, y)
-    gens = []
-    for d in pres.degrees():
-        for i in range(pres.rank(d)):
-            gens.append((f"h[{tag}]{d}:{i}", d))
-    return GradedModule.from_generators(hcat.ring, gens)
-
-
-def h_transition_map(hcat: HCategory, e: ContClass, target,
-                     src_mod: GradedModule, tgt_mod: GradedModule) -> GradedMap:
-    """Precomposition with e as a map H(e.tgt, target) -> H(e.src, target)."""
-    blocks = {}
-    for d in src_mod.degrees():
-        blocks[d] = hcat.precompose_matrix(e.src, e.tgt, target, 0, e.coords, d)
-    return GradedMap(src_mod, tgt_mod, 0, blocks)
-
-
 class FractionCategory:
     """The localized category at H level: objects of the host, homs the
     exact colimits over continuation slices, composition by right roofs.
@@ -306,14 +286,19 @@ class FractionCategory:
     # -- hom access -------------------------------------------------------------
 
     def colim(self, l, k):
-        """The colimit of H(-, k) over the slice of l, built on first use."""
+        """The colimit of H(-, k) over the slice of l, built on first use:
+        its objects are the presentations H(c.src, k) of the slice objects
+        c, joined by precomposition with each slice morphism e, a map
+        H(e.tgt, k) -> H(e.src, k)."""
         if (l, k) not in self._colims:
-            sl = self.slices[l]
-            mods = [h_graded_module(self.hcat, c.src, k, tag=f"{i}:{c.src}>{k}")
-                    for i, c in enumerate(sl.objects)]
-            morphs = [(i, j, h_transition_map(self.hcat, e, k, mods[i], mods[j]))
+            hcat, sl = self.hcat, self.slices[l]
+            objs = [hcat.pres(c.src, k) for c in sl.objects]
+            morphs = [(i, j, GradedMap(objs[i], objs[j], 0, {
+                          d: hcat.precompose_matrix(e.src, e.tgt, k, 0,
+                                                    e.coords, d)
+                          for d in objs[i].degrees()}))
                       for (i, j), es in sorted(sl.morphisms.items()) for e in es]
-            self._colims[(l, k)] = diagram_colimit(mods, morphs)
+            self._colims[(l, k)] = DiagramColimit(self.ring, objs, morphs)
         return self._colims[(l, k)]
 
     def rank_map(self, l, k):

@@ -36,10 +36,13 @@ class DecoratedPoset:
     def lt(self, a, b) -> bool:
         return self._position[a] < self._position[b]
 
-    def chains_desc(self, length):
-        """Descending chains (p_k > ... > p_0) with length+1 elements, in
-        sorted order."""
-        return sorted(combinations(reversed(self.elements), length + 1))
+    def chains_desc(self):
+        """Descending chains (p_k > ... > p_0) of 2 up to max_arity + 1
+        elements, by length, each length in sorted order; none is longer
+        than the poset."""
+        top = min(self.setup.max_arity, len(self.elements) - 1)
+        return [chain for k in range(1, top + 1) for chain in
+                sorted(combinations(reversed(self.elements), k + 1))]
 
     def datum(self, chain):
         return self.data.get(tuple(chain))
@@ -47,10 +50,9 @@ class DecoratedPoset:
     def validate(self):
         """Chain decorations: Lagrangian tuples composable, data restriction
         compatible with the setup's restriction maps."""
-        for k in range(1, self.setup.max_arity + 1):
-            for chain in self.chains_desc(k):
-                check_decoration(self.setup, chain,
-                                 tuple(self.lag[p] for p in chain), self.data)
+        for chain in self.chains_desc():
+            check_decoration(self.setup, chain,
+                             tuple(self.lag[p] for p in chain), self.data)
         return True
 
 
@@ -60,8 +62,7 @@ def build_O_P(setup: WeakFloerSetup, P: DecoratedPoset) -> AInfCategory:
     the poset's chains."""
     P.validate()
     pairs = [(p, q) for p in P.elements for q in P.elements if P.lt(q, p)]
-    chains = [(chain, P.datum(chain)) for k in range(1, setup.max_arity + 1)
-              for chain in P.chains_desc(k)]
+    chains = [(chain, P.datum(chain)) for chain in P.chains_desc()]
     return unital_category(setup, P.elements, P.lag, pairs, chains,
                            name=f"O_P[{setup.name}]")
 

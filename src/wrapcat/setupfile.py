@@ -79,7 +79,10 @@ def setup_from_dict(doc) -> WeakFloerSetup:
         mode = comp.get("mode", "all-distinct")
         if mode not in ("all-distinct", "explicit"):
             raise SchemaError(f"unknown mode {mode!r}")
-        max_arity = int(comp.get("max_arity", 3))
+        max_arity = comp.get("max_arity", 3)
+        if type(max_arity) is not int or max_arity < 1:
+            raise SchemaError(f"max_arity must be an integer >= 1, not "
+                              f"{max_arity!r}")
         explicit = None
         if mode == "explicit":
             explicit = {int(k): [tuple(t) for t in v]

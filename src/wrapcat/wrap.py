@@ -152,9 +152,7 @@ class WrappedDFCategory:
             tail = sl.objects[t].src
             for k in hcat.objects:
                 if certified:
-                    pres = hcat.pres(tail, k)
-                    ranks = {d: pres.rank(d) for d in pres.degrees()
-                             if pres.rank(d)}
+                    ranks = hcat.pres(tail, k).rank_map()
                     cross = self.frac.rank_map(l, k)
                     if ranks != cross:
                         raise NonCofinalPrefix(

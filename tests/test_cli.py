@@ -1,13 +1,16 @@
 """End-to-end checks of the command-line entry point on bundled fixtures.
 
-Fields of the report are pinned, not its bytes, so the tests survive a
-change of the report's value encoding.
+Most tests pin fields of the report.  The sha256 pins of whole reports
+(``REPORT_SHA256``, ``RATIONAL_REPORT_SHA256``) hold the bytes still; a
+change of the report's value encoding regenerates them.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,11 @@ def run_cli(capsys, *argv):
     """(exit code, parsed JSON report) of one CLI call."""
     code = main(list(argv))
     return code, json.loads(capsys.readouterr().out)
+
+
+def stdout_of(capsys, argv):
+    main(list(argv))
+    return capsys.readouterr().out
 
 
 def fixture_path(name, tmp_path):
@@ -158,6 +166,13 @@ def _composable_tuple(extra):
     return edit
 
 
+def _max_arity(value):
+    def edit(doc):
+        doc["composable"]["max_arity"] = value
+    edit.__name__ = f"_max_arity_{json.dumps(value)}"
+    return edit
+
+
 def _datum_of_a_repeated_triple(doc):
     # no triple is composable on micro2datum (max_arity 1), so its Dthird
     # entry would pass axiom (viii) vacuously
@@ -265,6 +280,10 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "'K', 'Kp'] does not", "toyb_break_permutation"),
              (_composable_tuple(["L", "Z"]), "composable: 1-tuple ['L', 'Z'] "
               "does not", "toyb_break_permutation"),
+             *[(_max_arity(value), f"composable: max_arity must be an "
+                f"integer >= 1, not {shown}", "toyb")
+               for value, shown in [(2.5, "2.5"), (True, "True"), (0, "0"),
+                                    (-2, "-2"), ("3", "'3'")]],
              (_datum_of_a_repeated_triple, "floer_data: D 'A,B,A': A,B,A is "
               "not composable", "micro2datum"),
              (_f_key_not_in_d, "floer_data: f 'A,B': 'zz' is not in D(A,B)",
@@ -305,6 +324,22 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("input error:")
         assert fragment in err
+
+
+def test_a_huge_max_arity_validates_at_once_and_alike(capsys, tmp_path):
+    # no tuple of distinct Lagrangians is longer than the setup, and the
+    # relations are checked up to arity 4 at most
+    doc = json.loads((FIXTURES / "toyb.json").read_text())
+    doc["composable"]["max_arity"] = 10 ** 9
+    path = tmp_path / "toyb.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["validate", str(path)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert elapsed < 0.5
+    assert (code, out) == (0, stdout_of(capsys, ["validate",
+                                                 str(FIXTURES / "toyb.json")]))
 
 
 def _toyb_h0(a, b):
@@ -695,6 +730,119 @@ def test_every_fixture_and_command_has_a_pinned_exit_and_verdict(
         assert out == ""
     else:
         assert json.loads(out)["verdict"] == ("pass" if code == 0 else "fail")
+
+
+# sha256 of the stdout of every bundled fixture under each command, in the
+# order of PINNED_COMMANDS, and of toyb and toyc re-coefficiented to Q under
+# each of RATIONAL_COMMANDS: a change of the report schema regenerates them
+REPORT_SHA256 = {
+    "badscalar": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dsq_break": (
+        "ca11bd74192315e6b5cbab44d31deca828e844323c6afc8f7095e6247ad7fbf9",
+        "d13fb60a5b58db089b6bcae27ce4b03d313d216c93da871eacd14d3bc54b13aa",
+        "2482d459fd505e663e2ef5d2b01150989539a2966059cd0bb39c6283b51b9764",
+        "b3e01e8221903d773eac3bac1b4a89a3bd0f7d9de0eb36a47cc341fe9e5a98e1",
+        "4644016e69b493530950a0ae45f5d72a6bea134f32ca4bd48bc2603676b8b2a8",
+        "a9dc43ced731012fbe8626cfde0f5b083380d7570a0f1325c5668d011a1f9d8d"),
+    "micro2_break_beta": (
+        "e6f4d1302569b01e8ff9ad0e15cf3f03e00b16a565f39b3b5acf119ed81dcded",
+        "736b221b093ce828e431df3bcb27df688b067ad1393af7fb4fc1c5162a47cb7e",
+        "6cfebffc41214507884d073d7ff0a9ea2932b1fe164a465cf424d1277dbaa0c4",
+        "7e28c902baf693c9a06d78842b27edfba93d13c43efe0940c8895915f51ac57f",
+        "5f22a7dbcfc5999e4fe10c2f13fe5e8d1d262d6d41a400f8961e8495df33844d",
+        "54f0a168f086b52d41ce4cc7fdab96d57ba4996e22355a3f8a325e2202f97825"),
+    "micro2datum": (
+        "0133ee2a6afc067d0080ec24fac791725d1871782b64f299dc9cfdea46241cbe",
+        "e5cc31f23c303690e54ae2864793d494479c5d7adad9468649e8a68a418e5f5b",
+        "ec9bc1fbb7fd5a2dc3de1f0450a4e57d2997c3570cf272569b564ad2567c7c2d",
+        "2cc04eb980f75b03649a3894d040b0179f88d33f53639975326e3ea23294b7ae",
+        "ad7351edc014c970d799555980ea94a5019c1dffb684b4eadf188132f7b151ad",
+        "588131962194805c68b367b7c122f9f72eb0a08cbb478bc58e61b24e628e8362"),
+    "ore_break": (
+        "cbb0f57713cf01e60c1e744731ba843cf023e89962cfb84f4d5592fd21c3ac9b",
+        "4fa3c17adebb65a3c6c4e97090cac2217352f1098b6695d84aa50b297ebde083",
+        "6ecc8a00a93854382c052c9ba05881e8c5deb23dea4e4faec59bee17a71bea96",
+        "b6e1af7081e646ea236782bb489c84e513d62c861eaa62d96f6c227093da8bdc",
+        "60312a6e7f06b096fbaa6b653f59566d12e28bf279297c4fab02c17502e48ac0",
+        "b2f334c6107e403824d879ab7e5376245b4448af7b80902994a4b7a11bf2f6d2"),
+    "toyb": (
+        "912977d6446b66bf23b75c777370f283974cb31e05fd8738bf0212051526bf6f",
+        "734799a4cf8deb8fc6fdcf1c93b3d3cbd348fd61c474f3bd27407c4df9e2666b",
+        "3d54aaa556ae3a2076f1feba0001861c4682202892a7eedde30dd4d3fae5eb3e",
+        "dbed62d3840271798eb82f89eaafb3781fba089b90d3d23f88ac5a9dea82fa4b",
+        "135233a6b25c6562b9569f654cf643a953f69d1435658ecd4c08eee8c04fee49",
+        "3948c583c666c411763c969367164acf7114f3c5ae873da423ad0e8fb9ffb1bb"),
+    "toyb_break_permutation": (
+        "5d0b9a7090f0114276a061fbd1246551ddbaf032baaa3543ec2b96e07cecd340",
+        "40198778aeeb15a1ea67a682dec6c51e6c1ccc9f048f81d4ff0850883df4c01e",
+        "42ccca9b360e82119c803d39de4ec3c4b4e48937b22594c689a145c2f69ef681",
+        "42040677d3e5b1b822dffe5e3312d16aac8b7fdd7d9a92a31bb364412e3f2446",
+        "2f69776914eedabebde76c8ab13b2fe6e2f44e518196d44c28132bfc586761e0",
+        "d7464519467b57517b1dfa9fe5002cc54677b60aa35b5d873fe639353c6869ac"),
+    "toyc": (
+        "e7182cab67e711fb7d59437fb5ed4f856cd2e7904cf87e9020e9c53ac09234ba",
+        "6b54aa7b0e6b0fa5ab8334b979e60f87408bf4ce8eb2b68717d9e30963c802dd",
+        "9fa207a0ac2b5eaab8b27ba7ba48b33c7812c4c2e33af9cf236ead9f739441ca",
+        "3f86b4da208177f4b91d02fdf6db355d0cae71e51aecbc568a13d535c9faf6db",
+        "05733d5c0247aee0d728aa44158cd3547936825ee40f7d7e9350a77b1827fabe",
+        "cab36f1fb15c2bf70c0b4e663cb077e41808eb60c596ccc79e0aac6b6c9de3ec"),
+    "toyc_break_closure": (
+        "1be033747e25cd5da42275ea8e3dc7e3fc3b19b63b8b3c80f770ba9edb36adaf",
+        "49294143dbdc0c1a5260b9b02a726b1c905697e5d7258e1136b4fd697b8ceedf",
+        "60fcfaef20402e9dfb88764411001ae27c40ef5c7e84900db2edffe44c88dbff",
+        "1bd203b046856c69d4e618058cdcccfef46737bbd81050100e7751405994d818",
+        "243c40e7643df2508e0d62ad05d853e96506f42027df61f05b88ac58c72f62ce",
+        "d9ad890b21e0fa71f21e309281fb7ed74d4a9d03ca6bd22a617bab7ac598ff63")}
+RATIONAL_REPORT_SHA256 = {
+    "toyb": (
+        "142f229bdd749562357e558060c831455e385ebc3529deb950f46610f54ed9fe",
+        "734799a4cf8deb8fc6fdcf1c93b3d3cbd348fd61c474f3bd27407c4df9e2666b",
+        "3d54aaa556ae3a2076f1feba0001861c4682202892a7eedde30dd4d3fae5eb3e",
+        "78d1c53235e1f66945864a02f1cd0dd0788f533d4519c7c70a48da5238a0d311",
+        "3948c583c666c411763c969367164acf7114f3c5ae873da423ad0e8fb9ffb1bb"),
+    "toyc": (
+        "cb9b8459c396a57e12b20663378c4f4733e6bd812aaec47ed97c838c812e6cf1",
+        "6b54aa7b0e6b0fa5ab8334b979e60f87408bf4ce8eb2b68717d9e30963c802dd",
+        "9fa207a0ac2b5eaab8b27ba7ba48b33c7812c4c2e33af9cf236ead9f739441ca",
+        "a27f5dd677a8b775b3768868683ccca2457e16311691b5cab6d7966f060910f3",
+        "cab36f1fb15c2bf70c0b4e663cb077e41808eb60c596ccc79e0aac6b6c9de3ec")}
+RATIONAL_COMMANDS = {"localize": ("compute", "--what", "localize",
+                                  "--depth", "2"),
+                     "hw": PINNED_COMMANDS["hw"],
+                     "dfcat": PINNED_COMMANDS["dfcat"],
+                     "agree": PINNED_COMMANDS["agree"],
+                     "entangle": PINNED_COMMANDS["entangle"]}
+
+
+def stdout_sha256(capsys, argv):
+    return hashlib.sha256(stdout_of(capsys, argv).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", PINNED_COMMANDS)
+@pytest.mark.parametrize("fixture", sorted(PINNED_EXITS))
+def test_every_fixture_and_command_has_pinned_report_bytes(capsys, fixture,
+                                                           command):
+    name, *options = PINNED_COMMANDS[command]
+    assert stdout_sha256(capsys, [name, str(FIXTURES / f"{fixture}.json"),
+                                  *options]) == \
+        REPORT_SHA256[fixture][list(PINNED_COMMANDS).index(command)]
+
+
+@pytest.mark.parametrize("command", RATIONAL_COMMANDS)
+@pytest.mark.parametrize("fixture", sorted(RATIONAL_REPORT_SHA256))
+def test_rational_fixtures_have_pinned_report_bytes(capsys, tmp_path, fixture,
+                                                    command):
+    path = tmp_path / f"{fixture}_q.json"
+    path.write_text(json.dumps(rational_fixture_doc(fixture)))
+    name, *options = RATIONAL_COMMANDS[command]
+    assert stdout_sha256(capsys, [name, str(path), *options]) == \
+        RATIONAL_REPORT_SHA256[fixture][list(RATIONAL_COMMANDS).index(command)]
 
 
 @pytest.mark.parametrize("depth", ["0", "1"])

@@ -241,3 +241,59 @@ class TestFullProfileTriples:
                         "viii-homotopy-data") == [
             {"triple": ["A", "B", "C"], "i": 0, "gamma": "g0",
              "defect": "gamma identity fails on (x,y)"}]
+
+    @staticmethod
+    def homotopy_setup(slot, mu2_of_t0):
+        """CF(A,B) = <x0, x1>, CF(B,C) = <y0, y1>, CF(A,C) = <z0, z1> over Q
+        (subscript = degree) with differentials x0 -> x1, y0 -> y1, z0 -> z1
+        from t0's restrictions p; t1's mu^2 sends (x0, y0) to z0, and the
+        Dthird element in ``slot`` joins t0 to t1 through alpha a = slot + 2
+        times the identity of the slot's pair and gamma g0 of degree -1:
+        (x1, y0) -> 2 z0, (x0, y1) -> 3 z0, (x1, y1) -> 5 z1.  Axiom (viii)
+        asks for every basis pair (x, y), with mu, mu' the mu^2 of t0, t1,
+
+            d g0(x, y) + g0(dx, y) + (-1)^|x| g0(x, dy)
+                = mu(x, y) - [mu'(ax, y) | mu'(x, ay) | a mu'(x, y)]."""
+        q = Q.normalize
+        triple = ("A", "B", "C")
+        cf = {pair: GradedModule.from_generators(Q, [(f"{g}0", 0), (f"{g}1", 1)])
+              for pair, g in [(("A", "B"), "x"), (("B", "C"), "y"),
+                              (("A", "C"), "z")]}
+        pair_of = list(cf)[slot]
+        ds = FloerDataSystem(
+            D={triple: ["t0", "t1"]},
+            restrictions={(triple, pair): {"t0": "p"} for pair in cf},
+            mu={(triple, "t0"): [(xy, z, q(v)) for xy, z, v in mu2_of_t0],
+                (triple, "t1"): [(("x0", "y0"), "z0", q(1))],
+                **{(pair, "p"): [((f"{g}0",), f"{g}1", q(1))]
+                   for pair, g in zip(cf, "xyz")}},
+            alpha={(pair_of, "a"): [(lab, lab, q(slot + 2))
+                                    for lab in cf[pair_of].labels(0)
+                                    + cf[pair_of].labels(1)]},
+            Dthird={(triple, slot): [("g0", "t0", "t1", "a")]},
+            gamma={(triple, slot, "g0"): [(("x1", "y0"), "z0", q(2)),
+                                          (("x0", "y1"), "z0", q(3)),
+                                          (("x1", "y1"), "z1", q(5))]})
+        return WeakFloerSetup(
+            Q, ["A", "B", "C"], composable_mode="explicit", max_arity=2,
+            composable_tuples={1: list(cf), 2: [triple]}, cf=cf,
+            profile="full", data_system=ds, name="homotopy")
+
+    # The left side on (x0, y0), (x0, y1), (x1, y0), (x1, y1) is
+    # 0 + 2 z0 + 3 z0 = 5 z0, 3 z1 + 5 z1 + 0 = 8 z1, 2 z1 + 0 - 5 z1 = -3 z1
+    # and 0; the alpha-twisted mu' is (slot + 2) z0 on (x0, y0), 0 elsewhere.
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_gamma_with_differentials_passes_viii(self, slot):
+        mu2 = [(("x0", "y0"), "z0", 5 + slot + 2), (("x0", "y1"), "z1", 8),
+               (("x1", "y0"), "z1", -3)]
+        assert failures(self.homotopy_setup(slot, mu2),
+                        "viii-homotopy-data") == []
+
+    def test_gamma_without_the_koszul_sign_fails_viii(self):
+        # read without (-1)^|x|, the left side on (x1, y0) is 2 z1 + 5 z1
+        mu2 = [(("x0", "y0"), "z0", 7), (("x0", "y1"), "z1", 8),
+               (("x1", "y0"), "z1", 7)]
+        assert failures(self.homotopy_setup(0, mu2),
+                        "viii-homotopy-data") == [
+            {"triple": ["A", "B", "C"], "i": 0, "gamma": "g0",
+             "defect": "gamma identity fails on (x1,y0)"}]

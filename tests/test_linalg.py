@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
                      row_walk_reduce)
-from wrapcat.errors import EmptySequence, NotAComplex, ShapeMismatch
-from wrapcat.linalg import (Complex, GradedMap, GradedModule, cohomology,
-                            compose_graded_maps, diagram_colimit)
+from wrapcat.errors import NotAComplex, ShapeMismatch
+from wrapcat.linalg import (Complex, DiagramColimit, GradedMap, GradedModule,
+                            cohomology, compose_graded_maps)
 from wrapcat.matrices import Echelon, Matrix
 from wrapcat.rings import CoefficientRing
 
@@ -102,14 +102,14 @@ class TestDiagramColimit:
         b = mod(F2, ("b1", 0), ("b2", 0))
         f = GradedMap.from_entries(a, b, 0, [("a", "b1", 1)])
         g = GradedMap.from_entries(a, b, 0, [("a", "b2", 1)])
-        dc = diagram_colimit([a, b], [(0, 1, f), (0, 1, g)])
+        dc = DiagramColimit(F2, [a, b], [(0, 1, f), (0, 1, g)])
         assert dc.rank(0) == 1
 
     def test_structure_maps_commute(self):
         a = mod(Q, ("a", 0))
         b = mod(Q, ("b", 0))
         f = GradedMap.from_entries(a, b, 0, [("a", "b", 3)])
-        dc = diagram_colimit([a, b], [(0, 1, f)])
+        dc = DiagramColimit(Q, [a, b], [(0, 1, f)])
         s0, s1 = dc.structure_map(0), dc.structure_map(1)
         assert compose_graded_maps(f, s1).block(0) == s0.block(0)
 
@@ -117,10 +117,10 @@ class TestDiagramColimit:
         a = mod(Q, ("a", 0), ("a1", 1))
         b = mod(Q, ("b", 0), ("b1", 1))
         f = GradedMap.from_entries(a, b, 0, [("a", "b", 3), ("a1", "b1", 1)])
-        src, tgt = (diagram_colimit([a, b], [(0, 1, f)]) for _ in range(2))
+        src, tgt = (DiagramColimit(Q, [a, b], [(0, 1, f)]) for _ in range(2))
         ident = src.map_to(tgt, lambda d, i, v: (i, v))
-        assert {d: ident.source.rank(d) for d in ident.source.degrees()} == \
-            {0: 1, 1: 1}
+        assert (ident.source, ident.target) == (src, tgt)
+        assert src.rank_map() == {0: 1, 1: 1}
         assert ident.is_isomorphism()
         assert not src.map_to(tgt, lambda d, i, v: (i, [0] * len(v))).is_isomorphism()
         assert src.map_to(tgt, lambda d, i, v: None) is None
@@ -129,7 +129,7 @@ class TestDiagramColimit:
         a = mod(Q, ("a", 0))
         b = mod(Q, ("b", 0))
         f = GradedMap.from_entries(a, b, 0, [("a", "b", 3)])
-        dc = diagram_colimit([a, b], [(0, 1, f)])
+        dc = DiagramColimit(Q, [a, b], [(0, 1, f)])
         pres = dc.degree(0)
         assert pres.class_count == 1
         (img_a,), (img_b,) = dc.project(0, 0, (1,)), dc.project(0, 1, (1,))
@@ -138,7 +138,7 @@ class TestDiagramColimit:
     def test_project_rejects_a_vector_of_the_wrong_length(self):
         a = mod(Q, ("a", 0))
         b = mod(Q, ("b1", 0), ("b2", 0))
-        dc = diagram_colimit([a, b], [])
+        dc = DiagramColimit(Q, [a, b], [])
         assert dc.project(0, 0, (1,)) == (1, 0, 0)
         assert dc.project(0, 1, (1, 1)) == (0, 1, 1)
         with pytest.raises(ShapeMismatch):
@@ -146,9 +146,9 @@ class TestDiagramColimit:
         with pytest.raises(ShapeMismatch):
             dc.project(0, 1, (1, 1, 1))     # runs past the last object
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptySequence):
-            diagram_colimit([], [])
+    def test_empty_diagram_has_the_zero_colimit(self):
+        dc = DiagramColimit(Q, [], [])
+        assert (dc.degrees(), dc.rank_map(), dc.rank(0)) == ([], {}, 0)
 
 
 RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}

@@ -179,9 +179,20 @@ class TestFractionCategory:
         frac = FractionCategory(h, CSet(h, []))
         for a in env.objects:
             for b in env.objects:
-                assert frac.rank_map(a, b) == \
-                    {d: h.pres(a, b).rank(d) for d in h.pres(a, b).degrees()
-                     if h.pres(a, b).rank(d)}
+                assert frac.rank_map(a, b) == h.pres(a, b).rank_map()
+
+    @pytest.mark.parametrize("build", [build_toyb, build_toyc])
+    def test_slice_colimits_join_the_h_presentations(self, build):
+        # each colimit's objects are H's own presentations, the shared zero
+        # one included: no module is built for a slice object
+        s = build()
+        h = cohomology_category(canonical_envelope(s))
+        frac = FractionCategory(h, continuation_cset(s, h))
+        for l in h.objects:
+            for k in h.objects:
+                colim = frac.colim(l, k)
+                for i, c in enumerate(frac.slices[l].objects):
+                    assert colim.objects[i] is h.pres(c.src, k)
 
     def test_postcomposition_iso_and_non_iso(self):
         # identities only: each localized hom is H itself, so post-composing
@@ -191,8 +202,8 @@ class TestFractionCategory:
         frac = FractionCategory(h, CSet(h, []))
         assert frac.postcomposition("Lp", c).is_isomorphism()
         out_of_l = frac.postcomposition("L", c)
-        for mod in (out_of_l.source, out_of_l.target):
-            assert {d: mod.rank(d) for d in mod.degrees()} == {0: 1}
+        for colim in (out_of_l.source, out_of_l.target):
+            assert colim.rank_map() == {0: 1}
         assert out_of_l == GradedMap.zero(out_of_l.source, out_of_l.target)
         assert not out_of_l.is_isomorphism()
 

@@ -31,12 +31,11 @@ class GradedModule:
         self.ring = ring
         self.basis = {int(d): tuple(labels) for d, labels in sorted(basis.items())
                       if len(labels) > 0}
-        self._locate = {}
-        for d, labels in self.basis.items():
-            for i, lab in enumerate(labels):
-                if lab in self._locate:
-                    raise ShapeMismatch(f"duplicate basis label {lab!r}")
-                self._locate[lab] = (d, i)
+        self._locate = None     # label -> (degree, index), on first lookup
+        flat = [lab for labels in self.basis.values() for lab in labels]
+        if len(set(flat)) < len(flat):
+            dup = next(lab for i, lab in enumerate(flat) if lab in flat[:i])
+            raise ShapeMismatch(f"duplicate basis label {dup!r}")
 
     @staticmethod
     def zero(ring: CoefficientRing) -> "GradedModule":
@@ -59,14 +58,20 @@ class GradedModule:
     def labels(self, d: int):
         return self.basis.get(d, ())
 
+    def _index(self):
+        if self._locate is None:
+            self._locate = {lab: (d, i) for d, labels in self.basis.items()
+                            for i, lab in enumerate(labels)}
+        return self._locate
+
     def degree_of(self, label: str) -> int:
-        return self._locate[label][0]
+        return self._index()[label][0]
 
     def index_of(self, label: str) -> int:
-        return self._locate[label][1]
+        return self._index()[label][1]
 
     def has_label(self, label: str) -> bool:
-        return label in self._locate
+        return label in self._index()
 
     def is_zero(self) -> bool:
         return not self.basis
@@ -300,7 +305,7 @@ def _presentation(ring, dim, relations, candidates, reduce_reps):
         bound.insert(rel)
     chooser = bound.copy()
     reps = [bound.reduce(z) if reduce_reps else z for z in candidates
-            if chooser.insert(z)]
+            if chooser.insert(z) is not None]
     # a class's coordinates c: a cycle reduced modulo the relations is
     # sum c_i rep_i, and [cycle | 0] reduces against [rep_i | e_i] to [0 | -c]
     coords = Echelon(ring, dim + len(reps))

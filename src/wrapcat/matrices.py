@@ -1,17 +1,23 @@
 """Exact matrices over a coefficient field, and the one elimination kernel.
 
 A ``Matrix`` stores its rows as sparse vectors in ``Echelon``'s vector form
-(bitsets over F2, ``{index: scalar}`` dicts over Q and F_p).  Dense rows
-come in only through ``Matrix.from_rows`` and ``Matrix.from_columns`` and go
-out only through the read-only ``data`` view; scattered entries come in
-through ``Matrix.from_entries``.  Every elimination (rank, reduced row
-echelon form, kernel, solve) goes through ``Echelon``, an incremental sparse
-echelon basis.  A ``Matrix`` is immutable, so ``solve`` keeps its
-factorization (the RREF of ``[A | I]``) on the matrix: the first right-hand
-side eliminates, every later one costs a sparse product.
+(bitsets over F2, ``{index: scalar}`` dicts over Q and F_p, the scalars
+Fractions over Q).  Dense rows come in only through ``Matrix.from_rows``
+and ``Matrix.from_columns`` and go out only through the read-only ``data``
+view; scattered entries come in through ``Matrix.from_entries``.  Every
+elimination (rank, reduced row echelon form, kernel, solve) goes through
+``Echelon``, an incremental sparse echelon basis.  Over Q its stored rows
+are primitive integer vectors, so it eliminates on Python ints
+(fraction-free Gaussian elimination) and makes Fractions only of what it
+returns.  A ``Matrix`` is immutable, so ``solve`` keeps its factorization
+(the RREF of ``[A | I]``) on the matrix: the first right-hand side
+eliminates, every later one costs a sparse product.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ShapeMismatch
 from .rings import CoefficientRing
@@ -235,14 +241,16 @@ class Echelon:
     """Incremental echelon basis of a subspace of field^n, in sparse vectors:
     Python-int bitsets over F2 (bit i is coordinate i), ``{index: nonzero
     scalar}`` dicts over Q and F_p for odd p.  ``Echelon(ring, n)`` makes that
-    choice for the whole engine.  Each stored row is monic at its pivot, its
-    lowest nonzero index, and zero at every pivot stored before it.  No
-    vector is mutated once built."""
+    choice for the whole engine.  Each stored row is nonzero at its pivot, its
+    lowest nonzero index, and zero at every pivot stored before it; it is
+    monic there, except over Q (``_RationalEchelon``).  No vector is
+    mutated once built."""
 
     def __new__(cls, ring, n):
         if cls is Echelon:
             f2 = ring.kind == "Fp" and ring.p == 2
-            cls = _BitEchelon if f2 else _DictEchelon
+            cls = (_BitEchelon if f2 else _DictEchelon if ring.p
+                   else _RationalEchelon)
         return super().__new__(cls)
 
     def __init__(self, ring, n):
@@ -271,14 +279,19 @@ class Echelon:
                 v = self.axpy(v, -c, row)
         return v
 
-    def insert(self, v) -> bool:
-        """Add ``v`` to the span; False when it lay in the span already."""
+    def insert(self, v):
+        """Add ``v`` to the span and return the pivot of its new row; None
+        when it lay in the span already."""
         v = self.reduce(v)
         if not v:
-            return False
+            return None
         p = self.lead(v)
         self._rows[p] = self.monic(v, p)
-        return True
+        return p
+
+    def row(self, p):
+        """The stored row with pivot p, in vector form."""
+        return self._rows[p]
 
     def rref(self):
         """The rows of the reduced row echelon form of the span, by pivot."""
@@ -332,14 +345,15 @@ class _BitEchelon(Echelon):
             hit = v & pivots
         return v
 
-    def insert(self, v) -> bool:
+    def insert(self, v):
         v = self.reduce(v)
         if not v:
-            return False
+            return None
         low = v & -v
-        self._rows[low.bit_length() - 1] = v
+        p = low.bit_length() - 1
+        self._rows[p] = v
         self._pivot_bits |= low
-        return True
+        return p
 
     def pack(self, dense):
         return int(bytes(dense)[::-1].translate(_BITS) or b"0", 2)
@@ -383,7 +397,8 @@ class _BitEchelon(Echelon):
 
 
 class _DictEchelon(Echelon):
-    """Q and F_p for odd p: a vector is {index: nonzero scalar}."""
+    """F_p for odd p, and the vector form over Q: a vector is {index:
+    nonzero scalar}."""
 
     zero = {}
 
@@ -442,3 +457,78 @@ class _DictEchelon(Echelon):
             return v
         inv = self.ring.inv(v[p])
         return {j: self.ring.mul(inv, x) for j, x in v.items()}
+
+
+class _RationalEchelon(_DictEchelon):
+    """Q: a vector is {index: Fraction}, but each stored row is a primitive
+    integer dict, positive at its pivot: the monic row times a positive
+    integer.  So the pivots, ``reduce`` (the one member of v + span that is
+    zero at every pivot) and the RREF are those of Fraction elimination,
+    while the elimination itself runs on Python ints: cross-multiply, then
+    divide out the gcd content, and build one Fraction per entry returned."""
+
+    def reduce(self, v):
+        if self._rows.keys().isdisjoint(v):
+            return v
+        w, den = _integral(v)
+        w, scale = _clear(w, self._rows.items())
+        den *= scale
+        return {j: Fraction(x, den) for j, x in w.items()}
+
+    def insert(self, v):
+        w = _clear(_integral(v)[0], self._rows.items())[0]
+        if not w:
+            return None
+        p = min(w)
+        self._rows[p] = _primitive(w, p)
+        return p
+
+    def row(self, p):
+        return {j: Fraction(x) for j, x in self._rows[p].items()}
+
+    def rref(self):
+        done = {}   # pivot -> primitive RREF row
+        for p in sorted(self._rows, reverse=True):
+            row = self._rows[p]
+            w = _clear(dict(row), [(q, done[q]) for q in row if q in done])[0]
+            done[p] = _primitive(w, p)
+        return [{j: Fraction(x, w[p]) for j, x in w.items()}
+                for p, w in sorted(done.items())]
+
+
+def _integral(v):
+    """(w, den): a fresh integer dict w and a positive int den with
+    v = w / den."""
+    den = lcm(*[x.denominator for x in v.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in v.items()}, den
+
+
+def _clear(w, rows):
+    """Clear in the integer dict w, which the caller owns, the pivot p of
+    each (p, row) in turn by w <- row[p] w - w[p] row.  Each row is zero
+    at the pivots cleared before it, so none is refilled.  Returns the new
+    w and the product of the factors row[p] that w was multiplied by."""
+    scale = 1
+    for p, row in rows:
+        c = w.get(p)
+        if c:
+            a = row[p]
+            if a != 1:
+                w = {j: a * x for j, x in w.items()}
+                scale *= a
+            for j, x in row.items():
+                y = w.get(j, 0) - c * x
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
+    return w, scale
+
+
+def _primitive(w, p):
+    """The nonzero integer dict w divided by its gcd content, with the sign
+    that makes it positive at index p."""
+    g = gcd(*w.values())
+    if w[p] < 0:
+        g = -g
+    return w if g == 1 else {j: x // g for j, x in w.items()}

@@ -346,10 +346,9 @@ def _h0(bar: BarQuotient, cycles=()):
         if cycles and i < len(cycles[0]):
             row = ech.axpy(row, 1, ech.sparse(
                 {n + j: c[i] for j, c in enumerate(cycles)}))
-        v = ech.reduce(row)
-        if v and ech.lead(v) >= n:
-            dual.append({j - n: c for j, c in ech.items(v)})
-        ech.insert(v)
+        p = ech.insert(row)
+        if p is not None and p >= n:
+            dual.append({j - n: c for j, c in ech.items(ech.row(p))})
     image = sum(p < n for p in ech.pivots)
     space = vectors(bar.ring, m)
     return (bar.module.rank(0) - bar.differential.block(0).rank() - image,

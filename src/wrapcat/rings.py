@@ -3,7 +3,9 @@
 Scalars are plain Python objects (``Fraction`` for Q, ``int`` for F_p),
 normalised through the field so that equality is literal equality.  No floats
 appear anywhere in the engine.  Every coefficient ring is a field, so every
-elimination in the engine is Gaussian elimination (``matrices.Echelon``).
+elimination in the engine is Gaussian elimination (``matrices.Echelon``);
+over Q the echelon keeps its rows as integer vectors and eliminates on
+Python ints, turning back to Fractions only for what it returns.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SchemaError
+
+_ZERO, _ONE = Fraction(0), Fraction(1)     # shared: a Fraction is immutable
 
 
 def _is_prime(p: int) -> bool:
@@ -80,10 +84,10 @@ class CoefficientRing:
     # -- scalar arithmetic -------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _ZERO if self.kind == "Q" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _ONE if self.kind == "Q" else 1
 
     def normalize(self, x):
         if self.kind == "Q":
@@ -106,7 +110,7 @@ class CoefficientRing:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "Q":
-            return Fraction(1) / a
+            return _ONE / a
         return pow(int(a), self.p - 2, self.p)
 
     def unit_vector(self, n: int, i: int):

@@ -85,10 +85,14 @@ def setup_from_dict(doc) -> WeakFloerSetup:
                               f"{max_arity!r}")
         explicit = None
         if mode == "explicit":
-            explicit = {int(k): [tuple(t) for t in v]
-                        for k, v in comp.get("tuples", {}).items()}
-            for k, ts in explicit.items():
-                for t in ts:
+            explicit = {}
+            for key, ts in comp.get("tuples", {}).items():
+                k = int(key) if key.strip().isdigit() else 0
+                if k < 1:
+                    raise SchemaError(f"tuples key {key!r} is not an "
+                                      f"integer >= 1")
+                explicit[k] = [tuple(t) for t in ts]
+                for t in explicit[k]:
                     if len(t) != k + 1 or not set(t) <= set(lag):
                         raise SchemaError(f"{k}-tuple {list(t)!r} does not "
                                           f"have {k + 1} declared Lagrangians")

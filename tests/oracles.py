@@ -1,9 +1,9 @@
 """Independent brute-force oracles for the test and acceptance suites.
 
 These deliberately avoid the library's own code paths: dense Gauss-Jordan
-elimination and localization by zigzag-word saturation.  The strict-unit and
-H-category-axiom checkers evaluate the library's operations and composition
-on every basis element.
+elimination, sparse elimination in Fraction arithmetic and localization by
+zigzag-word saturation.  The strict-unit and H-category-axiom checkers
+evaluate the library's operations and composition on every basis element.
 """
 
 from fractions import Fraction
@@ -115,6 +115,74 @@ def dense_cohomology(d_in_rows, d_out_rows, dim, p=0):
                           len(cols), p)
         return None if sol is None else sol[len(bounds):]
     return reps, project
+
+
+# -- Fraction elimination: the reference for the integer kernel over Q -------
+
+
+class FractionEchelon:
+    """The sparse echelon basis over Q as it ran before its rows became
+    integer vectors: {index: Fraction} rows, each monic at its pivot (its
+    lowest index) and zero at every pivot stored before it, eliminated in
+    Fraction arithmetic."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = {}      # pivot -> monic row, in insertion order
+
+    @staticmethod
+    def axpy(v, c, w):
+        """v + c.w"""
+        out = dict(v)
+        for j, x in w.items():
+            y = out.get(j, 0) + c * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+        return out
+
+    def reduce(self, v):
+        for p, row in self.rows.items():
+            c = v.get(p, 0)
+            if c:
+                v = self.axpy(v, -c, row)
+        return v
+
+    def insert(self, v):
+        """The pivot of the new row; None when v lay in the span."""
+        v = self.reduce(v)
+        if not v:
+            return None
+        p = min(v)
+        self.rows[p] = self.monic(v, p)
+        return p
+
+    @staticmethod
+    def monic(v, p):
+        inv = 1 / Fraction(v[p])
+        return {j: inv * x for j, x in v.items()}
+
+    def rref(self):
+        done = {}
+        for p in sorted(self.rows, reverse=True):
+            v = self.rows[p]
+            for q, c in list(v.items()):
+                if q in done:
+                    v = self.axpy(v, -c, done[q])
+            done[p] = v
+        return [done[p] for p in sorted(done)]
+
+    def kernel(self):
+        """One vector per non-pivot index: its RREF kernel basis."""
+        entries = {j: {j: Fraction(1)} for j in range(self.n)
+                   if j not in self.rows}
+        for v in self.rref():
+            p = min(v)
+            for j, c in v.items():
+                if j != p:
+                    entries[j][p] = -c
+        return list(entries.values())
 
 
 # -- twisted operations on cones: the reference for AInfCategory.mu ---------

@@ -166,6 +166,13 @@ def _composable_tuple(extra):
     return edit
 
 
+def _composable_key(key, tuples):
+    def edit(doc):
+        doc["composable"]["tuples"][key] = tuples
+    edit.__name__ = f"_composable_key_{key}"
+    return edit
+
+
 def _max_arity(value):
     def edit(doc):
         doc["composable"]["max_arity"] = value
@@ -280,6 +287,10 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "'K', 'Kp'] does not", "toyb_break_permutation"),
              (_composable_tuple(["L", "Z"]), "composable: 1-tuple ['L', 'Z'] "
               "does not", "toyb_break_permutation"),
+             (_composable_key("-1", [[]]), "composable: tuples key '-1' is "
+              "not an integer >= 1", "toyb_break_permutation"),
+             (_composable_key("0", [["L"]]), "composable: tuples key '0' is "
+              "not an integer >= 1", "toyb_break_permutation"),
              *[(_max_arity(value), f"composable: max_arity must be an "
                 f"integer >= 1, not {shown}", "toyb")
                for value, shown in [(2.5, "2.5"), (True, "True"), (0, "0"),

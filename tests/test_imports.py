@@ -9,8 +9,9 @@ an Attribute, since a bare Name of the same spelling is some other variable.
 Code that only the tests reach counts as dead, except the two serializers
 named in ``TEST_ONLY``.  The check goes by name, so a definition that shares
 its name with a referenced one escapes it.  No linter runs on this code, so
-this check keeps dead imports and dead code out.  A fresh ``import
-wrapcat.cli`` is also kept clear of the modules that once came in with
+this check keeps dead imports and dead code out.  True division (``/``)
+appears only in the field inverse over Q, and a fresh ``import
+wrapcat.cli`` is kept clear of the modules that once came in with
 ``dataclasses``.
 """
 
@@ -145,6 +146,43 @@ def test_no_definitions_only_tests_reach():
     found = {(fname, name) for fname, _, name in
              unreferenced_definitions(defining, {})}
     assert found == TEST_ONLY
+
+
+def true_divisions(source):
+    """(line, dotted name of the enclosing definitions, "" at module level)
+    of each true division, ``/`` or ``/=``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.Div)):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_sees_true_division():
+    src = ("a = 1 / 2\nclass C:\n    def f(self, x):\n        x /= 2\n"
+           "        return x // 2\n\ndef g():\n    return lambda y: y / 3\n")
+    assert true_divisions(src) == [(1, ""), (4, "C.f"), (8, "g")]
+
+
+# Q's field inverse, on Fractions, is the one true division: the integer
+# elimination over Q divides with ``//``, and a stray ``/`` on two ints
+# would silently make a float
+TRUE_DIVISION = {("rings.py", "CoefficientRing.inv")}
+
+
+def test_true_division_only_in_the_field_inverse():
+    found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for _, scope in true_divisions(path.read_text())}
+    assert found == TRUE_DIVISION
 
 
 # ``dataclasses`` pulls in ``inspect``, which pulls in ``ast`` and ``dis``:

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_cohomology, dense_kernel, dense_rref, dense_solve,
-                     row_walk_reduce)
+from oracles import (FractionEchelon, dense_cohomology, dense_kernel,
+                     dense_rref, dense_solve, row_walk_reduce)
 from wrapcat.errors import NotAComplex, ShapeMismatch
 from wrapcat.linalg import (Complex, DiagramColimit, GradedMap, GradedModule,
                             cohomology, compose_graded_maps)
@@ -154,9 +155,14 @@ class TestDiagramColimit:
 RINGS = {"F2": (F2, 2), "F3": (F3, 3), "Q": (Q, 0)}
 
 
-def _random_rows(rng, rows, cols):
-    return [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)]
-            for _ in range(rows)]
+SCALARS = (0, 0, 0, 1, -1, 2)
+# over Q, entries that are not integers as well
+Q_SCALARS = SCALARS + (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+
+
+def _random_rows(rng, ring, rows, cols):
+    choices = Q_SCALARS if ring == Q else SCALARS
+    return [[rng.choice(choices) for _ in range(cols)] for _ in range(rows)]
 
 
 def _dense_mul(ring, a, b, width):
@@ -182,20 +188,20 @@ class TestEliminationAgainstDenseReference:
     def test_rank_rref_kernel_solve(self, name, rows, cols, seed):
         ring, p = RINGS[name]
         rng = random.Random(seed)
-        data = _random_rows(rng, rows, cols)
+        data = _random_rows(rng, ring, rows, cols)
         m = Matrix.from_rows(ring, data, cols)
         dense = tuple(tuple(ring.normalize(x) for x in row) for row in data)
         assert (m.rows, m.cols, m.data) == (rows, cols, dense)
         assert m.transpose().data == tuple(
             tuple(row[j] for row in dense) for j in range(cols))
         inner = rng.randint(0, 4)
-        other = Matrix.from_rows(ring, _random_rows(rng, cols, inner), inner)
+        other = Matrix.from_rows(ring, _random_rows(rng, ring, cols, inner), inner)
         assert m.mul(other).data == tuple(
             tuple(ring.normalize(x) for x in row)
             for row in _dense_mul(ring, dense, other.data, inner))
         r, c = rng.randint(0, rows), rng.randint(0, cols)
         assert m.leading(r, c).data == tuple(row[:c] for row in dense[:r])
-        twin = Matrix.from_rows(ring, _random_rows(rng, rows, cols), cols)
+        twin = Matrix.from_rows(ring, _random_rows(rng, ring, rows, cols), cols)
         assert m.add(twin).data == tuple(
             tuple(ring.add(x, y) for x, y in zip(a, b))
             for a, b in zip(dense, twin.data))
@@ -227,7 +233,7 @@ class TestEliminationAgainstDenseReference:
     def test_cohomology_reps_and_projection(self, name, r0, r1, r2, seed):
         ring, p = RINGS[name]
         rng = random.Random(seed)
-        d0 = _random_rows(rng, r1, r0)
+        d0 = _random_rows(rng, ring, r1, r0)
         left = dense_kernel([list(c) for c in zip(*d0)], r1, p)
         d1 = [list(_combination(rng, ring, left, r1)) for _ in range(r2)]
         ranks = (r0, r1, r2)
@@ -268,3 +274,58 @@ class TestEliminationAgainstDenseReference:
         assert not any((got >> p) & 1 for p in ech.pivots)
         assert got == row_walk_reduce(ech._rows, v)
         assert ech.copy().reduce(v) == got
+
+
+def _fraction_vector(rng, n):
+    return {j: Fraction(x) for j in range(n)
+            if (x := rng.choice(Q_SCALARS + (Fraction(-5, 7),)))}
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v.values())
+
+
+class TestRationalEchelonAgainstFractionElimination:
+    """The integer kernel over Q against the same sparse elimination run in
+    Fraction arithmetic: the same pivots, reductions, RREF and kernel, every
+    scalar a Fraction, and each stored row a positive multiple of the
+    reference's monic row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 7), st.integers(0, 10 ** 6))
+    def test_matches_fraction_elimination(self, rows, n, seed):
+        rng = random.Random(seed)
+        ech, ref = Echelon(Q, n), FractionEchelon(n)
+        inserted = []
+        for _ in range(rows):
+            v = _fraction_vector(rng, n)
+            if inserted and rng.random() < 0.3:
+                # a combination of rows already in: dependent
+                v = {}
+                for w in rng.sample(inserted, rng.randint(1, len(inserted))):
+                    v = ref.axpy(v, Fraction(rng.choice((-3, 1, 2)), 2), w)
+            p, want = ech.insert(v), ref.insert(v)
+            assert (p, type(p)) == (want, type(want))
+            if p is not None:
+                inserted.append(v)
+                row = ech.row(p)
+                assert _all_fractions([row]) and row[p] > 0
+                assert {j: x / row[p] for j, x in row.items()} == ref.rows[p]
+        assert ech.pivots == sorted(ref.rows)
+        for _ in range(4):
+            v = _fraction_vector(rng, n)
+            got = ech.reduce(v)
+            assert got == ref.reduce(v) and _all_fractions([got])
+            assert ech.copy().reduce(v) == got
+        rref, kernel = ech.rref(), ech.kernel()
+        assert rref == ref.rref() and _all_fractions(rref)
+        assert kernel == ref.kernel() and _all_fractions(kernel)
+
+    def test_insert_returns_the_pivot_even_when_it_is_zero(self):
+        ech = Echelon(Q, 3)
+        assert ech.insert({0: Fraction(-2, 3), 2: Fraction(1, 2)}) == 0
+        assert ech.row(0) == {0: 4, 2: -3}
+        assert ech.insert({0: Fraction(4, 3), 2: Fraction(-1)}) is None
+        assert ech.insert({1: Fraction(5)}) == 1
+        assert ech.reduce({0: Fraction(1), 1: Fraction(1)}) == {
+            2: Fraction(3, 4)}

@@ -5,7 +5,8 @@ Two input profiles: "envelope" carries a single chosen datum's worth of
 operations (enough for the wrapping computations); "full" carries the
 entire system of Floer-data sets with restriction maps, the alpha/beta/
 gamma coherence data and the diagonal section, which the validators
-check against axioms (iv)-(ix).
+check against axioms (iv)-(ix); the alpha, beta and gamma identities of
+(viii) are checked as identities of graded maps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import cache, partial
 from itertools import combinations, permutations, product
 
-from .ainf import AInfCategory, check_ainf_relations, _merge
+from .ainf import AInfCategory, check_ainf_relations
 from .errors import DecorationInconsistent, NoSection
 from .linalg import GradedMap, GradedModule, compose_graded_maps
 
@@ -363,10 +364,8 @@ def _compatible_families(s: WeakFloerSetup, t):
 
 def _pair_differential(s: WeakFloerSetup, pair, datum) -> GradedMap:
     mod = s.cf_module(*pair)
-    entries = []
-    for (inputs, out, scalar) in s.mu_entries(pair, datum):
-        entries.append((inputs[0], out, scalar))
-    return GradedMap.from_entries(mod, mod, 1, entries)
+    return GradedMap.from_entries(mod, mod, 1, [
+        (x, out, scalar) for (x,), out, scalar in s.mu_entries(pair, datum)])
 
 
 def _alpha_map(s: WeakFloerSetup, pair, dp_id) -> GradedMap:
@@ -376,9 +375,7 @@ def _alpha_map(s: WeakFloerSetup, pair, dp_id) -> GradedMap:
 
 
 def _chain_map_defect(dd1: GradedMap, dd2: GradedMap, a_map: GradedMap):
-    lhs = compose_graded_maps(dd1, a_map)
-    rhs = compose_graded_maps(a_map, dd2)
-    if lhs != rhs:
+    if compose_graded_maps(dd1, a_map) != compose_graded_maps(a_map, dd2):
         return "alpha fails to intertwine the differentials"
     return None
 
@@ -399,67 +396,57 @@ def _beta_defect(s, diff, alpha, pair, ac, ab, bc, b_map: GradedMap):
 
 
 def _gamma_defect(s, diff, alpha, triple, i, g_id, datum, datum_i, dp_id):
-    """Chain-homotopy identity for gamma: between mu2 of one datum and the
-    alpha-twisted mu2 of another, checked elementwise on basis pairs.
-    ``diff`` and ``alpha`` give the pair differentials and alpha maps."""
+    """Axiom (viii) for gamma as one identity of graded maps out of
+    T = CF(l0,l1) (x) CF(l1,l2), whose basis labels are the pairs (x, y):
+    mu - mu' . twist = d02 . gamma + gamma . d_T, with mu, mu' the mu^2 of
+    ``datum``, ``datum_i``, the twist alpha (x) 1, 1 (x) alpha or alpha after
+    mu' by the slot ``i``, and d_T = d01 (x) 1 + (-1)^|x| 1 (x) d12.  A
+    failure names the first (x, y), in the order (|x|, x, |y|, y), whose
+    column is nonzero.  ``diff`` and ``alpha`` give the pair maps."""
     ring = s.ring
     ds = s.data_system
     l0, l1, l2 = triple
-    m01, m12, m02 = (s.cf_module(l0, l1), s.cf_module(l1, l2), s.cf_module(l0, l2))
-    gamma_entries = ds.gamma.get((triple, i, g_id), ())
+    pairs = ((l0, l1), (l1, l2), (l0, l2))
+    m01, m12, m02 = (s.cf_module(*pair) for pair in pairs)
+    gens = [(x, dx, y, dy) for dx in m01.degrees() for x in m01.labels(dx)
+            for dy in m12.degrees() for y in m12.labels(dy)]
+    tensor = GradedModule.from_generators(
+        ring, [((x, y), dx + dy) for x, dx, y, dy in gens])
 
-    def gamma_apply(x_lab, y_lab):
-        out = {}
-        for ((i1, i2), o, v) in gamma_entries:
-            if (i1, i2) == (x_lab, y_lab):
-                _merge(out, o, v, ring)
-        return out
+    def on_tensor(degree, left=None, right=None):
+        """left (x) 1 + 1 (x) right on T, the second with the Koszul sign
+        (-1)^(|right| |x|); a missing map is zero."""
+        entries = []
+        for x, dx, y, _ in gens:
+            if left is not None:
+                entries += [((x, y), (lx, y), v)
+                            for lx, v in left.apply_label(x).items()]
+            if right is not None:
+                sign = ring.normalize(-1 if right.degree * dx % 2 else 1)
+                entries += [((x, y), (x, ly), ring.mul(sign, v))
+                            for ly, v in right.apply_label(y).items()]
+        return GradedMap.from_entries(tensor, tensor, degree, entries)
 
-    pair_of = {0: (l0, l1), 1: (l1, l2), 2: (l0, l2)}[i]
-    a_map = alpha(pair_of, dp_id)
-    mu_a = _mu2_table(s, triple, datum)
-    mu_b = _mu2_table(s, triple, datum_i)
-    d01 = diff((l0, l1), ds.restrict(triple, (l0, l1), datum))
-    d12 = diff((l1, l2), ds.restrict(triple, (l1, l2), datum))
-    d02 = diff((l0, l2), ds.restrict(triple, (l0, l2), datum))
-    for dx in m01.degrees():
-        for x in m01.labels(dx):
-            for dy in m12.degrees():
-                for y in m12.labels(dy):
-                    target = dict(mu_a.get((x, y), {}))
-                    if i == 0:
-                        ax = a_map.apply_label(x)
-                        for lx, vx in ax.items():
-                            for o, vo in mu_b.get((lx, y), {}).items():
-                                _merge(target, o,
-                                       ring.neg(ring.mul(vx, vo)), ring)
-                    elif i == 1:
-                        ay = a_map.apply_label(y)
-                        for ly, vy in ay.items():
-                            for o, vo in mu_b.get((x, ly), {}).items():
-                                _merge(target, o,
-                                       ring.neg(ring.mul(vy, vo)), ring)
-                    else:
-                        for o, vo in mu_b.get((x, y), {}).items():
-                            for o2, va in a_map.apply_label(o).items():
-                                _merge(target, o2,
-                                       ring.neg(ring.mul(vo, va)), ring)
-                    lhs = {}
-                    for o, vo in gamma_apply(x, y).items():
-                        for o2, vd in d02.apply_label(o).items():
-                            _merge(lhs, o2, ring.mul(vo, vd), ring)
-                    for lx, vx in d01.apply_label(x).items():
-                        for o, vo in gamma_apply(lx, y).items():
-                            _merge(lhs, o, ring.mul(vx, vo), ring)
-                    sgn = ring.one() if dx % 2 == 0 else ring.normalize(-1)
-                    for ly, vy in d12.apply_label(y).items():
-                        for o, vo in gamma_apply(x, ly).items():
-                            _merge(lhs, o, ring.mul(sgn, ring.mul(vy, vo)), ring)
-                    diff = dict(target)
-                    for o, v in lhs.items():
-                        _merge(diff, o, ring.neg(v), ring)
-                    if diff:
-                        return (f"gamma identity fails on ({x},{y})")
+    mu, mu_i = (GradedMap.from_entries(tensor, m02, 0, s.mu_entries(triple, d))
+                for d in (datum, datum_i))
+    gamma = GradedMap.from_entries(tensor, m02, -1,
+                                   ds.gamma.get((triple, i, g_id), ()))
+    d01, d12, d02 = (diff(pair, ds.restrict(triple, pair, datum))
+                     for pair in pairs)
+    a_map = alpha(pairs[i], dp_id)
+    if i == 2:
+        twisted = compose_graded_maps(mu_i, a_map)
+    else:
+        twist = (on_tensor(0, left=a_map) if i == 0
+                 else on_tensor(0, right=a_map))
+        twisted = compose_graded_maps(twist, mu_i)
+    homotopy = compose_graded_maps(gamma, d02).add(
+        compose_graded_maps(on_tensor(1, d01, d12), gamma))
+    minus = ring.normalize(-1)
+    defect = mu.add(twisted.scale(minus)).add(homotopy.scale(minus))
+    for x, _, y, _ in gens:
+        if defect.apply_label((x, y)):
+            return f"gamma identity fails on ({x},{y})"
     return None
 
 
@@ -476,14 +463,6 @@ def _relation_failures(cat: AInfCategory, arity):
     """The A-infinity relation violations of ``cat`` up to arity + 1 (at
     most 4)."""
     return check_ainf_relations(cat, min(arity + 1, 4))["violations"]
-
-
-def _mu2_table(s: WeakFloerSetup, triple, datum):
-    """The datum's mu^2 on a composable triple as {inputs: {output: scalar}}."""
-    table = {}
-    for (inputs, out, scalar) in s.mu_entries(triple, datum):
-        _merge(table.setdefault(tuple(inputs), {}), out, scalar, s.ring)
-    return table
 
 
 def check_decoration(s: WeakFloerSetup, chain, lags, data):

@@ -315,13 +315,13 @@ def _presentation(ring, dim, relations, candidates, reduce_reps):
                               echelons=(bound, coords))
 
 
-def cohomology(c: Complex, degrees=None) -> CohomologyPresentation:
-    """Cohomology presentation of a complex in ``degrees`` (every degree of
-    the module by default); raises NotAComplex if d*d != 0."""
+def cohomology(c: Complex) -> CohomologyPresentation:
+    """Cohomology presentation of a complex in every degree of its module;
+    raises NotAComplex if d*d != 0."""
     c.check()
     ring = c.module.ring
     by_degree = {}
-    for d in (c.module.degrees() if degrees is None else degrees):
+    for d in c.module.degrees():
         d_out = c.differential.block(d)
         by_degree[d] = _presentation(
             ring, d_out.cols, c.differential.block(d - 1).columns(),

@@ -3,6 +3,12 @@
 Scalars are exact strings ("3/2", "1", "2 mod 5"); canonical serialization
 is byte-stable (sorted keys, fixed separators) so round-trips and reports
 are reproducible byte for byte.
+
+Generators have string names and JSON integer degrees; Floer-data ids
+(and the values of ``restrictions``, ``f`` and ``sections``) are strings.
+A graded entry's output degree is the sum of its input degrees plus its
+table's shift: 2 - k for a mu^k entry (``operations``, ``floer_data.mu``),
+0 for ``alpha`` and -1 for ``beta`` and ``gamma``.
 """
 
 from __future__ import annotations
@@ -107,18 +113,19 @@ def setup_from_dict(doc) -> WeakFloerSetup:
                     raise SchemaError(f"{end!r} is not a declared Lagrangian")
             items = []
             for g in gens:
-                if "name" not in g or "degree" not in g:
-                    raise SchemaError("generator needs name and degree")
-                items.append((g["name"], int(g["degree"])))
+                name, degree = g.get("name"), g.get("degree")
+                if not isinstance(name, str) or type(degree) is not int:
+                    raise SchemaError(f"generator {g!r} needs a string name "
+                                      f"and an integer degree")
+                items.append((name, degree))
             cf[pair] = GradedModule.from_generators(ring, items)
     envelope_ops = {}
     for i, entry in enumerate(_get(doc, "operations", list)):
-        with _at(f"operations[{i}]"):
-            scalar = ring.parse_scalar(str(entry["scalar"]))
-            chain, inputs = tuple(entry["tuple"]), tuple(entry["inputs"])
-            check_entry_labels(cf, chain, inputs, entry["output"])
-            envelope_ops.setdefault(chain, []).append(
-                (inputs, entry["output"], scalar))
+        where = f"operations[{i}]"
+        with _at(where):
+            chain = tuple(entry["tuple"])
+        ops = _graded_entries(ring, cf, where, chain, [entry], 3 - len(chain))
+        envelope_ops.setdefault(chain, []).extend(ops)
     data_system = None
     if doc["profile"] == "full":
         raw = _get(doc, "floer_data", dict)
@@ -189,39 +196,58 @@ def _check_data_keys(setup, raw):
                 _check_composable(setup, f"floer_data: {table} {key!r}", t)
 
 
-def _check_labels(cf, where, chain, ops):
-    """Raise a SchemaError naming ``where`` unless each (inputs, output,
-    scalar) of ``ops`` on the object tuple ``chain`` names generators."""
+def _graded_entries(ring, cf, where, chain, entries, shift, one_input=False):
+    """The (inputs, output, scalar) of each entry of an operations, mu,
+    alpha, beta or gamma table on the object tuple ``chain``; an alpha or
+    beta entry (``one_input``) has one "input", read as (input, output,
+    scalar), the others a list of "inputs".  Each entry is checked in this
+    order: its scalar parses, its labels are generators of the CF modules
+    along ``chain``, and its output degree is the sum of its input degrees
+    plus ``shift``.  A failure raises a SchemaError naming ``where``."""
+    out = []
     with _at(where):
-        for inputs, output, _ in ops:
+        for e in entries:
+            scalar = ring.parse_scalar(str(e["scalar"]))
+            inputs = (e["input"],) if one_input else tuple(e["inputs"])
+            output = e["output"]
             check_entry_labels(cf, chain, inputs, output)
+            degree = shift + sum(cf[p].degree_of(x) for p, x
+                                 in zip(zip(chain, chain[1:]), inputs))
+            if cf[(chain[0], chain[-1])].degree_of(output) != degree:
+                raise SchemaError(f"{output!r} does not have degree {degree}")
+            out.append((inputs[0] if one_input else inputs, output, scalar))
+    return out
 
 
-def _pair_map(ring, cf, where, pair, entries):
-    """The (input, output, scalar) entries of an alpha or beta map on the
-    pair's CF module, each label checked to be a generator of it."""
-    ops = [(e["input"], e["output"], ring.parse_scalar(str(e["scalar"])))
-           for e in entries]
-    _check_labels(cf, where, pair, [((i,), o, v) for i, o, v in ops])
-    return ops
+def _id(value):
+    """``value``, checked to be a datum id: a string."""
+    if not isinstance(value, str):
+        raise SchemaError(f"id {value!r} is not a string")
+    return value
 
 
-def _id_tuples(where, items, field, n):
+def _ids(value):
+    """``value``, checked to be an array of datum ids, as a tuple."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{value!r} is not an array of ids")
+    return tuple(map(_id, value))
+
+
+def _id_tuples(items, field, n):
     """(id, ids) of each item, its ``field`` checked to hold ``n`` ids."""
     out = []
     for item in items:
-        ids = tuple(item[field])
+        ids = _ids(item[field])
         if len(ids) != n:
-            raise SchemaError(f"{where}: {field} {list(ids)!r} does not have "
-                              f"{n} ids")
-        out.append((item["id"], ids))
+            raise SchemaError(f"{field} {list(ids)!r} does not have {n} ids")
+        out.append((_id(item["id"]), ids))
     return out
 
 
 def _require_data(ds, t, ids):
     """Raise a SchemaError naming the first of ``ids`` not in D(t)."""
     for i in ids:
-        if i not in ds.D.get(t, ()):
+        if _id(i) not in ds.D.get(t, ()):
             raise SchemaError(f"{i!r} is not in D({','.join(t)})")
 
 
@@ -230,14 +256,15 @@ def _require_dprime(ds, pair, ids):
     the pair."""
     prime_ids = {i for (i, _) in ds.Dprime.get(pair, ())}
     for i in ids:
-        if i not in prime_ids:
+        if _id(i) not in prime_ids:
             raise SchemaError(f"{i!r} is not a Dprime id of {','.join(pair)!r}")
 
 
 def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
-        ds.D[_pair_from_key(key)] = list(ids)
+        with _at(f"D {key!r}"):
+            ds.D[_pair_from_key(key)] = list(_ids(ids))
     for key, table in sorted(raw.get("restrictions", {}).items()):
         with _at(f"restrictions {key!r}"):
             t, sub = map(_pair_from_key, key.split("|"))
@@ -247,27 +274,27 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     for key, entries in sorted(raw.get("mu", {}).items()):
         t_key, datum = key.split("|")
         chain = _pair_from_key(t_key)
-        ops = [(tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
-               for e in entries]
-        _check_labels(cf, f"mu {key!r}", chain, ops)
-        ds.mu[(chain, datum)] = ops
+        ds.mu[(chain, datum)] = _graded_entries(ring, cf, f"mu {key!r}", chain,
+                                                entries, 3 - len(chain))
     for key, items in sorted(raw.get("Dprime", {}).items()):
-        ds.Dprime[_pair_from_key(key)] = _id_tuples(f"Dprime {key!r}", items,
-                                                    "pair", 2)
+        with _at(f"Dprime {key!r}"):
+            ds.Dprime[_pair_from_key(key)] = _id_tuples(items, "pair", 2)
     for key, entries in sorted(raw.get("alpha", {}).items()):
         pair_key, dp = key.split("|")
         pair = _pair_from_key(pair_key)
-        ds.alpha[(pair, dp)] = _pair_map(ring, cf, f"alpha {key!r}", pair, entries)
+        ds.alpha[(pair, dp)] = _graded_entries(
+            ring, cf, f"alpha {key!r}", pair, entries, 0, one_input=True)
     for key, items in sorted(raw.get("Dsecond", {}).items()):
         pair = _pair_from_key(key)
-        ds.Dsecond[pair] = _id_tuples(f"Dsecond {key!r}", items, "triple", 3)
         with _at(f"Dsecond {key!r}"):
+            ds.Dsecond[pair] = _id_tuples(items, "triple", 3)
             for (_, triple) in ds.Dsecond[pair]:
                 _require_dprime(ds, pair, triple)
     for key, entries in sorted(raw.get("beta", {}).items()):
         pair_key, bid = key.split("|")
         pair = _pair_from_key(pair_key)
-        ds.beta[(pair, bid)] = _pair_map(ring, cf, f"beta {key!r}", pair, entries)
+        ds.beta[(pair, bid)] = _graded_entries(
+            ring, cf, f"beta {key!r}", pair, entries, -1, one_input=True)
     for key, items in sorted(raw.get("Dthird", {}).items()):
         with _at(f"Dthird {key!r}"):
             t_key, i_str = key.split("|")
@@ -275,7 +302,7 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
             if len(triple) != 3 or i not in (0, 1, 2):
                 raise SchemaError("key is not a triple and a slot 0, 1 or 2")
             pair = (triple[:2], triple[1:], triple[::2])[i]
-            elems = [(e["id"], e["datum"], e["datum_i"], e["dprime"])
+            elems = [(_id(e["id"]), e["datum"], e["datum_i"], e["dprime"])
                      for e in items]
             for (_, datum, datum_i, dp) in elems:
                 _require_data(ds, triple, (datum, datum_i))
@@ -284,10 +311,8 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
     for key, entries in sorted(raw.get("gamma", {}).items()):
         t_key, i_str, gid = key.split("|")
         triple = _pair_from_key(t_key)
-        ops = [(tuple(e["inputs"]), e["output"], ring.parse_scalar(str(e["scalar"])))
-               for e in entries]
-        _check_labels(cf, f"gamma {key!r}", triple, ops)
-        ds.gamma[(triple, int(i_str), gid)] = ops
+        ds.gamma[(triple, int(i_str), gid)] = _graded_entries(
+            ring, cf, f"gamma {key!r}", triple, entries, -1)
     for key, table in sorted(raw.get("f", {}).items()):
         with _at(f"f {key!r}"):
             pair = _pair_from_key(key)

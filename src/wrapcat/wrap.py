@@ -204,8 +204,7 @@ class WrappedDFCategory:
         for c in self.cset:
             if self.cset.is_identity(c):
                 continue
-            res = self.frac.check_inverts(c)
-            if not res["passed"]:
+            if not self.frac.check_inverts(c):
                 failures.append({"class": repr(c), "reason": "not inverted"})
         return {"passed": not failures, "failures": failures}
 

@@ -239,6 +239,68 @@ def _wrap_chain_through_an_undeclared_lagrangian(doc):
     doc["wrap_chains"]["L0"] = ["L0", "Z"]
 
 
+def _hom_degree(key, degree):
+    def edit(doc):
+        doc["hom"][key][0]["degree"] = degree
+    edit.__name__ = f"_hom_{key.replace(',', '_')}_degree_{json.dumps(degree)}"
+    return edit
+
+
+def _gamma_of_degree_zero(doc):
+    # gamma has degree -1: p and s of degree 0 cannot go to t of degree 0
+    doc["lagrangians"].append("C")
+    doc["hom"]["B,C"] = [{"degree": 0, "name": "s"}]
+    doc["hom"]["A,C"] = [{"degree": 0, "name": "t"}]
+    doc["floer_data"]["gamma"]["A,B,C|0|g0"] = [
+        {"inputs": ["p", "s"], "output": "t", "scalar": "1"}]
+
+
+def _d_id_not_a_string(doc):
+    doc["floer_data"]["D"]["A,B"][1] = ["d2"]
+
+
+def _dprime_id_not_a_string(doc):
+    doc["floer_data"]["Dprime"]["A,B"][1]["id"] = ["a12"]
+
+
+def _dprime_pair_id_not_a_string(doc):
+    doc["floer_data"]["Dprime"]["A,B"][1]["pair"][1] = ["d2"]
+
+
+def _dsecond_id_a_list(doc):
+    doc["floer_data"]["Dsecond"]["A,B"][3]["id"] = ["s3"]
+
+
+def _dsecond_id_an_object(doc):
+    doc["floer_data"]["Dsecond"]["A,B"][3]["id"] = {"a": 1}
+
+
+def _dsecond_triple_id_not_a_string(doc):
+    doc["floer_data"]["Dsecond"]["A,B"][3]["triple"][0] = ["a12"]
+
+
+def _dthird_field_not_a_string(field, value):
+    def edit(doc):
+        doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+        _dthird(doc, "A,B,A|0", datum="t1")
+        doc["floer_data"]["Dthird"]["A,B,A|0"][0][field] = [value]
+    edit.__name__ = f"_dthird_{field}_not_a_string"
+    return edit
+
+
+def _restriction_value_not_a_string(doc):
+    _restriction(doc, {"t1": ["d1"]})
+
+
+def _f_value_not_a_string(doc):
+    doc["floer_data"]["f"]["A,B"]["d1"] = ["a11"]
+
+
+def _section_witness_not_a_string(doc):
+    doc["floer_data"]["D"]["A,B,A"] = ["t1"]
+    doc["floer_data"]["sections"] = {"A,B,A": {"A,B=d1": ["t1"]}}
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -318,7 +380,41 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "is not a declared Lagrangian", "toyc"),
              (_wrap_chain_through_an_undeclared_lagrangian, "wrap_chains "
               "'L0': ['L0', 'Z'] is not an array of declared Lagrangians",
-              "toyc")]
+              "toyc"),
+             (_hom_degree("L,Kp", 1), "operations[0]: 'y' does not have "
+              "degree 1", "toyb"),
+             (_hom_degree("L0,K", 1), "operations[0]: 'b1' does not have "
+              "degree 1", "toyc"),
+             *[(_hom_degree("K,Kp", value), "hom 'K,Kp': generator "
+                f"{{'degree': {shown}, 'name': 'dp'}} needs a string name and "
+                "an integer degree", "toyb")
+               for value, shown in [(True, "True"), (2.5, "2.5"),
+                                    ("0", "'0'")]],
+             (_gamma_of_degree_zero, "gamma 'A,B,C|0|g0': 't' does not have "
+              "degree -1", "micro2datum"),
+             (_d_id_not_a_string, "floer_data: D 'A,B': id ['d2'] is not a "
+              "string", "micro2datum"),
+             (_dprime_id_not_a_string, "floer_data: Dprime 'A,B': id ['a12'] "
+              "is not a string", "micro2datum"),
+             (_dprime_pair_id_not_a_string, "floer_data: Dprime 'A,B': id "
+              "['d2'] is not a string", "micro2datum"),
+             (_dsecond_id_a_list, "floer_data: Dsecond 'A,B': id ['s3'] is "
+              "not a string", "micro2datum"),
+             (_dsecond_id_an_object, "floer_data: Dsecond 'A,B': id {'a': 1} "
+              "is not a string", "micro2datum"),
+             (_dsecond_triple_id_not_a_string, "floer_data: Dsecond 'A,B': "
+              "id ['a12'] is not a string", "micro2datum"),
+             *[(_dthird_field_not_a_string(field, value), "floer_data: "
+                f"Dthird 'A,B,A|0': id ['{value}'] is not a string",
+                "micro2datum")
+               for field, value in [("id", "g0"), ("datum", "t1"),
+                                    ("datum_i", "t1"), ("dprime", "a11")]],
+             (_restriction_value_not_a_string, "floer_data: restrictions "
+              "'A,B,A|A,B': id ['d1'] is not a string", "micro2datum"),
+             (_f_value_not_a_string, "floer_data: f 'A,B': id ['a11'] is not "
+              "a string", "micro2datum"),
+             (_section_witness_not_a_string, "floer_data: sections 'A,B,A': "
+              "id ['t1'] is not a string", "micro2datum")]
 
 
 class TestInputErrors:

@@ -59,9 +59,8 @@ class AInfCategory:
     underlying plain category, see :func:`cone`.
     """
 
-    def __init__(self, ring, objects, homs, units, op_entries=(), name="A"):
+    def __init__(self, ring, objects, homs, units, op_entries=()):
         self.ring = ring
-        self.name = name
         self.objects = tuple(objects)
         self.homs = {}
         self._zero = GradedModule.zero(ring)    # every missing hom
@@ -69,7 +68,7 @@ class AInfCategory:
             if mod is not None and not mod.is_zero():
                 self.homs[pair] = mod
         self.units = {x: dict(u) for x, u in units.items()}
-        self.cone_data = {}    # obj -> (X, Y, f_dict, morphism name)
+        self.cone_data = {}    # obj -> (X, Y, f_dict)
         self.block_info = {}   # pair -> {label: (src_summand, tgt_summand, host_label)}
         self.ops = {}          # chain -> {inputs: {output: scalar}}
         self._block_rev = None
@@ -95,7 +94,7 @@ class AInfCategory:
     def summands(self, x):
         """Plain summands of an object as ((plain_object, shift), ...)."""
         if x in self.cone_data:
-            cx, cy, _, _ = self.cone_data[x]
+            cx, cy, _ = self.cone_data[x]
             return ((cx, 1), (cy, 0))
         return ((x, 0),)
 
@@ -265,7 +264,7 @@ class AInfCategory:
         k = len(binfo)
         cones = self.cone_data
         if pattern[0]:
-            cx, cy, _, _ = cones[chain[0]]
+            cx, cy, _ = cones[chain[0]]
             host_chain = [cx, cy]
         else:
             host_chain = [summands[0][binfo[0][0]][0]]
@@ -328,10 +327,9 @@ class AInfCategory:
                     entries.append((lab, out, v))
         return Complex(mod, GradedMap.from_entries(mod, mod, 1, entries))
 
-    def copy(self, name=None):
+    def copy(self):
         out = AInfCategory(self.ring, self.objects, dict(self.homs),
-                           {x: dict(u) for x, u in self.units.items()},
-                           name=name or self.name)
+                           {x: dict(u) for x, u in self.units.items()})
         out.ops = {c: {i: dict(o) for i, o in t.items()} for c, t in self.ops.items()}
         out.cone_data = dict(self.cone_data)
         out.block_info = {p: dict(t) for p, t in self.block_info.items()}
@@ -569,7 +567,7 @@ def cone(a: AInfCategory, name, x, y, f_dict) -> AInfCategory:
         raise NotClosed(f"cone morphism over {sorted(f_dict)} is not closed")
     out = a.copy()
     out.objects = a.objects + (name,)
-    out.cone_data[name] = (x, y, f_dict, name)
+    out.cone_data[name] = (x, y, f_dict)
     for other in out.objects:
         for (p, q) in ((other, name), (name, other)):
             if (p, q) in out.homs or (p, q) in out.block_info:

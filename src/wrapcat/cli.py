@@ -40,12 +40,11 @@ from .errors import ParseError, SchemaError, WrapcatError
 from .floer import (canonical_envelope, choose_compatible_collection,
                     validate_setup)
 from .localization import FractionCategory, check_right_multiplicative_system
-from .posets import DecoratedPoset
 from .quotient import TruncatedQuotient, adjoin_cones
 from .report import Report
 from .setupfile import load_setup
-from .sss import (canonical_sss, check_bridge, entangle, localize_stage,
-                  tau_compare)
+from .sss import (DecoratedSSSet, canonical_sss, check_bridge, entangle,
+                  localize_stage, poset_stage, tau_compare)
 from .wrap import (check_localization_agreement, continuation_cset,
                    generating_subset, validate_continuation_system,
                    wrapped_df_category)
@@ -82,36 +81,23 @@ def _prepare_valid(setup, rep):
     return _prepare(setup, env)
 
 
-def bundled_wrapped_poset(setup, hcat, cset) -> DecoratedPoset:
+def bundled_wrapped_poset(setup, col, cset) -> DecoratedSSSet:
     """The bundled sufficiently wrapped poset: one chain per wrapping family
-    (base below its wrapped stages), families stacked in sorted order."""
+    (base below its wrapped stages), families stacked in sorted order, as
+    the poset stage decorated by the chosen collection ``col``."""
     succ = {}
     for c in cset:
         if not cset.is_identity(c):
             succ.setdefault(c.tgt, []).append(c.src)
-    sources_of = {c.src for c in cset if not cset.is_identity(c)}
-    bases = sorted(l for l in setup.lagrangians
-                   if l not in sources_of)
-    order = []
-    seen = set()
-    for b in bases:
-        chain = [b]
-        cur = b
-        while succ.get(cur):
-            nxt = sorted(succ[cur])[0]
-            if nxt in seen or nxt in chain:
-                break
-            chain.append(nxt)
-            cur = nxt
-        for x in chain:
-            if x not in seen:
-                seen.add(x)
-                order.append(x)
-    for l in sorted(setup.lagrangians):
-        if l not in seen:
-            order.append(l)
-            seen.add(l)
-    return DecoratedPoset(setup, order)
+    sources = {x for srcs in succ.values() for x in srcs}
+    order = {}    # insertion-ordered
+    for cur in sorted(l for l in setup.lagrangians if l not in sources):
+        # the base, then its least wrapped stage while that is new
+        while cur is not None and cur not in order:
+            order[cur] = None
+            cur = min(succ.get(cur, ()), default=None)
+    order.update(dict.fromkeys(sorted(setup.lagrangians)))
+    return poset_stage(setup, list(order), col)
 
 
 def cmd_validate(setup, mode="finite"):
@@ -221,7 +207,7 @@ def cmd_entangle(setup, level=1, compare=False):
             bridges[f"{na}->{nb}"] = br
             passed = passed and br["passed"]
         rep.add("bridges", bridges)
-        P = bundled_wrapped_poset(setup, hcat, cset)
+        P = bundled_wrapped_poset(setup, col, cset)
         tau = tau_compare(setup, P, frac0)
         rep.add("tau", tau)
         passed = passed and tau["passed"]

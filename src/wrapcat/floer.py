@@ -25,12 +25,7 @@ def tuple_key(t):
 
 def subsequences(t, min_len=2):
     """Proper subsequences of length >= min_len, in canonical order."""
-    out = []
-    n = len(t)
-    for l in range(min_len, n):
-        for idx in combinations(range(n), l):
-            out.append(tuple(t[i] for i in idx))
-    return out
+    return [sub for l in range(min_len, len(t)) for sub in combinations(t, l)]
 
 
 class FloerDataSystem:
@@ -66,10 +61,7 @@ class FloerDataSystem:
         return self.restrictions.get((t, sub), {}).get(datum)
 
     def dprime_pair(self, pair, dp_id):
-        for (i, pr) in self.Dprime.get(pair, ()):
-            if i == dp_id:
-                return pr
-        return None
+        return dict(self.Dprime.get(pair, ())).get(dp_id)
 
 
 def family_key(assignment):
@@ -251,12 +243,11 @@ def validate_setup(s: WeakFloerSetup, mode: str = "finite", envelope=None):
                     if (d1, d2) not in hit:
                         fails.append({"pair": list(pair),
                                       "missing-Dprime-over": [d1, d2]})
-            prime_ids = [i for (i, _) in ds.Dprime.get(pair, ())]
             prime_of = dict(ds.Dprime.get(pair, ()))
             hit2 = {tr for (_, tr) in ds.Dsecond.get(pair, ())}
-            for ac in prime_ids:
-                for ab in prime_ids:
-                    for bc in prime_ids:
+            for ac in prime_of:
+                for ab in prime_of:
+                    for bc in prime_of:
                         a1, c1 = prime_of[ac]
                         a2, b2 = prime_of[ab]
                         b3, c3 = prime_of[bc]
@@ -342,22 +333,12 @@ def _closure_failures(s: WeakFloerSetup):
 def _compatible_families(s: WeakFloerSetup, t):
     """Compatible data families over the proper subsequences of t."""
     ds = s.data_system
-    subs = [x for x in subsequences(t, min_len=2)]
-    if not subs:
-        return [dict()]
-    choices = [list(ds.D.get(sub, ())) for sub in subs]
+    subs = subsequences(t)
     out = []
-    for combo in product(*choices):
+    for combo in product(*(ds.D.get(sub, ()) for sub in subs)):
         fam = dict(zip(subs, combo))
-        ok = True
-        for sub, datum in fam.items():
-            for subsub in subsequences(sub, min_len=2):
-                if ds.restrict(sub, subsub, datum) != fam.get(subsub):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(ds.restrict(sub, subsub, datum) == fam.get(subsub)
+               for sub, datum in fam.items() for subsub in subsequences(sub)):
             out.append(fam)
     return out
 
@@ -489,8 +470,8 @@ def check_decoration_data(s: WeakFloerSetup, chain, lags, data):
                 f"decoration of {sub} incompatible with {chain}")
 
 
-def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,
-                    name) -> AInfCategory:
+def unital_category(s: WeakFloerSetup, objects, lag, pairs,
+                    simplices) -> AInfCategory:
     """The strictly unital category on ``objects``: an adjoined rank-1 unit
     on the diagonal, CF(lag[a], lag[b]) on each allowed pair (a, b), the
     operations of each decorated simplex (chain, datum) of ``simplices``,
@@ -505,7 +486,7 @@ def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,
         mod = s.cf_module(lag[a], lag[b])
         if not mod.is_zero():
             homs[(a, b)] = mod
-    cat = AInfCategory(ring, objects, homs, units, name=name)
+    cat = AInfCategory(ring, objects, homs, units)
     for chain, datum in simplices:
         lags = tuple(lag[x] for x in chain)
         for (inputs, out, scalar) in s.mu_entries(lags, datum):
@@ -514,11 +495,35 @@ def unital_category(s: WeakFloerSetup, objects, lag, pairs, simplices,
     return cat
 
 
+def vertex_tuples(vertices, lag, tuples):
+    """Every tuple of ``vertices`` over a Lagrangian tuple of ``tuples``,
+    in order; ``lag`` maps vertices to Lagrangians."""
+    over = {}
+    for v in vertices:
+        over.setdefault(lag[v], []).append(v)
+    return [simp for t in tuples
+            for simp in product(*(over.get(l, ()) for l in t))]
+
+
+def build_F_E(s: WeakFloerSetup, E) -> AInfCategory:
+    """F(E) of a decorated semisimplicial set E (``sss.DecoratedSSSet``):
+    CF(L_p, L_q) on each edge (p, q), units, and the operations of the
+    decorated simplices, of which only those over a Lagrangian tuple that
+    carries operations are read, found as vertex tuples over it."""
+    tuples = s.operation_tuples()
+    simplices = {simp for k in {len(t) - 1 for t in tuples}
+                 for simp in E.simplices.get(k, ())}
+    carried = sorted((simp for simp in vertex_tuples(E.vertices, E.lag, tuples)
+                      if simp in simplices), key=lambda simp: (len(simp), simp))
+    return unital_category(s, E.vertices, E.lag, E.simplices.get(1, ()),
+                           [(simp, E.data.get(simp)) for simp in carried])
+
+
 def _envelope_for(s: WeakFloerSetup, datum_of) -> AInfCategory:
     tuples = s.all_tuples()
     return unital_category(
         s, s.lagrangians, {l: l for l in s.lagrangians}, s.tuples(1),
-        [(t, datum_of(t) if datum_of else None) for t in tuples], name=s.name)
+        [(t, datum_of(t) if datum_of else None) for t in tuples])
 
 
 # -- constructions --------------------------------------------------------------------

@@ -121,10 +121,9 @@ def setup_from_dict(doc) -> WeakFloerSetup:
             cf[pair] = GradedModule.from_generators(ring, items)
     envelope_ops = {}
     for i, entry in enumerate(_get(doc, "operations", list)):
-        where = f"operations[{i}]"
-        with _at(where):
+        with _at(f"operations[{i}]"):
             chain = tuple(entry["tuple"])
-        ops = _graded_entries(ring, cf, where, chain, [entry], 3 - len(chain))
+            ops = _graded_entries(ring, cf, chain, [entry], 3 - len(chain))
         envelope_ops.setdefault(chain, []).extend(ops)
     data_system = None
     if doc["profile"] == "full":
@@ -196,26 +195,25 @@ def _check_data_keys(setup, raw):
                 _check_composable(setup, f"floer_data: {table} {key!r}", t)
 
 
-def _graded_entries(ring, cf, where, chain, entries, shift, one_input=False):
+def _graded_entries(ring, cf, chain, entries, shift, one_input=False):
     """The (inputs, output, scalar) of each entry of an operations, mu,
     alpha, beta or gamma table on the object tuple ``chain``; an alpha or
     beta entry (``one_input``) has one "input", read as (input, output,
     scalar), the others a list of "inputs".  Each entry is checked in this
     order: its scalar parses, its labels are generators of the CF modules
     along ``chain``, and its output degree is the sum of its input degrees
-    plus ``shift``.  A failure raises a SchemaError naming ``where``."""
+    plus ``shift``.  It is read inside the ``_at`` of its table."""
     out = []
-    with _at(where):
-        for e in entries:
-            scalar = ring.parse_scalar(str(e["scalar"]))
-            inputs = (e["input"],) if one_input else tuple(e["inputs"])
-            output = e["output"]
-            check_entry_labels(cf, chain, inputs, output)
-            degree = shift + sum(cf[p].degree_of(x) for p, x
-                                 in zip(zip(chain, chain[1:]), inputs))
-            if cf[(chain[0], chain[-1])].degree_of(output) != degree:
-                raise SchemaError(f"{output!r} does not have degree {degree}")
-            out.append((inputs[0] if one_input else inputs, output, scalar))
+    for e in entries:
+        scalar = ring.parse_scalar(str(e["scalar"]))
+        inputs = (e["input"],) if one_input else tuple(e["inputs"])
+        output = e["output"]
+        check_entry_labels(cf, chain, inputs, output)
+        degree = shift + sum(cf[p].degree_of(x) for p, x
+                             in zip(zip(chain, chain[1:]), inputs))
+        if cf[(chain[0], chain[-1])].degree_of(output) != degree:
+            raise SchemaError(f"{output!r} does not have degree {degree}")
+        out.append((inputs[0] if one_input else inputs, output, scalar))
     return out
 
 
@@ -233,89 +231,111 @@ def _ids(value):
     return tuple(map(_id, value))
 
 
+def _distinct(ids):
+    """``ids``, checked to hold no id twice."""
+    for n, i in enumerate(ids):
+        if i in ids[:n]:
+            raise SchemaError(f"id {i!r} repeats")
+    return ids
+
+
 def _id_tuples(items, field, n):
-    """(id, ids) of each item, its ``field`` checked to hold ``n`` ids."""
+    """(id, ids) of each item, its ``field`` checked to hold ``n`` ids, and
+    no id given to two items."""
     out = []
     for item in items:
         ids = _ids(item[field])
         if len(ids) != n:
             raise SchemaError(f"{field} {list(ids)!r} does not have {n} ids")
         out.append((_id(item["id"]), ids))
+    _distinct([i for i, _ in out])
     return out
+
+
+def _key(key, size=None, slot=False, named=False):
+    """The parts of a floer_data key, "|"-separated: a tuple of ``size``
+    Lagrangians (of any size when None), then a slot 0, 1 or 2 when
+    ``slot``, read as an int, then an id when ``named``.  A key of another
+    shape raises a SchemaError."""
+    parts = key.split("|")
+    shape = ([{2: "a pair", 3: "a triple"}.get(size, "a tuple")]
+             + ["a slot 0, 1 or 2"] * slot + ["an id"] * named)
+    t = _pair_from_key(parts[0])
+    if (len(parts) != len(shape) or size not in (None, len(t))
+            or slot and parts[1] not in ("0", "1", "2")):
+        last = f" and {shape.pop()}" if len(shape) > 1 else ""
+        raise SchemaError(f"key is not {', '.join(shape)}{last}")
+    return (t, int(parts[1]), *parts[2:]) if slot else (t, *parts[1:])
+
+
+def _require(ids, owned, owner):
+    """Raise a SchemaError naming the first of ``ids`` not in ``owned``,
+    the ids of ``owner``."""
+    for i in ids:
+        if _id(i) not in owned:
+            raise SchemaError(f"{i!r} is not {owner}")
 
 
 def _require_data(ds, t, ids):
     """Raise a SchemaError naming the first of ``ids`` not in D(t)."""
-    for i in ids:
-        if _id(i) not in ds.D.get(t, ()):
-            raise SchemaError(f"{i!r} is not in D({','.join(t)})")
+    _require(ids, ds.D.get(t, ()), f"in D({','.join(t)})")
+
+
+def _element_ids(table, key):
+    """The ids of the elements of ``table[key]``, a Dprime, Dsecond or
+    Dthird list."""
+    return {item[0] for item in table.get(key, ())}
 
 
 def _require_dprime(ds, pair, ids):
     """Raise a SchemaError naming the first of ``ids`` not a Dprime id of
     the pair."""
-    prime_ids = {i for (i, _) in ds.Dprime.get(pair, ())}
-    for i in ids:
-        if _id(i) not in prime_ids:
-            raise SchemaError(f"{i!r} is not a Dprime id of {','.join(pair)!r}")
+    _require(ids, _element_ids(ds.Dprime, pair),
+             f"a Dprime id of {','.join(pair)!r}")
 
 
 def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
+    """The Floer-data tables of a full profile, each key read inside the
+    ``_at`` of its table and key.  The mu, alpha, beta and gamma tables are
+    read last: a key of theirs must name its owner, a datum of D(t), a
+    Dprime or Dsecond id of its pair or a Dthird id at its slot, checked
+    after its entries."""
     ds = FloerDataSystem()
     for key, ids in sorted(raw.get("D", {}).items()):
         with _at(f"D {key!r}"):
-            ds.D[_pair_from_key(key)] = list(_ids(ids))
+            ds.D[_pair_from_key(key)] = list(_distinct(_ids(ids)))
     for key, table in sorted(raw.get("restrictions", {}).items()):
         with _at(f"restrictions {key!r}"):
             t, sub = map(_pair_from_key, key.split("|"))
             _require_data(ds, t, table)
             _require_data(ds, sub, table.values())
             ds.restrictions[(t, sub)] = dict(table)
-    for key, entries in sorted(raw.get("mu", {}).items()):
-        t_key, datum = key.split("|")
-        chain = _pair_from_key(t_key)
-        ds.mu[(chain, datum)] = _graded_entries(ring, cf, f"mu {key!r}", chain,
-                                                entries, 3 - len(chain))
     for key, items in sorted(raw.get("Dprime", {}).items()):
         with _at(f"Dprime {key!r}"):
-            ds.Dprime[_pair_from_key(key)] = _id_tuples(items, "pair", 2)
-    for key, entries in sorted(raw.get("alpha", {}).items()):
-        pair_key, dp = key.split("|")
-        pair = _pair_from_key(pair_key)
-        ds.alpha[(pair, dp)] = _graded_entries(
-            ring, cf, f"alpha {key!r}", pair, entries, 0, one_input=True)
+            pair, = _key(key, 2)
+            ds.Dprime[pair] = _id_tuples(items, "pair", 2)
+            for (_, pr) in ds.Dprime[pair]:
+                _require_data(ds, pair, pr)
     for key, items in sorted(raw.get("Dsecond", {}).items()):
-        pair = _pair_from_key(key)
         with _at(f"Dsecond {key!r}"):
+            pair, = _key(key, 2)
             ds.Dsecond[pair] = _id_tuples(items, "triple", 3)
             for (_, triple) in ds.Dsecond[pair]:
                 _require_dprime(ds, pair, triple)
-    for key, entries in sorted(raw.get("beta", {}).items()):
-        pair_key, bid = key.split("|")
-        pair = _pair_from_key(pair_key)
-        ds.beta[(pair, bid)] = _graded_entries(
-            ring, cf, f"beta {key!r}", pair, entries, -1, one_input=True)
     for key, items in sorted(raw.get("Dthird", {}).items()):
         with _at(f"Dthird {key!r}"):
-            t_key, i_str = key.split("|")
-            triple, i = _pair_from_key(t_key), int(i_str)
-            if len(triple) != 3 or i not in (0, 1, 2):
-                raise SchemaError("key is not a triple and a slot 0, 1 or 2")
+            triple, i = _key(key, 3, slot=True)
             pair = (triple[:2], triple[1:], triple[::2])[i]
             elems = [(_id(e["id"]), e["datum"], e["datum_i"], e["dprime"])
                      for e in items]
+            _distinct([g_id for g_id, *_ in elems])
             for (_, datum, datum_i, dp) in elems:
                 _require_data(ds, triple, (datum, datum_i))
                 _require_dprime(ds, pair, (dp,))
             ds.Dthird[(triple, i)] = elems
-    for key, entries in sorted(raw.get("gamma", {}).items()):
-        t_key, i_str, gid = key.split("|")
-        triple = _pair_from_key(t_key)
-        ds.gamma[(triple, int(i_str), gid)] = _graded_entries(
-            ring, cf, f"gamma {key!r}", triple, entries, -1)
     for key, table in sorted(raw.get("f", {}).items()):
         with _at(f"f {key!r}"):
-            pair = _pair_from_key(key)
+            pair, = _key(key, 2)
             _require_data(ds, pair, table)
             _require_dprime(ds, pair, table.values())
             ds.f[pair] = dict(table)
@@ -324,6 +344,32 @@ def _data_system_from_dict(ring, raw, cf) -> FloerDataSystem:
             t = _pair_from_key(key)
             _require_data(ds, t, table.values())
             ds.sections[t] = dict(table)
+    for key, entries in sorted(raw.get("mu", {}).items()):
+        with _at(f"mu {key!r}"):
+            t, datum = _key(key, named=True)
+            ds.mu[(t, datum)] = _graded_entries(ring, cf, t, entries,
+                                                3 - len(t))
+            _require_data(ds, t, (datum,))
+    for key, entries in sorted(raw.get("alpha", {}).items()):
+        with _at(f"alpha {key!r}"):
+            pair, dp = _key(key, 2, named=True)
+            ds.alpha[(pair, dp)] = _graded_entries(ring, cf, pair, entries, 0,
+                                                   one_input=True)
+            _require_dprime(ds, pair, (dp,))
+    for key, entries in sorted(raw.get("beta", {}).items()):
+        with _at(f"beta {key!r}"):
+            pair, bid = _key(key, 2, named=True)
+            ds.beta[(pair, bid)] = _graded_entries(ring, cf, pair, entries, -1,
+                                                   one_input=True)
+            _require((bid,), _element_ids(ds.Dsecond, pair),
+                     f"a Dsecond id of {key.partition('|')[0]!r}")
+    for key, entries in sorted(raw.get("gamma", {}).items()):
+        with _at(f"gamma {key!r}"):
+            triple, i, gid = _key(key, 3, slot=True, named=True)
+            ds.gamma[(triple, i, gid)] = _graded_entries(ring, cf, triple,
+                                                         entries, -1)
+            _require((gid,), _element_ids(ds.Dthird, (triple, i)),
+                     f"a Dthird id of {key.rpartition('|')[0]!r}")
     return ds
 
 

@@ -1,40 +1,44 @@
 """Decorated semisimplicial sets, the vertex-indexed categories F_E,
-entanglement stages, the bridge checks and the comparison functor tau.
+entanglement stages, the poset stage, the bridge checks and the comparison
+functor tau.
 
-Every stage is built by one rule (``_span``): its k-simplices are the
-(k+1)-tuples of vertices whose Lagrangian tuple is composable.  E_delta has
-one vertex per Lagrangian, so its simplices are the composable tuples, and
-entangling one block gives the block back, so E0 is E_delta.  E_n joins
-n + 1 copies of E0; the simplices that cross blocks are decorated by the
-first data compatible with their faces.  Two copies of one Lagrangian are
-never joined: a composable tuple has distinct Lagrangians.
+Every entanglement stage is built by one rule (``_span``): its k-simplices
+are the (k+1)-tuples of vertices whose Lagrangian tuple is composable.
+E_delta has one vertex per Lagrangian, so its simplices are the composable
+tuples, and entangling one block gives the block back, so E0 is E_delta.
+E_n joins n + 1 copies of E0; the simplices that cross blocks are decorated
+by the first data compatible with their faces.  Two copies of one
+Lagrangian are never joined: a composable tuple has distinct Lagrangians.
+
+The poset p0 < .. < pn of tau's source is a decorated semisimplicial set
+too (``poset_stage``): its simplices are its descending chains, so O_P is
+F of it, built by the one builder ``build_F_E`` of every stage.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations
 
-from .ainf import AInfCategory, cohomology_category
+from .ainf import cohomology_category
 from .errors import DecorationInconsistent, OracleIncomplete
-from .floer import (WeakFloerSetup, check_decoration, check_decoration_data,
-                    unital_category)
+from .floer import (WeakFloerSetup, build_F_E, check_decoration,
+                    check_decoration_data, vertex_tuples)
 from .localization import CSet, ContClass, FractionCategory
-from .posets import DecoratedPoset, build_O_P, check_sufficiently_wrapped
+from .posets import build_O_P, check_sufficiently_wrapped
 from .wrap import continuation_cset
 
 
 class DecoratedSSSet:
     """Semisimplicial set with Lagrangian vertices and decorated simplices.
 
-    ``simplices[k]`` holds k-simplices as (k+1)-tuples of distinct vertices;
-    faces are the delete-one subtuples.  ``data`` maps simplices to Floer
-    datum ids (None for envelope-profile setups).
+    ``simplices[k]`` holds k-simplices as (k+1)-tuples of distinct vertices,
+    sorted; faces are the delete-one subtuples.  ``data`` maps simplices to
+    Floer datum ids (None for envelope-profile setups).
     """
 
     def __init__(self, setup: WeakFloerSetup, vertices, lag, simplices, data=None,
-                 blocks=None, name="E"):
+                 blocks=None):
         self.setup = setup
-        self.name = name
         self.vertices = tuple(vertices)
         self.lag = dict(lag)
         self.simplices = {int(k): sorted(set(map(tuple, v)))
@@ -49,6 +53,9 @@ class DecoratedSSSet:
                 "blocks": len(self.blocks)}
 
     def validate(self):
+        """Simplex by simplex, by dimension, each dimension in sorted
+        order: distinct vertices, faces present, Lagrangian tuple
+        composable and decoration compatible (``check_decoration``)."""
         for k, simps in sorted(self.simplices.items()):
             faces = set(self.simplices.get(k - 1, ()))
             for simp in simps:
@@ -76,16 +83,10 @@ class DecoratedSSSet:
                                           self.data)
 
 
-def _span(setup: WeakFloerSetup, vertices, lag, tuples=None):
-    """The simplices of a stage: for each composable k-tuple of Lagrangians
-    (of ``tuples`` only, when given), every (k+1)-tuple of vertices over it
-    ({k: [simplex]})."""
-    over = {}
-    for v in vertices:
-        over.setdefault(lag[v], []).append(v)
-    return {k: [simp for t in setup.tuples(k)
-                if tuples is None or t in tuples
-                for simp in product(*(over.get(l, ()) for l in t))]
+def _span(setup: WeakFloerSetup, vertices, lag):
+    """The simplices of a stage: for each composable k-tuple of Lagrangians,
+    every (k+1)-tuple of vertices over it ({k: [simplex]})."""
+    return {k: vertex_tuples(vertices, lag, setup.tuples(k))
             for k in sorted(setup.composable)}
 
 
@@ -95,28 +96,26 @@ def canonical_sss(setup: WeakFloerSetup, col) -> DecoratedSSSet:
     lag = {l: l for l in setup.lagrangians}
     simplices = _span(setup, setup.lagrangians, lag)
     data = {t: col.datum(t) for simps in simplices.values() for t in simps}
-    out = DecoratedSSSet(setup, setup.lagrangians, lag, simplices, data,
-                         name=f"E_delta[{setup.name}]")
+    out = DecoratedSSSet(setup, setup.lagrangians, lag, simplices, data)
     out.validate()
     return out
 
 
-def build_F_E(setup: WeakFloerSetup, E: DecoratedSSSet) -> AInfCategory:
-    """Strictly unital category on the vertices: hom(p, q) = CF(L_p, L_q)
-    on composable Lagrangian pairs, units on the diagonal, zero otherwise;
-    operations decorated by the simplices, of which only those over a
-    Lagrangian tuple that carries operations are read.  E is validated
-    where it is built (``canonical_sss``, ``entangle``), so its simplices
-    are those of ``_span``."""
-    pairs1 = setup.composable.get(1, ())
-    pairs = [(p, q) for p in E.vertices for q in E.vertices
-             if p != q and (E.lag[p], E.lag[q]) in pairs1]
-    carried = _span(setup, E.vertices, E.lag, setup.operation_tuples())
-    simplices = [(simp, E.data.get(simp))
-                 for _, simps in sorted(carried.items())
-                 for simp in sorted(simps)]
-    return unital_category(setup, E.vertices, E.lag, pairs, simplices,
-                           name=f"F[{E.name}]")
+def poset_stage(setup: WeakFloerSetup, lagrangians, col) -> DecoratedSSSet:
+    """The poset p0 < p1 < .. over ordered Lagrangians, p_i over the i-th,
+    as a decorated semisimplicial set: its k-simplices are the descending
+    chains (p_k > .. > p_0) for 1 <= k <= max_arity, none longer than the
+    poset, each decorated by the datum the chosen collection ``col`` gives
+    its Lagrangian tuple.  It is not validated here: ``build_O_P`` does
+    that."""
+    vertices = [f"p{i}" for i in range(len(lagrangians))]
+    lag = dict(zip(vertices, lagrangians))
+    top = min(setup.max_arity, len(vertices) - 1)
+    simplices = {k: list(combinations(reversed(vertices), k + 1))
+                 for k in range(1, top + 1)}
+    data = {chain: col.datum(tuple(lag[p] for p in chain))
+            for chains in simplices.values() for chain in chains}
+    return DecoratedSSSet(setup, vertices, lag, simplices, data)
 
 
 def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory:
@@ -168,8 +167,7 @@ def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
             data[simp] = choose_datum(setup, simp, lag, data)
     out = DecoratedSSSet(setup, home, lag, simplices, data,
                          blocks=[[f"b{i}.{v}" for v in block.vertices]
-                                 for i, block in enumerate(blocks)],
-                         name=f"E{len(blocks) - 1}[{setup.name}]")
+                                 for i, block in enumerate(blocks)])
     out.check_decorations()
     return out
 
@@ -278,7 +276,7 @@ def _witness_isomorphism(frac: FractionCategory, cls: ContClass, lag):
                for t in frac.objects if lag.get(t, t) not in endpoints)
 
 
-def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset,
+def tau_compare(setup: WeakFloerSetup, P: DecoratedSSSet,
                 frac_E: FractionCategory):
     """The comparison functor tau from the localized poset category to the
     localized vertex category of E_delta, checked fully faithful on all
@@ -305,7 +303,7 @@ def tau_compare(setup: WeakFloerSetup, P: DecoratedPoset,
     check_sufficiently_wrapped(setup, P, frac_P, frac_E)
     iota = P.lag
     ff_failures = [{"pair": [p, q], "iso": False}
-                   for p in P.elements for q in P.elements
+                   for p in P.vertices for q in P.vertices
                    if not _slice_colims_isomorphic(
                        frac_P, frac_E, p, q, iota[p], iota[q], iota)]
     return {"passed": not ff_failures,

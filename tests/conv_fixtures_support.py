@@ -30,7 +30,7 @@ def dg_path_cat(ring=Q) -> AInfCategory:
         ring, [("bc", 1), ("ec", 1), ("fc", 2)])
     homs[("o0", "o3")] = GradedModule.from_generators(
         ring, [("abc", 2), ("aec", 2), ("afc", 3)])
-    cat = AInfCategory(ring, objs, homs, units, name=f"dg{ring.token()}")
+    cat = AInfCategory(ring, objs, homs, units)
     cat.add_op_entry(("o1", "o2"), ("e",), "f", 1)
     cat.add_op_entry(("o0", "o2"), ("ae",), "af", -1)
     cat.add_op_entry(("o1", "o3"), ("ec",), "fc", 1)
@@ -69,7 +69,7 @@ def mu3_cat(ring=Q) -> AInfCategory:
     homs[("p1", "p2")] = GradedModule.from_generators(ring, [("g2", 0), ("w", 0)])
     homs[("p2", "p3")] = GradedModule.from_generators(ring, [("g3", 1)])
     homs[("p0", "p3")] = GradedModule.from_generators(ring, [("h", 1)])
-    cat = AInfCategory(ring, objs, homs, units, name=f"mu3{ring.token()}")
+    cat = AInfCategory(ring, objs, homs, units)
     cat.add_op_entry(("p0", "p1", "p2", "p3"), ("g1", "g2", "g3"), "h", 1)
     cat.add_unit_entries()
     return cat

@@ -198,7 +198,7 @@ def _merge(acc, label, scalar, ring):
 
 def _summands(cat, x):
     if x in cat.cone_data:
-        cx, cy, _, _ = cat.cone_data[x]
+        cx, cy, _ = cat.cone_data[x]
         return ((cx, 1), (cy, 0))
     return ((x, 0),)
 
@@ -273,7 +273,7 @@ def _reference_pattern(cat, chain, inputs, binfo, ext_degs, pattern):
     host_chain, host_slots = [], []
     ext_args, host_args = [], []    # (u, v, degree) per input, twists in host
     if pattern[0]:
-        cx, cy, fd, _ = cat.cone_data[chain[0]]
+        cx, cy, fd = cat.cone_data[chain[0]]
         host_chain += [cx, cy]
         host_slots.append(fd)
         host_args.append((1, 0, 0))
@@ -290,7 +290,7 @@ def _reference_pattern(cat, chain, inputs, binfo, ext_degs, pattern):
         host_args.append((u, v, ext_degs[i] - u + v))
         host_chain.append(_summands(cat, chain[i + 1])[ti][0])
         if pattern[i + 1]:
-            _, cy, fd, _ = cat.cone_data[chain[i + 1]]
+            _, cy, fd = cat.cone_data[chain[i + 1]]
             host_slots.append(fd)
             host_args.append((1, 0, 0))
             host_chain.append(cy)

@@ -301,6 +301,60 @@ def _section_witness_not_a_string(doc):
     doc["floer_data"]["sections"] = {"A,B,A": {"A,B=d1": ["t1"]}}
 
 
+def _rekey(table, old, new):
+    """An edit that moves floer_data ``table``'s entry ``old`` to ``new``."""
+    def edit(doc):
+        tab = doc["floer_data"][table]
+        tab[new] = tab.pop(old)
+    edit.__name__ = (f"_{table.lower()}_key_"
+                     f"{new.replace(',', '_').replace('|', '_')}")
+    return edit
+
+
+def _with_triples(table, key, value):
+    """An edit that adds C and max_arity 2, so (A, B, C) is composable, and
+    the entry ``key`` to floer_data ``table``."""
+    def edit(doc):
+        doc["lagrangians"].append("C")
+        doc["composable"]["max_arity"] = 2
+        doc["floer_data"][table][key] = value
+    edit.__name__ = f"_{table.lower()}_key_of_a_composable_triple"
+    return edit
+
+
+def _dprime_pair_id_not_in_d(doc):
+    doc["floer_data"]["Dprime"]["A,B"][1]["pair"] = ["zz", "d2"]
+
+
+def _d_id_repeated(doc):
+    doc["floer_data"]["D"]["A,B"].append("d1")
+
+
+def _dprime_id_repeated(doc):
+    doc["floer_data"]["Dprime"]["A,B"].append({"id": "a11",
+                                                "pair": ["d1", "d2"]})
+
+
+def _dsecond_id_repeated(doc):
+    doc["floer_data"]["Dsecond"]["A,B"].append(
+        {"id": "s0", "triple": ["a11", "a11", "a11"]})
+
+
+def _dthird_id_repeated(doc):
+    _datum_of_a_repeated_triple(doc)
+    elems = doc["floer_data"]["Dthird"]["A,B,A|0"]
+    elems.append(dict(elems[0]))
+
+
+def _gamma_slot_not_a_digit(doc):
+    doc["floer_data"]["gamma"]["A,B,A|x|g0"] = []
+
+
+def _gamma_without_its_dthird(doc):
+    _datum_of_a_repeated_triple(doc)
+    doc["floer_data"]["gamma"]["A,B,A|0|zz"] = []
+
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -414,7 +468,39 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_f_value_not_a_string, "floer_data: f 'A,B': id ['a11'] is not "
               "a string", "micro2datum"),
              (_section_witness_not_a_string, "floer_data: sections 'A,B,A': "
-              "id ['t1'] is not a string", "micro2datum")]
+              "id ['t1'] is not a string", "micro2datum"),
+             (_rekey("mu", "A,B|d1", "A,B"), "floer_data: mu 'A,B': key is "
+              "not a tuple and an id", "micro2datum"),
+             (_rekey("alpha", "A,B|a11", "A,B|a11|x"), "floer_data: alpha "
+              "'A,B|a11|x': key is not a pair and an id", "micro2datum"),
+             (_rekey("beta", "A,B|s2", "A,B"), "floer_data: beta 'A,B': key "
+              "is not a pair and an id", "micro2datum"),
+             (_gamma_slot_not_a_digit, "floer_data: gamma 'A,B,A|x|g0': key "
+              "is not a triple, a slot 0, 1 or 2 and an id", "micro2datum"),
+             (_with_triples("Dprime", "A,B,C", []), "floer_data: Dprime "
+              "'A,B,C': key is not a pair", "micro2datum"),
+             (_with_triples("Dsecond", "A,B,C", []), "floer_data: Dsecond "
+              "'A,B,C': key is not a pair", "micro2datum"),
+             (_with_triples("f", "A,B,C", {}), "floer_data: f 'A,B,C': key is "
+              "not a pair", "micro2datum"),
+             (_dprime_pair_id_not_in_d, "floer_data: Dprime 'A,B': 'zz' is "
+              "not in D(A,B)", "micro2datum"),
+             (_d_id_repeated, "floer_data: D 'A,B': id 'd1' repeats",
+              "micro2datum"),
+             (_dprime_id_repeated, "floer_data: Dprime 'A,B': id 'a11' "
+              "repeats", "micro2datum"),
+             (_dsecond_id_repeated, "floer_data: Dsecond 'A,B': id 's0' "
+              "repeats", "micro2datum"),
+             (_dthird_id_repeated, "floer_data: Dthird 'A,B,A|0': id 'g0' "
+              "repeats", "micro2datum"),
+             (_rekey("mu", "B,A|e1", "B,A|zz"), "floer_data: mu 'B,A|zz': "
+              "'zz' is not in D(B,A)", "micro2datum"),
+             (_rekey("alpha", "B,A|b11", "B,A|zz"), "floer_data: alpha "
+              "'B,A|zz': 'zz' is not a Dprime id of 'B,A'", "micro2datum"),
+             (_rekey("beta", "A,B|s3", "A,B|zz"), "floer_data: beta 'A,B|zz': "
+              "'zz' is not a Dsecond id of 'A,B'", "micro2datum"),
+             (_gamma_without_its_dthird, "floer_data: gamma 'A,B,A|0|zz': "
+              "'zz' is not a Dthird id of 'A,B,A|0'", "micro2datum")]
 
 
 class TestInputErrors:
@@ -623,6 +709,26 @@ class TestEntangleCompare:
         assert bridges["E0->E1"]["essential_surjectivity_failures"] == [
             {"passed": False, "vertex": "b1.K"}]
 
+    def test_micro2datum_poset_is_decorated_from_the_collection(self,
+                                                                capsys):
+        # the bundled poset's chains carry the chosen collection's data, so
+        # a full profile reaches tau; neither E0->E1 nor tau passes yet
+        code, rep = run_cli(capsys, "entangle",
+                            str(FIXTURES / "micro2datum.json"), "--level", "1",
+                            "--compare")
+        assert (code, rep["verdict"]) == (1, "fail")
+        assert sorted(rep["sections"]) == ["bridges", "stages", "tau"]
+        bridges = rep["sections"]["bridges"]
+        assert bridges["E_delta->E0"]["passed"]
+        assert bridges["E0->E1"]["hom_stability_failures"] == []
+        assert bridges["E0->E1"]["essential_surjectivity_failures"] == [
+            {"passed": False, "vertex": "b1.A"},
+            {"passed": False, "vertex": "b1.B"}]
+        assert rep["sections"]["tau"] == {
+            "passed": False,
+            "fully_faithful_failures": [{"iso": False, "pair": ["p0", "p1"]}],
+            "essential_surjectivity_failures": []}
+
     def test_depth_is_not_an_entangle_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["entangle", str(FIXTURES / "toyb.json"), "--depth", "2"])
@@ -771,7 +877,25 @@ COMPUTE_ERRORS = [(fixture, what)
                   for fixture in ("ore_break", "toyc_break_closure")
                   for what in ("hw", "dfcat", "agree", "localize")]
 FAILED_CONDITION = {"ore_break": "iii", "toyc_break_closure": "ii"}
-ENTANGLE_ERRORS = [("micro2datum", "DecorationInconsistent")]
+
+
+def _pairs_of_abc(tmp_path):
+    """Explicit mode on A, B, C: all six pairs composable, no triple, and
+    max_arity 2, so the bundled poset A < B < C has a chain of three."""
+    path = tmp_path / "abc_pairs.json"
+    path.write_text(json.dumps({
+        "schema": "wrapcat/1", "name": "abc_pairs", "coefficients": "F2",
+        "lagrangians": ["A", "B", "C"], "profile": "envelope",
+        "composable": {"mode": "explicit", "max_arity": 2, "tuples": {
+            "1": [[a, b] for a in "ABC" for b in "ABC" if a != b]}}}))
+    return path
+
+
+# (setup writer, error type, message) of an entangle --compare that ends in
+# an engine error
+ENTANGLE_ERRORS = [(_pairs_of_abc, "DecorationInconsistent",
+                    "chain ('p2', 'p1', 'p0') maps to non-composable tuple "
+                    "('C', 'B', 'A')")]
 
 
 @pytest.mark.parametrize("fixture,what", COMPUTE_ERRORS)
@@ -870,7 +994,7 @@ REPORT_SHA256 = {
         "ec9bc1fbb7fd5a2dc3de1f0450a4e57d2997c3570cf272569b564ad2567c7c2d",
         "2cc04eb980f75b03649a3894d040b0179f88d33f53639975326e3ea23294b7ae",
         "ad7351edc014c970d799555980ea94a5019c1dffb684b4eadf188132f7b151ad",
-        "588131962194805c68b367b7c122f9f72eb0a08cbb478bc58e61b24e628e8362"),
+        "4ee8fde077c660897daf0b30e784694ed136b915a242e08ecdbc5524479c6c4f"),
     "ore_break": (
         "cbb0f57713cf01e60c1e744731ba843cf023e89962cfb84f4d5592fd21c3ac9b",
         "4fa3c17adebb65a3c6c4e97090cac2217352f1098b6695d84aa50b297ebde083",
@@ -966,14 +1090,17 @@ class TestEngineErrorsEndInReports:
     """An engine error ends in a failing report that names it, not a
     traceback."""
 
-    @pytest.mark.parametrize("fixture,error", ENTANGLE_ERRORS)
-    def test_entangle(self, capsys, fixture, error):
-        code, rep = run_cli(capsys, "entangle", str(FIXTURES / f"{fixture}.json"),
-                            "--level", "1", "--compare")
-        assert (code, rep["verdict"], rep["sections"]["error"]["type"]) == \
-            (1, "fail", error)
-        assert rep["sections"]["error"]["message"]
-        assert rep["fixture"] == fixture
+    @pytest.mark.parametrize("write,error,message", ENTANGLE_ERRORS,
+                             ids=[w.__name__.lstrip("_")
+                                  for w, *_ in ENTANGLE_ERRORS])
+    def test_entangle(self, capsys, tmp_path, write, error, message):
+        path = write(tmp_path)
+        code, rep = run_cli(capsys, "entangle", str(path), "--level", "1",
+                            "--compare")
+        assert (code, rep["verdict"]) == (1, "fail")
+        assert rep["sections"] == {"error": {"type": error,
+                                             "message": message}}
+        assert rep["fixture"] == path.stem
 
 
 class TestRepeatedCalls:

@@ -34,3 +34,11 @@ def test_fixture_file_matches_builder(name):
     setup = getattr(fixture_builders, f"build_{name}")()
     expected = (FIXTURES / f"{name}.json").read_bytes()
     assert canonical_json(setup_to_dict(setup)).encode() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_triples_load_back_as_built(n):
+    # the loader accepts every key and id the builder writes: each mu,
+    # alpha, beta and gamma key has its owner, and no id repeats
+    doc = setup_to_dict(fixture_builders.build_triples(n))
+    assert setup_to_dict(setupfile.setup_from_dict(doc)) == doc

@@ -104,24 +104,25 @@ def test_full_profile_cross_simplices_take_the_first_datum():
 @pytest.mark.parametrize("build", [build_toyb, build_toyc])
 def test_wrapping_sequences_are_cofinal_chains_by_construction(build):
     setup = build()
-    _, _, hcat, cset = _prepare(setup)
-    P = bundled_wrapped_poset(setup, hcat, cset)
+    col, _, hcat, cset = _prepare(setup)
+    P = bundled_wrapped_poset(setup, col, cset)
     oh = cohomology_category(build_O_P(setup, P))
     icset = continuation_cset(setup, oh, P.lag)
     nonunits = [c for c in icset if not icset.is_identity(c)]
+    position = {p: i for i, p in enumerate(P.vertices)}
     count = 0
-    for p in P.elements:
+    for p in P.vertices:
         for seq, steps in wrapping_sequences(P, icset, p):
             count += 1
             assert seq[0] == p and len(steps) == len(seq) - 1
             for a, b, c in zip(seq, seq[1:], steps):
-                assert P.lt(a, b)
+                assert position[a] < position[b]
                 assert c in nonunits and (c.src, c.tgt) == (b, a)
             top = seq[-1]
             assert not any(c.src == q and c.tgt == top for c in nonunits
-                           for q in P.elements if P.lt(top, q))
-    assert count >= len(P.elements)
-    assert any(len(seq) > 1 for p in P.elements
+                           for q in P.vertices if position[top] < position[q])
+    assert count >= len(P.vertices)
+    assert any(len(seq) > 1 for p in P.vertices
                for seq, _ in wrapping_sequences(P, icset, p))
 
 
@@ -157,24 +158,25 @@ def test_iota_is_the_envelope_under_the_object_map(name):
     # so tau_compare reads iota: O_P -> F(E_delta) as its object map
     # p -> P.lag[p] alone: every label goes to itself and 1@p to 1@P.lag[p]
     setup = TAU_SETUPS[name]()
-    _, env, hcat, cset = _prepare(setup)
-    P = bundled_wrapped_poset(setup, hcat, cset)
+    col, env, hcat, cset = _prepare(setup)
+    P = bundled_wrapped_poset(setup, col, cset)
     ocat = build_O_P(setup, P)
     lag = P.lag
-    position = {lag[p]: i for i, p in enumerate(P.elements)}
+    order = {p: i for i, p in enumerate(P.vertices)}
+    position = {lag[p]: i for p, i in order.items()}
 
     def image(x, y, label):
         return f"1@{lag[x]}" if x == y else label
 
     def unit_module(x):
         return GradedModule.from_generators(setup.ring, [(f"1@{x}", 0)])
-    for p in P.elements:
+    for p in P.vertices:
         assert ocat.unit_of(p) == {f"1@{p}": setup.ring.one()}
         assert env.unit_of(lag[p]) == {f"1@{lag[p]}": setup.ring.one()}
         assert ocat.hom(p, p) == unit_module(p)
         assert env.hom(lag[p], lag[p]) == unit_module(lag[p])
-        for q in P.elements:
-            if P.lt(q, p):
+        for q in P.vertices:
+            if order[q] < order[p]:
                 assert ocat.hom(p, q) == env.hom(lag[p], lag[q])
             elif p != q:
                 assert ocat.hom(p, q).is_zero()

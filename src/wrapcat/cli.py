@@ -185,9 +185,9 @@ def cmd_entangle(setup, level=1, compare=False):
         return rep
     col, env, hcat, cset = prepared
     e_delta = canonical_sss(setup, col)
-    # entangling one block gives the block back: E0 is E_delta
+    # E0 is E_delta: entangle(setup, col, 0) only renames its vertices
     stages = [("E_delta", e_delta), ("E0", e_delta)]
-    stages += [(f"E{n}", entangle(setup, [e_delta] * (n + 1)))
+    stages += [(f"E{n}", entangle(setup, col, n))
                for n in range(1, level + 1)]
     rep.add("stages", {name: E.stats() for name, E in stages})
     passed = True

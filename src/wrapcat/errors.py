@@ -45,10 +45,6 @@ class DecorationInconsistent(WrapcatError):
     pass
 
 
-class OracleIncomplete(WrapcatError):
-    pass
-
-
 class NotSufficientlyWrapped(WrapcatError):
     pass
 

@@ -134,7 +134,11 @@ class WeakFloerSetup:
 
 
 class CompatibleCollection:
-    """A restriction-coherent choice of one datum per composable tuple."""
+    """A restriction-coherent choice of one datum per composable tuple.
+
+    The choice is made once (``choose_compatible_collection``) and decorates
+    E_delta, every entanglement stage E_n and the poset: each of their
+    simplices over a Lagrangian tuple t carries ``datum(t)``."""
 
     __slots__ = ("delta",)
 
@@ -454,13 +458,8 @@ def check_decoration(s: WeakFloerSetup, chain, lags, data):
     if lags not in s.composable.get(len(chain) - 1, ()):
         raise DecorationInconsistent(
             f"chain {chain} maps to non-composable tuple {lags}")
-    if s.full:
-        check_decoration_data(s, chain, lags, data)
-
-
-def check_decoration_data(s: WeakFloerSetup, chain, lags, data):
-    """The decoration half of ``check_decoration``, for a full-profile
-    setup and a chain already known to be composable."""
+    if not s.full:
+        return
     top = data.get(chain)
     if top is None:
         raise DecorationInconsistent(f"chain {chain} undecorated")
@@ -496,13 +495,13 @@ def unital_category(s: WeakFloerSetup, objects, lag, pairs,
 
 
 def vertex_tuples(vertices, lag, tuples):
-    """Every tuple of ``vertices`` over a Lagrangian tuple of ``tuples``,
-    in order; ``lag`` maps vertices to Lagrangians."""
+    """(t, an iterator over every tuple of ``vertices`` over t) for each
+    Lagrangian tuple t of ``tuples``, in order, each read once; ``lag`` maps
+    vertices to Lagrangians."""
     over = {}
     for v in vertices:
         over.setdefault(lag[v], []).append(v)
-    return [simp for t in tuples
-            for simp in product(*(over.get(l, ()) for l in t))]
+    return ((t, product(*(over.get(l, ()) for l in t))) for t in tuples)
 
 
 def build_F_E(s: WeakFloerSetup, E) -> AInfCategory:
@@ -513,8 +512,10 @@ def build_F_E(s: WeakFloerSetup, E) -> AInfCategory:
     tuples = s.operation_tuples()
     simplices = {simp for k in {len(t) - 1 for t in tuples}
                  for simp in E.simplices.get(k, ())}
-    carried = sorted((simp for simp in vertex_tuples(E.vertices, E.lag, tuples)
-                      if simp in simplices), key=lambda simp: (len(simp), simp))
+    carried = sorted((simp for _, simps in vertex_tuples(E.vertices, E.lag,
+                                                         tuples)
+                      for simp in simps if simp in simplices),
+                     key=lambda simp: (len(simp), simp))
     return unital_category(s, E.vertices, E.lag, E.simplices.get(1, ()),
                            [(simp, E.data.get(simp)) for simp in carried])
 

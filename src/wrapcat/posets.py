@@ -38,14 +38,11 @@ def wrapping_sequences(P, icset: CSet, p):
     no continuation step leads up from its top."""
     position = {q: i for i, q in enumerate(P.vertices)}
 
-    def step(a, b):
-        return next((c for c in icset if c.src == b and c.tgt == a
-                     and not icset.is_identity(c)), None)
-
     def grow(seq, steps):
+        # a step joins two distinct elements, so its class is no identity
         exts = [(q, c) for q in sorted(P.vertices)
                 if position[seq[-1]] < position[q]
-                for c in [step(seq[-1], q)] if c is not None]
+                for c in icset.between(q, seq[-1])[:1]]
         if not exts:
             yield seq, steps
         for q, c in exts:

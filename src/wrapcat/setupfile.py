@@ -97,7 +97,7 @@ def setup_from_dict(doc) -> WeakFloerSetup:
                 if k < 1:
                     raise SchemaError(f"tuples key {key!r} is not an "
                                       f"integer >= 1")
-                explicit[k] = [tuple(t) for t in ts]
+                explicit[k] = [_names(t) for t in ts]
                 for t in explicit[k]:
                     if len(t) != k + 1 or not set(t) <= set(lag):
                         raise SchemaError(f"{k}-tuple {list(t)!r} does not "
@@ -122,7 +122,7 @@ def setup_from_dict(doc) -> WeakFloerSetup:
     envelope_ops = {}
     for i, entry in enumerate(_get(doc, "operations", list)):
         with _at(f"operations[{i}]"):
-            chain = tuple(entry["tuple"])
+            chain = _names(entry["tuple"])
             ops = _graded_entries(ring, cf, chain, [entry], 3 - len(chain))
         envelope_ops.setdefault(chain, []).extend(ops)
     data_system = None
@@ -206,7 +206,7 @@ def _graded_entries(ring, cf, chain, entries, shift, one_input=False):
     out = []
     for e in entries:
         scalar = ring.parse_scalar(str(e["scalar"]))
-        inputs = (e["input"],) if one_input else tuple(e["inputs"])
+        inputs = (e["input"],) if one_input else _names(e["inputs"])
         output = e["output"]
         check_entry_labels(cf, chain, inputs, output)
         degree = shift + sum(cf[p].degree_of(x) for p, x
@@ -215,6 +215,15 @@ def _graded_entries(ring, cf, chain, entries, shift, one_input=False):
             raise SchemaError(f"{output!r} does not have degree {degree}")
         out.append((inputs[0] if one_input else inputs, output, scalar))
     return out
+
+
+def _names(value):
+    """``value``, checked to be an array of names (strings), as a tuple: a
+    string is no array, and is not split into its characters."""
+    if not (isinstance(value, list)
+            and all(isinstance(x, str) for x in value)):
+        raise SchemaError(f"{value!r} is not an array of names")
+    return tuple(value)
 
 
 def _id(value):

@@ -3,12 +3,13 @@ entanglement stages, the poset stage, the bridge checks and the comparison
 functor tau.
 
 Every entanglement stage is built by one rule (``_span``): its k-simplices
-are the (k+1)-tuples of vertices whose Lagrangian tuple is composable.
-E_delta has one vertex per Lagrangian, so its simplices are the composable
-tuples, and entangling one block gives the block back, so E0 is E_delta.
-E_n joins n + 1 copies of E0; the simplices that cross blocks are decorated
-by the first data compatible with their faces.  Two copies of one
-Lagrangian are never joined: a composable tuple has distinct Lagrangians.
+are the (k+1)-tuples of vertices whose Lagrangian tuple is composable, and
+each carries the datum the chosen compatible collection gives its
+Lagrangian tuple.  E_delta has one vertex per Lagrangian, so its simplices
+are the composable tuples, and E0 is E_delta.  E_n has n + 1 copies of each
+Lagrangian; a simplex inside one copy and one across copies are decorated
+alike, so no stage makes a choice of its own.  Two copies of one Lagrangian
+are never joined: a composable tuple has distinct Lagrangians.
 
 The poset p0 < .. < pn of tau's source is a decorated semisimplicial set
 too (``poset_stage``): its simplices are its descending chains, so O_P is
@@ -20,9 +21,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .ainf import cohomology_category
-from .errors import DecorationInconsistent, OracleIncomplete
-from .floer import (WeakFloerSetup, build_F_E, check_decoration,
-                    check_decoration_data, vertex_tuples)
+from .errors import DecorationInconsistent
+from .floer import WeakFloerSetup, build_F_E, check_decoration, vertex_tuples
 from .localization import CSet, ContClass, FractionCategory
 from .posets import build_O_P, check_sufficiently_wrapped
 from .wrap import continuation_cset
@@ -32,18 +32,18 @@ class DecoratedSSSet:
     """Semisimplicial set with Lagrangian vertices and decorated simplices.
 
     ``simplices[k]`` holds k-simplices as (k+1)-tuples of distinct vertices,
-    sorted; faces are the delete-one subtuples.  ``data`` maps simplices to
+    sorted; faces are the delete-one subtuples.  The builders (``_span``,
+    ``poset_stage``) give each simplex once.  ``data`` maps simplices to
     Floer datum ids (None for envelope-profile setups).
     """
 
-    def __init__(self, setup: WeakFloerSetup, vertices, lag, simplices, data=None,
+    def __init__(self, setup: WeakFloerSetup, vertices, lag, simplices, data,
                  blocks=None):
         self.setup = setup
         self.vertices = tuple(vertices)
         self.lag = dict(lag)
-        self.simplices = {int(k): sorted(set(map(tuple, v)))
-                          for k, v in simplices.items() if v}
-        self.data = dict(data or {})
+        self.simplices = {k: sorted(v) for k, v in simplices.items() if v}
+        self.data = dict(data)
         self.blocks = list(blocks) if blocks else [list(self.vertices)]
 
     def stats(self):
@@ -71,32 +71,27 @@ class DecoratedSSSet:
                                  tuple(self.lag[v] for v in simp), self.data)
         return True
 
-    def check_decorations(self):
-        """The decoration half of ``validate``, for a stage spanned over a
-        validated E_delta (``entangle``): ``_span`` makes its faces and
-        Lagrangian tuples right, so only a full profile's data can fail."""
-        if self.setup.full:
-            for _, simps in sorted(self.simplices.items()):
-                for simp in simps:
-                    check_decoration_data(self.setup, simp,
-                                          tuple(self.lag[v] for v in simp),
-                                          self.data)
 
-
-def _span(setup: WeakFloerSetup, vertices, lag):
-    """The simplices of a stage: for each composable k-tuple of Lagrangians,
-    every (k+1)-tuple of vertices over it ({k: [simplex]})."""
-    return {k: vertex_tuples(vertices, lag, setup.tuples(k))
-            for k in sorted(setup.composable)}
+def _span(setup: WeakFloerSetup, vertices, lag, col):
+    """The simplices of a stage and their data: for each composable k-tuple
+    t of Lagrangians, every (k+1)-tuple of vertices over t, decorated by
+    ``col.datum(t)`` ({k: [simplex]}, {simplex: datum})."""
+    simplices, data = {}, {}
+    for t, simps in vertex_tuples(vertices, lag, setup.all_tuples()):
+        datum = col.datum(t)
+        dim = simplices.setdefault(len(t) - 1, [])
+        for simp in simps:
+            dim.append(simp)
+            data[simp] = datum
+    return simplices, data
 
 
 def canonical_sss(setup: WeakFloerSetup, col) -> DecoratedSSSet:
     """E_delta: one vertex per Lagrangian, one k-simplex per composable
     tuple, decorated by the chosen collection ``col``."""
     lag = {l: l for l in setup.lagrangians}
-    simplices = _span(setup, setup.lagrangians, lag)
-    data = {t: col.datum(t) for simps in simplices.values() for t in simps}
-    out = DecoratedSSSet(setup, setup.lagrangians, lag, simplices, data)
+    out = DecoratedSSSet(setup, setup.lagrangians, lag,
+                         *_span(setup, setup.lagrangians, lag, col))
     out.validate()
     return out
 
@@ -126,50 +121,18 @@ def localize_stage(setup: WeakFloerSetup, E: DecoratedSSSet) -> FractionCategory
     return FractionCategory(hcat, continuation_cset(setup, hcat, E.lag))
 
 
-def choose_datum(setup: WeakFloerSetup, simp, lag, data):
-    """The Floer datum of a simplex ``simp`` added by entanglement to a
-    full-profile stage: the first datum of D(lags) that restricts, on each
-    face of a simplex of dimension >= 2, to the face's datum already chosen
-    in ``data``.  ``lag`` maps vertices to Lagrangians."""
-    ds = setup.data_system
-    lags = tuple(lag[v] for v in simp)
-    faces = {lags[:i] + lags[i + 1:]: data[simp[:i] + simp[i + 1:]]
-             for i in range(len(simp))} if len(simp) >= 3 else {}
-    for datum in ds.D.get(lags, ()):
-        if all(ds.restrict(lags, sub_l, datum) == want
-               for sub_l, want in faces.items()):
-            return datum
-    raise OracleIncomplete(f"no compatible datum for {lags}")
-
-
-def entangle(setup: WeakFloerSetup, blocks) -> DecoratedSSSet:
-    """The stage E_n on n + 1 blocks: vertex v of block i is ``bi.v``, and
-    the simplices are those of ``_span``.  A simplex inside one block
-    keeps the block's datum; every other simplex gets ``choose_datum`` over
-    its faces (none for an edge), lower dimensions first.  An
-    envelope-profile stage decorates every simplex by None.  The blocks are
-    validated (E_delta), so only the decorations are checked here."""
-    home = {f"b{i}.{v}": (i, v)
-            for i, block in enumerate(blocks) for v in block.vertices}
-    lag = {nv: blocks[i].lag[v] for nv, (i, v) in home.items()}
-    simplices = _span(setup, home, lag)
-    data = {}
-    for _, simps in sorted(simplices.items()):
-        if not setup.full:
-            data.update(dict.fromkeys(simps))
-            continue
-        for simp in simps:
-            owners = {home[v][0] for v in simp}
-            if len(owners) == 1:
-                data[simp] = blocks[owners.pop()].data.get(
-                    tuple(home[v][1] for v in simp))
-                continue
-            data[simp] = choose_datum(setup, simp, lag, data)
-    out = DecoratedSSSet(setup, home, lag, simplices, data,
-                         blocks=[[f"b{i}.{v}" for v in block.vertices]
-                                 for i, block in enumerate(blocks)])
-    out.check_decorations()
-    return out
+def entangle(setup: WeakFloerSetup, col, n) -> DecoratedSSSet:
+    """The stage E_n: n + 1 copies of the Lagrangians, block i holding the
+    vertex ``bi.L`` over each Lagrangian L, with the simplices of ``_span``,
+    decorated by the chosen collection ``col`` like E_delta.  A simplex of
+    E_n over the Lagrangian tuple t carries the datum E_delta's simplex t
+    carries, and so do its faces over the subtuples of t, so its decoration
+    is compatible whenever E_delta's is (``canonical_sss`` validates it)."""
+    blocks = [[f"b{i}.{l}" for l in setup.lagrangians] for i in range(n + 1)]
+    lag = {v: l for block in blocks
+           for v, l in zip(block, setup.lagrangians)}
+    return DecoratedSSSet(setup, lag, lag, *_span(setup, lag, lag, col),
+                          blocks=blocks)
 
 
 def check_bridge(E_small: DecoratedSSSet, E_big: DecoratedSSSet,

@@ -355,6 +355,29 @@ def _gamma_without_its_dthird(doc):
     doc["floer_data"]["gamma"]["A,B,A|0|zz"] = []
 
 
+
+# A string where an array of names is required was once split into its
+# characters: each of these documents read like the one with arrays.
+def _composable_tuple_a_string(doc):
+    doc["composable"]["tuples"]["1"].append("KL")
+
+
+def _op_tuple_a_string(doc):
+    doc["operations"][0]["tuple"] = "AB"
+
+
+def _op_inputs_a_string(doc):
+    doc["operations"][0]["inputs"] = "u"
+
+
+def _mu_inputs_a_string(doc):
+    doc["floer_data"]["mu"]["A,B|d1"][0]["inputs"] = "p"
+
+
+def _gamma_inputs_a_string(doc):
+    doc["floer_data"]["gamma"]["A,B,A|0|g0"] = [
+        {"inputs": "pp", "output": "p", "scalar": "1"}]
+
 # (edit of a bundled fixture, a fragment the error message must contain,
 # the fixture)
 MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
@@ -500,7 +523,17 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
              (_rekey("beta", "A,B|s3", "A,B|zz"), "floer_data: beta 'A,B|zz': "
               "'zz' is not a Dsecond id of 'A,B'", "micro2datum"),
              (_gamma_without_its_dthird, "floer_data: gamma 'A,B,A|0|zz': "
-              "'zz' is not a Dthird id of 'A,B,A|0'", "micro2datum")]
+              "'zz' is not a Dthird id of 'A,B,A|0'", "micro2datum"),
+             (_composable_tuple_a_string, "composable: 'KL' is not an array "
+              "of names", "toyb_break_permutation"),
+             (_op_tuple_a_string, "operations[0]: 'AB' is not an array of "
+              "names", "dsq_break"),
+             (_op_inputs_a_string, "operations[0]: 'u' is not an array of "
+              "names", "dsq_break"),
+             (_mu_inputs_a_string, "floer_data: mu 'A,B|d1': 'p' is not an "
+              "array of names", "micro2datum"),
+             (_gamma_inputs_a_string, "floer_data: gamma 'A,B,A|0|g0': 'pp' "
+              "is not an array of names", "micro2datum")]
 
 
 class TestInputErrors:
@@ -935,12 +968,13 @@ PINNED_COMMANDS = {"validate": ("validate",),
                    "dfcat": ("compute", "--what", "dfcat"),
                    "localize": ("compute", "--what", "localize"),
                    "agree": ("compute", "--what", "agree"),
-                   "entangle": ("entangle", "--level", "1", "--compare")}
-PINNED_EXITS = {"badscalar": "222222", "dsq_break": "111111",
-                "micro2_break_beta": "111111", "micro2datum": "000001",
-                "ore_break": "111111", "toyb": "000000",
-                "toyb_break_permutation": "111111", "toyc": "000001",
-                "toyc_break_closure": "111111"}
+                   "entangle": ("entangle", "--level", "1", "--compare"),
+                   "entangle2": ("entangle", "--level", "2", "--compare")}
+PINNED_EXITS = {"badscalar": "2222222", "dsq_break": "1111111",
+                "micro2_break_beta": "1111111", "micro2datum": "0000011",
+                "ore_break": "1111111", "toyb": "0000000",
+                "toyb_break_permutation": "1111111", "toyc": "0000011",
+                "toyc_break_closure": "1111111"}
 
 
 def test_pinned_exits_cover_every_bundled_fixture():
@@ -973,6 +1007,7 @@ REPORT_SHA256 = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "dsq_break": (
         "ca11bd74192315e6b5cbab44d31deca828e844323c6afc8f7095e6247ad7fbf9",
@@ -980,56 +1015,64 @@ REPORT_SHA256 = {
         "2482d459fd505e663e2ef5d2b01150989539a2966059cd0bb39c6283b51b9764",
         "b3e01e8221903d773eac3bac1b4a89a3bd0f7d9de0eb36a47cc341fe9e5a98e1",
         "4644016e69b493530950a0ae45f5d72a6bea134f32ca4bd48bc2603676b8b2a8",
-        "a9dc43ced731012fbe8626cfde0f5b083380d7570a0f1325c5668d011a1f9d8d"),
+        "a9dc43ced731012fbe8626cfde0f5b083380d7570a0f1325c5668d011a1f9d8d",
+        "ac89813b1dcbce231db2150575f3ed6d48997901785da774178d434fdd3325bc"),
     "micro2_break_beta": (
         "e6f4d1302569b01e8ff9ad0e15cf3f03e00b16a565f39b3b5acf119ed81dcded",
         "736b221b093ce828e431df3bcb27df688b067ad1393af7fb4fc1c5162a47cb7e",
         "6cfebffc41214507884d073d7ff0a9ea2932b1fe164a465cf424d1277dbaa0c4",
         "7e28c902baf693c9a06d78842b27edfba93d13c43efe0940c8895915f51ac57f",
         "5f22a7dbcfc5999e4fe10c2f13fe5e8d1d262d6d41a400f8961e8495df33844d",
-        "54f0a168f086b52d41ce4cc7fdab96d57ba4996e22355a3f8a325e2202f97825"),
+        "54f0a168f086b52d41ce4cc7fdab96d57ba4996e22355a3f8a325e2202f97825",
+        "7dfbedea8d1fe38f580e41f40dbcee41ecd5b828b3ed2f7c980efb5ce2cfae1c"),
     "micro2datum": (
         "0133ee2a6afc067d0080ec24fac791725d1871782b64f299dc9cfdea46241cbe",
         "e5cc31f23c303690e54ae2864793d494479c5d7adad9468649e8a68a418e5f5b",
         "ec9bc1fbb7fd5a2dc3de1f0450a4e57d2997c3570cf272569b564ad2567c7c2d",
         "2cc04eb980f75b03649a3894d040b0179f88d33f53639975326e3ea23294b7ae",
         "ad7351edc014c970d799555980ea94a5019c1dffb684b4eadf188132f7b151ad",
-        "4ee8fde077c660897daf0b30e784694ed136b915a242e08ecdbc5524479c6c4f"),
+        "4ee8fde077c660897daf0b30e784694ed136b915a242e08ecdbc5524479c6c4f",
+        "faaefca0d4dcdeeec0778ebe09284ec49ba6dda30f5e3e097d0326ff55be1fa0"),
     "ore_break": (
         "cbb0f57713cf01e60c1e744731ba843cf023e89962cfb84f4d5592fd21c3ac9b",
         "4fa3c17adebb65a3c6c4e97090cac2217352f1098b6695d84aa50b297ebde083",
         "6ecc8a00a93854382c052c9ba05881e8c5deb23dea4e4faec59bee17a71bea96",
         "b6e1af7081e646ea236782bb489c84e513d62c861eaa62d96f6c227093da8bdc",
         "60312a6e7f06b096fbaa6b653f59566d12e28bf279297c4fab02c17502e48ac0",
-        "b2f334c6107e403824d879ab7e5376245b4448af7b80902994a4b7a11bf2f6d2"),
+        "b2f334c6107e403824d879ab7e5376245b4448af7b80902994a4b7a11bf2f6d2",
+        "483d126123d0ca912a39f920990eca8f0dbf18f34b9a83405a12e5350f7f3203"),
     "toyb": (
         "912977d6446b66bf23b75c777370f283974cb31e05fd8738bf0212051526bf6f",
         "734799a4cf8deb8fc6fdcf1c93b3d3cbd348fd61c474f3bd27407c4df9e2666b",
         "3d54aaa556ae3a2076f1feba0001861c4682202892a7eedde30dd4d3fae5eb3e",
         "dbed62d3840271798eb82f89eaafb3781fba089b90d3d23f88ac5a9dea82fa4b",
         "135233a6b25c6562b9569f654cf643a953f69d1435658ecd4c08eee8c04fee49",
-        "3948c583c666c411763c969367164acf7114f3c5ae873da423ad0e8fb9ffb1bb"),
+        "3948c583c666c411763c969367164acf7114f3c5ae873da423ad0e8fb9ffb1bb",
+        "cf970bd9e827d2a8814d07ca2b8f9b75e50214acd8fa9847c9d352e04af68e60"),
     "toyb_break_permutation": (
         "5d0b9a7090f0114276a061fbd1246551ddbaf032baaa3543ec2b96e07cecd340",
         "40198778aeeb15a1ea67a682dec6c51e6c1ccc9f048f81d4ff0850883df4c01e",
         "42ccca9b360e82119c803d39de4ec3c4b4e48937b22594c689a145c2f69ef681",
         "42040677d3e5b1b822dffe5e3312d16aac8b7fdd7d9a92a31bb364412e3f2446",
         "2f69776914eedabebde76c8ab13b2fe6e2f44e518196d44c28132bfc586761e0",
-        "d7464519467b57517b1dfa9fe5002cc54677b60aa35b5d873fe639353c6869ac"),
+        "d7464519467b57517b1dfa9fe5002cc54677b60aa35b5d873fe639353c6869ac",
+        "d8f4da991d1d26fff092ebb3b67a3f9d4e165d26d3b3f9700fa44fa8525cb46c"),
     "toyc": (
         "e7182cab67e711fb7d59437fb5ed4f856cd2e7904cf87e9020e9c53ac09234ba",
         "6b54aa7b0e6b0fa5ab8334b979e60f87408bf4ce8eb2b68717d9e30963c802dd",
         "9fa207a0ac2b5eaab8b27ba7ba48b33c7812c4c2e33af9cf236ead9f739441ca",
         "3f86b4da208177f4b91d02fdf6db355d0cae71e51aecbc568a13d535c9faf6db",
         "05733d5c0247aee0d728aa44158cd3547936825ee40f7d7e9350a77b1827fabe",
-        "cab36f1fb15c2bf70c0b4e663cb077e41808eb60c596ccc79e0aac6b6c9de3ec"),
+        "cab36f1fb15c2bf70c0b4e663cb077e41808eb60c596ccc79e0aac6b6c9de3ec",
+        "1ea24f869d460fec636ca602357400e866b0479d855e7e54a5cfaee885a40673"),
     "toyc_break_closure": (
         "1be033747e25cd5da42275ea8e3dc7e3fc3b19b63b8b3c80f770ba9edb36adaf",
         "49294143dbdc0c1a5260b9b02a726b1c905697e5d7258e1136b4fd697b8ceedf",
         "60fcfaef20402e9dfb88764411001ae27c40ef5c7e84900db2edffe44c88dbff",
         "1bd203b046856c69d4e618058cdcccfef46737bbd81050100e7751405994d818",
         "243c40e7643df2508e0d62ad05d853e96506f42027df61f05b88ac58c72f62ce",
-        "d9ad890b21e0fa71f21e309281fb7ed74d4a9d03ca6bd22a617bab7ac598ff63")}
+        "d9ad890b21e0fa71f21e309281fb7ed74d4a9d03ca6bd22a617bab7ac598ff63",
+        "53e743df820da82867b3c108175447810abfdd347c98f0114cd11656498f1f6e")}
 RATIONAL_REPORT_SHA256 = {
     "toyb": (
         "142f229bdd749562357e558060c831455e385ebc3529deb950f46610f54ed9fe",

@@ -19,7 +19,7 @@ from wrapcat import cli
 from wrapcat.ainf import cohomology_category
 from wrapcat.cli import _prepare, bundled_wrapped_poset
 from wrapcat.errors import DecorationInconsistent
-from wrapcat.floer import choose_compatible_collection
+from wrapcat.floer import CompatibleCollection, choose_compatible_collection
 from wrapcat.linalg import GradedModule
 from wrapcat.localization import FractionCategory
 from wrapcat.posets import build_O_P, wrapping_sequences
@@ -32,10 +32,17 @@ BUILDERS = {"toyb": build_toyb, "toyc": build_toyc,
             "toyc_4": lambda: build_toyc_chain(4)}
 
 
-def stage(setup, n):
-    """E_n of the setup: E_delta for n = 0, else n + 1 entangled copies."""
-    e_delta = canonical_sss(setup, choose_compatible_collection(setup))
-    return e_delta if n == 0 else entangle(setup, [e_delta] * (n + 1))
+def stage(setup, n, col=None):
+    """E_n of the setup, decorated by ``col`` (the chosen collection when
+    None): E_delta for n = 0, else n + 1 entangled copies."""
+    col = col or choose_compatible_collection(setup)
+    e_delta = canonical_sss(setup, col)
+    return e_delta if n == 0 else entangle(setup, col, n)
+
+
+# micro2datum's other compatible collection: d2 on (A, B), where the chosen
+# one takes d1, the first datum of D(A, B)
+MICRO2_D2 = CompatibleCollection({("A", "B"): "d2", ("B", "A"): "e1"})
 
 
 # the bundled fixtures that load and build E_delta (badscalar is an input
@@ -65,7 +72,7 @@ def test_stage_counts(name, n):
 def test_one_block_entangles_to_itself(build):
     setup = build()
     e_delta = stage(setup, 0)
-    E = entangle(setup, [e_delta])
+    E = entangle(setup, choose_compatible_collection(setup), 0)
 
     def strip(simp):
         assert all(v.startswith("b0.") for v in simp)
@@ -87,10 +94,12 @@ def test_no_simplex_holds_two_copies_of_a_lagrangian():
     assert ("b0.K", "b1.L0") in E.simplices[1]
 
 
-def test_full_profile_cross_simplices_take_the_first_datum():
+def test_full_profile_cross_simplices_take_the_collections_datum():
     # micro2datum's stages have edges only (max_arity 1), so each edge
-    # between blocks carries the first datum of D over its Lagrangians
+    # between blocks carries the chosen collection's datum over its
+    # Lagrangians, the first datum of D on a pair
     setup = build_micro2datum()
+    col = choose_compatible_collection(setup)
     e_delta = stage(setup, 0)
     E = stage(setup, 1)
     assert E.validate()
@@ -98,7 +107,20 @@ def test_full_profile_cross_simplices_take_the_first_datum():
     assert len(cross) == 2 * len(e_delta.simplices[1])
     for simp in cross:
         lags = tuple(E.lag[v] for v in simp)
-        assert E.data[simp] == setup.data_system.D[lags][0]
+        assert E.data[simp] == col.datum(lags) == setup.data_system.D[lags][0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_choice_decorates_every_simplex_of_a_stage(n):
+    # with the collection that takes d2 on (A, B), no stage re-picks d1 for
+    # its edges between blocks
+    setup = build_micro2datum()
+    E = stage(setup, n, MICRO2_D2)
+    assert E.validate()
+    over_ab = [s for s in E.simplices[1]
+               if tuple(E.lag[v] for v in s) == ("A", "B")]
+    assert len(over_ab) == (n + 1) ** 2
+    assert {E.data[s] for s in over_ab} == {"d2"}
 
 
 @pytest.mark.parametrize("build", [build_toyb, build_toyc])
@@ -212,24 +234,38 @@ def test_identity_bridge_is_the_full_check(build):
 
 def test_entangled_stage_checks_its_decorations():
     setup = build_triples()
-    e_delta = stage(setup, 0)
-    E = entangle(setup, [e_delta] * 2)
+    E = stage(setup, 1)
     assert {E.data[s] for s in E.simplices[2]} == {"t0"}
     # a cross-block simplex whose datum does not restrict to its faces'
     E.data[("b0.A", "b1.B", "b0.C")] = "t1"
     with pytest.raises(DecorationInconsistent, match="incompatible"):
-        E.check_decorations()
-    with pytest.raises(DecorationInconsistent, match="incompatible"):
         E.validate()
-    # a block decorated against its own faces
-    e_delta.data[("A", "B", "C")] = "t1"
-    with pytest.raises(DecorationInconsistent, match="incompatible"):
-        entangle(setup, [e_delta] * 2)
 
 
-def test_undecorated_full_profile_block_fails_to_entangle():
+def test_validate_refuses_an_undecorated_full_profile_simplex():
     setup = build_micro2datum()
-    e_delta = stage(setup, 0)
-    e_delta.data[e_delta.simplices[1][0]] = None
+    E = stage(setup, 1)
+    E.data[E.simplices[1][0]] = None
     with pytest.raises(DecorationInconsistent, match="undecorated"):
-        entangle(setup, [e_delta] * 2)
+        E.validate()
+
+
+def test_the_choice_of_collection_does_not_change_the_answer(monkeypatch):
+    # micro2datum's two compatible collections give one HW table, the same
+    # stages E_delta .. E2 and the same bridge and tau verdicts
+    setup = build_micro2datum()
+
+    def answers():
+        hw = cli.cmd_compute(setup, "hw").doc["sections"]["hw_table"]
+        rep = cli.cmd_entangle(setup, level=2, compare=True).doc["sections"]
+        return (hw, rep["stages"],
+                {name: br["passed"] for name, br in rep["bridges"].items()},
+                rep["tau"]["passed"])
+    chosen = answers()
+    assert chosen[2] == {"E_delta->E0": True, "E0->E1": False,
+                         "E1->E2": False}
+    picks = []
+    monkeypatch.setattr(cli, "choose_compatible_collection",
+                        lambda s: picks.append(s) or MICRO2_D2)
+    assert answers() == chosen
+    assert len(picks) == 2

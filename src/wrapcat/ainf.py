@@ -436,8 +436,11 @@ def _vector_to_dict(mod: GradedModule, degree, vec):
 
 
 class HCategory:
-    """Cohomology category: graded homs as canonical presentations, mu^2
-    composition on representatives, identity classes and exact tables."""
+    """Cohomology category: graded homs as canonical presentations and
+    identity classes.  Composition reads one table: for each (x, y, z, d1,
+    d2), in class order, the matrix of precomposition with each class of
+    H^{d1}(x, y), H^{d2}(y, z) -> H^{d1+d2}(x, z), from mu^2 on
+    representatives, built once."""
 
     def __init__(self, source: AInfCategory):
         self.source = source
@@ -453,7 +456,7 @@ class HCategory:
             self.identity_coords[x] = (
                 self.project_dict(x, x, 0, unit)
                 if unit and self.class_count(x, x, 0) else None)
-        self._table = {}
+        self._table = {}        # (x, y, z, d1, d2) -> [Matrix], one per class
         self._matrices = {}     # ("pre" | "post", x, y, z, d, coords, d') -> Matrix
 
     def pres(self, x, y) -> CohomologyPresentation:
@@ -480,64 +483,60 @@ class HCategory:
             vec[mod.index_of(lab)] = s
         return pres.project(vec)
 
-    def basis_coords(self, x, y, d, i):
-        return self.ring.unit_vector(self.class_count(x, y, d), i)
+    def _check(self, x, y, d, coords):
+        """Raise ShapeMismatch unless ``coords`` has one entry per class."""
+        n = self.class_count(x, y, d)
+        if len(coords) != n:
+            raise ShapeMismatch(
+                f"{len(coords)} coordinates for the {n} classes of H^{d}({x}, {y})")
 
-    def compose(self, x, y, z, d1, u_coords, d2, v_coords):
-        """Coordinates of the composite (u then v) in H^{d1+d2}(x, z)."""
-        ring = self.ring
+    def _precompositions(self, x, y, z, d1, d2):
+        """For each class of H^{d1}(x, y), in class order, the matrix of
+        precomposition with it, H^{d2}(y, z) -> H^{d1+d2}(x, z)."""
         key = (x, y, z, d1, d2)
         table = self._table.get(key)
         if table is None:
-            table = self._build_table(x, y, z, d1, d2)
-            self._table[key] = table
-        pt = self.pres(x, z).degree(d1 + d2)
-        out = [ring.zero()] * pt.class_count
-        for i, uc in enumerate(u_coords):
-            if ring.is_zero(uc):
-                continue
-            for j, vc in enumerate(v_coords):
-                if ring.is_zero(vc):
-                    continue
-                col = table[(i, j)]
-                c = ring.mul(uc, vc)
-                for r in range(len(out)):
-                    out[r] = ring.add(out[r], ring.mul(c, col[r]))
-        return tuple(out)
-
-    def _build_table(self, x, y, z, d1, d2):
-        p1 = self.pres(x, y).degree(d1)
-        p2 = self.pres(y, z).degree(d2)
-        mod_xy, mod_yz = self.source.hom(x, y), self.source.hom(y, z)
-        table = {}
-        for i in range(p1.class_count):
-            u = _vector_to_dict(mod_xy, d1, p1.reps[i])
-            for j in range(p2.class_count):
-                v = _vector_to_dict(mod_yz, d2, p2.reps[j])
-                table[(i, j)] = self.project_dict(
-                    x, z, d1 + d2, self.source.mu_element((x, y, z), [u, v]))
+            src, d = self.source, d1 + d2
+            vs = [_vector_to_dict(src.hom(y, z), d2, rep)
+                  for rep in self.pres(y, z).degree(d2).reps]
+            table = self._table[key] = [
+                Matrix.from_columns(self.ring, [
+                    self.project_dict(x, z, d, src.mu_element((x, y, z), [u, v]))
+                    for v in vs], self.class_count(x, z, d))
+                for u in (_vector_to_dict(src.hom(x, y), d1, rep)
+                          for rep in self.pres(x, y).degree(d1).reps)]
         return table
 
+    def compose(self, x, y, z, d1, u_coords, d2, v_coords):
+        """Coordinates of the composite (u then v) in H^{d1+d2}(x, z)."""
+        return self.precompose_matrix(x, y, z, d1, u_coords, d2).apply(v_coords)
+
     def postcompose_matrix(self, x, y, z, d2, v_coords, d1) -> Matrix:
-        """Matrix of (- then v): H^{d1}(x,y) -> H^{d1+d2}(x,z), built once."""
+        """Matrix of (- then v): H^{d1}(x,y) -> H^{d1+d2}(x,z), built once;
+        its i-th column is v precomposed with the i-th class."""
         key = ("post", x, y, z, d2, tuple(v_coords), d1)
         m = self._matrices.get(key)
         if m is None:
-            cols = [self.compose(x, y, z, d1, self.basis_coords(x, y, d1, i), d2, v_coords)
-                    for i in range(self.class_count(x, y, d1))]
+            self._check(y, z, d2, v_coords)
             m = self._matrices[key] = Matrix.from_columns(
-                self.ring, cols, self.class_count(x, z, d1 + d2))
+                self.ring, [pre.apply(v_coords)
+                            for pre in self._precompositions(x, y, z, d1, d2)],
+                self.class_count(x, z, d1 + d2))
         return m
 
     def precompose_matrix(self, x, y, z, d1, u_coords, d2) -> Matrix:
-        """Matrix of (u then -): H^{d2}(y,z) -> H^{d1+d2}(x,z), built once."""
+        """Matrix of (u then -): H^{d2}(y,z) -> H^{d1+d2}(x,z), built once:
+        the sum of u_i times the matrix of the i-th class."""
         key = ("pre", x, y, z, d1, tuple(u_coords), d2)
         m = self._matrices.get(key)
         if m is None:
-            cols = [self.compose(x, y, z, d1, u_coords, d2, self.basis_coords(y, z, d2, j))
-                    for j in range(self.class_count(y, z, d2))]
-            m = self._matrices[key] = Matrix.from_columns(
-                self.ring, cols, self.class_count(x, z, d1 + d2))
+            self._check(x, y, d1, u_coords)
+            m = Matrix.zero(self.ring, self.class_count(x, z, d1 + d2),
+                            self.class_count(y, z, d2))
+            for c, pre in zip(u_coords, self._precompositions(x, y, z, d1, d2)):
+                if not self.ring.is_zero(c):
+                    m = m.add(pre.scale(c))
+            self._matrices[key] = m
         return m
 
 def cohomology_category(a: AInfCategory) -> HCategory:

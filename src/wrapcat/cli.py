@@ -154,7 +154,7 @@ def cmd_compute(setup, what="hw", depth=4):
                         and functor["passed"])
         return rep
     if what == "localize":
-        gens = generating_subset(hcat, cset)
+        gens = generating_subset(cset)
         w_classes = [(c.src, c.tgt, c.coords) for c in gens]
         ext, nulls = adjoin_cones(env, hcat, w_classes)
         quo = TruncatedQuotient(ext, nulls, depth, hcat)

@@ -75,7 +75,7 @@ class WeakFloerSetup:
     def __init__(self, ring, lagrangians, composable_mode="all-distinct",
                  composable_tuples=None, max_arity=3, cf=None, profile="envelope",
                  envelope_ops=None, data_system=None, continuation=(),
-                 wrap_chains=None, oracle=None, name="setup"):
+                 wrap_chains=None, name="setup"):
         self.ring = ring
         self.name = name
         self.lagrangians = tuple(lagrangians)
@@ -87,7 +87,6 @@ class WeakFloerSetup:
         self.data_system = data_system
         self.continuation = list(continuation)        # (src, tgt, combo dict)
         self.wrap_chains = dict(wrap_chains or {})
-        self.oracle = dict(oracle or {})
         if composable_mode == "all-distinct":
             # no tuple of distinct Lagrangians is longer than the setup
             top = min(self.max_arity, len(self.lagrangians) - 1)

@@ -93,6 +93,11 @@ class CSet:
         return (c.src == c.tgt
                 and tuple(c.coords) == tuple(self.hcat.identity_coords.get(c.src) or ()))
 
+    def compose(self, a: ContClass, b: ContClass) -> ContClass:
+        """The composite class (a then b), a.src -> b.tgt."""
+        return ContClass(a.src, b.tgt, self.hcat.compose(
+            a.src, a.tgt, b.tgt, 0, a.coords, 0, b.coords))
+
 
 # condition -> (witness key of an uncovered vector, reason when the span is
 # too large to enumerate)
@@ -118,17 +123,17 @@ def check_right_multiplicative_system(hcat: HCategory, cset: CSet):
         for c2 in cset:
             if c1.tgt != c2.src:
                 continue
-            comp = hcat.compose(c1.src, c1.tgt, c2.tgt, 0, c1.coords, 0, c2.coords)
-            if not any(x != 0 for x in comp):
+            comp = cset.compose(c1, c2)
+            if not any(x != 0 for x in comp.coords):
                 if not cset.is_identity(c1) and not cset.is_identity(c2):
                     warnings.append({"condition": "ii",
                                      "note": "zero composite exempted",
                                      "pair": [repr(c1), repr(c2)]})
                 continue
-            if not cset.contains(c1.src, c2.tgt, comp):
+            if not cset.contains(comp.src, comp.tgt, comp.coords):
                 failures["ii"].append({"pair": [repr(c1), repr(c2)],
                                        "composite": [ring.format_scalar(v)
-                                                     for v in comp]})
+                                                     for v in comp.coords]})
     for c in cset:
         if cset.is_identity(c):
             continue
@@ -249,8 +254,7 @@ class SliceCategory:
         for i, ci in enumerate(self.objects):
             for j, cj in enumerate(self.objects):
                 for e in cset.between(cj.src, ci.src):
-                    comp = hcat.compose(e.src, e.tgt, obj, 0, e.coords, 0, ci.coords)
-                    if tuple(comp) == tuple(cj.coords):
+                    if cset.compose(e, ci) == cj:
                         self.morphisms.setdefault((i, j), []).append(e)
         self.index = {}     # ContClass.key() -> index of its first slice object
         for i, c in enumerate(self.objects):
@@ -366,25 +370,20 @@ class FractionCategory:
         if self.cset.is_identity(dcls):
             comp = self.hcat.compose(t_obj, k, m, d1, g, d2, hrep)
             return self.colim(l, m).project(
-                d1 + d2, self._slice_index(l, self.slices[l].objects[t1]), comp)
+                d1 + d2, self.slice_index(l, self.slices[l].objects[t1]), comp)
         cp, gw = ore_complete(self.hcat, self.cset, dcls, t_obj, d1, g)
         if cp is None:
             raise NonCofinalPrefix(
                 f"no Ore completion for composition across {k}")
         num = self.hcat.compose(cp.src, dcls.src, m, d1, gw, d2, hrep)
-        denom = self._compose_classes(cp, self.slices[l].objects[t1])
-        idx = self._slice_index(l, denom)
+        idx = self.slice_index(l, self.cset.compose(cp, self.slices[l].objects[t1]))
         if idx is None:
             raise NonCofinalPrefix(
                 f"denominator composite left the continuation set over {l}")
         return self.colim(l, m).project(d1 + d2, idx, num)
 
-    def _compose_classes(self, first: ContClass, second: ContClass) -> ContClass:
-        comp = self.hcat.compose(first.src, first.tgt, second.tgt, 0,
-                                 first.coords, 0, second.coords)
-        return ContClass(first.src, second.tgt, comp)
-
-    def _slice_index(self, l, cls: ContClass):
+    def slice_index(self, l, cls: ContClass):
+        """Index of the first object of l's slice that is ``cls``, or None."""
         return self.slices[l].index.get(cls.key())
 
     def identity(self, l):
@@ -396,7 +395,7 @@ class FractionCategory:
     def check_inverts(self, c: ContClass) -> bool:
         """Whether gamma(c) is invertible, its inverse the roof (c, id)."""
         img = self.gamma(c.src, c.tgt, 0, tuple(c.coords))
-        idx = self._slice_index(c.tgt, c)
+        idx = self.slice_index(c.tgt, c)
         if idx is None:
             return False
         inv = self.colim(c.tgt, c.src).project(
@@ -407,27 +406,25 @@ class FractionCategory:
 
     def verify_axioms(self):
         """Associativity and unitality on all colimit basis classes."""
-        failures = []
-        for l in self.objects:
-            for k in self.objects:
-                cl = self.colim(l, k)
-                for d in sorted(cl.by_degree):
-                    n = cl.degree(d).class_count
-                    for i in range(n):
-                        u = self.ring.unit_vector(n, i)
-                        lu = self.compose(l, l, k, 0, self.identity(l), d, u)
-                        ru = self.compose(l, k, k, d, u, 0, self.identity(k))
-                        if lu != u:
-                            failures.append({"kind": "left-unit", "pair": [l, k],
-                                             "degree": d, "class": i})
-                        if ru != u:
-                            failures.append({"kind": "right-unit", "pair": [l, k],
-                                             "degree": d, "class": i})
-        for (l, k, m, w) in self._assoc_quadruples():
-            for (d1, i, d2, j, d3, t) in self._assoc_classes(l, k, m, w):
-                u = self._basis(l, k, d1, i)
-                v = self._basis(k, m, d2, j)
-                z = self._basis(m, w, d3, t)
+        ring, failures = self.ring, []
+        basis = {}  # (l, k) -> [(degree, class index, unit vector)]
+        for l, k in product(self.objects, repeat=2):
+            cl = self.colim(l, k)
+            basis[l, k] = [(d, i, ring.unit_vector(cl.rank(d), i))
+                           for d in sorted(cl.by_degree) for i in range(cl.rank(d))]
+        for (l, k), classes in basis.items():
+            for d, i, u in classes:
+                lu = self.compose(l, l, k, 0, self.identity(l), d, u)
+                ru = self.compose(l, k, k, d, u, 0, self.identity(k))
+                if lu != u:
+                    failures.append({"kind": "left-unit", "pair": [l, k],
+                                     "degree": d, "class": i})
+                if ru != u:
+                    failures.append({"kind": "right-unit", "pair": [l, k],
+                                     "degree": d, "class": i})
+        for l, k, m, w in product(self.objects, repeat=4):
+            for (d1, i, u), (d2, j, v), (d3, t, z) in product(
+                    basis[l, k], basis[k, m], basis[m, w]):
                 lhs = self.compose(l, m, w, d1 + d2,
                                    self.compose(l, k, m, d1, u, d2, v), d3, z)
                 rhs = self.compose(l, k, w, d1, u, d2 + d3,
@@ -438,22 +435,3 @@ class FractionCategory:
                                      "degrees": [d1, d2, d3],
                                      "classes": [i, j, t]})
         return {"passed": not failures, "failures": failures}
-
-    def _basis(self, l, k, d, i):
-        return self.ring.unit_vector(self.class_count(l, k, d), i)
-
-    def _assoc_quadruples(self):
-        for l in self.objects:
-            for k in self.objects:
-                for m in self.objects:
-                    for w in self.objects:
-                        yield (l, k, m, w)
-
-    def _assoc_classes(self, l, k, m, w):
-        for d1 in sorted(self.colim(l, k).by_degree):
-            for i in range(self.class_count(l, k, d1)):
-                for d2 in sorted(self.colim(k, m).by_degree):
-                    for j in range(self.class_count(k, m, d2)):
-                        for d3 in sorted(self.colim(m, w).by_degree):
-                            for t in range(self.class_count(m, w, d3)):
-                                yield (d1, i, d2, j, d3, t)

@@ -86,8 +86,8 @@ def _composite_index(frac, base, steps):
     not in the continuation set."""
     comp = None
     for e in reversed(steps):
-        comp = e if comp is None else frac._compose_classes(comp, e)
-    return 0 if comp is None else frac._slice_index(base, comp)
+        comp = e if comp is None else frac.cset.compose(comp, e)
+    return 0 if comp is None else frac.slice_index(base, comp)
 
 
 def check_sufficiently_wrapped(setup, P, frac_P, frac_env):

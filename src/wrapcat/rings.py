@@ -17,14 +17,30 @@ from .errors import SchemaError
 _ZERO, _ONE = Fraction(0), Fraction(1)     # shared: a Fraction is immutable
 
 
+# Miller-Rabin to the bases 2..41 decides primality exactly below the
+# bound: it is the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).  Without 41 the least is 318665857834031151167461.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Exact for p below PRIME_BOUND."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):      # a^d, a^2d, .., a^(2^(s-1) d)
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
@@ -37,6 +53,9 @@ class CoefficientRing:
     def __init__(self, kind: str, p: int = 0):
         if kind not in ("Q", "Fp"):
             raise SchemaError(f"unknown ring kind {kind!r}")
+        if kind == "Fp" and p >= PRIME_BOUND:
+            raise SchemaError(f"characteristic {p} is not below {PRIME_BOUND}, "
+                              "where primality is decided exactly")
         if kind == "Fp" and not _is_prime(p):
             raise SchemaError(f"characteristic {p} is not prime")
         self.kind = kind    # "Q" | "Fp"

@@ -153,16 +153,12 @@ def setup_from_dict(doc) -> WeakFloerSetup:
             if not (isinstance(chain, list) and all(x in lag for x in chain)):
                 raise SchemaError(f"{chain!r} is not an array of declared "
                                   f"Lagrangians")
-    oracle = _get(doc, "oracle", dict)
-    if oracle not in ({}, {"mode": "lexicographic"}):
-        raise SchemaError('oracle must be {"mode": "lexicographic"}, '
-                          f"not {oracle!r}")
     setup = WeakFloerSetup(
         ring, lag, composable_mode=mode, composable_tuples=explicit,
         max_arity=max_arity, cf=cf, profile=doc["profile"],
         envelope_ops=envelope_ops, data_system=data_system,
         continuation=continuation, wrap_chains=wrap_chains,
-        oracle=oracle, name=doc.get("name", "setup"))
+        name=doc.get("name", "setup"))
     pairs = setup.composable.get(1, ())
     for i, (src, tgt, _) in enumerate(continuation):
         if src == tgt or (src, tgt) not in pairs:
@@ -420,8 +416,6 @@ def setup_to_dict(s: WeakFloerSetup) -> dict:
         for (src, tgt, combo) in s.continuation]
     if s.wrap_chains:
         doc["wrap_chains"] = s.wrap_chains
-    if s.oracle:
-        doc["oracle"] = s.oracle
     if s.full:
         doc["floer_data"] = _data_system_to_dict(ring, s.data_system)
     return doc

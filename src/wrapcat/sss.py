@@ -216,7 +216,7 @@ def _slice_colims_isomorphic(frac_s, frac_b, p, q, pi, qi, inclusion):
 
     def levelwise(d, i, v):
         cls = sl_small[i]
-        j = frac_b._slice_index(pi, ContClass(inclusion.get(cls.src, cls.src),
+        j = frac_b.slice_index(pi, ContClass(inclusion.get(cls.src, cls.src),
                                               inclusion.get(cls.tgt, cls.tgt),
                                               cls.coords))
         return None if j is None else (j, v)

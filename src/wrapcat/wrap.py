@@ -17,7 +17,7 @@ from __future__ import annotations
 from .ainf import HCategory
 from .errors import NonCofinalPrefix
 from .floer import WeakFloerSetup
-from .localization import (CSet, ContClass, FractionCategory, SliceCategory,
+from .localization import (CSet, FractionCategory, SliceCategory,
                            check_right_multiplicative_system)
 from .matrices import Matrix
 from .quotient import TruncatedQuotient, adjoin_cones
@@ -39,19 +39,13 @@ def continuation_cset(setup: WeakFloerSetup, hcat: HCategory,
                        if lag[q] == tgt and hcat.class_count(p, q, 0)])
 
 
-def generating_subset(hcat: HCategory, cset: CSet):
+def generating_subset(cset: CSet):
     """Non-identity classes that are not composites of two other non-identity
     classes; cones over these span the same localization."""
     nonunits = [c for c in cset if not cset.is_identity(c)]
-    composites = set()
-    for a in nonunits:
-        for b in nonunits:
-            if a.tgt != b.src:
-                continue
-            comp = hcat.compose(a.src, a.tgt, b.tgt, 0, a.coords, 0, b.coords)
-            if any(x != 0 for x in comp):
-                composites.add(ContClass(a.src, b.tgt, comp).key())
-    return [c for c in nonunits if c.key() not in composites]
+    composites = {cset.compose(a, b) for a in nonunits for b in nonunits
+                  if a.tgt == b.src}
+    return [c for c in nonunits if c not in composites]
 
 
 def validate_continuation_system(setup: WeakFloerSetup, hcat: HCategory,
@@ -223,7 +217,7 @@ def check_localization_agreement(env, hcat, cset, wdf: WrappedDFCategory,
     quotient and into HW, compared as subspaces.  The cones are adjoined
     once; the quotient at each depth reuses them.
     """
-    gens = generating_subset(hcat, cset)
+    gens = generating_subset(cset)
     ext, nulls = adjoin_cones(env, hcat, [(c.src, c.tgt, c.coords) for c in gens])
     pending = pairs = [(a, b) for a in env.objects for b in env.objects]
     results = {}    # pair -> (H^0 rank, certifying depth, killed subspace)

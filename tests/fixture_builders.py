@@ -57,8 +57,7 @@ def build_toyb() -> WeakFloerSetup:
     ]
     return WeakFloerSetup(ring, lag, composable_mode="all-distinct", max_arity=3,
                           cf=cf, profile="envelope", envelope_ops=ops,
-                          continuation=continuation,
-                          oracle={"mode": "lexicographic"}, name="toyb")
+                          continuation=continuation, name="toyb")
 
 
 def build_toyc() -> WeakFloerSetup:
@@ -106,7 +105,7 @@ def build_toyc() -> WeakFloerSetup:
     return WeakFloerSetup(ring, lag, composable_mode="all-distinct", max_arity=3,
                           cf=cf, profile="envelope", envelope_ops=ops,
                           continuation=continuation, wrap_chains=wrap_chains,
-                          oracle={"mode": "lexicographic"}, name="toyc")
+                          name="toyc")
 
 
 def build_toyc_chain(n) -> WeakFloerSetup:
@@ -143,7 +142,7 @@ def build_toyc_chain(n) -> WeakFloerSetup:
     return WeakFloerSetup(ring, lag, composable_mode="all-distinct", max_arity=3,
                           cf=cf, profile="envelope", envelope_ops=ops,
                           continuation=continuation, wrap_chains=wrap_chains,
-                          oracle={"mode": "lexicographic"}, name=f"toyc_{n}")
+                          name=f"toyc_{n}")
 
 
 def build_micro2datum() -> WeakFloerSetup:

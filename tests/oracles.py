@@ -512,7 +512,7 @@ def verify_category_axioms(h):
         ex, ey = h.identity_coords.get(x), h.identity_coords.get(y)
         for d in h.pres(x, y).degrees():
             for i in range(h.class_count(x, y, d)):
-                u = h.basis_coords(x, y, d, i)
+                u = h.ring.unit_vector(h.class_count(x, y, d), i)
                 if ex is not None and h.compose(x, x, y, 0, ex, d, u) != u:
                     failures.append({"kind": "left-unit", "pair": [x, y],
                                      "degree": d, "class": i})
@@ -526,12 +526,12 @@ def _assoc_check(h, objs, degs, failures):
     x, y, z, w = objs
     d1, d2, d3 = degs
     for i in range(h.class_count(x, y, d1)):
-        u = h.basis_coords(x, y, d1, i)
+        u = h.ring.unit_vector(h.class_count(x, y, d1), i)
         for j in range(h.class_count(y, z, d2)):
-            v = h.basis_coords(y, z, d2, j)
+            v = h.ring.unit_vector(h.class_count(y, z, d2), j)
             uv = h.compose(x, y, z, d1, u, d2, v)
             for l in range(h.class_count(z, w, d3)):
-                t = h.basis_coords(z, w, d3, l)
+                t = h.ring.unit_vector(h.class_count(z, w, d3), l)
                 lhs = h.compose(x, z, w, d1 + d2, uv, d3, t)
                 rhs = h.compose(x, y, w, d1, u, d2 + d3,
                                 h.compose(y, z, w, d2, v, d3, t))

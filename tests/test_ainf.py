@@ -239,7 +239,7 @@ class TestHCategory:
             if h.ring.kind == "Fp":
                 classes = [v for v in product(range(h.ring.p), repeat=n) if any(v)]
             else:
-                classes = [h.basis_coords(c.src, c.tgt, 0, i) for i in range(n)]
+                classes = [h.ring.unit_vector(n, i) for i in range(n)]
                 classes += [(h.ring.one(),) * n] if n > 1 else []
             for u in [c.coords, (h.ring.zero(),) * n] + classes:
                 for k in h.objects:
@@ -247,19 +247,35 @@ class TestHCategory:
                                     | set(h.pres(c.tgt, k).degrees())):
                         self._check_memoized(h, c.src, c.tgt, k, u, d)
 
+    @pytest.mark.parametrize("u", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_coordinates_of_the_wrong_length_are_refused(self, u):
+        # H^0(L1, K) of toyc has two classes, so u is no class of it, on
+        # either side of a composition
+        h = cohomology_category(canonical_envelope(build_toyc()))
+        assert h.class_count("L1", "K", 0) == 2
+        eK, eL1 = h.identity_coords["K"], h.identity_coords["L1"]
+        for call in (lambda: h.compose("L1", "K", "K", 0, u, 0, eK),
+                     lambda: h.compose("L1", "L1", "K", 0, eL1, 0, u),
+                     lambda: h.precompose_matrix("L1", "K", "K", 0, u, 0),
+                     lambda: h.postcompose_matrix("L1", "L1", "K", 0, u, 0)):
+            with pytest.raises(ShapeMismatch):
+                call()
+
     @staticmethod
     def _check_memoized(h, x, y, k, u, d):
         """(- then u) on H^d(k, x) and (u then -) on H^d(y, k) against their
         columns from compose; repeated calls, with u as a list too, return
         the stored matrices."""
         post = h.postcompose_matrix(k, x, y, 0, u, d)
+        n = h.class_count(k, x, d)
         assert post == Matrix.from_columns(h.ring, [
-            h.compose(k, x, y, d, h.basis_coords(k, x, d, i), 0, u)
-            for i in range(h.class_count(k, x, d))], h.class_count(k, y, d))
+            h.compose(k, x, y, d, h.ring.unit_vector(n, i), 0, u)
+            for i in range(n)], h.class_count(k, y, d))
         pre = h.precompose_matrix(x, y, k, 0, u, d)
+        n = h.class_count(y, k, d)
         assert pre == Matrix.from_columns(h.ring, [
-            h.compose(x, y, k, 0, u, d, h.basis_coords(y, k, d, j))
-            for j in range(h.class_count(y, k, d))], h.class_count(x, k, d))
+            h.compose(x, y, k, 0, u, d, h.ring.unit_vector(n, j))
+            for j in range(n)], h.class_count(x, k, d))
         built = len(h._matrices)
         assert h.postcompose_matrix(k, x, y, 0, tuple(u), d) is post
         assert h.postcompose_matrix(k, x, y, 0, list(u), d) is post

@@ -1,7 +1,7 @@
 """End-to-end checks of the command-line entry point on bundled fixtures.
 
 Most tests pin fields of the report.  The sha256 pins of whole reports
-(``REPORT_SHA256``, ``RATIONAL_REPORT_SHA256``) hold the bytes still; a
+(``REPORT_SHA256``, ``RATIONAL_REPORT_SHA256``, ``F3_REPORTS``) hold the bytes still; a
 change of the report's value encoding regenerates them.
 """
 
@@ -15,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from fixture_builders import build_toyc_chain, rational_fixture_doc
+from fixture_builders import (build_toyc_chain, fixture_doc_over,
+                              rational_fixture_doc)
 from wrapcat import cli, floer
 from wrapcat.ainf import AInfCategory
 from wrapcat.cli import main
 from wrapcat.matrices import Matrix
+from wrapcat.rings import CoefficientRing
 from wrapcat.setupfile import canonical_json, setup_to_dict
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -149,10 +151,6 @@ def _dthird_slot_out_of_range(doc):
 
 def _dthird_key_of_a_pair(doc):
     _dthird(doc, "A,B|0")
-
-
-def _oracle_table(doc):
-    doc["oracle"] = {"mode": "table", "entries": {}}
 
 
 def _composable_mode_unknown(doc):
@@ -417,7 +415,6 @@ MALFORMED = [(_dup_generator, "hom 'K,Kp'", "toyb"),
               "is not a triple", "micro2datum"),
              (_dthird_key_of_a_pair, "floer_data: Dthird 'A,B|0': key is not "
               "a triple", "micro2datum"),
-             (_oracle_table, "oracle must be", "toyb"),
              (_composable_mode_unknown, "composable: unknown mode "
               "'explicitly'", "toyb_break_permutation"),
              (_composable_tuple(["L"]), "composable: 1-tuple ['L'] does not "
@@ -1117,6 +1114,36 @@ def test_rational_fixtures_have_pinned_report_bytes(capsys, tmp_path, fixture,
     name, *options = RATIONAL_COMMANDS[command]
     assert stdout_sha256(capsys, [name, str(path), *options]) == \
         RATIONAL_REPORT_SHA256[fixture][list(RATIONAL_COMMANDS).index(command)]
+
+
+# (exit code, sha256 of the stdout) of toyb and toyc re-coefficiented to F3
+# under each of F3_COMMANDS, where composition meets signs of odd
+# characteristic
+F3_COMMANDS = {k: PINNED_COMMANDS[k] for k in ("hw", "dfcat", "agree", "entangle")}
+F3_REPORTS = {
+    "toyb": (
+        (0, "734799a4cf8deb8fc6fdcf1c93b3d3cbd348fd61c474f3bd27407c4df9e2666b"),
+        (0, "3d54aaa556ae3a2076f1feba0001861c4682202892a7eedde30dd4d3fae5eb3e"),
+        (0, "135233a6b25c6562b9569f654cf643a953f69d1435658ecd4c08eee8c04fee49"),
+        (0, "3948c583c666c411763c969367164acf7114f3c5ae873da423ad0e8fb9ffb1bb")),
+    "toyc": (
+        (0, "6b54aa7b0e6b0fa5ab8334b979e60f87408bf4ce8eb2b68717d9e30963c802dd"),
+        (0, "9fa207a0ac2b5eaab8b27ba7ba48b33c7812c4c2e33af9cf236ead9f739441ca"),
+        (0, "05733d5c0247aee0d728aa44158cd3547936825ee40f7d7e9350a77b1827fabe"),
+        (1, "cab36f1fb15c2bf70c0b4e663cb077e41808eb60c596ccc79e0aac6b6c9de3ec"))}
+
+
+@pytest.mark.parametrize("command", F3_COMMANDS)
+@pytest.mark.parametrize("fixture", sorted(F3_REPORTS))
+def test_f3_fixtures_have_pinned_exits_and_report_bytes(capsys, tmp_path,
+                                                        fixture, command):
+    path = tmp_path / f"{fixture}_f3.json"
+    path.write_text(json.dumps(fixture_doc_over(
+        fixture, CoefficientRing.prime_field(3))))
+    name, *options = F3_COMMANDS[command]
+    code = main([name, str(path), *options])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == F3_REPORTS[fixture][list(F3_COMMANDS).index(command)]
 
 
 @pytest.mark.parametrize("depth", ["0", "1"])

@@ -9,7 +9,8 @@ an Attribute, since a bare Name of the same spelling is some other variable.
 Code that only the tests reach counts as dead, except the two serializers
 named in ``TEST_ONLY``.  The check goes by name, so a definition that shares
 its name with a referenced one escapes it.  No linter runs on this code, so
-this check keeps dead imports and dead code out.  True division (``/``)
+this check keeps dead imports and dead code out.  No module reads a
+private name (``_x``) that only another module defines.  True division (``/``)
 appears only in the field inverse over Q, and a fresh ``import
 wrapcat.cli`` is kept clear of the modules that once came in with
 ``dataclasses``.
@@ -146,6 +147,54 @@ def test_no_definitions_only_tests_reach():
     found = {(fname, name) for fname, _, name in
              unreferenced_definitions(defining, {})}
     assert found == TEST_ONLY
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_names(sources):
+    """(file, line, name) of each private name that a module of ``sources``
+    ({file: text}) imports or reads as an attribute, when another module
+    defines it (as a function, class, method or assigned name or
+    attribute) and the module itself does not."""
+    defined, read = {}, []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            name, store = None, False
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name, store = node.name, True
+            elif isinstance(node, ast.Name):
+                name, store = node.id, isinstance(node.ctx, ast.Store)
+            elif isinstance(node, ast.Attribute):
+                name, store = node.attr, isinstance(node.ctx, ast.Store)
+            elif isinstance(node, ast.ImportFrom):
+                read += [(fname, node.lineno, a.name) for a in node.names
+                         if _private(a.name)]
+            if name is not None and _private(name):
+                if store:
+                    defined.setdefault(name, set()).add(fname)
+                elif isinstance(node, ast.Attribute):
+                    read.append((fname, node.lineno, name))
+    return sorted((fname, line, name) for fname, line, name in read
+                  if fname not in defined.get(name, ())
+                  and defined.get(name))
+
+
+def test_checker_sees_foreign_private_names():
+    lib = ("def _helper():\n    pass\n\n"
+           "class C:\n    def _m(self):\n        self._x = 1\n")
+    user = ("from lib import _helper\nimport lib\n\n"
+            "def f(c):\n    c._m()\n    c._own = 2\n"
+            "    return c._x, c._own, lib._helper, c._nowhere\n")
+    assert foreign_private_names({"lib": lib, "user": user}) == [
+        ("user", 1, "_helper"), ("user", 5, "_m"), ("user", 7, "_helper"),
+        ("user", 7, "_x")]
+
+
+def test_no_module_reads_a_private_name_of_another():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert foreign_private_names(sources) == []
 
 
 def true_divisions(source):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import (FractionEchelon, dense_cohomology, dense_kernel,
                      dense_rref, dense_solve, row_walk_reduce)
-from wrapcat.errors import NotAComplex, ShapeMismatch
+from wrapcat.errors import NotAComplex, SchemaError, ShapeMismatch
 from wrapcat.linalg import (Complex, DiagramColimit, GradedMap, GradedModule,
                             cohomology, compose_graded_maps)
 from wrapcat.matrices import Echelon, Matrix
-from wrapcat.rings import CoefficientRing
+from wrapcat.rings import PRIME_BOUND, CoefficientRing
 
 F2 = CoefficientRing.prime_field(2)
 F3 = CoefficientRing.prime_field(3)
@@ -329,3 +330,41 @@ class TestRationalEchelonAgainstFractionElimination:
         assert ech.insert({1: Fraction(5)}) == 1
         assert ech.reduce({0: Fraction(1), 1: Fraction(1)}) == {
             2: Fraction(3, 4)}
+
+
+def _is_field(p):
+    try:
+        CoefficientRing.prime_field(p)
+    except SchemaError:
+        return False
+    return True
+
+
+class TestCharacteristic:
+    def test_agrees_with_a_sieve_below_ten_to_the_five(self):
+        n = 10 ** 5
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, int(n ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, n, i))
+        assert [p for p in range(n) if _is_field(p)] == [
+            p for p in range(n) if sieve[p]]
+
+    @pytest.mark.parametrize("n", [
+        2047, 3215031751, 3825123056546413051,
+        # the least strong pseudoprime to every base 2..37; base 41 fails it
+        318665857834031151167461])
+    def test_strong_pseudoprimes_are_refused(self, n):
+        assert not _is_field(n)
+
+    def test_large_primes_load_at_once(self):
+        start = time.perf_counter()
+        for p in (2 ** 61 - 1, 10 ** 24 + 7):
+            assert CoefficientRing.from_token(f"Fp:{p}").p == p
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("p", [PRIME_BOUND, 2 ** 89 - 1])
+    def test_a_characteristic_at_or_above_the_bound_is_refused(self, p):
+        # 2^89 - 1 is prime, but beyond the bound the test is not exact
+        with pytest.raises(SchemaError, match="is not below"):
+            CoefficientRing.prime_field(p)

@@ -303,8 +303,7 @@ class TestFractionCategory:
                 if extra is not None:
                     gw = [ring.add(a, b) for a, b in zip(gw, extra)]
                 num = h.compose(cp.src, dcls.src, m, d1, tuple(gw), d2, hrep)
-                denom = frac._compose_classes(cp, frac.slices[l].objects[t1])
-                idx = frac._slice_index(l, denom)
+                idx = frac.slice_index(l, cset.compose(cp, frac.slices[l].objects[t1]))
                 if idx is None:
                     continue
                 answers.add(frac.colim(l, m).project(d1 + d2, idx, num))

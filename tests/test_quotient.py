@@ -89,7 +89,7 @@ class TestBarQuotient:
         h = cohomology_category(env)
         cset = continuation_cset(s, h)
         frac = FractionCategory(h, cset)
-        W = [(c.src, c.tgt, c.coords) for c in generating_subset(h, cset)]
+        W = [(c.src, c.tgt, c.coords) for c in generating_subset(cset)]
         quo = TruncatedQuotient(*adjoin_cones(env, h, W), depth, h)
         for a in env.objects:
             for b in env.objects:
@@ -221,7 +221,7 @@ def fixture_cones(name, ring):
     env = canonical_envelope(setup)
     h = cohomology_category(env)
     w = [(c.src, c.tgt, c.coords)
-         for c in generating_subset(h, continuation_cset(setup, h))]
+         for c in generating_subset(continuation_cset(setup, h))]
     ext, nulls = adjoin_cones(env, h, w)
     return ext, nulls, env.objects
 

@@ -173,7 +173,7 @@ class TestWrappedDF:
 
     def test_generating_subset(self):
         s, env, h, cset = prepare(build_toyc)
-        gens = {(c.src, c.tgt) for c in generating_subset(h, cset)}
+        gens = {(c.src, c.tgt) for c in generating_subset(cset)}
         assert gens == {("L1", "L0"), ("L2", "L1"), ("L3", "L2")}
 
 

@@ -55,8 +55,8 @@ class AInfCategory:
     engine builds directly; cone objects carry two diagonal components).
 
     Cone objects are recorded in ``cone_data``; operations on chains that
-    touch them are evaluated lazily through the one-sided twist of the
-    underlying plain category, see :func:`cone`.
+    touch them are evaluated lazily, a whole object tuple at a time, through
+    the one-sided twist of the underlying plain category, see :func:`cone`.
     """
 
     def __init__(self, ring, objects, homs, units, op_entries=()):
@@ -71,8 +71,10 @@ class AInfCategory:
         self.cone_data = {}    # obj -> (X, Y, f_dict)
         self.block_info = {}   # pair -> {label: (src_summand, tgt_summand, host_label)}
         self.ops = {}          # chain -> {inputs: {output: scalar}}
-        self._block_rev = None
-        self._contractions = None   # run -> {inputs: output or None}, False if zero
+        # chain -> {inputs: nonzero output}; with it, the prefixes of the
+        # operations' object tuples, each block's decorations by block and
+        # each object's summand states (see _fill)
+        self._contractions = self._host_heads = self._block_rev = self._states = None
         self._arity = None
         for chain, inputs, output, scalar in op_entries:
             self.add_op_entry(chain, inputs, output, scalar)
@@ -81,9 +83,6 @@ class AInfCategory:
 
     def hom(self, x, y) -> GradedModule:
         return self.homs.get((x, y), self._zero)
-
-    def hom_pairs(self):
-        return sorted(self.homs.keys())
 
     def unit_of(self, x):
         return dict(self.units.get(x, {}))
@@ -141,16 +140,11 @@ class AInfCategory:
 
     # -- evaluation ------------------------------------------------------------
 
-    def mu_plain(self, chain, inputs):
-        return dict(self.ops.get(tuple(chain), {}).get(tuple(inputs), {}))
-
     def mu(self, chain, inputs):
-        """Evaluate mu^k on a tuple of basis labels: {output_label: scalar}."""
-        chain = tuple(chain)
-        inputs = tuple(inputs)
-        if not any(self.is_cone(x) for x in chain):
-            return self.mu_plain(chain, inputs)
-        return self._mu_twisted(chain, inputs)
+        """Evaluate mu^k on a tuple of basis labels: {output_label: scalar},
+        a copy of the entry of ``contractions(chain)``, the table that the
+        bars read too."""
+        return dict(self.contractions(tuple(chain)).get(tuple(inputs), {}))
 
     def max_arity(self) -> int:
         """The largest arity of an operation entry (0 without entries).  A
@@ -161,26 +155,35 @@ class AInfCategory:
                               default=0)
         return self._arity
 
-    def contraction(self, chain, inputs):
-        """The nonzero ``mu`` output on the label tuple ``inputs`` along the
-        object tuple ``chain``, or None, from an index filled on first use:
-        one ``mu`` call per distinct (chain, inputs), none for a run above
-        ``max_arity`` or into a zero hom.  The output is shared; callers must
-        not mutate it."""
+    def contractions(self, chain):
+        """The table {inputs: nonzero mu output} along the object tuple
+        ``chain``, shared, so callers must not mutate it.  A plain chain's
+        table is its operation entries.  The whole table of a chain through
+        cones is filled at once, on first use, and kept by the chain alone,
+        so each (chain, inputs) is evaluated once however many bars, words
+        and ends read it; none is filled above ``max_arity`` or into a zero
+        hom, and an operation entry added later drops the index."""
         index = self._contractions
         if index is None:
             index = self._contractions = {}
+            self._host_heads = {c[:i + 1] for c in self.ops for i in range(len(c))}
+            self._block_rev = {p: {v: lab for lab, v in t.items()}
+                               for p, t in self.block_info.items()}
+            self._states = {x: (((x,), (0, 0, None)),) for x in self.objects}
+            self._states.update({x: (((cx,), (0, 0, None)), ((cy,), (1, 1, None)),
+                                     ((cx, cy), (0, 1, f)))
+                                 for x, (cx, cy, f) in self.cone_data.items()})
         table = index.get(chain)
         if table is None:
-            live = (len(chain) - 1 <= self.max_arity()
-                    and (chain[0], chain[-1]) in self.homs)
-            table = index[chain] = {} if live else False
-        if table is False:
-            return None
-        out = table.get(inputs, False)
-        if out is False:
-            out = table[inputs] = self.mu(chain, inputs) or None
-        return out
+            if not any(x in self.cone_data for x in chain):
+                table = self.ops.get(chain, {})
+            elif (2 <= len(chain) <= self.max_arity() + 1
+                  and (chain[0], chain[-1]) in self.homs):
+                table = self._fill(chain)
+            else:
+                table = {}
+            index[chain] = table
+        return table
 
     def mu_element(self, chain, elements):
         """Multilinear evaluation on label->scalar dicts, one per slot."""
@@ -198,60 +201,16 @@ class AInfCategory:
                 _merge(total, out, ring.mul(coeff, v), ring)
         return total
 
-    def _block_of(self, pair, label):
-        info = self.block_info.get(pair)
-        if info is None:
-            return (0, 0, label)
-        return info[label]
-
-    def _mu_twisted(self, chain, inputs):
-        """Twisted evaluation on chains touching cone objects.
-
-        Each input label is a pure block element; at every gap the chain may
-        absorb one twist insertion (the cone's morphism, going from the
-        shifted to the unshifted summand).  Interior gaps are forced; the two
-        boundary gaps can branch into distinct output blocks.
-        """
-        k = len(inputs)
-        if k == 0:
-            return {}
-        binfo = [self._block_of((chain[i], chain[i + 1]), inputs[i]) for i in range(k)]
-        cones = self.cone_data
-        options = []
-        for g in range(k + 1):
-            cone = chain[g] in cones
-            arrive = binfo[g - 1][1] if g > 0 else None
-            depart = binfo[g][0] if g < k else None
-            if g == 0:
-                slot = (0, 1) if cone and depart == 1 else (0,)
-            elif g == k:
-                slot = (0, 1) if cone and arrive == 0 else (0,)
-            elif arrive == depart:
-                slot = (0,)
-            elif cone and arrive == 0 and depart == 1:
-                slot = (1,)
-            else:
-                return {}
-            options.append(slot)
-        ext_degs = [self.homs[(chain[i], chain[i + 1])].degree_of(inputs[i])
-                    for i in range(k)]
-        summands = [self.summands(x) for x in chain]
-        patterns = list(product(*options))
-        if len(patterns) == 1:
-            return self._eval_pattern(chain, binfo, ext_degs, summands,
-                                      patterns[0])
-        ring = self.ring
-        total = {}
-        for pattern in patterns:
-            for lab, v in self._eval_pattern(chain, binfo, ext_degs, summands,
-                                             pattern).items():
-                _merge(total, lab, v, ring)
-        return total
-
-    def _eval_pattern(self, chain, binfo, ext_degs, summands, pattern):
-        """The host operation of one twist pattern, decorated back into the
-        cone blocks; nothing when the host object tuple carries no operation
-        entry.
+    def _fill(self, chain):
+        """Twisted mu along a chain through cones, pushed forward from the
+        host's operation entries.  At each object the host chain passes
+        through a plain object's one summand, or a cone's shifted summand,
+        its unshifted one, or both joined by a twist insertion (the cone's
+        morphism, from the shifted to the unshifted summand); every input
+        is then a block element between the summands on either side of it.
+        Each such pattern is one host object tuple, and each of its entries
+        lands on one input tuple of ``chain``, decorated back into the cone
+        blocks.
 
         The sign exponent is the bar-translation bookkeeping of the extended
         and the host evaluation (each argument's degree weighted by the
@@ -261,58 +220,64 @@ class AInfCategory:
         is the one whose diagonal cone unit is a strict unit on the nose;
         both facts are verified exhaustively in tests/test_cones.py.
         """
-        k = len(binfo)
-        cones = self.cone_data
-        if pattern[0]:
-            cx, cy, _ = cones[chain[0]]
-            host_chain = [cx, cy]
-        else:
-            host_chain = [summands[0][binfo[0][0]][0]]
-        for i in range(k):
-            host_chain.append(summands[i + 1][binfo[i][1]][0])
-            if pattern[i + 1]:
-                host_chain.append(cones[chain[i + 1]][1])
-        table = self.ops.get(tuple(host_chain))
-        if not table:
-            return {}
-        # per host argument, its (label, scalar) choices: one label of
-        # scalar 1 (None) for an input, the cone morphism's for a twist
-        slots = [sorted(cones[chain[0]][2].items())] if pattern[0] else []
-        last = len(host_chain) - 2  # weight of the first host argument
-        pos, exp = pattern[0], 0
-        for i, (si, ti, host_label) in enumerate(binfo):
-            u, v, e = summands[i][si][1], summands[i + 1][ti][1], ext_degs[i]
-            exp += (k - 1 - i) * e + (last - pos) * (e - u + v) + u
-            slots.append(((host_label, None),))
-            pos += 1
-            if pattern[i + 1]:
-                slots.append(sorted(cones[chain[i + 1]][2].items()))
-                pos += 1
-        ring = self.ring
-        sign = ring.one() if exp % 2 == 0 else ring.normalize(-1)
-        start = 0 if pattern[0] else binfo[0][0]
-        end = 1 if pattern[k] else binfo[k - 1][1]
-        pair = (chain[0], chain[-1])
-        total = {}
-        for combo in product(*slots):
-            coeff = sign
-            for _, c in combo:
-                if c is not None:
-                    coeff = ring.mul(coeff, c)
-            for lab, v in table.get(tuple(lab for lab, _ in combo), {}).items():
-                out_label = self._decorate(pair, start, end, lab)
-                if out_label is not None:
-                    _merge(total, out_label, ring.mul(coeff, v), ring)
-        return total
-
-    def _decorate(self, pair, si, ti, host_label):
-        info = self.block_info.get(pair)
-        if info is None:
-            return host_label if (si, ti) == (0, 0) else None
-        if self._block_rev is None:
-            self._block_rev = {p: {v: lab for lab, v in t.items()}
-                               for p, t in self.block_info.items()}
-        return self._block_rev.get(pair, {}).get((si, ti, host_label))
+        ring, cones, k = self.ring, self.cone_data, len(chain) - 1
+        rev, heads = self._block_rev, self._host_heads
+        revs = [rev.get(p) for p in zip(chain, chain[1:])]
+        cone = [x in cones for x in chain]
+        # (host objects, per object (arriving summand, departing summand,
+        # twist morphism or None)), kept while the host objects begin the
+        # object tuple of some operation entry
+        patterns = [((), ())]
+        for x in chain:
+            grown = []
+            for host, pattern in patterns:
+                for objs, g in self._states[x]:
+                    objs = host + objs
+                    if objs in heads:
+                        grown.append((objs, pattern + (g,)))
+            patterns = grown
+        out_rev, table, one = rev.get((chain[0], chain[-1])), {}, ring.one()
+        for host, pattern in patterns:
+            entries = self.ops.get(host)
+            if not entries:
+                continue
+            # per twist (host position, morphism); per input (host position,
+            # block decoration, source and target summand, host module when
+            # its degree weighs in the sign)
+            n, twists, inputs, const, pos = len(host) - 1, [], [], 0, 0
+            for i, (_, s, f) in enumerate(pattern):
+                if f is not None:
+                    twists.append((pos, f))
+                    pos += 1
+                if i < k:
+                    t = pattern[i + 1][0]
+                    u = s == 0 and cone[i]
+                    const += (k - 1 - i) * (u + (t == 0 and cone[i + 1])) + u
+                    inputs.append((pos, revs[i], s, t, self.homs[host[pos:pos + 2]]
+                                   if (k - i + n - pos) % 2 else None))
+                    pos += 1
+            start, end = pattern[0][0], pattern[k][1]
+            for hin, outs in entries.items():
+                coeff, exp, key = one, const, []
+                for p, f in twists:
+                    coeff = ring.mul(coeff, f.get(hin[p], 0))
+                if ring.is_zero(coeff):
+                    continue
+                for p, r, s, t, mod in inputs:
+                    lab = hin[p]
+                    key.append(lab if r is None else r[(s, t, lab)])
+                    if mod is not None:
+                        exp += mod.degree_of(lab)
+                if exp % 2:
+                    coeff = ring.neg(coeff)
+                acc = table.setdefault(tuple(key), {})
+                for lab, v in outs.items():
+                    lab = lab if out_rev is None else out_rev[(start, end, lab)]
+                    if lab in acc:
+                        _merge(acc, lab, ring.mul(coeff, v), ring)
+                    else:   # a product of nonzero field elements
+                        acc[lab] = ring.mul(coeff, v)
+        return {i: out for i, out in table.items() if out}
 
     # -- complexes and copies ----------------------------------------------------
 
@@ -339,14 +304,6 @@ class AInfCategory:
 # -- relation checking ---------------------------------------------------------
 
 
-def _nonzero_adjacency(a: AInfCategory):
-    adj = {x: [] for x in a.objects}
-    for (x, y), mod in a.homs.items():
-        if not mod.is_zero():
-            adj[x].append(y)
-    return {x: sorted(set(v)) for x, v in adj.items()}
-
-
 def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
     """Verify the A-infinity relations on every (chain, inputs) up to
     ``max_arity``: every object chain with nonzero consecutive homs and
@@ -354,14 +311,14 @@ def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
 
     Only the support is evaluated.  Each nonzero mu^s entry with s at most
     ``a.max_arity()`` (above it every mu^s is zero) is read once from the
-    contraction index, cone objects included.  Each nonzero inner-outer
+    contraction tables, cone objects included.  Each nonzero inner-outer
     composite is added into the residual of the one (chain, inputs) it
     belongs to; every other tuple has residual zero.  ``checked`` still
     counts every tuple, and the report lists each violation, in the order
     of chain length, chain and inputs, with the exactly-formatted residual.
     """
     ring = a.ring
-    adj = _nonzero_adjacency(a)
+    adj = {x: sorted(y for s, y in a.homs if s == x) for x in a.objects}
     labels = {p: [lab for d in m.degrees() for lab in m.labels(d)]
               for p, m in a.homs.items()}
     checked = 0
@@ -380,10 +337,8 @@ def check_ainf_relations(a: AInfCategory, max_arity: int = 4):
         for chain in chains:
             if (chain[0], chain[-1]) not in a.homs:
                 continue
-            for inputs in product(*[labels[p] for p in zip(chain, chain[1:])]):
-                out = a.contraction(chain, inputs)
-                if out:
-                    entries.append((chain, inputs, out))
+            entries += [(chain, inputs, out)
+                        for inputs, out in a.contractions(chain).items()]
     slots = {}  # (object before, object after, label) -> [(slot, degrees before, entry)]
     for entry in entries:
         chain, inputs, _ = entry
@@ -447,7 +402,7 @@ class HCategory:
         self.ring = source.ring
         self.objects = source.objects
         self.H = {}
-        for pair in source.hom_pairs():
+        for pair in sorted(source.homs):
             self.H[pair] = cohomology(source.hom_complex(*pair))
         self._zero = CohomologyPresentation(self.ring, {})  # every missing hom
         self.identity_coords = {}
@@ -467,6 +422,7 @@ class HCategory:
 
     def rep_dict(self, x, y, d, coords):
         """The representative cycle of a class as a label->scalar dict."""
+        self._check(x, y, d, coords)
         ring, pres = self.ring, self.pres(x, y).degree(d)
         vec = [ring.zero()] * pres.module_rank
         for c, rep in zip(coords, pres.reps):
@@ -590,7 +546,6 @@ def cone(a: AInfCategory, name, x, y, f_dict) -> AInfCategory:
         for lab, s in out.unit_of(comp_obj).items():
             unit[f"{lab}@{name}>{name}:{si}{si}"] = s
     out.units[name] = unit
-    out._block_rev = None
     return out
 
 

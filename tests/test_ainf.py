@@ -261,6 +261,16 @@ class TestHCategory:
             with pytest.raises(ShapeMismatch):
                 call()
 
+    @pytest.mark.parametrize("u", [(1,), (1, 0, 1)], ids=["short", "long"])
+    def test_representative_of_the_wrong_length_is_refused(self, u):
+        # zipped against the two classes of H^0(L1, K), both u gave the
+        # representative b1; every cone is built from rep_dict
+        h = cohomology_category(canonical_envelope(build_toyc()))
+        with pytest.raises(ShapeMismatch):
+            h.rep_dict("L1", "K", 0, u)
+        with pytest.raises(ShapeMismatch):
+            cone_of_class(h.source, h, "C", "L1", "K", u)
+
     @staticmethod
     def _check_memoized(h, x, y, k, u, d):
         """(- then u) on H^d(k, x) and (u then -) on H^d(y, k) against their

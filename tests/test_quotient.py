@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -238,6 +239,14 @@ class TestContractionIndex:
                                 range(-2 * depth - 2, 3))
 
     @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
+    def test_toyc_at_the_benchmark_depth(self, ring, p):
+        # localize runs toyc at depth 3: its words of three nulls are the
+        # first whose own runs come from a prefix's and whose runs through
+        # the last label are shared with other words
+        ext, nulls, objects = fixture_cones("toyc", ring)
+        check_against_reference(ext, nulls, objects, 3, (0,))
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=["F2", "F3", "Q"])
     def test_dg_path_cone(self, ring, p):
         ext = cone(dg_path_cat(ring), "Cb", "o1", "o2", {"b": 1})
         check_against_reference(ext, ["Cb"], ext.objects[:-1], 2,
@@ -257,7 +266,7 @@ class TestContractionIndex:
                                 range(-4, 5))
         bar = BarQuotient(ext, ["Cw"], "p0", "p3", 3, degree=0)
         three = [(o, l) for o, l in bar.chains
-                 if len(l) == 3 and ext.contraction(o, l)]
+                 if len(l) == 3 and ext.contractions(o).get(l)]
         assert three
 
     def test_new_operation_entry_reaches_the_next_bar(self):
@@ -270,17 +279,56 @@ class TestContractionIndex:
         assert after.differential.blocks != before.differential.blocks
         assert_matches_reference(after)
 
+    @pytest.mark.parametrize("ring,p", RINGS[:2], ids=["F2", "F3"])
+    def test_each_table_is_evaluated_once(self, ring, p, monkeypatch):
+        # the 25 bars of toyc at depth 3 read the same object tuples' tables
+        # over and over; each tuple through cones is filled once, so each
+        # (chain, inputs) on it is evaluated once, and none outside a table
+        setup = setup_from_dict(fixture_doc_over("toyc", ring))
+        env = canonical_envelope(setup)
+        h = cohomology_category(env)
+        ext, nulls = adjoin_cones(env, h, [
+            (c.src, c.tgt, c.coords)
+            for c in generating_subset(continuation_cset(setup, h))])
+        fills, runs, reads, mus = [], [], [], []
+        fill, contractions, mu = (AInfCategory._fill,
+                                  AInfCategory.contractions, AInfCategory.mu)
+
+        def counted_fill(self, chain):
+            table = fill(self, chain)
+            fills.append(chain)
+            runs.extend((chain, inputs) for inputs in table)
+            return table
+
+        def counted_read(self, chain):
+            reads.append(chain)
+            return contractions(self, chain)
+
+        def counted_mu(self, chain, inputs):
+            mus.append((chain, inputs))
+            return mu(self, chain, inputs)
+        monkeypatch.setattr(AInfCategory, "_fill", counted_fill)
+        monkeypatch.setattr(AInfCategory, "contractions", counted_read)
+        monkeypatch.setattr(AInfCategory, "mu", counted_mu)
+        TruncatedQuotient(ext, nulls, 3, h)
+        assert fills and len(set(fills)) == len(fills)
+        assert runs and len(set(runs)) == len(runs)
+        assert all(any(o in nulls for o in chain) for chain in fills)
+        assert len(reads) > 2 * len(fills)
+        assert mus == []
+
 
 def check_mu_against_reference(cat, nulls, objects, depth, windows):
-    """``cat.mu`` equals ``reference_mu`` on every (chain, inputs) on which
-    the bars of every pair of ``objects`` in the degree ``windows`` evaluate
-    it, and some of those chains run through a cone."""
-    reached, mu = set(), cat.mu
+    """``cat.mu`` equals ``reference_mu`` on every basis input tuple along
+    every object tuple whose contraction table the bars of every pair of
+    ``objects`` in the degree ``windows`` read, and some of those tuples
+    run through a cone."""
+    reached, contractions = set(), cat.contractions
 
-    def recording(chain, inputs):
-        reached.add((tuple(chain), tuple(inputs)))
-        return mu(chain, inputs)
-    cat.mu = recording
+    def recording(chain):
+        reached.add(tuple(chain))
+        return contractions(chain)
+    cat.contractions = recording
     try:
         for n in windows:
             words = NullWords(cat, tuple(nulls), depth, n, set(objects),
@@ -289,11 +337,14 @@ def check_mu_against_reference(cat, nulls, objects, depth, windows):
                 for y in objects:
                     BarQuotient(cat, nulls, x, y, depth, degree=n, words=words)
     finally:
-        del cat.mu
-    assert any(o in nulls for chain, _ in reached for o in chain)
-    for chain, inputs in sorted(reached):
-        assert cat.mu(chain, inputs) == reference_mu(cat, chain, inputs), \
-            (chain, inputs)
+        del cat.contractions
+    assert any(o in nulls for chain in reached for o in chain)
+    for chain in sorted(reached):
+        mods = [cat.hom(a, b) for a, b in zip(chain, chain[1:])]
+        for inputs in product(*[[lab for d in m.degrees() for lab in m.labels(d)]
+                                for m in mods]):
+            assert cat.mu(chain, inputs) == reference_mu(cat, chain, inputs), \
+                (chain, inputs)
 
 
 class TestTwistedMu:

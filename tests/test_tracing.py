@@ -76,3 +76,12 @@ def test_traced_spans_see_validation_and_the_envelope():
     # their spans, so neither metric reads zero unnoticed
     spans = run_child(["compute", TOYB, "--what", "hw"], "spans")["spans"]
     assert {"floer.validate", "floer.envelope"} <= set(spans)
+
+
+def test_traced_spans_see_the_bars():
+    # the bar layer's spans, not only its counters, reach the trace: a
+    # claim about quotient.bar_build_s rests on this span
+    spans = run_child(["compute", TOYB, "--what", "localize", "--depth", "2"],
+                      "spans")["spans"]
+    assert {"quotient.bar_build", "quotient.truncate", "linalg.check"} <= \
+        set(spans)
